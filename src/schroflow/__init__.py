@@ -9,11 +9,11 @@ from .flow import (DecayReport, KernelSpec, SeparatedState, decay_fit,
                    kernel_eval, propagate_representation, pseudoconformal,
                    weighted_sup_norm)
 from .oscillator import (ModeIndex, NormalizedMode, SpectralTable, build_table,
-                         eval_mode, gamma_of, level_multiplicity, make_mode, project)
+                         gamma_of, level_multiplicity, make_mode, project)
 from .quadrature import RadialQuadrature
-from .radialfd import (RadialSchema, RouteParams, cn_step_schrodinger,
-                       compare_routes, implicit_step_heat)
-from .specfun import PolySpec, bessel_j, eval_P, gamma_fn, j_scaled, legendre_p, pochhammer, sph_harm
+from .radialfd import (RadialSchema, RouteParams, compare_routes, evolve_heat,
+                       evolve_schrodinger)
+from .specfun import PolySpec, bessel_j, j_scaled, legendre_p, sph_harm
 
 __version__ = "0.1.0"
 
@@ -22,11 +22,10 @@ __all__ = [
     "ModeIndex", "NormalizedMode", "PolySpec", "RadialQuadrature",
     "RadialSchema", "RouteParams", "SeparatedState", "SpectralTable",
     "assemble_circle", "assemble_sphere", "bessel_j", "build_table",
-    "cn_step_schrodinger", "compare_routes", "constant_a_spectrum", "decay_fit",
-    "eigensolve", "eval_P", "eval_mode", "evolve_mode_closed_form", "gamma_fn",
-    "gamma_of", "heat_residual", "heat_self_similar", "implicit_step_heat",
-    "j_scaled",
+    "compare_routes", "constant_a_spectrum", "decay_fit", "eigensolve",
+    "evolve_heat", "evolve_mode_closed_form", "evolve_schrodinger",
+    "gamma_of", "heat_residual", "heat_self_similar", "j_scaled",
     "kernel_eval", "legendre_p", "level_multiplicity", "make_mode",
-    "pochhammer", "project", "propagate_representation", "pseudoconformal",
+    "project", "propagate_representation", "pseudoconformal",
     "sph_harm", "weighted_sup_norm", "__version__",
 ]

@@ -68,19 +68,6 @@ def _check_real_symmetry(coeffs: dict, tol: float = 1e-12) -> None:
             )
 
 
-def circle_coeffs_from_samples(samples) -> dict:
-    """Fourier coefficients f_hat_q = (1/2pi) int f e^{-iq theta} of a real
-    function given by uniform samples on [0, 2pi)."""
-    samples = np.asarray(samples, dtype=complex)
-    n = len(samples)
-    theta = 2.0 * math.pi * np.arange(n) / n
-    qmax = (n - 1) // 2
-    return {
-        q: complex(np.sum(samples * np.exp(-1j * q * theta)) / n)
-        for q in range(-qmax, qmax + 1)
-    }
-
-
 @dataclass(frozen=True)
 class AngularEigensystem:
     """Eigenvalues/eigenvectors of the angular operator, ascending, with
@@ -122,7 +109,7 @@ class AngularEigensystem:
             K = (len(coeffs) - 1) // 2
             ms = np.arange(-K, K + 1)
             th = np.asarray(theta, dtype=float)
-            return np.tensordot(coeffs, np.exp(1j * np.outer(ms, th)), axes=(0, 0)) / math.sqrt(
+            return np.tensordot(coeffs, np.exp(1j * np.multiply.outer(ms, th)), axes=(0, 0)) / math.sqrt(
                 2 * math.pi
             )
         if self.basis_tag == "sphere_harmonic":

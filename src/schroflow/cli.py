@@ -27,7 +27,7 @@ from .oscillator import (AccuracyWarning, HardyViolation, ModeIndex,
                          build_table, make_mode)
 from .quadrature import RadialQuadrature
 from .radialfd import (RadialSchema, RouteParams, compare_routes, evolve_heat,
-                       evolve_schrodinger, mode_coefficient)
+                       evolve_schrodinger)
 
 SCHEMA_VERSION = 1
 
@@ -113,6 +113,13 @@ def _require(experiment: dict, key: str, command: str):
     return experiment[key]
 
 
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+
+
 def _mode_index(spec) -> ModeIndex:
     if (not isinstance(spec, (list, tuple)) or len(spec) != 2
             or not all(isinstance(v, int) for v in spec)):
@@ -145,6 +152,15 @@ def build_eigensystem(problem: dict, count: int):
     return constant_a_spectrum(N, float(a), count)
 
 
+def _spectral_table(problem: dict, K: int):
+    """Index table of the first K angular modes of the problem block."""
+    eigsys = build_eigensystem(problem, K)
+    if K > len(eigsys):
+        raise ConfigError(f"mode {K} is past the {len(eigsys)} modes of the "
+                          "angular truncation")
+    return build_table(eigsys, problem["N"], K)
+
+
 def _fourier_dict(obj) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError("Fourier coefficients must be an object {q: value}")
@@ -167,14 +183,12 @@ def _fourier_dict(obj) -> dict:
 # ---------------------------------------------------------------------------
 # artifact writing
 
-def _provenance(command: str, config_hash: str, threads: int | None,
-                params: dict) -> dict:
+def _provenance(command: str, config_hash: str, params: dict) -> dict:
     return {
         "tool": "schroflow",
         "version": __version__,
         "command": command,
         "config_sha256": config_hash,
-        "threads": threads,
         "parameters": params,
     }
 
@@ -191,8 +205,7 @@ def _write_csv(path: str, provenance: dict, extra_lines: list,
                columns: list, rows) -> None:
     lines = [f"# {provenance['tool']} {provenance['version']}",
              f"# command: {provenance['command']}",
-             f"# config_sha256: {provenance['config_sha256']}",
-             f"# threads: {provenance['threads']}"]
+             f"# config_sha256: {provenance['config_sha256']}"]
     for key in sorted(provenance["parameters"]):
         lines.append(f"# param {key}={_fmt(provenance['parameters'][key])}")
     lines.extend(f"# {text}" for text in extra_lines)
@@ -278,7 +291,7 @@ def cmd_evolve(config: dict, out_dir: str, expect: dict,
     problem = config["problem"]
     experiment = config.get("experiment", {})
     mode_idx = _mode_index(_require(experiment, "mode", "evolve"))
-    t = float(_require(experiment, "t", "evolve"))
+    t = _number(_require(experiment, "t", "evolve"), "experiment.t")
     route = experiment.get("route", "closed")
     if route not in ("closed", "kernel", "fd"):
         raise ConfigError(f"unknown route {route!r}; choose closed, kernel or fd")
@@ -286,26 +299,22 @@ def cmd_evolve(config: dict, out_dir: str, expect: dict,
     provenance["parameters"].update({"mode": list((mode_idx.n, mode_idx.j)),
                                      "t": t, "route": route, "r_max": r_max})
 
-    eigsys = build_eigensystem(problem, mode_idx.j)
-    table = build_table(eigsys, problem["N"], mode_idx.j)
+    table = _spectral_table(problem, mode_idx.j)
     mode = make_mode(mode_idx, table)
 
     if route == "fd":
         M = int(experiment.get("fd_points", 12000))
         dt = float(experiment.get("dt", 1e-3))
-        mu_j = table.row(mode_idx.j)[0]
-        schema = RadialSchema(N=problem["N"], c_k=mode_coefficient(problem["N"], mu_j),
+        schema = RadialSchema(N=problem["N"], mu=table.row(mode_idx.j)[0],
                               R=r_max, M=M, dt=dt)
-        grid = schema.grid
-        half = (problem["N"] - 1) / 2.0
-        w = evolve_schrodinger(schema, grid ** half * mode.radial(grid), t)
-        u = w / grid ** half
+        grid, weights = schema.grid, np.full(M, schema.h)
+        u = evolve_schrodinger(schema, mode.radial(grid), t)
         provenance["parameters"].update({"fd_points": M, "dt": dt})
     else:
         quad = RadialQuadrature(r_max,
                                 int(experiment.get("quad_panels", 125)),
                                 int(experiment.get("quad_nodes", 16)))
-        grid = quad.nodes
+        grid, weights = quad.nodes, quad.weights
         if route == "closed":
             u = flow.evolve_mode_closed_form(mode, grid, t)
         else:
@@ -325,7 +334,7 @@ def cmd_evolve(config: dict, out_dir: str, expect: dict,
         lo, hi = experiment.get("window", (0.1, 8.0))
         mask = (grid >= lo) & (grid <= hi)
         u_ref = flow.evolve_mode_closed_form(mode, grid[mask], t)
-        rel = float(np.linalg.norm(u[mask] - u_ref) / np.linalg.norm(u_ref))
+        rel = flow.rel_l2_error(u[mask], u_ref, grid[mask], weights[mask], problem["N"])
         summary["rel_l2_vs_closed"] = rel
         summary["window"] = [float(lo), float(hi)]
         measured["rel_l2"] = rel
@@ -355,10 +364,9 @@ def cmd_decay(config: dict, out_dir: str, expect: dict,
         "times": [float(t) for t in times],
     })
 
-    eigsys = build_eigensystem(problem, mode_idx.j)
-    table = build_table(eigsys, problem["N"], mode_idx.j)
+    table = _spectral_table(problem, mode_idx.j)
     mode = make_mode(mode_idx, table)
-    ang_sup = eigsys.sup_abs(mode_idx.j)
+    ang_sup = table.eigsys.sup_abs(mode_idx.j)
 
     pairs = []
     for t in times:
@@ -390,6 +398,8 @@ def cmd_kernel(config: dict, out_dir: str, expect: dict,
     rho_spec = _require(experiment, "rho", "kernel")
     if isinstance(rho_spec, dict):
         _reject_unknown(rho_spec, {"lo", "hi", "n", "spacing"}, "experiment.rho")
+        if "lo" not in rho_spec or "hi" not in rho_spec:
+            raise ConfigError("experiment.rho needs both lo and hi")
         n = int(rho_spec.get("n", 0))
         if n < 1:
             raise ConfigError("experiment.rho.n must be >= 1")
@@ -405,8 +415,7 @@ def cmd_kernel(config: dict, out_dir: str, expect: dict,
     provenance["parameters"].update({"k_start": k_start, "K": K, "path": path,
                                      "weight_exponent": w_exp})
 
-    eigsys = build_eigensystem(problem, K)
-    table = build_table(eigsys, N, K)
+    table = _spectral_table(problem, K)
     try:
         spec = flow.KernelSpec(table=table, k_start=k_start, path=path)
     except ValueError as exc:
@@ -463,13 +472,12 @@ def cmd_heat(config: dict, out_dir: str, expect: dict,
         dt=float(residual_opts.get("dt", 1e-4)),
     )
 
-    schema = RadialSchema(N=N, c_k=mode_coefficient(N, mu_k), R=r_max, M=M, dt=dt)
+    schema = RadialSchema(N=N, mu=mu_k, R=r_max, M=M, dt=dt)
     grid = schema.grid
-    half = (N - 1) / 2.0
     v0 = flow.heat_self_similar(N, a, k, grid, t0).real
-    w1 = evolve_heat(schema, grid ** half * v0, t1 - t0)
-    v_fd = w1 / grid ** half
+    v_fd = evolve_heat(schema, v0, t1 - t0)
     v_exact = flow.heat_self_similar(N, a, k, grid, t1).real
+    half = (N - 1) / 2.0
     rel_l2 = float(np.linalg.norm(grid ** half * (v_fd - v_exact))
                    / np.linalg.norm(grid ** half * v_exact))
 
@@ -565,34 +573,12 @@ def _parse_args(argv):
     parser.add_argument("--expect", default=None,
                         help="JSON object of expected headline values; a miss "
                              "exits with code 4")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap for BLAS/OpenMP threads (fallback: "
-                             "SCHROFLOW_THREADS)")
     return parser.parse_args(argv)
-
-
-def _resolve_threads(cli_value: int | None) -> int | None:
-    if cli_value is not None:
-        return cli_value
-    env = os.environ.get("SCHROFLOW_THREADS")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ConfigError(f"SCHROFLOW_THREADS={env!r} is not an integer") from exc
 
 
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
     try:
-        threads = _resolve_threads(args.threads)
-        if threads is not None:
-            if threads < 1:
-                raise ConfigError("thread count must be >= 1")
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS"):
-                os.environ[var] = str(threads)
         config, digest = load_config(args.config, args.command)
         expect = {}
         if args.expect:
@@ -604,7 +590,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--expect must be a JSON object")
         out_dir = args.out if args.out != "." else config.get("output", {}).get("dir", ".")
         os.makedirs(out_dir, exist_ok=True)
-        provenance = _provenance(args.command, digest, threads,
+        provenance = _provenance(args.command, digest,
                                  dict(config.get("problem", {})))
         return _COMMANDS[args.command](config, out_dir, expect, provenance)
     except ConfigError as exc:

@@ -15,6 +15,7 @@ self-similar heat solution, weighted sup norms and power-law decay fits.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -77,11 +78,13 @@ class SeparatedState:
             total += float(np.sum(self.weights * np.abs(f) ** 2 * rpow))
         return math.sqrt(total)
 
-    def map_profiles(self, fn) -> "SeparatedState":
-        return SeparatedState(
-            N=self.N, grid=self.grid.copy(), weights=self.weights.copy(),
-            profiles={j: fn(j, f) for j, f in self.profiles.items()}, table=self.table,
-        )
+
+def rel_l2_error(u, ref, r, weights, N: int) -> float:
+    """Relative distance ||u - ref|| / ||ref|| in L^2(r^{N-1} dr) of two radial
+    profiles sampled on the grid r with quadrature weights ``weights``."""
+    rpow = r ** (N - 1)
+    err = np.sqrt(np.sum(weights * np.abs(u - ref) ** 2 * rpow))
+    return float(err / np.sqrt(np.sum(weights * np.abs(ref) ** 2 * rpow)))
 
 
 def state_from_mode(mode: NormalizedMode, quad: RadialQuadrature,
@@ -203,32 +206,50 @@ def kernel_eval(spec: KernelSpec, x_dir, y_dir, rho: float) -> complex:
     """Kernel value sum_k phase_k j_{-alpha_k}(rho) psi_k(x) conj(psi_k(y)).
 
     ``x_dir``/``y_dir``: an angle for N=2, or (theta, phi) / a unit 3-vector
-    for N=3.  Emits AccuracyWarning when the magnitude of the last included
-    term exceeds the tail threshold.
+    for N=3.  The series is summed mode by mode over blocks of equal
+    alpha_k.  Emits AccuracyWarning when the Cauchy-Schwarz bound of the last
+    block, |phase j| sqrt(sum |psi_k(x)|^2 sum |psi_k(y)|^2), exceeds the tail
+    threshold.
     """
     if rho < 0:
         raise ValueError("kernel_eval requires rho >= 0")
-    table = spec.table
     if spec.path == "legendre_collapsed":
-        return _kernel_legendre(spec, x_dir, y_dir, rho)
-    eigsys = table.eigsys
-    if eigsys is None:
-        raise ValueError("mode_sum kernel evaluation needs the angular eigensystem")
+        blocks = _legendre_blocks(spec, x_dir, y_dir)
+    else:
+        blocks = _mode_blocks(spec, x_dir, y_dir)
     total = 0.0 + 0.0j
-    last = 0.0
-    for k in range(spec.k_start, spec.K_trunc + 1):
-        _, alpha_k, _ = table.row(k)
-        px = _psi_value(eigsys, k, x_dir)
-        py = _psi_value(eigsys, k, y_dir)
-        term = _unit_phase(alpha_k) * _j_factor(table.N, alpha_k, rho) * px * np.conj(py)
-        total += term
-        last = abs(term)
-    if last > spec.tail_threshold:
+    for alpha, terms, bound in blocks:
+        for term in terms:
+            coef = _unit_phase(alpha) * _j_factor(spec.table.N, alpha, rho)
+            total += term(coef)
+        tail = abs(coef) * bound
+    if tail > spec.tail_threshold:
         warnings.warn(
-            f"kernel truncation tail estimate {last:.2e} exceeds {spec.tail_threshold:.0e}",
+            f"kernel truncation tail estimate {tail:.2e} exceeds {spec.tail_threshold:.0e}",
             AccuracyWarning, stacklevel=2,
         )
     return complex(total)
+
+
+def _mode_blocks(spec: KernelSpec, x_dir, y_dir) -> list:
+    """(alpha, per-mode term as a function of phase*j, angular bound) for
+    each run of equal alpha_k in [k_start, K_trunc]."""
+    table = spec.table
+    eigsys = table.eigsys
+    if eigsys is None:
+        raise ValueError("mode_sum kernel evaluation needs the angular eigensystem")
+    blocks = []
+    modes = range(spec.k_start, spec.K_trunc + 1)
+    for alpha, ks in itertools.groupby(modes, key=lambda k: table.row(k)[1]):
+        ks = list(ks)
+        px = [_psi_value(eigsys, k, x_dir) for k in ks]
+        py = [_psi_value(eigsys, k, y_dir) for k in ks]
+        blocks.append((
+            alpha,
+            [lambda c, a=a, b=b: c * a * np.conj(b) for a, b in zip(px, py)],
+            math.sqrt(sum(abs(a) ** 2 for a in px) * sum(abs(b) ** 2 for b in py)),
+        ))
+    return blocks
 
 
 def _psi_value(eigsys: AngularEigensystem, k: int, direction) -> complex:
@@ -249,7 +270,9 @@ def _sphere_angles(direction):
     raise ValueError("sphere direction must be (theta, phi) or a 3-vector")
 
 
-def _kernel_legendre(spec: KernelSpec, x_dir, y_dir, rho: float) -> complex:
+def _legendre_blocks(spec: KernelSpec, x_dir, y_dir) -> list:
+    """One block per degree l: the addition theorem collapses its modes to
+    (2l+1)/(4pi) P_l(cos gamma), which is also the block's angular bound."""
     table = spec.table
     eigsys = table.eigsys
     if table.N != 3 or eigsys is None or eigsys.basis_tag != "analytic_constant":
@@ -266,24 +289,12 @@ def _kernel_legendre(spec: KernelSpec, x_dir, y_dir, rho: float) -> complex:
             "legendre_collapsed requires k_start/K_trunc aligned with whole degree blocks"
         )
     cosg = _cos_angle(x_dir, y_dir)
-    total = 0.0 + 0.0j
-    last = 0.0
-    for l in range(l_lo, l_hi + 1):
-        alpha_l = 0.5 - math.sqrt(0.25 + l * (l + 1) + eigsys.constant_shift)
-        term = (
-            _unit_phase(alpha_l)
-            * _j_factor(3, alpha_l, rho)
-            * (2 * l + 1) / (4.0 * math.pi)
-            * legendre_p(l, cosg)
-        )
-        total += term
-        last = abs(term)
-    if last > spec.tail_threshold:
-        warnings.warn(
-            f"kernel truncation tail estimate {last:.2e} exceeds {spec.tail_threshold:.0e}",
-            AccuracyWarning, stacklevel=2,
-        )
-    return complex(total)
+    return [
+        (0.5 - math.sqrt(0.25 + l * (l + 1) + eigsys.constant_shift),
+         [lambda c, l=l: c * (2 * l + 1) / (4.0 * math.pi) * legendre_p(l, cosg)],
+         (2 * l + 1) / (4.0 * math.pi))
+        for l in range(l_lo, l_hi + 1)
+    ]
 
 
 def _cos_angle(x_dir, y_dir) -> float:

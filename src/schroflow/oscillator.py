@@ -14,7 +14,6 @@ and builds/normalizes/projects the separable eigenfunctions
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -56,13 +55,6 @@ class SpectralTable:
         if not 1 <= k <= self.K_max:
             raise IndexError(f"mode index k={k} outside 1..{self.K_max}")
         return float(self.mu[k - 1]), float(self.alpha[k - 1]), float(self.beta[k - 1])
-
-    def write_csv(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "mu", "alpha", "beta"])
-        for k in range(1, self.K_max + 1):
-            mu, alpha, beta = self.row(k)
-            writer.writerow([k, repr(mu), repr(alpha), repr(beta)])
 
 
 def build_table(eigsys: AngularEigensystem, N: int, K_max: int) -> SpectralTable:
@@ -188,12 +180,6 @@ def make_mode(index: ModeIndex, table: SpectralTable,
         norm=math.sqrt(norm_sq),
         poly=poly,
     )
-
-
-def eval_mode(mode: NormalizedMode, r, angular_value=1.0, weighted: bool = False):
-    """Value of the normalized eigenfunction at radius r and angular factor
-    psi_j(theta) = angular_value."""
-    return mode.radial(r, weighted=weighted) * angular_value
 
 
 def project(state, mode: NormalizedMode) -> complex:

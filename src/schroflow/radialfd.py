@@ -13,8 +13,6 @@ outer boundary is Dirichlet.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -30,22 +28,25 @@ from . import flow
 class RadialSchema:
     """Grid and coefficient for one radial mode equation.
 
-    ``inner_bc``: 'zero_flux' imposes no flux through the inner cell face;
-    'dirichlet' imposes w(0) = 0 via an antisymmetric ghost cell.
+    ``mu`` is the mode's angular eigenvalue; the inverse-square strength
+    ``c_k`` of the reduced equation follows from it and N.  The inner
+    boundary imposes w(0) = 0 via an antisymmetric ghost cell.
     """
 
     N: int
-    c_k: float
+    mu: float
     R: float
     M: int
     dt: float
-    inner_bc: str = "dirichlet"
 
     def __post_init__(self):
         if self.M < 2 or self.R <= 0 or self.dt <= 0:
             raise ValueError("RadialSchema requires M >= 2, R > 0, dt > 0")
-        if self.inner_bc not in ("zero_flux", "dirichlet"):
-            raise ValueError(f"unknown inner_bc {self.inner_bc!r}")
+
+    @property
+    def c_k(self) -> float:
+        """Inverse-square strength after the w = r^{(N-1)/2} u substitution."""
+        return self.mu + (self.N - 1) * (self.N - 3) / 4.0
 
     @property
     def h(self) -> float:
@@ -67,46 +68,22 @@ class RadialSchema:
         h2 = self.h * self.h
         r = self.grid
         i = np.arange(self.M)
-        pot = self.c_k / ((np.maximum(i, 1) * self.h) * ((i + 1) * self.h))
-        pot[0] = self.c_k / (r[0] * r[0])
+        c_k = self.c_k
+        pot = c_k / ((np.maximum(i, 1) * self.h) * ((i + 1) * self.h))
+        pot[0] = c_k / (r[0] * r[0])
         diag = 2.0 / h2 + pot
-        if self.inner_bc == "zero_flux":
-            diag[0] = 1.0 / h2 + pot[0]
-        else:
-            diag[0] = 3.0 / h2 + pot[0]
+        diag[0] = 3.0 / h2 + pot[0]
         bands = np.zeros((3, self.M))
         bands[0, 1:] = -1.0 / h2
         bands[1] = diag
         bands[2, :-1] = -1.0 / h2
         return bands
 
-
-class _Stepper:
-    """Precomputed banded systems for repeated implicit steps."""
-
-    def __init__(self, schema: RadialSchema, kind: str):
-        A = schema.operator_bands()
-        I = np.zeros_like(A)
-        I[1] = 1.0
-        if kind == "schrodinger":
-            z = 0.5j * schema.dt
-            self.lhs = (I + z * A).astype(complex)
-            self.rhs = (I - z * A).astype(complex)
-        elif kind == "heat":
-            self.lhs = I + schema.dt * A
-            self.rhs = None
-        else:
-            raise ValueError(kind)
-        self.M = schema.M
-
-    def step(self, w: np.ndarray) -> np.ndarray:
-        if w.shape != (self.M,):
-            raise ValueError(f"profile shape {w.shape} does not match grid size {self.M}")
-        if self.rhs is not None:
-            b = _banded_matvec(self.rhs, w)
-        else:
-            b = w
-        return solve_banded((1, 1), self.lhs, b)
+    def shifted_bands(self, z) -> np.ndarray:
+        """Banded storage of I + z A, with A the operator above."""
+        eye = np.zeros((3, self.M))
+        eye[1] = 1.0
+        return eye + z * self.operator_bands()
 
 
 def _banded_matvec(bands: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -116,45 +93,40 @@ def _banded_matvec(bands: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def cn_step_schrodinger(schema: RadialSchema, w: np.ndarray) -> np.ndarray:
-    """One Crank-Nicolson step of i w_t = -w_rr + (c_k/r^2) w.
-
-    The discrete propagator is a Cayley transform of a symmetric matrix, so
-    the discrete L^2 norm is preserved to roundoff.
-    """
-    return _Stepper(schema, "schrodinger").step(np.asarray(w, dtype=complex))
-
-
-def implicit_step_heat(schema: RadialSchema, w: np.ndarray) -> np.ndarray:
-    """One backward-Euler step of w_t = w_rr - (c_k/r^2) w.
-
-    Backward Euler keeps the system matrix an M-matrix, so positivity of the
-    datum is preserved and the discrete norm is non-increasing.
-    """
-    return _Stepper(schema, "heat").step(np.asarray(w, dtype=float))
-
-
-def evolve_schrodinger(schema: RadialSchema, w0: np.ndarray, T: float) -> np.ndarray:
-    """March the Crank-Nicolson stepper from 0 to T (T/dt steps, rounded)."""
-    stepper = _Stepper(schema, "schrodinger")
-    w = np.asarray(w0, dtype=complex).copy()
+def _march(schema: RadialSchema, u0, T: float, lhs: np.ndarray,
+           rhs: np.ndarray | None) -> np.ndarray:
+    """Solve lhs w_{n+1} = rhs w_n (rhs=None: identity) for T/dt steps
+    (rounded) in w = r^{(N-1)/2} u; takes and returns the profile u."""
+    u0 = np.asarray(u0)
+    if u0.shape != (schema.M,):
+        raise ValueError(f"profile shape {u0.shape} does not match grid size {schema.M}")
+    r_half = schema.grid ** ((schema.N - 1) / 2.0)
+    w = (r_half * u0).astype(lhs.dtype)
     for _ in range(int(round(T / schema.dt))):
-        w = stepper.step(w)
-    return w
+        b = w if rhs is None else _banded_matvec(rhs, w)
+        w = solve_banded((1, 1), lhs, b)
+    return w / r_half
 
 
-def evolve_heat(schema: RadialSchema, w0: np.ndarray, T: float) -> np.ndarray:
-    """March the implicit heat stepper over a duration T."""
-    stepper = _Stepper(schema, "heat")
-    w = np.asarray(w0, dtype=float).copy()
-    for _ in range(int(round(T / schema.dt))):
-        w = stepper.step(w)
-    return w
+def evolve_schrodinger(schema: RadialSchema, u0: np.ndarray, T: float) -> np.ndarray:
+    """Crank-Nicolson evolution of the radial profile u over a duration T.
+
+    The discrete propagator of i w_t = -w_rr + (c_k/r^2) w is a Cayley
+    transform of a symmetric matrix, so the discrete L^2 norm of w is
+    preserved to roundoff.
+    """
+    z = 0.5j * schema.dt
+    return _march(schema, u0, T, schema.shifted_bands(z), schema.shifted_bands(-z))
 
 
-def mode_coefficient(N: int, mu_k: float) -> float:
-    """Inverse-square strength after the w = r^{(N-1)/2} u substitution."""
-    return mu_k + (N - 1) * (N - 3) / 4.0
+def evolve_heat(schema: RadialSchema, u0: np.ndarray, T: float) -> np.ndarray:
+    """Backward-Euler evolution of the radial heat profile u over a duration T.
+
+    Backward Euler keeps the system matrix of w_t = w_rr - (c_k/r^2) w an
+    M-matrix, so positivity of the datum is preserved and the discrete norm
+    is non-increasing.
+    """
+    return _march(schema, u0, T, schema.shifted_bands(schema.dt), None)
 
 
 @dataclass(frozen=True)
@@ -170,8 +142,6 @@ class RouteParams:
     quad_panels: int = 256
     quad_nodes: int = 8
     window: tuple = (0.1, 8.0)
-    fd_mode_coefficient: float | None = None
-    inner_bc: str = "dirichlet"
 
 
 @dataclass
@@ -181,7 +151,6 @@ class RouteComparison:
     mode: tuple
     l2_rel: dict = field(default_factory=dict)
     sup_rel: dict = field(default_factory=dict)
-    runtime: dict = field(default_factory=dict)
     failures: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -195,62 +164,36 @@ def compare_routes(mode: ModeIndex, params: RouteParams) -> RouteComparison:
     report = RouteComparison(mode=(mode.n, mode.j))
     eigsys = constant_a_spectrum(params.N, params.a, count=mode.j)
     table = build_table(eigsys, params.N, mode.j)
-    mu_j = table.row(mode.j)[0]
-    c_k = mode_coefficient(params.N, mu_j)
-    if params.fd_mode_coefficient is not None and not math.isclose(
-        params.fd_mode_coefficient, c_k, rel_tol=0.0, abs_tol=1e-12
-    ):
-        raise ValueError(
-            f"fd_mode_coefficient {params.fd_mode_coefficient} does not match the "
-            f"problem coefficients (expected {c_k})"
-        )
     nmode = make_mode(mode, table)
     lo, hi = params.window
 
     # closed form (the oracle for the other two)
-    t0 = time.perf_counter()
     quad = RadialQuadrature(params.r_max, params.quad_panels, params.quad_nodes)
     closed_quad = flow.evolve_mode_closed_form(nmode, quad.nodes, params.T)
-    report.runtime["closed"] = time.perf_counter() - t0
 
     # representation-formula quadrature
     u_rep = None
     try:
-        t0 = time.perf_counter()
         state0 = flow.state_from_mode(nmode, quad, table)
         spec = flow.KernelSpec(table=table, k_start=1)
         u_rep = flow.propagate_representation(state0, params.T, spec).profiles[mode.j]
-        report.runtime["representation"] = time.perf_counter() - t0
     except Exception as exc:  # noqa: BLE001 - partial reports carry the failure
         report.failures["representation"] = repr(exc)
 
     # Crank-Nicolson
     u_fd = None
-    fd_grid = None
     try:
-        t0 = time.perf_counter()
-        schema = RadialSchema(
-            N=params.N, c_k=c_k, R=params.r_max, M=params.fd_points, dt=params.dt,
-            inner_bc=params.inner_bc,
-        )
+        schema = RadialSchema(N=params.N, mu=table.row(mode.j)[0], R=params.r_max,
+                              M=params.fd_points, dt=params.dt)
         fd_grid = schema.grid
-        half = (params.N - 1) / 2.0
-        w0 = fd_grid ** half * nmode.radial(fd_grid)
-        wT = evolve_schrodinger(schema, w0, params.T)
-        u_fd = wT / fd_grid ** half
-        report.runtime["fd"] = time.perf_counter() - t0
+        u_fd = evolve_schrodinger(schema, nmode.radial(fd_grid), params.T)
     except Exception as exc:  # noqa: BLE001
         report.failures["fd"] = repr(exc)
 
-    closed_fd = flow.evolve_mode_closed_form(nmode, fd_grid, params.T) if fd_grid is not None else None
-
-    def _window_errors(u, v, r, w):
+    def _window_errors(ref, u, r, w):
         mask = (r >= lo) & (r <= hi)
-        wm, rm = w[mask], r[mask]
-        diff = u[mask] - v[mask]
-        ref = np.sqrt(np.sum(wm * np.abs(u[mask]) ** 2 * rm ** 2))
-        l2 = float(np.sqrt(np.sum(wm * np.abs(diff) ** 2 * rm ** 2)) / ref)
-        sup = float(np.max(np.abs(diff)) / np.max(np.abs(u[mask])))
+        l2 = flow.rel_l2_error(u[mask], ref[mask], r[mask], w[mask], params.N)
+        sup = float(np.max(np.abs(ref[mask] - u[mask])) / np.max(np.abs(ref[mask])))
         return l2, sup
 
     if u_rep is not None:
@@ -258,8 +201,8 @@ def compare_routes(mode: ModeIndex, params: RouteParams) -> RouteComparison:
         report.l2_rel["closed_vs_representation"] = l2
         report.sup_rel["closed_vs_representation"] = sup
     if u_fd is not None:
-        w_fd = np.full(params.fd_points, params.r_max / params.fd_points)
-        l2, sup = _window_errors(closed_fd, u_fd, fd_grid, w_fd)
+        closed_fd = flow.evolve_mode_closed_form(nmode, fd_grid, params.T)
+        l2, sup = _window_errors(closed_fd, u_fd, fd_grid, np.full(schema.M, schema.h))
         report.l2_rel["closed_vs_fd"] = l2
         report.sup_rel["closed_vs_fd"] = sup
     if u_rep is not None and u_fd is not None:

@@ -1,6 +1,5 @@
-"""Special functions: Gamma, Pochhammer, Bessel J of real order, the scaled
-radial Bessel kernel, hypergeometric-type polynomials, Legendre polynomials and
-spherical harmonics.
+"""Special functions: Bessel J of real order, the scaled radial Bessel kernel,
+hypergeometric-type polynomials, Legendre polynomials and spherical harmonics.
 
 Everything here is a pure function of its arguments; PolySpec caches its
 coefficients once at construction and is immutable afterwards.
@@ -19,25 +18,6 @@ from scipy import special as sp
 SERIES_RADIUS = 12.0
 SERIES_TERM_CAP = 200
 SERIES_RELATIVE_FLOOR = 1e-17
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for real x away from the poles at 0, -1, -2, ..."""
-    if not math.isfinite(x):
-        raise ValueError(f"gamma_fn requires finite x, got {x!r}")
-    if x <= 0 and x == math.floor(x):
-        raise ValueError(f"gamma_fn pole at non-positive integer x={x}")
-    return math.gamma(x)
-
-
-def pochhammer(s: float, i: int) -> float:
-    """Rising factorial (s)_i = s (s+1) ... (s+i-1), with (s)_0 = 1."""
-    if i < 0:
-        raise ValueError("pochhammer requires i >= 0")
-    out = 1.0
-    for j in range(i):
-        out *= s + j
-    return out
 
 
 def bessel_j_series(nu: float, r) -> np.ndarray | float:
@@ -93,8 +73,8 @@ def j_scaled(N: int, alpha: float, r, weighted: bool = False):
     """Radial kernel j_{-alpha}(r) = r^{-(N-2)/2} J_{-alpha+(N-2)/2}(r).
 
     Near r=0 the unweighted value behaves like c r^{-alpha}.  With
-    ``weighted=True`` returns r^alpha * j_{-alpha}(r), which extends
-    continuously to r=0 (value 2^{-order}/Gamma(order+1) there).
+    ``weighted=True`` returns r^alpha * j_{-alpha}(r) = r^{-order} J_order(r),
+    which extends continuously to r=0 (value 2^{-order}/Gamma(order+1) there).
     """
     if N < 2:
         raise ValueError("j_scaled requires N >= 2")
@@ -105,24 +85,10 @@ def j_scaled(N: int, alpha: float, r, weighted: bool = False):
     scalar = r_arr.ndim == 0
     r_arr = np.atleast_1d(r_arr)
     if weighted:
-        # r^alpha j_{-alpha}(r) = r^{-order} J_order(r); sum the scaled series
-        # directly for small r where the direct quotient would be 0/0.
-        out = np.empty_like(r_arr)
-        small = r_arr < 0.5
-        if small.any():
-            rs = r_arr[small]
-            h2 = (rs / 2.0) ** 2
-            term = np.full_like(rs, 2.0 ** (-order) / math.gamma(order + 1.0))
-            total = term.copy()
-            for k in range(40):
-                term = -term * h2 / ((k + 1.0) * (k + 1.0 + order))
-                total += term
-                if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
-                    break
-            out[small] = total
-        if (~small).any():
-            rb = r_arr[~small]
-            out[~small] = rb ** (-order) * bessel_j(order, rb)
+        out = np.full_like(r_arr, 2.0 ** (-order) / math.gamma(order + 1.0))
+        pos = r_arr != 0
+        if pos.any():
+            out[pos] = r_arr[pos] ** (-order) * bessel_j(order, r_arr[pos])
         return float(out[0]) if scalar else out
     if np.any(r_arr <= 0):
         raise ValueError("j_scaled (unweighted) requires r > 0")
@@ -160,11 +126,6 @@ class PolySpec:
         for c in reversed(self.coeffs[:-1]):
             out = out * t_arr + c
         return float(out) if np.ndim(t) == 0 else out
-
-
-def eval_P(spec: PolySpec, t):
-    """Evaluate the cached polynomial at t >= 0."""
-    return spec(t)
 
 
 def legendre_p(l: int, x):

@@ -8,8 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from schroflow.angular import (AngularProblem, AngularProblemError,
                                EigensolveError, assemble_circle,
-                               assemble_sphere, circle_coeffs_from_samples,
-                               constant_a_spectrum, eigensolve,
+                               assemble_sphere, constant_a_spectrum, eigensolve,
                                harmonic_multiplicity, sphere_mode_labels,
                                sphere_quadrature)
 
@@ -58,20 +57,6 @@ class TestAharonovBohmCircle:
         # mu_1 = 0.09 belongs to m=0: the ground state is constant
         assert np.allclose(psi1, psi1[0], atol=1e-10)
         assert abs(abs(psi1[0]) - 1.0 / math.sqrt(2 * math.pi)) < 1e-10
-
-
-class TestCircleCoeffs:
-    def test_cosine_roundtrip(self):
-        theta = 2 * math.pi * np.arange(32) / 32
-        coeffs = circle_coeffs_from_samples(np.cos(theta))
-        assert coeffs[1] == pytest.approx(0.5, abs=1e-12)
-        assert coeffs[-1] == pytest.approx(0.5, abs=1e-12)
-        assert abs(coeffs[0]) < 1e-12
-
-    def test_constant(self):
-        coeffs = circle_coeffs_from_samples(np.full(16, 3.0))
-        assert coeffs[0] == pytest.approx(3.0)
-        assert all(abs(c) < 1e-12 for q, c in coeffs.items() if q != 0)
 
 
 class TestSphereGalerkin:

@@ -81,13 +81,29 @@ class TestSpectrum:
         assert float(rows[0][1]) == pytest.approx(0.09, abs=1e-10)
 
     def test_byte_identical_reruns(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json",
-                           {"problem": {"N": 3, "a": -0.1875},
-                            "experiment": {"K": 6}})
-        o1, o2 = tmp_path / "r1", tmp_path / "r2"
-        main(["spectrum", "--config", cfg, "--out", str(o1)])
-        main(["spectrum", "--config", cfg, "--out", str(o2)])
-        assert (o1 / "spectrum.csv").read_bytes() == (o2 / "spectrum.csv").read_bytes()
+        loss = {"N": 3, "a": -0.1875}
+        runs = {
+            "spectrum": {"K": 6},
+            "evolve": {"mode": [0, 1], "t": 1.0, "route": "fd",
+                       "fd_points": 500, "dt": 1e-2},
+            "decay": {"mode": [0, 1], "times": {"lo_exp": 0, "hi_exp": 7},
+                      "samples": 50},
+            "kernel": {"K": 4, "rho": [0.5, 2.0], "x_dir": [0.4, 0.3],
+                       "y_dir": [1.2, 2.1]},
+            "heat": {"fd_points": 500, "dt": 1e-2, "fit_times": [1, 4, 16, 64, 256]},
+            "compare": {"mode": [0, 1], "fd_points": 500, "dt": 1e-2,
+                        "r_max": 10.0, "quad_panels": 64, "quad_nodes": 8},
+        }
+        for command, experiment in runs.items():
+            cfg = write_config(tmp_path, f"{command}.json",
+                               {"problem": loss, "experiment": experiment})
+            outs = [tmp_path / command / run for run in ("r1", "r2")]
+            for out in outs:
+                assert main([command, "--config", cfg, "--out", str(out)]) == 0, command
+            files = sorted(p.name for p in outs[0].iterdir())
+            assert files == sorted(p.name for p in outs[1].iterdir())
+            for name in files:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestEvolve:
@@ -133,6 +149,21 @@ class TestEvolve:
                            {"problem": {"N": 3, "a": 0.0},
                             "experiment": {"mode": [0], "t": 1.0}})
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_non_numeric_time_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json",
+                           {"problem": {"N": 3, "a": 0.0},
+                            "experiment": {"mode": [0, 1], "t": [1]}})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_mode_past_truncation_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json",
+                           {"problem": {"N": 2, "magnetic": {"0": 0.3},
+                                        "truncation": 2},
+                            "experiment": {"mode": [0, 9], "t": 1.0}})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error:" in capsys.readouterr().err
 
 
 class TestDecay:
@@ -180,6 +211,15 @@ class TestKernel:
             assert abs(float(row[i]) - 1.0) < 1e-5
             assert row[cols.index("truncation_warning")] == "0"
 
+    def test_rho_range_without_bounds_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json",
+                           {"problem": {"N": 3, "a": 0.0},
+                            "experiment": {"K": 9, "rho": {"hi": 2.0, "n": 4},
+                                           "x_dir": [0.4, 0.3],
+                                           "y_dir": [1.2, 2.1]}})
+        assert main(["kernel", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_empty_grid_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
                            {"problem": {"N": 3, "a": 0.0},
@@ -223,21 +263,3 @@ class TestCompare:
         assert code == 0
         report = json.loads((out / "compare.json").read_text())
         assert not report["comparison"]["failures"]
-
-
-class TestThreads:
-    def test_invalid_env_value(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SCHROFLOW_THREADS", "many")
-        cfg = write_config(tmp_path, "c.json",
-                           {"problem": {"N": 3, "a": 0.0}})
-        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
-
-    def test_threads_recorded(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json",
-                           {"problem": {"N": 3, "a": 0.0},
-                            "experiment": {"K": 2}})
-        out = tmp_path / "out"
-        assert main(["spectrum", "--config", cfg, "--out", str(out),
-                     "--threads", "2"]) == 0
-        header, _, _ = read_csv(out / "spectrum.csv")
-        assert "# threads: 2" in header

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from schroflow import flow
-from schroflow.angular import constant_a_spectrum
+from schroflow.angular import (AngularProblem, assemble_circle,
+                               constant_a_spectrum, eigensolve)
 from schroflow.oscillator import (AccuracyWarning, HardyViolation, ModeIndex,
                                   build_table, make_mode, project)
 from schroflow.quadrature import RadialQuadrature
@@ -114,6 +117,37 @@ class TestKernel:
         spec = flow.KernelSpec(table=table_free, K_trunc=4)
         with pytest.warns(AccuracyWarning):
             flow.kernel_eval(spec, (0.4, 0.3), (1.2, 2.1), 8.0)
+
+    def test_aharonov_bohm_plane_waves(self):
+        # N=2 with flux phi and constant a: psi_k are plane waves e^{im theta}
+        # with mu = (m+phi)^2 + a, so j_{-alpha}(rho) = J_{|alpha|}(rho)
+        phi, a, K, x, y = 0.3, 0.2, 9, 0.7, 2.9
+        prob = AngularProblem(N=2, scalar_coeff=a, magnetic_coeff={0: phi}, truncation=16)
+        table = build_table(eigensolve(assemble_circle(prob), N=2), 2, K)
+        spec = flow.KernelSpec(table=table)
+        ms = sorted(range(-8, 9), key=lambda m: (m + phi) ** 2)[:K]
+        for rho in (0.3, 2.0, 7.5):
+            ref = sum(np.exp(-0.5j * math.pi * math.sqrt((m + phi) ** 2 + a))
+                      * sp.jv(math.sqrt((m + phi) ** 2 + a), rho)
+                      * np.exp(1j * m * (x - y)) / (2.0 * math.pi) for m in ms)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AccuracyWarning)
+                val = flow.kernel_eval(spec, x, y, rho)
+            assert abs(val - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+    def test_tail_bound_at_a_nodal_direction(self):
+        # psi_9 = Y_2^2 vanishes at the pole, so the last term is zero, but
+        # the degree-2 block's Cauchy-Schwarz bound is 1.2e-2 at rho=6
+        table = build_table(constant_a_spectrum(3, 0.0, 9), 3, 9)
+        with pytest.warns(AccuracyWarning, match="1.18e-02"):
+            flow.kernel_eval(flow.KernelSpec(table=table), (0.0, 0.0), (1.1, 0.7), 6.0)
+
+    def test_tail_bound_at_a_legendre_node(self):
+        # P_2(1/sqrt 3) = 0; the bound is (2l+1)/(4 pi) |j_{-alpha_2}(rho)|
+        table = build_table(constant_a_spectrum(3, 0.0, 9), 3, 9)
+        spec = flow.KernelSpec(table=table, path="legendre_collapsed")
+        with pytest.warns(AccuracyWarning, match="1.18e-02"):
+            flow.kernel_eval(spec, (0.0, 0.0, 1.0), (1.0, 1.0, 1.0), 6.0)
 
     def test_invalid_indices(self, table_free):
         with pytest.raises(ValueError):

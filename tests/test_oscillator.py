@@ -1,4 +1,3 @@
-import io
 import math
 
 import mpmath
@@ -8,7 +7,7 @@ import pytest
 from schroflow import flow
 from schroflow.angular import constant_a_spectrum
 from schroflow.oscillator import (AccuracyWarning, HardyViolation, ModeIndex,
-                                  build_table, eval_mode, gamma_of,
+                                  build_table, gamma_of,
                                   level_multiplicity, make_mode, project)
 from schroflow.quadrature import RadialQuadrature
 
@@ -46,15 +45,6 @@ class TestBuildTable:
             table.row(0)
         with pytest.raises(IndexError):
             table.row(5)
-
-    def test_csv_output(self):
-        table = build_table(constant_a_spectrum(3, -0.1875, 4), 3, 4)
-        buf = io.StringIO()
-        table.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0].startswith("k,mu,alpha,beta")
-        assert len(lines) == 5
-        assert lines[1].split(",")[1] == repr(-0.1875)
 
 
 class TestLevels:
@@ -98,10 +88,6 @@ class TestNormalizedMode:
         assert np.isfinite(mode01_loss.radial(0.0, weighted=True))
         with pytest.raises(ValueError):
             mode01_loss.radial(0.0)
-
-    def test_eval_mode_angular_factor(self, mode01_loss):
-        assert eval_mode(mode01_loss, 1.0, angular_value=2.0) == pytest.approx(
-            2.0 * mode01_loss.radial(1.0))
 
     def test_hardy_violation_blocks_basis(self):
         table = build_table(constant_a_spectrum(3, -0.25, 1), 3, 1)

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from schroflow import flow
-from schroflow.oscillator import ModeIndex
+from schroflow.angular import constant_a_spectrum
+from schroflow.oscillator import ModeIndex, build_table, make_mode
 from schroflow.radialfd import (RadialSchema, RouteParams, compare_routes,
-                                cn_step_schrodinger, evolve_heat,
-                                evolve_schrodinger, implicit_step_heat,
-                                mode_coefficient)
+                                evolve_heat, evolve_schrodinger)
 
 
-def _schema(c_k=0.0, M=600, dt=1e-2, R=30.0, **kw):
-    return RadialSchema(N=3, c_k=c_k, R=R, M=M, dt=dt, **kw)
+def _schema(mu=0.0, M=600, dt=1e-2, R=30.0):
+    # N=3, so the reduced coefficient c_k equals mu
+    return RadialSchema(N=3, mu=mu, R=R, M=M, dt=dt)
 
 
 class TestSchema:
@@ -20,98 +20,96 @@ class TestSchema:
         assert np.allclose(s.grid, 0.25 + 0.5 * np.arange(10))
 
     def test_operator_symmetric(self):
-        s = _schema(c_k=-0.1875, M=50)
+        s = _schema(mu=-0.1875, M=50)
         b = s.operator_bands()
         assert np.allclose(b[0, 1:], b[2, :-1])
 
     def test_operator_free_diag(self):
-        s = _schema(c_k=0.0, M=50)
+        s = _schema(mu=0.0, M=50)
         b = s.operator_bands()
         assert np.allclose(b[1][1:], 2.0 / s.h ** 2)
         assert b[1][0] == pytest.approx(3.0 / s.h ** 2)
 
-    def test_zero_flux_option(self):
-        s = _schema(c_k=0.0, M=50, inner_bc="zero_flux")
-        assert s.operator_bands()[1][0] == pytest.approx(1.0 / s.h ** 2)
-
     def test_mode_coefficient(self):
-        assert mode_coefficient(3, -0.1875) == pytest.approx(-0.1875)
-        assert mode_coefficient(2, 0.09) == pytest.approx(0.09 - 0.25)
-        assert mode_coefficient(5, 0.0) == pytest.approx(2.0)
+        # c_k = mu + (N-1)(N-3)/4 after the w = r^{(N-1)/2} u substitution
+        def c_k(N, mu):
+            return RadialSchema(N=N, mu=mu, R=30.0, M=10, dt=1e-3).c_k
+        assert c_k(3, -0.1875) == pytest.approx(-0.1875)
+        assert c_k(2, 0.09) == pytest.approx(0.09 - 0.25)
+        assert c_k(5, 0.0) == pytest.approx(2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RadialSchema(N=3, c_k=0.0, R=30.0, M=1, dt=1e-3)
+            RadialSchema(N=3, mu=0.0, R=30.0, M=1, dt=1e-3)
         with pytest.raises(ValueError):
-            RadialSchema(N=3, c_k=0.0, R=30.0, M=10, dt=1e-3, inner_bc="robin")
+            RadialSchema(N=3, mu=0.0, R=30.0, M=10, dt=0.0)
 
 
 class TestSchrodingerStepper:
     def test_norm_conserved_per_step(self):
-        s = _schema(c_k=-0.1875, M=2000, dt=1e-3)
+        s = _schema(mu=-0.1875, M=2000, dt=1e-3)
         r = s.grid
-        w = (r * np.exp(-r * r / 4.0) * r ** -0.25).astype(complex)
-        n_prev = np.linalg.norm(w)
+        u = (np.exp(-r * r / 4.0) * r ** -0.25).astype(complex)
+        n_prev = np.linalg.norm(r * u)
         for _ in range(50):
-            w = cn_step_schrodinger(s, w)
-            n = np.linalg.norm(w)
+            u = evolve_schrodinger(s, u, s.dt)
+            n = np.linalg.norm(r * u)
             assert abs(n / n_prev - 1.0) <= 1e-12
             n_prev = n
 
     def test_shape_mismatch(self):
         s = _schema(M=100)
         with pytest.raises(ValueError):
-            cn_step_schrodinger(s, np.zeros(99, dtype=complex))
+            evolve_schrodinger(s, np.zeros(99, dtype=complex), s.dt)
 
     def test_convergence_order(self, mode01_free):
         errs = []
         for M, dt in [(1500, 8e-3), (3000, 4e-3)]:
-            s = _schema(c_k=0.0, M=M, dt=dt)
+            s = _schema(mu=0.0, M=M, dt=dt)
             g = s.grid
-            w = evolve_schrodinger(s, (g * mode01_free.radial(g)).astype(complex), 1.0)
-            ref = g * flow.evolve_mode_closed_form(mode01_free, g, 1.0)
-            errs.append(np.linalg.norm(w - ref) / np.linalg.norm(ref))
+            u = evolve_schrodinger(s, mode01_free.radial(g), 1.0)
+            ref = flow.evolve_mode_closed_form(mode01_free, g, 1.0)
+            errs.append(np.linalg.norm(g * (u - ref)) / np.linalg.norm(g * ref))
         assert 3.4 <= errs[0] / errs[1] <= 4.6
 
     def test_singular_mode_accuracy(self, mode01_loss):
         # moderate resolution: guard the inner discretization quality
-        s = _schema(c_k=-0.1875, M=6000, dt=2e-3)
+        s = _schema(mu=-0.1875, M=6000, dt=2e-3)
         g = s.grid
-        w = evolve_schrodinger(s, (g * mode01_loss.radial(g)).astype(complex), 1.0)
-        ref = g * flow.evolve_mode_closed_form(mode01_loss, g, 1.0)
+        u = evolve_schrodinger(s, mode01_loss.radial(g), 1.0)
+        ref = flow.evolve_mode_closed_form(mode01_loss, g, 1.0)
         mask = (g >= 0.1) & (g <= 8.0)
-        rel = np.linalg.norm((w - ref)[mask]) / np.linalg.norm(ref[mask])
+        rel = np.linalg.norm((g * (u - ref))[mask]) / np.linalg.norm((g * ref)[mask])
         assert rel < 2e-3
 
 
 class TestHeatStepper:
     def test_positivity_preserved(self):
-        s = _schema(c_k=2.0, M=500, dt=5e-3)
+        s = _schema(mu=2.0, M=500, dt=5e-3)
         r = s.grid
-        w = r * np.exp(-r * r / 4.0)
+        u = np.exp(-r * r / 4.0)
         for _ in range(20):
-            w = implicit_step_heat(s, w)
-            assert np.all(w > -1e-15)
+            u = evolve_heat(s, u, s.dt)
+            assert np.all(r * u > -1e-15)
 
     def test_norm_nonincreasing(self):
-        s = _schema(c_k=0.5, M=500, dt=5e-3)
+        s = _schema(mu=0.5, M=500, dt=5e-3)
         r = s.grid
-        w = r * np.exp(-r * r / 4.0)
-        prev = np.linalg.norm(w)
+        u = np.exp(-r * r / 4.0)
+        prev = np.linalg.norm(r * u)
         for _ in range(20):
-            w = implicit_step_heat(s, w)
-            n = np.linalg.norm(w)
+            u = evolve_heat(s, u, s.dt)
+            n = np.linalg.norm(r * u)
             assert n <= prev + 1e-14
             prev = n
 
     def test_tracks_self_similar_solution(self):
         N, a = 3, -0.1875
-        s = _schema(c_k=mode_coefficient(N, a), M=6000, dt=1e-3)
+        s = _schema(mu=a, M=6000, dt=1e-3)
         g = s.grid
-        w = g * flow.heat_self_similar(N, a, 1, g, 1.0).real
-        w = evolve_heat(s, w, 1.0)
-        ref = g * flow.heat_self_similar(N, a, 1, g, 2.0).real
-        assert np.linalg.norm(w - ref) / np.linalg.norm(ref) < 1e-3
+        u = evolve_heat(s, flow.heat_self_similar(N, a, 1, g, 1.0).real, 1.0)
+        ref = flow.heat_self_similar(N, a, 1, g, 2.0).real
+        assert np.linalg.norm(g * (u - ref)) / np.linalg.norm(g * ref) < 1e-3
 
 
 class TestCompareRoutes:
@@ -124,10 +122,20 @@ class TestCompareRoutes:
         assert report.l2_rel["closed_vs_fd"] < 1e-3
         assert report.l2_rel["representation_vs_fd"] < 1e-3
 
-    def test_coefficient_mismatch_rejected(self):
-        params = RouteParams(N=3, a=0.0, fd_mode_coefficient=1.0)
-        with pytest.raises(ValueError):
-            compare_routes(ModeIndex(0, 1), params)
+    def test_l2_error_weighted_by_r_to_the_n_minus_1(self):
+        # N=4: the window error is the relative error in L^2(r^3 dr)
+        params = RouteParams(N=4, a=0.0, r_max=10.0, fd_points=1000, dt=1e-2,
+                             quad_panels=64, quad_nodes=8)
+        report = compare_routes(ModeIndex(0, 1), params)
+        mode = make_mode(ModeIndex(0, 1), build_table(constant_a_spectrum(4, 0.0, 1), 4, 1))
+        s = RadialSchema(N=4, mu=0.0, R=10.0, M=1000, dt=1e-2)
+        g = s.grid
+        ref = flow.evolve_mode_closed_form(mode, g, 1.0)
+        diff = evolve_schrodinger(s, mode.radial(g), 1.0) - ref
+        m = (g >= 0.1) & (g <= 8.0)
+        err = np.sqrt(np.sum(np.abs(diff[m]) ** 2 * g[m] ** 3)
+                      / np.sum(np.abs(ref[m]) ** 2 * g[m] ** 3))
+        assert report.l2_rel["closed_vs_fd"] == pytest.approx(err, rel=1e-10)
 
     def test_report_serializable(self):
         params = RouteParams(N=3, a=0.0, fd_points=2000, dt=4e-3,
@@ -135,4 +143,4 @@ class TestCompareRoutes:
         report = compare_routes(ModeIndex(0, 1), params)
         d = report.to_dict()
         assert d["mode"] == (0, 1)
-        assert set(d) == {"mode", "l2_rel", "sup_rel", "runtime", "failures"}
+        assert set(d) == {"mode", "l2_rel", "sup_rel", "failures"}
