@@ -47,109 +47,181 @@ class ExpectationMiss(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# configuration loading and schema validation
+# configuration: one reader table per config block
 
-_PROBLEM_KEYS = {"N", "a", "magnetic", "truncation"}
-
-_EXPERIMENT_KEYS = {
-    "spectrum": {"K"},
-    "evolve": {"mode", "t", "route", "r_max", "quad_panels", "quad_nodes",
-               "fd_points", "dt", "window"},
-    "decay": {"mode", "weight", "times", "window", "samples"},
-    "kernel": {"k_start", "K", "path", "rho", "x_dir", "y_dir",
-               "weight_exponent"},
-    "heat": {"k", "t0", "t1", "r_max", "fd_points", "dt", "fit_ratio",
-             "fit_times", "residual"},
-    "compare": {"mode", "T", "r_max", "fd_points", "dt", "quad_panels",
-                "quad_nodes", "window"},
-}
-
-_RESIDUAL_KEYS = {"r_window", "t_window", "dr", "dt"}
+_REQUIRED = object()
+_CALLEE = object()
 
 
-def load_config(path: str, command: str) -> tuple[dict, str]:
-    """Parse and schema-validate a run config; returns (config, sha256 hex)."""
+def _read(obj, table: dict, where: str) -> dict:
+    """Read a JSON object by its table, which maps each allowed key to
+    (reader, default).  A reader is a nested table, or a function of the value
+    and its dotted location that converts it or raises ConfigError.  Defaults
+    are read like given values; _REQUIRED keys must be given, and absent
+    _CALLEE keys are left out, so the callee's default applies."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or 'config root'} must be a JSON object")
+    unknown = sorted(set(obj) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where or 'config'}: {', '.join(unknown)}")
+    out = {}
+    for key, (reader, default) in table.items():
+        name = f"{where}.{key}" if where else key
+        if key not in obj and default is _REQUIRED:
+            raise ConfigError(f"{name} is required")
+        if key in obj or default is not _CALLEE:
+            value = obj.get(key, default)
+            out[key] = (_read(value, reader, name) if isinstance(reader, dict)
+                        else reader(value, name))
+    return out
+
+
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(least: int | None = None):
+    def read(value, where: str) -> int:
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or (least is not None and value < least)):
+            bound = "" if least is None else f" >= {least}"
+            raise ConfigError(f"{where} must be an integer{bound}, got {value!r}")
+        return value
+    return read
+
+
+def _string(*options: str):
+    """Reader of a string, one of ``options`` if any are given."""
+    def read(value, where: str) -> str:
+        if not isinstance(value, str) or (options and value not in options):
+            kind = f"one of {', '.join(options)}" if options else "a string"
+            raise ConfigError(f"{where} must be {kind}, got {value!r}")
+        return value
+    return read
+
+
+def _list(item, *sizes: int):
+    """Reader of a non-empty list of ``item`` values, of a length in ``sizes``."""
+    def read(value, where: str) -> list:
+        if not isinstance(value, list) or not value or (sizes and len(value) not in sizes):
+            count = " or ".join(map(str, sizes)) or "one or more"
+            raise ConfigError(f"{where} must be a list of {count} values, got {value!r}")
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return read
+
+
+def _either(kind: type, reader, other=_number):
+    """Reader of a ``kind`` JSON value by ``reader``, and of any other by ``other``."""
+    def read(value, where: str):
+        return (reader if isinstance(value, kind) else other)(value, where)
+    return read
+
+
+_count = _integer(1)
+_numbers = _list(_number)
+_pair = _list(_number, 2)
+# a kernel direction is an angle for N=2, and [theta, phi] or a 3-vector for N=3
+_direction = _either(list, _list(_number, 2, 3))
+
+
+def _mode(value, where: str) -> ModeIndex:
+    n, j = _list(_integer(0), 2)(value, where)
+    return ModeIndex(n, _integer(1)(j, f"{where}[1]"))
+
+
+def _fourier(value, where: str) -> dict:
+    """Circle Fourier coefficients {q: number or [re, im]} as {q: complex}."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object {{q: value}}, got {value!r}")
+    out = {}
+    for key, val in value.items():
+        try:
+            q = int(key)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: Fourier index {key!r} is not an integer") from exc
+        out[q] = (complex(*_pair(val, f"{where}.{key}")) if isinstance(val, list)
+                  else complex(_number(val, f"{where}.{key}")))
+    return out
+
+
+def _rho_range(value, where: str) -> np.ndarray:
+    rho = _read(value, _RHO, where)
+    space = np.geomspace if rho["spacing"] == "log" else np.linspace
+    return space(rho["lo"], rho["hi"], rho["n"])
+
+
+def _dyadic_times(value, where: str) -> np.ndarray:
+    return flow.dyadic_times(**_read(value, _TIMES, where))
+
+
+# a is a constant, or Fourier coefficients for N=2
+_PROBLEM = {"N": (_integer(2), _REQUIRED), "a": (_either(dict, _fourier), 0.0),
+            "magnetic": (_fourier, _CALLEE), "truncation": (_integer(0), _CALLEE)}
+
+_RHO = {"lo": (_number, _REQUIRED), "hi": (_number, _REQUIRED),
+        "n": (_count, _REQUIRED), "spacing": (_string("log", "linear"), "log")}
+
+# flow.dyadic_times's keyword arguments
+_TIMES = {"lo_exp": (_integer(), _CALLEE), "hi_exp": (_integer(), _CALLEE)}
+
+# flow.heat_residual's keyword arguments
+_RESIDUAL = {"r_window": (_pair, _CALLEE), "t_window": (_pair, _CALLEE),
+             "dr": (_number, _CALLEE), "dt": (_number, _CALLEE)}
+
+_OUTPUT = {"dir": (_string(), ".")}
+
+
+def _check_rules(command: str, problem: dict, experiment: dict) -> None:
+    """Rules that tie keys together, checked once every key has been read."""
+    N = problem["N"]
+    if N > 2 and ("magnetic" in problem or "truncation" in problem
+                  or isinstance(problem["a"], dict)):
+        raise ConfigError("magnetic, truncation and a Fourier-coefficient a are "
+                          "supported only for N=2")
+    if N < 3 and command in ("heat", "compare") or N > 3 and command in ("decay", "kernel"):
+        raise ConfigError(f"'{command}' runs do not support N={N}")
+    if command == "kernel" and N == 3 and not all(
+            isinstance(experiment[key], list) for key in ("x_dir", "y_dir")):
+        raise ConfigError("kernel directions for N=3 are [theta, phi] or 3-vectors")
+    if command == "heat" and not 0 < experiment["t0"] < experiment["t1"]:
+        raise ConfigError("heat runs need 0 < t0 < t1")
+
+
+def load_config(path: str, command: str) -> tuple[dict, dict]:
+    """Read a run config; returns its read blocks and the run's provenance,
+    which records the problem block as written."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    digest = hashlib.sha256(raw).hexdigest()
     try:
         config = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(config, {"problem", "experiment", "output"}, "config")
-    problem = config.get("problem")
-    if not isinstance(problem, dict):
-        raise ConfigError("config needs a 'problem' object")
-    _reject_unknown(problem, _PROBLEM_KEYS, "problem")
-    if not isinstance(problem.get("N"), int) or problem["N"] < 2:
-        raise ConfigError("problem.N must be an integer >= 2")
-    experiment = config.get("experiment", {})
-    if not isinstance(experiment, dict):
-        raise ConfigError("'experiment' must be a JSON object")
-    _reject_unknown(experiment, _EXPERIMENT_KEYS[command], f"experiment ({command})")
-    if isinstance(experiment.get("residual"), dict):
-        _reject_unknown(experiment["residual"], _RESIDUAL_KEYS, "experiment.residual")
-    output = config.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("'output' must be a JSON object")
-    _reject_unknown(output, {"dir"}, "output")
-    return config, digest
-
-
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
-
-
-def _require(experiment: dict, key: str, command: str):
-    if key not in experiment:
-        raise ConfigError(f"'{command}' requires experiment.{key}")
-    return experiment[key]
-
-
-def _number(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
-
-
-def _mode_index(spec) -> ModeIndex:
-    if (not isinstance(spec, (list, tuple)) or len(spec) != 2
-            or not all(isinstance(v, int) for v in spec)):
-        raise ConfigError("experiment.mode must be a pair of integers [n, j]")
-    try:
-        return ModeIndex(spec[0], spec[1])
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    blocks = _read(config, {"problem": (_PROBLEM, _REQUIRED),
+                            "experiment": (_COMMANDS[command][1], {}),
+                            "output": (_OUTPUT, {})}, "")
+    _check_rules(command, blocks["problem"], blocks["experiment"])
+    provenance = {"tool": "schroflow", "version": __version__, "command": command,
+                  "config_sha256": hashlib.sha256(raw).hexdigest(),
+                  "parameters": dict(config["problem"])}
+    return blocks, provenance
 
 
 def build_eigensystem(problem: dict, count: int):
-    """Angular eigensystem from the problem block of a run config."""
-    N = problem["N"]
-    a = problem.get("a", 0.0)
-    magnetic = problem.get("magnetic")
-    if N == 2:
-        try:
-            scalar = a if np.isscalar(a) else _fourier_dict(a)
-            mag = _fourier_dict(magnetic) if magnetic else None
-            truncation = problem.get("truncation", max(16, count + 4))
-            prob = AngularProblem(N=2, scalar_coeff=scalar, magnetic_coeff=mag,
-                                  truncation=truncation)
-            return eigensolve(assemble_circle(prob), N=2)
-        except AngularProblemError as exc:
-            raise ConfigError(str(exc)) from exc
-    if magnetic:
-        raise ConfigError("magnetic coefficients are supported only for N=2")
-    if not isinstance(a, (int, float)):
-        raise ConfigError(f"N={N} runs take a constant scalar coefficient a")
-    return constant_a_spectrum(N, float(a), count)
+    """Angular eigensystem from the read problem block of a run config."""
+    if problem["N"] > 2:
+        return constant_a_spectrum(problem["N"], problem["a"], count)
+    try:
+        prob = AngularProblem(N=2, scalar_coeff=problem["a"],
+                              magnetic_coeff=problem.get("magnetic"),
+                              truncation=problem.get("truncation", max(16, count + 4)))
+        return eigensolve(assemble_circle(prob), N=2)
+    except AngularProblemError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _spectral_table(problem: dict, K: int):
@@ -161,37 +233,8 @@ def _spectral_table(problem: dict, K: int):
     return build_table(eigsys, problem["N"], K)
 
 
-def _fourier_dict(obj) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError("Fourier coefficients must be an object {q: value}")
-    out = {}
-    for key, val in obj.items():
-        try:
-            q = int(key)
-        except ValueError as exc:
-            raise ConfigError(f"Fourier index {key!r} is not an integer") from exc
-        if isinstance(val, (list, tuple)) and len(val) == 2:
-            out[q] = complex(val[0], val[1])
-        elif isinstance(val, (int, float)):
-            out[q] = complex(val)
-        else:
-            raise ConfigError(f"Fourier coefficient for q={q} must be a number "
-                              "or [re, im] pair")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # artifact writing
-
-def _provenance(command: str, config_hash: str, params: dict) -> dict:
-    return {
-        "tool": "schroflow",
-        "version": __version__,
-        "command": command,
-        "config_sha256": config_hash,
-        "parameters": params,
-    }
-
 
 def _fmt(value) -> str:
     if isinstance(value, (bool, int, np.integer)):
@@ -264,13 +307,11 @@ def _check_expect(expect: dict, measured: dict) -> None:
 
 def cmd_spectrum(config: dict, out_dir: str, expect: dict,
                  provenance: dict) -> int:
-    experiment = config.get("experiment", {})
-    K = experiment.get("K", 8)
-    if not isinstance(K, int) or K < 1:
-        raise ConfigError("experiment.K must be a positive integer")
-    eigsys = build_eigensystem(config["problem"], K)
+    problem = config["problem"]
+    K = config["experiment"]["K"]
+    eigsys = build_eigensystem(problem, K)
     K = min(K, len(eigsys))
-    table = build_table(eigsys, config["problem"]["N"], K)
+    table = build_table(eigsys, problem["N"], K)
     provenance["parameters"].update({"K": K})
     rows = [(k,) + table.row(k) for k in range(1, K + 1)]
     _write_csv(os.path.join(out_dir, "spectrum.csv"), provenance,
@@ -288,14 +329,8 @@ def cmd_spectrum(config: dict, out_dir: str, expect: dict,
 
 def cmd_evolve(config: dict, out_dir: str, expect: dict,
                provenance: dict) -> int:
-    problem = config["problem"]
-    experiment = config.get("experiment", {})
-    mode_idx = _mode_index(_require(experiment, "mode", "evolve"))
-    t = _number(_require(experiment, "t", "evolve"), "experiment.t")
-    route = experiment.get("route", "closed")
-    if route not in ("closed", "kernel", "fd"):
-        raise ConfigError(f"unknown route {route!r}; choose closed, kernel or fd")
-    r_max = float(experiment.get("r_max", 30.0))
+    problem, experiment = config["problem"], config["experiment"]
+    mode_idx, t, route, r_max = (experiment[key] for key in ("mode", "t", "route", "r_max"))
     provenance["parameters"].update({"mode": list((mode_idx.n, mode_idx.j)),
                                      "t": t, "route": route, "r_max": r_max})
 
@@ -303,17 +338,15 @@ def cmd_evolve(config: dict, out_dir: str, expect: dict,
     mode = make_mode(mode_idx, table)
 
     if route == "fd":
-        M = int(experiment.get("fd_points", 12000))
-        dt = float(experiment.get("dt", 1e-3))
+        M, dt = experiment["fd_points"], experiment["dt"]
         schema = RadialSchema(N=problem["N"], mu=table.row(mode_idx.j)[0],
                               R=r_max, M=M, dt=dt)
         grid, weights = schema.grid, np.full(M, schema.h)
         u = evolve_schrodinger(schema, mode.radial(grid), t)
         provenance["parameters"].update({"fd_points": M, "dt": dt})
     else:
-        quad = RadialQuadrature(r_max,
-                                int(experiment.get("quad_panels", 125)),
-                                int(experiment.get("quad_nodes", 16)))
+        quad = RadialQuadrature(r_max, experiment["quad_panels"],
+                                experiment["quad_nodes"])
         grid, weights = quad.nodes, quad.weights
         if route == "closed":
             u = flow.evolve_mode_closed_form(mode, grid, t)
@@ -331,12 +364,12 @@ def cmd_evolve(config: dict, out_dir: str, expect: dict,
     summary = {"route": route, "t": t, "mode": [mode_idx.n, mode_idx.j]}
     measured = {}
     if route != "closed":
-        lo, hi = experiment.get("window", (0.1, 8.0))
+        lo, hi = experiment["window"]
         mask = (grid >= lo) & (grid <= hi)
         u_ref = flow.evolve_mode_closed_form(mode, grid[mask], t)
         rel = flow.rel_l2_error(u[mask], u_ref, grid[mask], weights[mask], problem["N"])
         summary["rel_l2_vs_closed"] = rel
-        summary["window"] = [float(lo), float(hi)]
+        summary["window"] = [lo, hi]
         measured["rel_l2"] = rel
     _write_json(os.path.join(out_dir, "summary.json"), provenance, summary)
     _check_expect(expect, measured)
@@ -345,23 +378,12 @@ def cmd_evolve(config: dict, out_dir: str, expect: dict,
 
 def cmd_decay(config: dict, out_dir: str, expect: dict,
               provenance: dict) -> int:
-    problem = config["problem"]
-    experiment = config.get("experiment", {})
-    mode_idx = _mode_index(_require(experiment, "mode", "decay"))
-    weight = float(experiment.get("weight", 0.0))
-    window = experiment.get("window", (1e-3, 60.0))
-    samples = int(experiment.get("samples", 4000))
-    times_spec = experiment.get("times", {"lo_exp": 0, "hi_exp": 10})
-    if isinstance(times_spec, dict):
-        _reject_unknown(times_spec, {"lo_exp", "hi_exp"}, "experiment.times")
-        times = flow.dyadic_times(int(times_spec.get("lo_exp", 0)),
-                                  int(times_spec.get("hi_exp", 10)))
-    else:
-        times = np.asarray([float(t) for t in times_spec])
+    problem, experiment = config["problem"], config["experiment"]
+    mode_idx, weight = experiment["mode"], experiment["weight"]
+    window, times = experiment["window"], experiment["times"]
     provenance["parameters"].update({
         "mode": [mode_idx.n, mode_idx.j], "weight": weight,
-        "window": [float(window[0]), float(window[1])],
-        "times": [float(t) for t in times],
+        "window": list(window), "times": [float(t) for t in times],
     })
 
     table = _spectral_table(problem, mode_idx.j)
@@ -372,7 +394,7 @@ def cmd_decay(config: dict, out_dir: str, expect: dict,
     for t in times:
         sup = flow.weighted_sup_norm(
             lambda r, t=t: flow.evolve_mode_closed_form(mode, r, t),
-            weight, window, samples=samples,
+            weight, window, samples=experiment["samples"],
         ).combined * ang_sup
         pairs.append((float(t), sup))
     report = flow.decay_fit(pairs, weight_exponent=weight)
@@ -389,48 +411,28 @@ def cmd_decay(config: dict, out_dir: str, expect: dict,
 
 def cmd_kernel(config: dict, out_dir: str, expect: dict,
                provenance: dict) -> int:
-    problem = config["problem"]
-    experiment = config.get("experiment", {})
-    N = problem["N"]
-    k_start = int(experiment.get("k_start", 1))
-    K = int(_require(experiment, "K", "kernel"))
-    path = experiment.get("path", "mode_sum")
-    rho_spec = _require(experiment, "rho", "kernel")
-    if isinstance(rho_spec, dict):
-        _reject_unknown(rho_spec, {"lo", "hi", "n", "spacing"}, "experiment.rho")
-        if "lo" not in rho_spec or "hi" not in rho_spec:
-            raise ConfigError("experiment.rho needs both lo and hi")
-        n = int(rho_spec.get("n", 0))
-        if n < 1:
-            raise ConfigError("experiment.rho.n must be >= 1")
-        space = np.geomspace if rho_spec.get("spacing", "log") == "log" else np.linspace
-        rhos = space(float(rho_spec["lo"]), float(rho_spec["hi"]), n)
-    else:
-        rhos = np.asarray([float(v) for v in rho_spec])
-    if len(rhos) == 0:
-        raise ConfigError("kernel sweep needs a non-empty rho grid")
-    x_dir = _require(experiment, "x_dir", "kernel")
-    y_dir = _require(experiment, "y_dir", "kernel")
-    w_exp = float(experiment.get("weight_exponent", 0.0))
-    provenance["parameters"].update({"k_start": k_start, "K": K, "path": path,
-                                     "weight_exponent": w_exp})
-
-    table = _spectral_table(problem, K)
+    problem, experiment = config["problem"], config["experiment"]
+    w_exp = experiment["weight_exponent"]
+    table = _spectral_table(problem, experiment["K"])
     try:
-        spec = flow.KernelSpec(table=table, k_start=k_start, path=path)
+        spec = flow.KernelSpec(table=table, **{
+            key: experiment[key] for key in ("k_start", "path") if key in experiment})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    provenance["parameters"].update({"k_start": spec.k_start, "K": experiment["K"],
+                                     "path": spec.path, "weight_exponent": w_exp})
 
     rows = []
     weighted_max = 0.0
-    for rho in rhos:
+    for rho in experiment["rho"]:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", AccuracyWarning)
-            val = flow.kernel_eval(spec, x_dir, y_dir, float(rho))
+            val = flow.kernel_eval(spec, experiment["x_dir"], experiment["y_dir"],
+                                   float(rho))
         truncated = int(any(issubclass(w.category, AccuracyWarning) for w in caught))
         weighted = float(rho) ** w_exp * abs(val)
         weighted_max = max(weighted_max, weighted)
-        scaled = (2.0 * math.pi) ** (N / 2.0) * abs(val)
+        scaled = (2.0 * math.pi) ** (problem["N"] / 2.0) * abs(val)
         rows.append((float(rho), val.real, val.imag, weighted, scaled, truncated))
     _write_csv(os.path.join(out_dir, "kernel.csv"), provenance, [],
                ["rho", "re_K", "im_K", "weighted_modulus", "scaled_modulus",
@@ -441,38 +443,22 @@ def cmd_kernel(config: dict, out_dir: str, expect: dict,
 
 def cmd_heat(config: dict, out_dir: str, expect: dict,
              provenance: dict) -> int:
-    problem = config["problem"]
-    experiment = config.get("experiment", {})
-    N = problem["N"]
-    a = float(problem.get("a", 0.0))
-    k = int(experiment.get("k", 1))
-    t0 = float(experiment.get("t0", 1.0))
-    t1 = float(experiment.get("t1", 2.0))
-    if not 0 < t0 < t1:
-        raise ConfigError("heat runs need 0 < t0 < t1")
-    r_max = float(experiment.get("r_max", 30.0))
-    M = int(experiment.get("fd_points", 6000))
-    dt = float(experiment.get("dt", 1e-3))
-    provenance["parameters"].update({"k": k, "t0": t0, "t1": t1,
-                                     "r_max": r_max, "fd_points": M, "dt": dt})
+    problem, experiment = config["problem"], config["experiment"]
+    N, a, k = problem["N"], problem["a"], experiment["k"]
+    t0, t1 = experiment["t0"], experiment["t1"]
+    provenance["parameters"].update(
+        {key: experiment[key] for key in ("k", "t0", "t1", "r_max", "fd_points", "dt")})
 
-    eigsys = constant_a_spectrum(N, a, k)
-    table = build_table(eigsys, N, k)
+    table = _spectral_table(problem, k)
     if not table.hardy_ok:
         print("Hardy condition violated: mu_1 <= -((N-2)/2)^2", file=sys.stderr)
         return EXIT_HARDY
     mu_k, alpha_k, _ = table.row(k)
 
-    residual_opts = experiment.get("residual", {})
-    residual = flow.heat_residual(
-        N, a, k,
-        r_window=tuple(residual_opts.get("r_window", (0.5, 5.0))),
-        t_window=tuple(residual_opts.get("t_window", (1.0, 2.0))),
-        dr=float(residual_opts.get("dr", 1.0 / 200.0)),
-        dt=float(residual_opts.get("dt", 1e-4)),
-    )
+    residual = flow.heat_residual(N, a, k, **experiment["residual"])
 
-    schema = RadialSchema(N=N, mu=mu_k, R=r_max, M=M, dt=dt)
+    schema = RadialSchema(N=N, mu=mu_k, R=experiment["r_max"],
+                          M=experiment["fd_points"], dt=experiment["dt"])
     grid = schema.grid
     v0 = flow.heat_self_similar(N, a, k, grid, t0).real
     v_fd = evolve_heat(schema, v0, t1 - t0)
@@ -482,10 +468,8 @@ def cmd_heat(config: dict, out_dir: str, expect: dict,
                    / np.linalg.norm(grid ** half * v_exact))
 
     # time exponent of r^{alpha_k} v at fixed r/sqrt(t): exactly -N/2 + alpha_k
-    ratio = float(experiment.get("fit_ratio", 1.0))
-    fit_times = experiment.get("fit_times")
-    times = (np.asarray([float(t) for t in fit_times]) if fit_times
-             else flow.dyadic_times(0, 10))
+    ratio = experiment["fit_ratio"]
+    times = experiment.get("fit_times", flow.dyadic_times())
     pairs = [(float(t), float(abs(
         (ratio * math.sqrt(t)) ** alpha_k
         * flow.heat_self_similar(N, a, k, ratio * math.sqrt(t), t))))
@@ -513,22 +497,10 @@ def cmd_heat(config: dict, out_dir: str, expect: dict,
 
 def cmd_compare(config: dict, out_dir: str, expect: dict,
                 provenance: dict) -> int:
-    problem = config["problem"]
-    experiment = config.get("experiment", {})
-    a = problem.get("a", 0.0)
-    if not isinstance(a, (int, float)):
-        raise ConfigError("route comparison takes a constant scalar coefficient a")
-    mode_idx = _mode_index(_require(experiment, "mode", "compare"))
-    params = RouteParams(
-        N=problem["N"], a=float(a),
-        T=float(experiment.get("T", 1.0)),
-        r_max=float(experiment.get("r_max", 30.0)),
-        fd_points=int(experiment.get("fd_points", 12000)),
-        dt=float(experiment.get("dt", 1e-3)),
-        quad_panels=int(experiment.get("quad_panels", 256)),
-        quad_nodes=int(experiment.get("quad_nodes", 8)),
-        window=tuple(experiment.get("window", (0.1, 8.0))),
-    )
+    problem, experiment = config["problem"], config["experiment"]
+    mode_idx = experiment["mode"]
+    params = RouteParams(N=problem["N"], a=problem["a"], **{
+        key: value for key, value in experiment.items() if key != "mode"})
     provenance["parameters"].update({
         "mode": [mode_idx.n, mode_idx.j], "T": params.T, "r_max": params.r_max,
         "fd_points": params.fd_points, "dt": params.dt,
@@ -547,13 +519,38 @@ def cmd_compare(config: dict, out_dir: str, expect: dict,
     return EXIT_OK
 
 
+
+
+# each command with the reader table of its experiment block
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "evolve": cmd_evolve,
-    "decay": cmd_decay,
-    "kernel": cmd_kernel,
-    "heat": cmd_heat,
-    "compare": cmd_compare,
+    "spectrum": (cmd_spectrum, {"K": (_count, 8)}),
+    "evolve": (cmd_evolve, {
+        "mode": (_mode, _REQUIRED), "t": (_number, _REQUIRED),
+        "route": (_string("closed", "kernel", "fd"), "closed"),
+        "r_max": (_number, 30.0), "quad_panels": (_count, 125),
+        "quad_nodes": (_count, 16), "fd_points": (_count, 12000),
+        "dt": (_number, 1e-3), "window": (_pair, [0.1, 8.0])}),
+    "decay": (cmd_decay, {
+        "mode": (_mode, _REQUIRED), "weight": (_number, 0.0),
+        "times": (_either(dict, _dyadic_times, _numbers), {}),
+        "window": (_pair, [1e-3, 60.0]), "samples": (_count, 4000)}),
+    # k_start and path are KernelSpec fields
+    "kernel": (cmd_kernel, {
+        "K": (_count, _REQUIRED), "k_start": (_count, _CALLEE),
+        "path": (_string(), _CALLEE), "rho": (_either(dict, _rho_range, _numbers), _REQUIRED),
+        "x_dir": (_direction, _REQUIRED), "y_dir": (_direction, _REQUIRED),
+        "weight_exponent": (_number, 0.0)}),
+    "heat": (cmd_heat, {
+        "k": (_count, 1), "t0": (_number, 1.0), "t1": (_number, 2.0),
+        "r_max": (_number, 30.0), "fd_points": (_count, 6000),
+        "dt": (_number, 1e-3), "fit_ratio": (_number, 1.0),
+        "fit_times": (_numbers, _CALLEE), "residual": (_RESIDUAL, {})}),
+    # every key but mode is a RouteParams field
+    "compare": (cmd_compare, {
+        "mode": (_mode, _REQUIRED), "T": (_number, _CALLEE),
+        "r_max": (_number, _CALLEE), "fd_points": (_count, _CALLEE),
+        "dt": (_number, _CALLEE), "quad_panels": (_count, _CALLEE),
+        "quad_nodes": (_count, _CALLEE), "window": (_pair, _CALLEE)}),
 }
 
 
@@ -569,7 +566,9 @@ def _parse_args(argv):
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON run config")
-    parser.add_argument("--out", default=".", help="output directory (default: cwd)")
+    parser.add_argument("--out", default=None,
+                        help="output directory (default: output.dir of the "
+                             "config, else cwd)")
     parser.add_argument("--expect", default=None,
                         help="JSON object of expected headline values; a miss "
                              "exits with code 4")
@@ -579,20 +578,20 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
     try:
-        config, digest = load_config(args.config, args.command)
-        expect = {}
-        if args.expect:
-            try:
-                expect = json.loads(args.expect)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"--expect is not valid JSON: {exc}") from exc
-            if not isinstance(expect, dict):
-                raise ConfigError("--expect must be a JSON object")
-        out_dir = args.out if args.out != "." else config.get("output", {}).get("dir", ".")
-        os.makedirs(out_dir, exist_ok=True)
-        provenance = _provenance(args.command, digest,
-                                 dict(config.get("problem", {})))
-        return _COMMANDS[args.command](config, out_dir, expect, provenance)
+        config, provenance = load_config(args.config, args.command)
+        try:
+            expect = json.loads(args.expect or "{}")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--expect is not valid JSON: {exc}") from exc
+        if not isinstance(expect, dict):
+            raise ConfigError("--expect must be a JSON object")
+        expect = {key: _number(value, f"--expect {key}") for key, value in expect.items()}
+        out_dir = args.out if args.out is not None else config["output"]["dir"]
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from exc
+        return _COMMANDS[args.command][0](config, out_dir, expect, provenance)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,13 +1,30 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schroflow import flow
 from schroflow.cli import main
 from schroflow.oscillator import ModeIndex, build_table, make_mode
 from schroflow.angular import constant_a_spectrum
+
+
+# one small valid run per command: a few hundred grid points, seconds in total
+LOSS = {"N": 3, "a": -0.1875}
+SMALL_RUNS = {
+    "spectrum": {"K": 6},
+    "evolve": {"mode": [0, 1], "t": 1.0, "route": "fd", "fd_points": 500, "dt": 1e-2},
+    "decay": {"mode": [0, 1], "times": {"lo_exp": 0, "hi_exp": 7}, "samples": 50},
+    "kernel": {"K": 4, "rho": [0.5, 2.0], "x_dir": [0.4, 0.3], "y_dir": [1.2, 2.1]},
+    "heat": {"fd_points": 500, "dt": 1e-2, "fit_times": [1, 4, 16, 64, 256]},
+    "compare": {"mode": [0, 1], "fd_points": 500, "dt": 1e-2, "r_max": 10.0,
+                "quad_panels": 64, "quad_nodes": 8},
+}
 
 
 def write_config(tmp_path, name, payload):
@@ -81,22 +98,9 @@ class TestSpectrum:
         assert float(rows[0][1]) == pytest.approx(0.09, abs=1e-10)
 
     def test_byte_identical_reruns(self, tmp_path):
-        loss = {"N": 3, "a": -0.1875}
-        runs = {
-            "spectrum": {"K": 6},
-            "evolve": {"mode": [0, 1], "t": 1.0, "route": "fd",
-                       "fd_points": 500, "dt": 1e-2},
-            "decay": {"mode": [0, 1], "times": {"lo_exp": 0, "hi_exp": 7},
-                      "samples": 50},
-            "kernel": {"K": 4, "rho": [0.5, 2.0], "x_dir": [0.4, 0.3],
-                       "y_dir": [1.2, 2.1]},
-            "heat": {"fd_points": 500, "dt": 1e-2, "fit_times": [1, 4, 16, 64, 256]},
-            "compare": {"mode": [0, 1], "fd_points": 500, "dt": 1e-2,
-                        "r_max": 10.0, "quad_panels": 64, "quad_nodes": 8},
-        }
-        for command, experiment in runs.items():
+        for command, experiment in SMALL_RUNS.items():
             cfg = write_config(tmp_path, f"{command}.json",
-                               {"problem": loss, "experiment": experiment})
+                               {"problem": LOSS, "experiment": experiment})
             outs = [tmp_path / command / run for run in ("r1", "r2")]
             for out in outs:
                 assert main([command, "--config", cfg, "--out", str(out)]) == 0, command
@@ -263,3 +267,124 @@ class TestCompare:
         assert code == 0
         report = json.loads((out / "compare.json").read_text())
         assert not report["comparison"]["failures"]
+
+
+FREE = {"N": 3, "a": 0.0}
+KERNEL = {"K": 4, "rho": [0.5, 2.0], "x_dir": [0.4, 0.3], "y_dir": [1.2, 2.1]}
+FD = {"mode": [0, 1], "t": 1.0, "route": "fd", "fd_points": 500, "dt": 1e-2}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command, config", [
+        pytest.param("kernel", {"problem": FREE, "experiment": {
+            **KERNEL, "rho": {"lo": [1], "hi": 2.0, "n": 4}}}, id="rho.lo list"),
+        pytest.param("heat", {"problem": FREE, "experiment": {"residual": {"r_window": 5}}},
+                     id="residual.r_window scalar"),
+        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "r_max": "x"}},
+                     id="r_max string"),
+        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "fd_points": "many"}},
+                     id="fd_points string"),
+        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "window": 3}},
+                     id="evolve window scalar"),
+        pytest.param("decay", {"problem": FREE, "experiment": {
+            "mode": [0, 1], "times": ["a", "b"]}}, id="times strings"),
+        pytest.param("decay", {"problem": FREE, "experiment": {"mode": [0, 1], "window": 5}},
+                     id="decay window scalar"),
+        pytest.param("kernel", {"problem": FREE, "experiment": {**KERNEL, "K": "x"}},
+                     id="K string"),
+        pytest.param("kernel", {"problem": FREE, "experiment": {**KERNEL, "x_dir": "north"}},
+                     id="x_dir string"),
+        pytest.param("kernel", {"problem": FREE, "experiment": {
+            **KERNEL, "x_dir": [0.1, 0.2, 0.3, 0.4]}}, id="x_dir 4 numbers"),
+        pytest.param("compare", {"problem": FREE, "experiment": {
+            "mode": [0, 1], "window": [1, 2, 3]}}, id="compare window 3 numbers"),
+        pytest.param("heat", {"problem": {"N": 2, "a": {"0": 0.1}}}, id="heat N=2 Fourier a"),
+        pytest.param("heat", {"problem": {"N": 2, "magnetic": {"0": 0.3}}},
+                     id="heat N=2 magnetic"),
+        pytest.param("compare", {"problem": {"N": 2, "magnetic": {"0": 0.3}},
+                                 "experiment": {"mode": [0, 1]}}, id="compare N=2 magnetic"),
+        pytest.param("spectrum", {"problem": FREE, "output": {"dir": 5}}, id="output.dir number"),
+        # accepted silently before
+        pytest.param("kernel", {"problem": FREE, "experiment": {**KERNEL, "K": True}},
+                     id="K true"),
+        pytest.param("kernel", {"problem": FREE, "experiment": {
+            **KERNEL, "rho": {"lo": 0.5, "hi": 2.0, "n": 4, "spacing": "lgo"}}},
+                     id="rho.spacing misspelt"),
+        pytest.param("spectrum", {"problem": {**FREE, "truncation": 8}}, id="truncation N=3"),
+        # tracebacks or numeric failures before: dimensions and directions
+        # the command does not support
+        pytest.param("kernel", {"problem": {"N": 4, "a": 0.0}, "experiment": KERNEL},
+                     id="kernel N=4"),
+        pytest.param("decay", {"problem": {"N": 4, "a": 0.0}, "experiment": {"mode": [0, 1]}},
+                     id="decay N=4"),
+        pytest.param("kernel", {"problem": FREE, "experiment": {**KERNEL, "x_dir": 0.4}},
+                     id="x_dir angle N=3"),
+    ])
+    def test_malformed_value_exit_code(self, tmp_path, monkeypatch, capsys, command, config):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "c.json", config)
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("expect", ['{"alpha_1": 0, "alpha_1_tol": "x"}',
+                                        '{"alpha_1_max": "x"}'])
+    def test_non_numeric_expectation_exit_code(self, tmp_path, capsys, expect):
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS})
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path),
+                     "--expect", expect]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_explicit_out_overrides_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "c.json",
+                           {"problem": LOSS, "output": {"dir": "elsewhere"}})
+        assert main(["spectrum", "--config", cfg, "--out", "."]) == 0
+        assert (tmp_path / "spectrum.csv").exists()
+        assert not (tmp_path / "elsewhere").exists()
+
+
+def _json_type(value):
+    for name, kind in (("bool", bool), ("number", (int, float)), ("string", str),
+                       ("list", list), ("object", dict)):
+        if isinstance(value, kind):
+            return name
+    return "null"
+
+
+def _key_paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+# values of every JSON type but number; a list or object holds no number, so
+# it can never stand for a mode, a size or a grid
+_WRONG = st.one_of(
+    st.text(max_size=3), st.booleans(), st.none(),
+    st.lists(st.one_of(st.text(max_size=3), st.booleans(), st.none()), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mistyped_value_exits_2(tmp_path_factory, data):
+    """Any one key of a small valid config, at top level or nested, replaced by
+    a value of another JSON type, is a config error (exit 2), never a crash."""
+    command = data.draw(st.sampled_from(sorted(SMALL_RUNS)))
+    config = json.loads(json.dumps({"problem": LOSS, "experiment": SMALL_RUNS[command],
+                                    "output": {"dir": "out"}}))
+    path = data.draw(st.sampled_from(list(_key_paths(config))))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    parent[path[-1]] = data.draw(_WRONG.filter(lambda v: _json_type(v) != _json_type(old)))
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = write_config(tmp, "c.json", config)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", cfg, "--out", str(tmp / "out")])
+    assert code == 2, (path, parent[path[-1]], err.getvalue())
+    assert err.getvalue().startswith("config error:")
