@@ -82,11 +82,27 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-def _integer(least: int | None = None):
+def _positive(value, where: str) -> float:
+    value = _number(value, where)
+    if not value > 0:
+        raise ConfigError(f"{where} must be a positive number, got {value!r}")
+    return value
+
+
+def _nonnegative(value, where: str) -> float:
+    value = _number(value, where)
+    if not value >= 0:
+        raise ConfigError(f"{where} must be a number >= 0, got {value!r}")
+    return value
+
+
+def _integer(least: int | None = None, most: int | None = None):
     def read(value, where: str) -> int:
         if (isinstance(value, bool) or not isinstance(value, int)
-                or (least is not None and value < least)):
-            bound = "" if least is None else f" >= {least}"
+                or (least is not None and value < least)
+                or (most is not None and value > most)):
+            bound = (f" in [{least}, {most}]" if most is not None
+                     else "" if least is None else f" >= {least}")
             raise ConfigError(f"{where} must be an integer{bound}, got {value!r}")
         return value
     return read
@@ -119,8 +135,27 @@ def _either(kind: type, reader, other=_number):
     return read
 
 
+def _window(item):
+    """Reader of a [lo, hi] pair of ``item`` values with lo < hi."""
+    def read(value, where: str) -> list:
+        lo, hi = _list(item, 2)(value, where)
+        if not lo < hi:
+            raise ConfigError(f"{where} must be [lo, hi] with lo < hi, got {value!r}")
+        return [lo, hi]
+    return read
+
+
+def _fit_times(times, where: str):
+    """Check that ``times`` are enough distinct times for flow.decay_fit."""
+    if len(set(times)) != len(times) or len(times) < flow.MIN_FIT_SAMPLES:
+        raise ConfigError(f"{where} must give at least {flow.MIN_FIT_SAMPLES} "
+                          f"distinct times, got {len(times)} values")
+    return times
+
+
 _count = _integer(1)
-_numbers = _list(_number)
+# a radialfd.RadialSchema grid has at least two cells
+_grid_points = _integer(2)
 _pair = _list(_number, 2)
 # a kernel direction is an angle for N=2, and [theta, phi] or a 3-vector for N=3
 _direction = _either(list, _list(_number, 2, 3))
@@ -148,27 +183,36 @@ def _fourier(value, where: str) -> dict:
 
 def _rho_range(value, where: str) -> np.ndarray:
     rho = _read(value, _RHO, where)
+    if rho["spacing"] == "log" and not min(rho["lo"], rho["hi"]) > 0:
+        raise ConfigError(f"{where}.lo and {where}.hi must be positive with log spacing")
     space = np.geomspace if rho["spacing"] == "log" else np.linspace
     return space(rho["lo"], rho["hi"], rho["n"])
 
 
 def _dyadic_times(value, where: str) -> np.ndarray:
-    return flow.dyadic_times(**_read(value, _TIMES, where))
+    return _fit_times(flow.dyadic_times(**_read(value, _TIMES, where)), where)
+
+
+def _time_list(value, where: str) -> list:
+    return _fit_times(_list(_positive)(value, where), where)
 
 
 # a is a constant, or Fourier coefficients for N=2
 _PROBLEM = {"N": (_integer(2), _REQUIRED), "a": (_either(dict, _fourier), 0.0),
             "magnetic": (_fourier, _CALLEE), "truncation": (_integer(0), _CALLEE)}
 
-_RHO = {"lo": (_number, _REQUIRED), "hi": (_number, _REQUIRED),
+_RHO = {"lo": (_nonnegative, _REQUIRED), "hi": (_nonnegative, _REQUIRED),
         "n": (_count, _REQUIRED), "spacing": (_string("log", "linear"), "log")}
 
-# flow.dyadic_times's keyword arguments
-_TIMES = {"lo_exp": (_integer(), _CALLEE), "hi_exp": (_integer(), _CALLEE)}
+# flow.dyadic_times's keyword arguments; 2^511 is the largest dyadic time t
+# whose 1 + t^2 in the closed form is finite, and the bound caps the count
+_time_exponent = _integer(-511, 511)
+_TIMES = {"lo_exp": (_time_exponent, _CALLEE), "hi_exp": (_time_exponent, _CALLEE)}
 
 # flow.heat_residual's keyword arguments
-_RESIDUAL = {"r_window": (_pair, _CALLEE), "t_window": (_pair, _CALLEE),
-             "dr": (_number, _CALLEE), "dt": (_number, _CALLEE)}
+_RESIDUAL = {"r_window": (_window(_positive), _CALLEE),
+             "t_window": (_window(_positive), _CALLEE),
+             "dr": (_positive, _CALLEE), "dt": (_positive, _CALLEE)}
 
 _OUTPUT = {"dir": (_string(), ".")}
 
@@ -187,6 +231,10 @@ def _check_rules(command: str, problem: dict, experiment: dict) -> None:
         raise ConfigError("kernel directions for N=3 are [theta, phi] or 3-vectors")
     if command == "heat" and not 0 < experiment["t0"] < experiment["t1"]:
         raise ConfigError("heat runs need 0 < t0 < t1")
+    if command == "evolve" and experiment["route"] == "kernel" and not experiment["t"] > 0:
+        raise ConfigError("the kernel route needs t > 0")
+    if command == "evolve" and experiment["route"] == "fd" and not experiment["t"] >= 0:
+        raise ConfigError("the fd route needs t >= 0")
 
 
 def load_config(path: str, command: str) -> tuple[dict, dict]:
@@ -527,30 +575,31 @@ _COMMANDS = {
     "evolve": (cmd_evolve, {
         "mode": (_mode, _REQUIRED), "t": (_number, _REQUIRED),
         "route": (_string("closed", "kernel", "fd"), "closed"),
-        "r_max": (_number, 30.0), "quad_panels": (_count, 125),
-        "quad_nodes": (_count, 16), "fd_points": (_count, 12000),
-        "dt": (_number, 1e-3), "window": (_pair, [0.1, 8.0])}),
+        "r_max": (_positive, 30.0), "quad_panels": (_count, 125),
+        "quad_nodes": (_count, 16), "fd_points": (_grid_points, 12000),
+        "dt": (_positive, 1e-3), "window": (_window(_number), [0.1, 8.0])}),
     "decay": (cmd_decay, {
         "mode": (_mode, _REQUIRED), "weight": (_number, 0.0),
-        "times": (_either(dict, _dyadic_times, _numbers), {}),
-        "window": (_pair, [1e-3, 60.0]), "samples": (_count, 4000)}),
+        "times": (_either(dict, _dyadic_times, _time_list), {}),
+        "window": (_window(_positive), [1e-3, 60.0]), "samples": (_count, 4000)}),
     # k_start and path are KernelSpec fields
     "kernel": (cmd_kernel, {
         "K": (_count, _REQUIRED), "k_start": (_count, _CALLEE),
-        "path": (_string(), _CALLEE), "rho": (_either(dict, _rho_range, _numbers), _REQUIRED),
+        "path": (_string(), _CALLEE),
+        "rho": (_either(dict, _rho_range, _list(_nonnegative)), _REQUIRED),
         "x_dir": (_direction, _REQUIRED), "y_dir": (_direction, _REQUIRED),
         "weight_exponent": (_number, 0.0)}),
     "heat": (cmd_heat, {
         "k": (_count, 1), "t0": (_number, 1.0), "t1": (_number, 2.0),
-        "r_max": (_number, 30.0), "fd_points": (_count, 6000),
-        "dt": (_number, 1e-3), "fit_ratio": (_number, 1.0),
-        "fit_times": (_numbers, _CALLEE), "residual": (_RESIDUAL, {})}),
+        "r_max": (_positive, 30.0), "fd_points": (_grid_points, 6000),
+        "dt": (_positive, 1e-3), "fit_ratio": (_positive, 1.0),
+        "fit_times": (_time_list, _CALLEE), "residual": (_RESIDUAL, {})}),
     # every key but mode is a RouteParams field
     "compare": (cmd_compare, {
-        "mode": (_mode, _REQUIRED), "T": (_number, _CALLEE),
-        "r_max": (_number, _CALLEE), "fd_points": (_count, _CALLEE),
-        "dt": (_number, _CALLEE), "quad_panels": (_count, _CALLEE),
-        "quad_nodes": (_count, _CALLEE), "window": (_pair, _CALLEE)}),
+        "mode": (_mode, _REQUIRED), "T": (_positive, _CALLEE),
+        "r_max": (_positive, _CALLEE), "fd_points": (_grid_points, _CALLEE),
+        "dt": (_positive, _CALLEE), "quad_panels": (_count, _CALLEE),
+        "quad_nodes": (_count, _CALLEE), "window": (_window(_number), _CALLEE)}),
 }
 
 

@@ -6,7 +6,9 @@ the scaling-invariant Schrodinger flow:
 * ``evolve_mode_closed_form`` -- exact evolution of a single oscillator
   eigenfunction;
 * ``propagate_representation`` -- Bessel-kernel (Hankel-type) quadrature of
-  the representation formula, mode by mode;
+  the representation formula, mode by mode; the kernel matrix on the
+  state's grid is symmetric, so it is evaluated on its upper triangle in row
+  blocks and mirrored;
 * the finite-difference stepper lives in :mod:`schroflow.radialfd`.
 
 Also here: the kernel series K / K_k, the pseudoconformal transform, the
@@ -28,6 +30,11 @@ from .oscillator import (AccuracyWarning, HardyViolation, ModeIndex, NormalizedM
 from .quadrature import RadialQuadrature
 from .specfun import j_scaled, legendre_p
 from . import angular as _angular
+
+
+# rows of the kernel matrix per j_scaled call in propagate_representation;
+# of 32 to 512 rows, 64 took the least CPU on the 2000-node default grid
+_KERNEL_ROW_BLOCK = 64
 
 
 class ResolutionError(ValueError):
@@ -207,8 +214,9 @@ def kernel_eval(spec: KernelSpec, x_dir, y_dir, rho: float) -> complex:
 
     ``x_dir``/``y_dir``: an angle for N=2, or (theta, phi) / a unit 3-vector
     for N=3.  The series is summed mode by mode over blocks of equal
-    alpha_k.  Emits AccuracyWarning when the Cauchy-Schwarz bound of the last
-    block, |phase j| sqrt(sum |psi_k(x)|^2 sum |psi_k(y)|^2), exceeds the tail
+    alpha_k, with the factor phase j evaluated once per block.  Emits
+    AccuracyWarning when the Cauchy-Schwarz bound of the last block,
+    |phase j| sqrt(sum |psi_k(x)|^2 sum |psi_k(y)|^2), exceeds the tail
     threshold.
     """
     if rho < 0:
@@ -219,8 +227,8 @@ def kernel_eval(spec: KernelSpec, x_dir, y_dir, rho: float) -> complex:
         blocks = _mode_blocks(spec, x_dir, y_dir)
     total = 0.0 + 0.0j
     for alpha, terms, bound in blocks:
+        coef = _unit_phase(alpha) * _j_factor(spec.table.N, alpha, rho)
         for term in terms:
-            coef = _unit_phase(alpha) * _j_factor(spec.table.N, alpha, rho)
             total += term(coef)
         tail = abs(coef) * bound
     if tail > spec.tail_threshold:
@@ -323,6 +331,11 @@ def propagate_representation(state: SeparatedState, t: float,
                  * int_0^inf j_{-alpha_j}(r rho / 2t) e^{i rho^2/4t}
                              f_j(rho) rho^{N-1} d rho.
 
+    The output is sampled on the state's own grid, so the kernel matrix
+    j_{-alpha_j}(r rho/2t) is symmetric; it is evaluated on its upper triangle
+    in row blocks (n(n+1)/2 Bessel values per mode for n nodes) and mirrored,
+    which gives the same entries as a dense evaluation.
+
     Raises ResolutionError when the state's grid resolves the integrand's
     phase with fewer than 8 points per period at the grid edge.
     """
@@ -338,30 +351,54 @@ def propagate_representation(state: SeparatedState, t: float,
             )
         if j > table.K_max:
             raise ValueError(f"state mode j={j} exceeds the spectral table (K_max={table.K_max})")
-    rho = state.grid
-    r_out = state.grid
-    # worst-case local phase rate of e^{i rho^2/4t} j(r rho/2t) at the edge
-    rate = (rho[-1] + r_out[-1]) / (2.0 * t)
-    max_spacing = float(np.max(np.diff(rho)))
+    g = state.grid
+    # worst-case local phase rate (r + rho)/2t of e^{i rho^2/4t} j(r rho/2t)
+    # at the edge r = rho = g[-1]
+    rate = g[-1] / t
+    max_spacing = float(np.max(np.diff(g)))
     if max_spacing > (2.0 * math.pi / rate) / 8.0:
         raise ResolutionError(
             f"grid spacing {max_spacing:.3g} gives fewer than 8 points per phase "
             f"period ({2 * math.pi / rate:.3g}) at the grid edge; refine the grid"
         )
-    pref_common = np.exp(1j * r_out ** 2 / (4.0 * t)) * np.exp(-1j * math.pi * state.N / 4.0) \
+    pref_common = np.exp(1j * g ** 2 / (4.0 * t)) * np.exp(-1j * math.pi * state.N / 4.0) \
         / (2.0 * t) ** (state.N / 2.0)
-    source_weight = np.exp(1j * rho ** 2 / (4.0 * t)) * rho ** (state.N - 1) * state.weights
+    source_weight = np.exp(1j * g ** 2 / (4.0 * t)) * g ** (state.N - 1) * state.weights
     out_profiles = {}
     for j, f in state.profiles.items():
         _, alpha_j, _ = table.row(j)
-        args = np.outer(r_out, rho) / (2.0 * t)
-        Kmat = j_scaled(state.N, alpha_j, args.ravel()).reshape(args.shape)
-        integral = Kmat @ (source_weight * f)
+        integral = _kernel_matrix(state.N, alpha_j, g, t) @ (source_weight * f)
         out_profiles[j] = pref_common * _unit_phase(alpha_j) * integral
     return SeparatedState(
-        N=state.N, grid=r_out.copy(), weights=state.weights.copy(),
+        N=state.N, grid=g.copy(), weights=state.weights.copy(),
         profiles=out_profiles, table=table,
     )
+
+
+def _kernel_matrix(N: int, alpha: float, g: np.ndarray, t: float) -> np.ndarray:
+    """The matrix j_{-alpha}(g_i g_k / 2t) on the grid g.
+
+    g_i g_k and g_k g_i are the same floating-point product, so the matrix is
+    exactly symmetric: each block of _KERNEL_ROW_BLOCK rows is evaluated on
+    and right of the diagonal only, n(n+1)/2 Bessel values in all, in one
+    j_scaled call per block, and mirrored.  j_scaled works elementwise, so
+    every entry is the value a dense evaluation gives.
+    """
+    n = len(g)
+    Kmat = np.empty((n, n))
+    for s in range(0, n, _KERNEL_ROW_BLOCK):
+        e = min(s + _KERNEL_ROW_BLOCK, n)
+        block = g[s:e]
+        # the block's upper triangle on the diagonal, then the rectangle right of it
+        rows, cols = np.triu_indices(e - s)
+        values = j_scaled(N, alpha, np.concatenate(
+            [block[rows] * block[cols], np.outer(block, g[e:]).ravel()]) / (2.0 * t))
+        tri, rect = values[:len(rows)], values[len(rows):].reshape(e - s, n - e)
+        Kmat[s + rows, s + cols] = tri
+        Kmat[s + cols, s + rows] = tri
+        Kmat[s:e, e:] = rect
+        Kmat[e:, s:e] = rect.T
+    return Kmat
 
 
 def heat_self_similar(N: int, a: float, k: int, r, t: float, angular_value=1.0):
@@ -484,6 +521,9 @@ class DecayReport:
         }
 
 
+MIN_FIT_SAMPLES = 4
+
+
 def decay_fit(samples, weight_exponent: float = 0.0) -> DecayReport:
     """Least-squares power-law fit on (log t, log norm) pairs.
 
@@ -493,8 +533,8 @@ def decay_fit(samples, weight_exponent: float = 0.0) -> DecayReport:
     samples = sorted(samples)
     times = np.array([s[0] for s in samples], dtype=float)
     norms = np.array([s[1] for s in samples], dtype=float)
-    if len(times) < 4:
-        raise ValueError("decay_fit needs at least 4 samples")
+    if len(times) < MIN_FIT_SAMPLES:
+        raise ValueError(f"decay_fit needs at least {MIN_FIT_SAMPLES} samples")
     if np.any(norms <= 0):
         raise ValueError("decay_fit requires strictly positive norms")
     if np.any(np.diff(times) <= 0):

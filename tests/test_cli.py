@@ -319,6 +319,37 @@ class TestConfigErrors:
                      id="decay N=4"),
         pytest.param("kernel", {"problem": FREE, "experiment": {**KERNEL, "x_dir": 0.4}},
                      id="x_dir angle N=3"),
+        # numeric failures (exit 5) or silently accepted before: values of
+        # the right type out of their range
+        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "dt": 0}}, id="dt 0"),
+        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "r_max": -1}},
+                     id="r_max -1"),
+        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "fd_points": 1}},
+                     id="fd_points 1"),
+        pytest.param("evolve", {"problem": FREE, "experiment": {
+            "mode": [0, 1], "t": 0, "route": "kernel"}}, id="kernel route t 0"),
+        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "t": -1.0}},
+                     id="fd route t -1"),
+        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "window": [8, 0.1]}},
+                     id="evolve window reversed"),
+        pytest.param("kernel", {"problem": FREE, "experiment": {
+            **KERNEL, "rho": {"lo": 0, "hi": 2.0, "n": 4}}}, id="log rho.lo 0"),
+        pytest.param("kernel", {"problem": FREE, "experiment": {**KERNEL, "rho": [-1.0, 2.0]}},
+                     id="rho negative"),
+        pytest.param("decay", {"problem": FREE, "experiment": {"mode": [0, 1], "window": [2, 1]}},
+                     id="decay window reversed"),
+        pytest.param("decay", {"problem": FREE, "experiment": {
+            "mode": [0, 1], "times": {"lo_exp": 5, "hi_exp": 2}}}, id="times lo_exp > hi_exp"),
+        pytest.param("decay", {"problem": FREE, "experiment": {
+            "mode": [0, 1], "times": {"lo_exp": 0, "hi_exp": 512}}}, id="times hi_exp past cap"),
+        pytest.param("decay", {"problem": FREE, "experiment": {
+            "mode": [0, 1], "times": [1, 2, 4, 4]}}, id="times repeated"),
+        pytest.param("heat", {"problem": FREE, "experiment": {"fit_times": [1, 2, 3]}},
+                     id="fit_times 3 values"),
+        pytest.param("heat", {"problem": FREE, "experiment": {"residual": {"dr": 0}}},
+                     id="residual.dr 0"),
+        pytest.param("compare", {"problem": FREE, "experiment": {"mode": [0, 1], "T": 0}},
+                     id="compare T 0"),
     ])
     def test_malformed_value_exit_code(self, tmp_path, monkeypatch, capsys, command, config):
         monkeypatch.chdir(tmp_path)

@@ -11,6 +11,7 @@ from schroflow.angular import (AngularProblem, assemble_circle,
 from schroflow.oscillator import (AccuracyWarning, HardyViolation, ModeIndex,
                                   build_table, make_mode, project)
 from schroflow.quadrature import RadialQuadrature
+from schroflow.specfun import j_scaled
 
 
 class TestClosedForm:
@@ -149,6 +150,15 @@ class TestKernel:
         with pytest.warns(AccuracyWarning, match="1.18e-02"):
             flow.kernel_eval(spec, (0.0, 0.0, 1.0), (1.0, 1.0, 1.0), 6.0)
 
+    def test_j_factor_once_per_block(self, table_free, monkeypatch):
+        # table_free's 12 modes form the degree blocks 1 + 3 + 5 + 3
+        calls = []
+        monkeypatch.setattr(flow, "j_scaled", lambda *a, **k: calls.append(a) or j_scaled(*a, **k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            flow.kernel_eval(flow.KernelSpec(table=table_free), (0.4, 0.3), (1.2, 2.1), 2.0)
+        assert len(calls) == 4
+
     def test_invalid_indices(self, table_free):
         with pytest.raises(ValueError):
             flow.KernelSpec(table=table_free, k_start=0)
@@ -156,7 +166,50 @@ class TestKernel:
             flow.KernelSpec(table=table_free, K_trunc=99)
 
 
+def _two_mode_state(N, quad):
+    """A state on quad's nodes with modes 1 and 2 of a constant-coefficient
+    problem (N=3, a=-3/16) or an Aharonov-Bohm one (N=2, flux 0.3)."""
+    if N == 3:
+        eigsys = constant_a_spectrum(3, -0.1875, 2)
+    else:
+        prob = AngularProblem(N=2, scalar_coeff=0.2, magnetic_coeff={0: 0.3}, truncation=8)
+        eigsys = eigensolve(assemble_circle(prob), N=2)
+    table = build_table(eigsys, N, 2)
+    g = quad.nodes
+    profiles = {1: np.exp(-g ** 2 / 3.0) * (1.0 + 0.5j * g), 2: g * np.exp(-g ** 2 / 5.0)}
+    return flow.SeparatedState.from_quadrature(N, quad, profiles, table)
+
+
+# 13 x 11 = 143 nodes: not a multiple of the kernel matrix's row block
+QUAD_SMALL = RadialQuadrature(10.0, 13, 11)
+
+
 class TestRepresentation:
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_bitwise_equal_to_dense_kernel_matrix(self, N):
+        state = _two_mode_state(N, QUAD_SMALL)
+        t = 2.0
+        out = flow.propagate_representation(state, t, flow.KernelSpec(table=state.table))
+        g = state.grid
+        args = np.outer(g, g) / (2.0 * t)
+        pref = np.exp(1j * g ** 2 / (4.0 * t)) * np.exp(-1j * math.pi * N / 4.0) \
+            / (2.0 * t) ** (N / 2.0)
+        source = np.exp(1j * g ** 2 / (4.0 * t)) * g ** (N - 1) * state.weights
+        for j, f in state.profiles.items():
+            alpha = state.table.row(j)[1]
+            Kmat = j_scaled(N, alpha, args.ravel()).reshape(args.shape)
+            phase = complex(np.exp(1j * math.pi * alpha / 2.0))
+            assert np.array_equal(out.profiles[j], pref * phase * (Kmat @ (source * f)))
+
+    def test_kernel_evaluated_on_upper_triangle(self, monkeypatch):
+        state = _two_mode_state(3, QUAD_SMALL)
+        points = []
+        monkeypatch.setattr(flow, "j_scaled",
+                            lambda N, alpha, r: points.append(np.size(r)) or j_scaled(N, alpha, r))
+        flow.propagate_representation(state, 2.0, flow.KernelSpec(table=state.table))
+        n = len(state.grid)
+        assert sum(points) == 2 * n * (n + 1) // 2
+
     def test_matches_closed_form(self, mode01_loss, table_loss, quad_default):
         state0 = flow.state_from_mode(mode01_loss, quad_default, table_loss)
         spec = flow.KernelSpec(table=table_loss)
