@@ -4,15 +4,14 @@ frequency-dependent decay-exponent experiments."""
 
 from .angular import (AngularEigensystem, AngularProblem, assemble_circle,
                       assemble_sphere, constant_a_spectrum, eigensolve)
-from .flow import (DecayReport, KernelSpec, SeparatedState, decay_fit,
-                   evolve_mode_closed_form, heat_residual, heat_self_similar,
-                   kernel_eval, propagate_representation, pseudoconformal,
-                   weighted_sup_norm)
+from .flow import (DecayReport, KernelSpec, RouteParams, SeparatedState,
+                   compare_routes, decay_fit, evolve_mode_closed_form,
+                   heat_residual, heat_self_similar, kernel_eval,
+                   propagate_representation, pseudoconformal, weighted_sup_norm)
 from .oscillator import (ModeIndex, NormalizedMode, SpectralTable, build_table,
                          gamma_of, level_multiplicity, make_mode, project)
 from .quadrature import RadialQuadrature
-from .radialfd import (RadialSchema, RouteParams, compare_routes, evolve_heat,
-                       evolve_schrodinger)
+from .radialfd import RadialSchema, evolve_heat, evolve_schrodinger
 from .specfun import PolySpec, bessel_j, j_scaled, legendre_p, sph_harm
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 Hardy condition violated,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -25,9 +26,9 @@ from .angular import (AngularProblem, AngularProblemError, EigensolveError,
                       assemble_circle, constant_a_spectrum, eigensolve)
 from .oscillator import (AccuracyWarning, HardyViolation, ModeIndex,
                          build_table, make_mode)
-from .quadrature import RadialQuadrature
-from .radialfd import (RadialSchema, RouteParams, compare_routes, evolve_heat,
-                       evolve_schrodinger)
+# evolve_schrodinger is not called here; the perfbench self-tests check that
+# its tracer rebinds cli.evolve_schrodinger
+from .radialfd import RadialSchema, evolve_heat, evolve_schrodinger  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -350,6 +351,15 @@ def _check_expect(expect: dict, measured: dict) -> None:
                     f"{key} = {measured[key]:.6g} outside {bound:.6g} +- {tol:.6g}")
 
 
+@contextlib.contextmanager
+def _window_of(where: str):
+    """Report a flow.WindowError raised in the block as a config error of ``where``."""
+    try:
+        yield
+    except flow.WindowError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -378,47 +388,31 @@ def cmd_spectrum(config: dict, out_dir: str, expect: dict,
 def cmd_evolve(config: dict, out_dir: str, expect: dict,
                provenance: dict) -> int:
     problem, experiment = config["problem"], config["experiment"]
-    mode_idx, t, route, r_max = (experiment[key] for key in ("mode", "t", "route", "r_max"))
-    provenance["parameters"].update({"mode": list((mode_idx.n, mode_idx.j)),
-                                     "t": t, "route": route, "r_max": r_max})
+    mode_idx, t, route = (experiment[key] for key in ("mode", "t", "route"))
+    grid_keys = ("r_max",) + (("fd_points", "dt") if route == "fd"
+                              else ("quad_panels", "quad_nodes"))
+    provenance["parameters"].update({"mode": [mode_idx.n, mode_idx.j], "t": t,
+                                     "route": route,
+                                     **{key: experiment[key] for key in grid_keys}})
 
     table = _spectral_table(problem, mode_idx.j)
     mode = make_mode(mode_idx, table)
-
-    if route == "fd":
-        M, dt = experiment["fd_points"], experiment["dt"]
-        schema = RadialSchema(N=problem["N"], mu=table.row(mode_idx.j)[0],
-                              R=r_max, M=M, dt=dt)
-        grid, weights = schema.grid, np.full(M, schema.h)
-        u = evolve_schrodinger(schema, mode.radial(grid), t)
-        provenance["parameters"].update({"fd_points": M, "dt": dt})
-    else:
-        quad = RadialQuadrature(r_max, experiment["quad_panels"],
-                                experiment["quad_nodes"])
-        grid, weights = quad.nodes, quad.weights
-        if route == "closed":
-            u = flow.evolve_mode_closed_form(mode, grid, t)
-        else:
-            state0 = flow.state_from_mode(mode, quad, table)
-            spec = flow.KernelSpec(table=table)
-            u = flow.propagate_representation(state0, t, spec).profiles[mode_idx.j]
-        provenance["parameters"].update({"quad_panels": quad.panels,
-                                         "quad_nodes": quad.nodes_per_panel})
-
-    rows = [(t, r, v.real, v.imag) for r, v in zip(grid, u)]
-    _write_csv(os.path.join(out_dir, "profiles.csv"), provenance, [],
-               ["t", "r", "re_u", "im_u"], rows)
+    grid, weights, u = flow.evolve_route(route, mode, table, t, **{
+        key: experiment[key] for key in ("r_max", "quad_panels", "quad_nodes",
+                                         "fd_points", "dt")})
 
     summary = {"route": route, "t": t, "mode": [mode_idx.n, mode_idx.j]}
     measured = {}
     if route != "closed":
-        lo, hi = experiment["window"]
-        mask = (grid >= lo) & (grid <= hi)
-        u_ref = flow.evolve_mode_closed_form(mode, grid[mask], t)
-        rel = flow.rel_l2_error(u[mask], u_ref, grid[mask], weights[mask], problem["N"])
-        summary["rel_l2_vs_closed"] = rel
-        summary["window"] = [lo, hi]
+        with _window_of("experiment.window"):
+            rel, _ = flow.window_errors(u, flow.evolve_mode_closed_form(mode, grid, t),
+                                        grid, weights, problem["N"], experiment["window"])
+        summary.update({"rel_l2_vs_closed": rel, "window": experiment["window"]})
         measured["rel_l2"] = rel
+
+    rows = [(t, r, v.real, v.imag) for r, v in zip(grid, u)]
+    _write_csv(os.path.join(out_dir, "profiles.csv"), provenance, [],
+               ["t", "r", "re_u", "im_u"], rows)
     _write_json(os.path.join(out_dir, "summary.json"), provenance, summary)
     _check_expect(expect, measured)
     return EXIT_OK
@@ -503,14 +497,15 @@ def cmd_heat(config: dict, out_dir: str, expect: dict,
         return EXIT_HARDY
     mu_k, alpha_k, _ = table.row(k)
 
-    residual = flow.heat_residual(N, a, k, **experiment["residual"])
+    with _window_of("experiment.residual"):
+        residual = flow.heat_residual(N, mu_k, alpha_k, **experiment["residual"])
 
     schema = RadialSchema(N=N, mu=mu_k, R=experiment["r_max"],
                           M=experiment["fd_points"], dt=experiment["dt"])
     grid = schema.grid
-    v0 = flow.heat_self_similar(N, a, k, grid, t0).real
+    v0 = flow.heat_self_similar(N, alpha_k, grid, t0)
     v_fd = evolve_heat(schema, v0, t1 - t0)
-    v_exact = flow.heat_self_similar(N, a, k, grid, t1).real
+    v_exact = flow.heat_self_similar(N, alpha_k, grid, t1)
     half = (N - 1) / 2.0
     rel_l2 = float(np.linalg.norm(grid ** half * (v_fd - v_exact))
                    / np.linalg.norm(grid ** half * v_exact))
@@ -520,7 +515,7 @@ def cmd_heat(config: dict, out_dir: str, expect: dict,
     times = experiment.get("fit_times", flow.dyadic_times())
     pairs = [(float(t), float(abs(
         (ratio * math.sqrt(t)) ** alpha_k
-        * flow.heat_self_similar(N, a, k, ratio * math.sqrt(t), t))))
+        * flow.heat_self_similar(N, alpha_k, ratio * math.sqrt(t), t))))
         for t in times]
     report = flow.decay_fit(pairs, weight_exponent=alpha_k)
 
@@ -547,14 +542,15 @@ def cmd_compare(config: dict, out_dir: str, expect: dict,
                 provenance: dict) -> int:
     problem, experiment = config["problem"], config["experiment"]
     mode_idx = experiment["mode"]
-    params = RouteParams(N=problem["N"], a=problem["a"], **{
+    params = flow.RouteParams(N=problem["N"], a=problem["a"], **{
         key: value for key, value in experiment.items() if key != "mode"})
     provenance["parameters"].update({
         "mode": [mode_idx.n, mode_idx.j], "T": params.T, "r_max": params.r_max,
         "fd_points": params.fd_points, "dt": params.dt,
         "window": list(params.window),
     })
-    report = compare_routes(mode_idx, params)
+    with _window_of("experiment.window"):
+        report = flow.compare_routes(mode_idx, params)
     _write_json(os.path.join(out_dir, "compare.json"), provenance,
                 {"comparison": report.to_dict()})
     if report.failures:
@@ -574,7 +570,7 @@ _COMMANDS = {
     "spectrum": (cmd_spectrum, {"K": (_count, 8)}),
     "evolve": (cmd_evolve, {
         "mode": (_mode, _REQUIRED), "t": (_number, _REQUIRED),
-        "route": (_string("closed", "kernel", "fd"), "closed"),
+        "route": (_string(*flow.ROUTES), "closed"),
         "r_max": (_positive, 30.0), "quad_panels": (_count, 125),
         "quad_nodes": (_count, 16), "fd_points": (_grid_points, 12000),
         "dt": (_positive, 1e-3), "window": (_window(_number), [0.1, 8.0])}),

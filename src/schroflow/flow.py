@@ -9,7 +9,8 @@ the scaling-invariant Schrodinger flow:
   the representation formula, mode by mode; the kernel matrix on the
   state's grid is symmetric, so it is evaluated on its upper triangle in row
   blocks and mirrored;
-* the finite-difference stepper lives in :mod:`schroflow.radialfd`.
+* Crank-Nicolson finite differences, the scheme of :mod:`schroflow.radialfd`;
+``evolve_route`` runs each route, ``compare_routes`` checks them pairwise.
 
 Also here: the kernel series K / K_k, the pseudoconformal transform, the
 self-similar heat solution, weighted sup norms and power-law decay fits.
@@ -20,16 +21,16 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .angular import AngularEigensystem
+from .angular import AngularEigensystem, constant_a_spectrum
 from .oscillator import (AccuracyWarning, HardyViolation, ModeIndex, NormalizedMode,
                          SpectralTable, build_table, make_mode)
 from .quadrature import RadialQuadrature
+from .radialfd import RadialSchema, evolve_schrodinger
 from .specfun import j_scaled, legendre_p
-from . import angular as _angular
 
 
 # rows of the kernel matrix per j_scaled call in propagate_representation;
@@ -39,6 +40,10 @@ _KERNEL_ROW_BLOCK = 64
 
 class ResolutionError(ValueError):
     """A quadrature grid is too coarse to resolve the oscillatory phase."""
+
+
+class WindowError(ValueError):
+    """A sample window holds no grid node, or samples outside the domain."""
 
 
 @dataclass
@@ -84,14 +89,6 @@ class SeparatedState:
         for f in self.profiles.values():
             total += float(np.sum(self.weights * np.abs(f) ** 2 * rpow))
         return math.sqrt(total)
-
-
-def rel_l2_error(u, ref, r, weights, N: int) -> float:
-    """Relative distance ||u - ref|| / ||ref|| in L^2(r^{N-1} dr) of two radial
-    profiles sampled on the grid r with quadrature weights ``weights``."""
-    rpow = r ** (N - 1)
-    err = np.sqrt(np.sum(weights * np.abs(u - ref) ** 2 * rpow))
-    return float(err / np.sqrt(np.sum(weights * np.abs(ref) ** 2 * rpow)))
 
 
 def state_from_mode(mode: NormalizedMode, quad: RadialQuadrature,
@@ -401,62 +398,163 @@ def _kernel_matrix(N: int, alpha: float, g: np.ndarray, t: float) -> np.ndarray:
     return Kmat
 
 
-def heat_self_similar(N: int, a: float, k: int, r, t: float, angular_value=1.0):
-    """Exact self-similar solution of the heat flow with inverse-square
-    potential and constant angular coefficient:
+ROUTES = ("closed", "kernel", "fd")
+
+
+def evolve_route(route: str, mode: NormalizedMode, table: SpectralTable, t: float,
+                 r_max: float, quad_panels: int, quad_nodes: int, fd_points: int,
+                 dt: float) -> tuple:
+    """Evolve one mode to time t by one route; returns (grid, weights, u):
+    the RadialQuadrature nodes and weights for ``closed`` and ``kernel``, the
+    RadialSchema cells, each of weight h, for ``fd``."""
+    if route == "fd":
+        schema = RadialSchema(N=mode.N, mu=table.row(mode.index.j)[0], R=r_max,
+                              M=fd_points, dt=dt)
+        grid = schema.grid
+        return (grid, np.full(fd_points, schema.h),
+                evolve_schrodinger(schema, mode.radial(grid), t))
+    quad = RadialQuadrature(r_max, quad_panels, quad_nodes)
+    if route == "closed":
+        return quad.nodes, quad.weights, evolve_mode_closed_form(mode, quad.nodes, t)
+    if route != "kernel":
+        raise ValueError(f"route must be one of {', '.join(ROUTES)}, got {route!r}")
+    state = propagate_representation(state_from_mode(mode, quad, table), t,
+                                     KernelSpec(table=table))
+    return quad.nodes, quad.weights, state.profiles[mode.index.j]
+
+
+def window_errors(u, ref, r, weights, N: int, window) -> tuple[float, float]:
+    """Relative L^2(r^{N-1} dr) and sup distances of u from ref on the nodes
+    of the grid r in window = [lo, hi]; WindowError if the window holds none."""
+    lo, hi = window
+    mask = (r >= lo) & (r <= hi)
+    if not mask.any():
+        raise WindowError(f"[{lo!r}, {hi!r}] holds no node of the grid on "
+                          f"[{r[0]:.6g}, {r[-1]:.6g}]")
+    u, ref, r, weights = u[mask], ref[mask], r[mask], weights[mask]
+    rpow = r ** (N - 1)
+    err = np.sqrt(np.sum(weights * np.abs(u - ref) ** 2 * rpow))
+    l2 = float(err / np.sqrt(np.sum(weights * np.abs(ref) ** 2 * rpow)))
+    return l2, float(np.max(np.abs(ref - u)) / np.max(np.abs(ref)))
+
+
+@dataclass(frozen=True)
+class RouteParams:
+    """Shared configuration for a three-route comparison run."""
+
+    N: int = 3
+    a: float = 0.0
+    T: float = 1.0
+    r_max: float = 30.0
+    fd_points: int = 12000
+    dt: float = 1e-3
+    quad_panels: int = 256
+    quad_nodes: int = 8
+    window: tuple = (0.1, 8.0)
+
+
+@dataclass
+class RouteComparison:
+    """Pairwise route errors for one mode; failures flagged per route."""
+
+    mode: tuple
+    l2_rel: dict = field(default_factory=dict)
+    sup_rel: dict = field(default_factory=dict)
+    failures: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def compare_routes(mode: ModeIndex, params: RouteParams) -> RouteComparison:
+    """Run closed-form, representation-formula and Crank-Nicolson routes to
+    time T for one mode of the constant-coefficient problem and tabulate
+    pairwise relative errors on the comparison window; a failed route is
+    recorded in ``failures``."""
+    report = RouteComparison(mode=(mode.n, mode.j))
+    table = build_table(constant_a_spectrum(params.N, params.a, count=mode.j),
+                        params.N, mode.j)
+    nmode = make_mode(mode, table)
+
+    def run(route):
+        return evolve_route(route, nmode, table, params.T, params.r_max,
+                            params.quad_panels, params.quad_nodes, params.fd_points,
+                            params.dt)
+
+    def record(pair, u, ref, r, weights):
+        report.l2_rel[pair], report.sup_rel[pair] = window_errors(
+            u, ref, r, weights, params.N, params.window)
+
+    # the closed form is the oracle for the other two
+    grid, weights, closed = run("closed")
+    runs = {}
+    for route, name in (("kernel", "representation"), ("fd", "fd")):
+        try:
+            runs[name] = run(route)
+        except Exception as exc:  # noqa: BLE001 - partial reports carry the failure
+            report.failures[name] = repr(exc)
+    if "representation" in runs:
+        u_rep = runs["representation"][2]
+        record("closed_vs_representation", u_rep, closed, grid, weights)
+    if "fd" in runs:
+        fd_grid, fd_weights, u_fd = runs["fd"]
+        record("closed_vs_fd", u_fd, evolve_mode_closed_form(nmode, fd_grid, params.T),
+               fd_grid, fd_weights)
+        if "representation" in runs:
+            # compare on the quadrature grid; interpolate the smooth weighted
+            # FD profile r^alpha u
+            wfd = fd_grid ** nmode.alpha * u_fd
+            interp = np.interp(grid, fd_grid, wfd.real) + 1j * np.interp(
+                grid, fd_grid, wfd.imag)
+            record("representation_vs_fd", interp * grid ** (-nmode.alpha),
+                   u_rep, grid, weights)
+    return report
+
+
+def heat_self_similar(N: int, alpha_k: float, r, t: float):
+    """Radial part of the exact self-similar solution of the heat flow with
+    inverse-square potential and constant angular coefficient:
 
         v(x, t) = t^{-N/2 + alpha_k} r^{-alpha_k} e^{-r^2/(4t)} psi_k(theta).
     """
     if t <= 0:
         raise ValueError("heat_self_similar requires t > 0")
-    alpha_k = heat_alpha(N, a, k)
     r_arr = np.asarray(r, dtype=float)
     out = t ** (-N / 2.0 + alpha_k) * r_arr ** (-alpha_k) * np.exp(
         -r_arr * r_arr / (4.0 * t)
-    ) * angular_value
-    if np.ndim(r) == 0:
-        return complex(out) if np.iscomplexobj(out) else float(out)
-    return out
+    )
+    return float(out) if np.ndim(r) == 0 else out
 
 
-def heat_residual(N: int, a: float, k: int, r_window=(0.5, 5.0),
+def heat_residual(N: int, mu_k: float, alpha_k: float, r_window=(0.5, 5.0),
                   t_window=(1.0, 2.0), dr: float = 1.0 / 200.0,
                   dt: float = 1e-4) -> float:
     """Centered-finite-difference residual of the self-similar heat solution.
 
     Checks v_t = v_rr + ((N-1)/r) v_r - (mu_k/r^2) v on a (r, t) sample
-    window and returns max |residual| / max |v| over the window.
+    window and returns max |residual| / max |v| over the window; a window
+    must start above its step, so that r - dr > 0 and t - dt > 0.
     """
-    eigsys = _angular.constant_a_spectrum(N, a, count=k)
-    table = build_table(eigsys, N, k)
-    if not table.hardy_ok:
-        raise HardyViolation("heat residual check requires the Hardy condition")
-    mu_k = table.row(k)[0]
+    if not r_window[0] > dr:
+        raise WindowError(f"r_window starts at {r_window[0]!r}, not above dr = {dr!r}")
+    if not t_window[0] > dt:
+        raise WindowError(f"t_window starts at {t_window[0]!r}, not above dt = {dt!r}")
     r = np.arange(r_window[0], r_window[1] + dr / 2.0, dr)
     ts = np.linspace(t_window[0], t_window[1], 9)
     worst = 0.0
     vmax = 0.0
     for t in ts:
-        v = heat_self_similar(N, a, k, r, t).real
-        v_p = heat_self_similar(N, a, k, r + dr, t).real
-        v_m = heat_self_similar(N, a, k, r - dr, t).real
-        v_t = (heat_self_similar(N, a, k, r, t + dt).real
-               - heat_self_similar(N, a, k, r, t - dt).real) / (2.0 * dt)
+        v = heat_self_similar(N, alpha_k, r, t)
+        v_p = heat_self_similar(N, alpha_k, r + dr, t)
+        v_m = heat_self_similar(N, alpha_k, r - dr, t)
+        v_t = (heat_self_similar(N, alpha_k, r, t + dt)
+               - heat_self_similar(N, alpha_k, r, t - dt)) / (2.0 * dt)
         v_rr = (v_p - 2.0 * v + v_m) / (dr * dr)
         v_r = (v_p - v_m) / (2.0 * dr)
         resid = v_t - (v_rr + (N - 1) / r * v_r - mu_k / (r * r) * v)
         worst = max(worst, float(np.max(np.abs(resid))))
         vmax = max(vmax, float(np.max(np.abs(v))))
     return worst / vmax
-
-
-def heat_alpha(N: int, a: float, k: int) -> float:
-    """Spectral index alpha_k for constant coefficient a (no magnetic term)."""
-    eigsys = _angular.constant_a_spectrum(N, a, count=k)
-    table = build_table(eigsys, N, k)
-    if not table.hardy_ok:
-        raise HardyViolation("heat self-similar solution requires the Hardy condition")
-    return table.row(k)[1]
 
 
 @dataclass(frozen=True)

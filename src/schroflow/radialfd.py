@@ -1,4 +1,5 @@
-"""Independent finite-difference cross-validator.
+"""Finite-difference scheme for the radial mode equations, the third
+propagation route (driven by flow.evolve_route).
 
 After expanding over the angular eigenbasis and substituting
 w = r^{(N-1)/2} u, each mode obeys a 1-d equation on (0, R):
@@ -13,15 +14,10 @@ outer boundary is Dirichlet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-
-from .angular import constant_a_spectrum
-from .oscillator import ModeIndex, build_table, make_mode
-from .quadrature import RadialQuadrature
-from . import flow
 
 
 @dataclass(frozen=True)
@@ -127,94 +123,3 @@ def evolve_heat(schema: RadialSchema, u0: np.ndarray, T: float) -> np.ndarray:
     is non-increasing.
     """
     return _march(schema, u0, T, schema.shifted_bands(schema.dt), None)
-
-
-@dataclass(frozen=True)
-class RouteParams:
-    """Shared configuration for a three-route comparison run."""
-
-    N: int = 3
-    a: float = 0.0
-    T: float = 1.0
-    r_max: float = 30.0
-    fd_points: int = 12000
-    dt: float = 1e-3
-    quad_panels: int = 256
-    quad_nodes: int = 8
-    window: tuple = (0.1, 8.0)
-
-
-@dataclass
-class RouteComparison:
-    """Pairwise route errors for one mode; failures flagged per route."""
-
-    mode: tuple
-    l2_rel: dict = field(default_factory=dict)
-    sup_rel: dict = field(default_factory=dict)
-    failures: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def compare_routes(mode: ModeIndex, params: RouteParams) -> RouteComparison:
-    """Run closed-form, representation-formula and Crank-Nicolson routes to
-    time T for one mode of the constant-coefficient problem and tabulate
-    pairwise relative errors on the comparison window."""
-    report = RouteComparison(mode=(mode.n, mode.j))
-    eigsys = constant_a_spectrum(params.N, params.a, count=mode.j)
-    table = build_table(eigsys, params.N, mode.j)
-    nmode = make_mode(mode, table)
-    lo, hi = params.window
-
-    # closed form (the oracle for the other two)
-    quad = RadialQuadrature(params.r_max, params.quad_panels, params.quad_nodes)
-    closed_quad = flow.evolve_mode_closed_form(nmode, quad.nodes, params.T)
-
-    # representation-formula quadrature
-    u_rep = None
-    try:
-        state0 = flow.state_from_mode(nmode, quad, table)
-        spec = flow.KernelSpec(table=table, k_start=1)
-        u_rep = flow.propagate_representation(state0, params.T, spec).profiles[mode.j]
-    except Exception as exc:  # noqa: BLE001 - partial reports carry the failure
-        report.failures["representation"] = repr(exc)
-
-    # Crank-Nicolson
-    u_fd = None
-    try:
-        schema = RadialSchema(N=params.N, mu=table.row(mode.j)[0], R=params.r_max,
-                              M=params.fd_points, dt=params.dt)
-        fd_grid = schema.grid
-        u_fd = evolve_schrodinger(schema, nmode.radial(fd_grid), params.T)
-    except Exception as exc:  # noqa: BLE001
-        report.failures["fd"] = repr(exc)
-
-    def _window_errors(ref, u, r, w):
-        mask = (r >= lo) & (r <= hi)
-        l2 = flow.rel_l2_error(u[mask], ref[mask], r[mask], w[mask], params.N)
-        sup = float(np.max(np.abs(ref[mask] - u[mask])) / np.max(np.abs(ref[mask])))
-        return l2, sup
-
-    if u_rep is not None:
-        l2, sup = _window_errors(closed_quad, u_rep, quad.nodes, quad.weights)
-        report.l2_rel["closed_vs_representation"] = l2
-        report.sup_rel["closed_vs_representation"] = sup
-    if u_fd is not None:
-        closed_fd = flow.evolve_mode_closed_form(nmode, fd_grid, params.T)
-        l2, sup = _window_errors(closed_fd, u_fd, fd_grid, np.full(schema.M, schema.h))
-        report.l2_rel["closed_vs_fd"] = l2
-        report.sup_rel["closed_vs_fd"] = sup
-    if u_rep is not None and u_fd is not None:
-        # compare on the quadrature grid; interpolate the smooth weighted FD
-        # profile r^alpha u
-        alpha = nmode.alpha
-        wfd = fd_grid ** alpha * u_fd
-        interp = np.interp(quad.nodes, fd_grid, wfd.real) + 1j * np.interp(
-            quad.nodes, fd_grid, wfd.imag
-        )
-        u_fd_on_quad = interp * quad.nodes ** (-alpha)
-        l2, sup = _window_errors(u_rep, u_fd_on_quad, quad.nodes, quad.weights)
-        report.l2_rel["representation_vs_fd"] = l2
-        report.sup_rel["representation_vs_fd"] = sup
-    return report

@@ -22,8 +22,8 @@ from schroflow.angular import (AngularProblem, assemble_circle,
 from schroflow.oscillator import (AccuracyWarning, ModeIndex, build_table,
                                   gamma_of, make_mode, project)
 from schroflow.quadrature import RadialQuadrature
-from schroflow.radialfd import (RadialSchema, RouteParams, compare_routes,
-                                evolve_heat, evolve_schrodinger)
+from schroflow.flow import RouteParams, compare_routes
+from schroflow.radialfd import RadialSchema, evolve_heat, evolve_schrodinger
 from schroflow.specfun import PolySpec, bessel_j_series
 
 from scipy import special as sp
@@ -228,15 +228,15 @@ def test_criterion_8_pseudoconformal_phase_law():
 
 def test_criterion_9_heat_appendix():
     N, a = 3, -0.1875
-    residual = flow.heat_residual(N, a, 1)
-    assert residual <= 1e-4
-
     table = build_table(constant_a_spectrum(N, a, 3), 3, 3)
     mu1, alpha1, _ = table.row(1)
+    residual = flow.heat_residual(N, mu1, alpha1)
+    assert residual <= 1e-4
+
     schema = RadialSchema(N=N, mu=mu1, R=30.0, M=6000, dt=1e-3)
     g = schema.grid
-    u = evolve_heat(schema, flow.heat_self_similar(N, a, 1, g, 1.0).real, 1.0)
-    ref = flow.heat_self_similar(N, a, 1, g, 2.0).real
+    u = evolve_heat(schema, flow.heat_self_similar(N, alpha1, g, 1.0), 1.0)
+    ref = flow.heat_self_similar(N, alpha1, g, 2.0)
     rel = float(np.linalg.norm(g * (u - ref)) / np.linalg.norm(g * ref))
     assert rel <= 1e-3
 
@@ -245,7 +245,7 @@ def test_criterion_9_heat_appendix():
         alpha_k = table.row(k)[1]
         pairs = [(float(t), float(abs(
             math.sqrt(t) ** alpha_k
-            * flow.heat_self_similar(N, a, k, math.sqrt(t), t))))
+            * flow.heat_self_similar(N, alpha_k, math.sqrt(t), t))))
             for t in flow.dyadic_times(0, 10)]
         slope = flow.decay_fit(pairs).fitted_slope
         slopes[k] = slope

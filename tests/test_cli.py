@@ -268,6 +268,19 @@ class TestCompare:
         report = json.loads((out / "compare.json").read_text())
         assert not report["comparison"]["failures"]
 
+    def test_fd_error_equals_evolve_fd_error(self, tmp_path):
+        # one route runner and one windowed error behind both commands
+        grid = {"r_max": 10.0, "fd_points": 500, "dt": 1e-2, "window": [0.2, 6.0]}
+        cfg = write_config(tmp_path, "e.json", {"problem": LOSS, "experiment": {
+            "mode": [0, 1], "t": 1.0, "route": "fd", **grid}})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": {
+            "mode": [0, 1], "T": 1.0, "quad_panels": 64, "quad_nodes": 8, **grid}})
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+        evolve = json.loads((tmp_path / "e" / "summary.json").read_text())
+        compare = json.loads((tmp_path / "c" / "compare.json").read_text())
+        assert evolve["rel_l2_vs_closed"] == compare["comparison"]["l2_rel"]["closed_vs_fd"]
+
 
 FREE = {"N": 3, "a": 0.0}
 KERNEL = {"K": 4, "rho": [0.5, 2.0], "x_dir": [0.4, 0.3], "y_dir": [1.2, 2.1]}
@@ -350,6 +363,22 @@ class TestConfigErrors:
                      id="residual.dr 0"),
         pytest.param("compare", {"problem": FREE, "experiment": {"mode": [0, 1], "T": 0}},
                      id="compare T 0"),
+        # NaN with exit 0, or numeric failures, before: windows that hold no
+        # grid node, and residual windows whose stencil leaves r > 0 or t > 0
+        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "window": [100, 200]}},
+                     id="evolve fd window past r_max"),
+        pytest.param("evolve", {"problem": FREE, "experiment": {
+            **SMALL_RUNS["compare"], "t": 1.0, "route": "kernel", "window": [100, 200]}},
+                     id="evolve kernel window past r_max"),
+        pytest.param("compare", {"problem": FREE, "experiment": {
+            **SMALL_RUNS["compare"], "window": [100, 200]}}, id="compare window past r_max"),
+        pytest.param("compare", {"problem": FREE, "experiment": {
+            **SMALL_RUNS["compare"], "window": [0.38, 0.4]}},
+                     id="compare window between quadrature nodes"),
+        pytest.param("heat", {"problem": LOSS, "experiment": {
+            "residual": {"r_window": [0.001, 5.0]}}}, id="residual r_window lo below dr"),
+        pytest.param("heat", {"problem": LOSS, "experiment": {
+            "residual": {"t_window": [1e-4, 2.0]}}}, id="residual t_window lo at dt"),
     ])
     def test_malformed_value_exit_code(self, tmp_path, monkeypatch, capsys, command, config):
         monkeypatch.chdir(tmp_path)

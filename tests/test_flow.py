@@ -244,33 +244,24 @@ class TestRepresentation:
 
 
 class TestHeat:
-    def test_residual_small(self):
-        assert flow.heat_residual(3, -0.1875, 1) < 1e-4
+    def test_residual_small(self, table_loss):
+        mu, alpha, _ = table_loss.row(1)
+        assert flow.heat_residual(3, mu, alpha) < 1e-4
 
-    def test_self_similarity_scaling(self):
+    def test_self_similarity_scaling(self, table_loss):
         # parabolic scaling: v(lam r, lam^2 t) = lam^{-(N - alpha)} v(r, t)
-        N, a, k = 3, -0.1875, 1
-        alpha = flow.heat_alpha(N, a, k)
+        N, alpha = 3, table_loss.row(1)[1]
         lam = 1.7
-        v1 = flow.heat_self_similar(N, a, k, 2.0, 1.3)
-        v2 = flow.heat_self_similar(N, a, k, lam * 2.0, lam ** 2 * 1.3)
+        v1 = flow.heat_self_similar(N, alpha, 2.0, 1.3)
+        v2 = flow.heat_self_similar(N, alpha, lam * 2.0, lam ** 2 * 1.3)
         assert v1 == pytest.approx(lam ** (N - alpha) * v2, rel=1e-12)
 
-    def test_heat_alpha_values(self):
-        assert flow.heat_alpha(3, -0.1875, 1) == pytest.approx(0.25)
-        assert flow.heat_alpha(3, 2.0, 1) == pytest.approx(-1.0)
-
-    def test_heat_alpha_requires_hardy(self):
-        with pytest.raises(HardyViolation):
-            flow.heat_alpha(3, -0.25, 1)
-
-    def test_weighted_time_exponent_exact(self):
-        N, a, k = 3, -0.1875, 1
-        alpha = flow.heat_alpha(N, a, k)
+    def test_weighted_time_exponent_exact(self, table_loss):
+        N, alpha = 3, table_loss.row(1)[1]
         times = flow.dyadic_times(0, 8)
         ratio = 1.0
         pairs = [(t, abs((ratio * math.sqrt(t)) ** alpha
-                         * flow.heat_self_similar(N, a, k, ratio * math.sqrt(t), t)))
+                         * flow.heat_self_similar(N, alpha, ratio * math.sqrt(t), t)))
                  for t in times]
         report = flow.decay_fit(pairs)
         assert report.fitted_slope == pytest.approx(-N / 2.0 + alpha, abs=1e-12)
