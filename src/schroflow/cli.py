@@ -389,25 +389,28 @@ def cmd_evolve(config: dict, out_dir: str, expect: dict,
                provenance: dict) -> int:
     problem, experiment = config["problem"], config["experiment"]
     mode_idx, t, route = (experiment[key] for key in ("mode", "t", "route"))
-    grid_keys = ("r_max",) + (("fd_points", "dt") if route == "fd"
-                              else ("quad_panels", "quad_nodes"))
+    # the kernel route's grid is fixed: it reads only r_max
+    grid_keys = ("r_max",) + {"fd": ("fd_points", "dt"), "kernel": (),
+                              "closed": ("quad_panels", "quad_nodes")}[route]
     provenance["parameters"].update({"mode": [mode_idx.n, mode_idx.j], "t": t,
                                      "route": route,
                                      **{key: experiment[key] for key in grid_keys}})
 
     table = _spectral_table(problem, mode_idx.j)
     mode = make_mode(mode_idx, table)
-    grid, weights, u = flow.evolve_route(route, mode, table, t, **{
-        key: experiment[key] for key in ("r_max", "quad_panels", "quad_nodes",
-                                         "fd_points", "dt")})
+    # the closed route has nothing to measure, so it takes no window
+    window = None if route == "closed" else experiment["window"]
+    with _window_of("experiment.window"):
+        grid, weights, u = flow.evolve_route(route, mode, table, t, window=window, **{
+            key: experiment[key] for key in ("r_max", "quad_panels", "quad_nodes",
+                                             "fd_points", "dt")})
 
     summary = {"route": route, "t": t, "mode": [mode_idx.n, mode_idx.j]}
     measured = {}
-    if route != "closed":
-        with _window_of("experiment.window"):
-            rel, _ = flow.window_errors(u, flow.evolve_mode_closed_form(mode, grid, t),
-                                        grid, weights, problem["N"], experiment["window"])
-        summary.update({"rel_l2_vs_closed": rel, "window": experiment["window"]})
+    if window is not None:
+        rel, _ = flow.window_errors(u, flow.evolve_mode_closed_form(mode, grid, t),
+                                    grid, weights, problem["N"], window)
+        summary.update({"rel_l2_vs_closed": rel, "window": window})
         measured["rel_l2"] = rel
 
     rows = [(t, r, v.real, v.imag) for r, v in zip(grid, u)]
@@ -594,8 +597,7 @@ _COMMANDS = {
     "compare": (cmd_compare, {
         "mode": (_mode, _REQUIRED), "T": (_positive, _CALLEE),
         "r_max": (_positive, _CALLEE), "fd_points": (_grid_points, _CALLEE),
-        "dt": (_positive, _CALLEE), "quad_panels": (_count, _CALLEE),
-        "quad_nodes": (_count, _CALLEE), "window": (_window(_number), _CALLEE)}),
+        "dt": (_positive, _CALLEE), "window": (_window(_number), _CALLEE)}),
 }
 
 

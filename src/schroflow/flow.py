@@ -5,12 +5,12 @@ the scaling-invariant Schrodinger flow:
 
 * ``evolve_mode_closed_form`` -- exact evolution of a single oscillator
   eigenfunction;
-* ``propagate_representation`` -- Bessel-kernel (Hankel-type) quadrature of
-  the representation formula, mode by mode; the kernel matrix on the
-  state's grid is symmetric, so it is evaluated on its upper triangle in row
-  blocks and mirrored;
+* ``propagate_representation`` -- the representation formula, mode by mode:
+  its radial integral is a Hankel transform, computed by FFTLog (two real
+  ``scipy.fft.fht`` calls per mode, O(n log n)) on a log-uniform grid;
 * Crank-Nicolson finite differences, the scheme of :mod:`schroflow.radialfd`;
-``evolve_route`` runs each route, ``compare_routes`` checks them pairwise.
+``evolve_route`` runs each route on its own grid, ``compare_routes`` checks
+them pairwise against the closed form evaluated on each route's grid.
 
 Also here: the kernel series K / K_k, the pseudoconformal transform, the
 self-similar heat solution, weighted sup norms and power-law decay fits.
@@ -33,13 +33,16 @@ from .radialfd import RadialSchema, evolve_schrodinger
 from .specfun import j_scaled, legendre_p
 
 
-# rows of the kernel matrix per j_scaled call in propagate_representation;
-# of 32 to 512 rows, 64 took the least CPU on the 2000-node default grid
-_KERNEL_ROW_BLOCK = 64
+# The kernel route's input grid, log-uniform on [LOG_GRID_LO, LOG_GRID_HI]:
+# one grid for every t and mode, spanning 20 decades so that the output grid
+# r = 2t k reaches r << t (r >= 1e-6 at t = 2^14).  With 16384 points the
+# phase guard of propagate_representation accepts an n = 20 mode from
+# t = 0.64 on (8192 points: from t = 1.28).
+LOG_GRID_LO, LOG_GRID_HI, LOG_GRID_POINTS = 1e-8, 1e12, 16384
 
 
 class ResolutionError(ValueError):
-    """A quadrature grid is too coarse to resolve the oscillatory phase."""
+    """A grid is too coarse to resolve the oscillatory phase."""
 
 
 class WindowError(ValueError):
@@ -319,23 +322,54 @@ def _to_unit_vector(direction) -> np.ndarray:
     ])
 
 
+def log_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The kernel route's log-uniform grid and its weights r dln for
+    integrals dr."""
+    grid = np.geomspace(LOG_GRID_LO, LOG_GRID_HI, LOG_GRID_POINTS)
+    return grid, grid * (math.log(LOG_GRID_HI / LOG_GRID_LO) / (LOG_GRID_POINTS - 1))
+
+
+def _hankel_grid(grid: np.ndarray, nu: float) -> tuple[float, float, np.ndarray]:
+    """(dln, offset, k) of an FFTLog Hankel transform of order nu on a
+    log-uniform grid: the log step, the low-ringing offset for the bias
+    -(nu+1)/2, and the output grid, k_i grid_{n-1-i} = e^offset."""
+    from scipy import fft
+
+    dln = math.log(grid[-1] / grid[0]) / (len(grid) - 1)
+    if not np.allclose(np.diff(np.log(grid)), dln, rtol=1e-6, atol=0.0):
+        raise ValueError("the representation route needs a log-uniform grid")
+    offset = fft.fhtoffset(dln, nu, bias=-(nu + 1.0) / 2.0)
+    return dln, offset, math.exp(offset) / grid[::-1]
+
+
 def propagate_representation(state: SeparatedState, t: float,
                              spec: KernelSpec) -> SeparatedState:
     """Evolve a separated state to time t > 0 through the kernel
-    representation formula, reduced per angular mode to the radial quadrature
+    representation formula, reduced per angular mode to the radial integral
 
         u_j(r) = e^{i r^2/4t} e^{-i pi N/4} (2t)^{-N/2} phase_j
                  * int_0^inf j_{-alpha_j}(r rho / 2t) e^{i rho^2/4t}
                              f_j(rho) rho^{N-1} d rho.
 
-    The output is sampled on the state's own grid, so the kernel matrix
-    j_{-alpha_j}(r rho/2t) is symmetric; it is evaluated on its upper triangle
-    in row blocks (n(n+1)/2 Bessel values per mode for n nodes) and mirrored,
-    which gives the same entries as a dense evaluation.
+    With k = r/2t and nu = -alpha_j + (N-2)/2 the integral is
+    k^{-(N-2)/2} A(k)/k, where A(k) = int_0^inf h(rho) J_nu(k rho) k d rho is
+    the Hankel transform of h(rho) = rho^{N/2} e^{i rho^2/4t} f_j(rho).  FFTLog
+    (Talman 1978, J. Comput. Phys. 29:35; Hamilton 2000, MNRAS 312:257)
+    computes A by two real ``scipy.fft.fht`` calls, on Re h and Im h.
 
-    Raises ResolutionError when the state's grid resolves the integrand's
-    phase with fewer than 8 points per period at the grid edge.
+    The state's grid must be log-uniform (``log_grid``).  The output grid is
+    r = 2t k, log-uniform with the same step and weights r dln; its offset is
+    the low-ringing one of the state's first mode, which the other modes
+    share.  h vanishes like rho^{nu+1} at rho = 0; the bias q = -(nu+1)/2
+    keeps the output accurate at r << t: on r in [1e-6, 2] at t = 2^14 its
+    sup error is about 1e-9 where q = 0 gives 8e1.
+
+    Raises ResolutionError when the log step moves the phase rho^2/4t by more
+    than 1/8 of a period, rho^2 dln/2t > pi/4, at the last rho where some
+    profile is at least 1e-16 of its maximum.
     """
+    from scipy import fft
+
     if t <= 0:
         raise ValueError("propagate_representation requires t > 0")
     table = spec.table
@@ -348,89 +382,91 @@ def propagate_representation(state: SeparatedState, t: float,
             )
         if j > table.K_max:
             raise ValueError(f"state mode j={j} exceeds the spectral table (K_max={table.K_max})")
-    g = state.grid
-    # worst-case local phase rate (r + rho)/2t of e^{i rho^2/4t} j(r rho/2t)
-    # at the edge r = rho = g[-1]
-    rate = g[-1] / t
-    max_spacing = float(np.max(np.diff(g)))
-    if max_spacing > (2.0 * math.pi / rate) / 8.0:
+    N, g = state.N, state.grid
+    order = {j: -table.row(j)[1] + (N - 2) / 2.0 for j in state.profiles}
+    dln, offset, k = _hankel_grid(g, order[next(iter(state.profiles))])
+    edge = max(g[np.flatnonzero(np.abs(f) >= 1e-16 * np.max(np.abs(f)))[-1]]
+               for f in state.profiles.values())
+    step = edge * edge * dln / (2.0 * t)
+    if step > math.pi / 4.0:
         raise ResolutionError(
-            f"grid spacing {max_spacing:.3g} gives fewer than 8 points per phase "
-            f"period ({2 * math.pi / rate:.3g}) at the grid edge; refine the grid"
+            f"log step {dln:.3g} moves the phase rho^2/4t by {step:.3g} at rho = "
+            f"{edge:.3g}, more than 1/8 of a period; refine the grid or raise t"
         )
-    pref_common = np.exp(1j * g ** 2 / (4.0 * t)) * np.exp(-1j * math.pi * state.N / 4.0) \
-        / (2.0 * t) ** (state.N / 2.0)
-    source_weight = np.exp(1j * g ** 2 / (4.0 * t)) * g ** (state.N - 1) * state.weights
+    r = 2.0 * t * k
+    pref_common = np.exp(1j * r ** 2 / (4.0 * t)) * np.exp(-1j * math.pi * N / 4.0) \
+        / (2.0 * t) ** (N / 2.0) * k ** (-N / 2.0)
+    chirp = g ** (N / 2.0) * np.exp(1j * g ** 2 / (4.0 * t))
     out_profiles = {}
     for j, f in state.profiles.items():
-        _, alpha_j, _ = table.row(j)
-        integral = _kernel_matrix(state.N, alpha_j, g, t) @ (source_weight * f)
-        out_profiles[j] = pref_common * _unit_phase(alpha_j) * integral
-    return SeparatedState(
-        N=state.N, grid=g.copy(), weights=state.weights.copy(),
-        profiles=out_profiles, table=table,
-    )
-
-
-def _kernel_matrix(N: int, alpha: float, g: np.ndarray, t: float) -> np.ndarray:
-    """The matrix j_{-alpha}(g_i g_k / 2t) on the grid g.
-
-    g_i g_k and g_k g_i are the same floating-point product, so the matrix is
-    exactly symmetric: each block of _KERNEL_ROW_BLOCK rows is evaluated on
-    and right of the diagonal only, n(n+1)/2 Bessel values in all, in one
-    j_scaled call per block, and mirrored.  j_scaled works elementwise, so
-    every entry is the value a dense evaluation gives.
-    """
-    n = len(g)
-    Kmat = np.empty((n, n))
-    for s in range(0, n, _KERNEL_ROW_BLOCK):
-        e = min(s + _KERNEL_ROW_BLOCK, n)
-        block = g[s:e]
-        # the block's upper triangle on the diagonal, then the rectangle right of it
-        rows, cols = np.triu_indices(e - s)
-        values = j_scaled(N, alpha, np.concatenate(
-            [block[rows] * block[cols], np.outer(block, g[e:]).ravel()]) / (2.0 * t))
-        tri, rect = values[:len(rows)], values[len(rows):].reshape(e - s, n - e)
-        Kmat[s + rows, s + cols] = tri
-        Kmat[s + cols, s + rows] = tri
-        Kmat[s:e, e:] = rect
-        Kmat[e:, s:e] = rect.T
-    return Kmat
+        h, nu = chirp * f, order[j]
+        re, im = (fft.fht(part, dln, nu, offset=offset, bias=-(nu + 1.0) / 2.0)
+                  for part in (h.real, h.imag))
+        out_profiles[j] = pref_common * _unit_phase(table.row(j)[1]) * (re + 1j * im)
+    return SeparatedState(N=N, grid=r, weights=r * dln, profiles=out_profiles, table=table)
 
 
 ROUTES = ("closed", "kernel", "fd")
 
 
 def evolve_route(route: str, mode: NormalizedMode, table: SpectralTable, t: float,
-                 r_max: float, quad_panels: int, quad_nodes: int, fd_points: int,
-                 dt: float) -> tuple:
-    """Evolve one mode to time t by one route; returns (grid, weights, u):
-    the RadialQuadrature nodes and weights for ``closed`` and ``kernel``, the
-    RadialSchema cells, each of weight h, for ``fd``."""
+                 r_max: float, fd_points: int, dt: float, quad_panels: int = 125,
+                 quad_nodes: int = 16, window=None) -> tuple:
+    """Evolve one mode to time t by one route; returns (grid, weights, u) on
+    the route's own grid:
+
+    * ``closed``: the RadialQuadrature nodes and weights;
+    * ``kernel``: the output grid r = 2t k of ``propagate_representation`` run
+      on ``log_grid()``, clipped to [1e-3 sqrt(1+t^2), r_max], weights r dln;
+    * ``fd``: the RadialSchema cells, each of weight h.
+
+    Given a window [lo, hi], raises WindowError before the route runs if the
+    window holds no node of that grid.
+    """
     if route == "fd":
         schema = RadialSchema(N=mode.N, mu=table.row(mode.index.j)[0], R=r_max,
                               M=fd_points, dt=dt)
         grid = schema.grid
+        _window_mask(grid, window)
         return (grid, np.full(fd_points, schema.h),
                 evolve_schrodinger(schema, mode.radial(grid), t))
-    quad = RadialQuadrature(r_max, quad_panels, quad_nodes)
-    if route == "closed":
-        return quad.nodes, quad.weights, evolve_mode_closed_form(mode, quad.nodes, t)
-    if route != "kernel":
+    if route == "kernel":
+        grid, weights = log_grid()
+        r = 2.0 * t * _hankel_grid(grid, -mode.alpha + (mode.N - 2) / 2.0)[2]
+        r_min = 1e-3 * math.sqrt(1.0 + t * t)
+        keep = (r >= r_min) & (r <= r_max)
+        if not keep.any():
+            raise ValueError(f"the kernel route resolves r >= {r_min:.3g} at t = {t!r}, "
+                             f"past r_max = {r_max!r}")
+        _window_mask(r[keep], window)
+        state = SeparatedState(N=mode.N, grid=grid, weights=weights,
+                               profiles={mode.index.j: mode.radial(grid)}, table=table)
+        u = propagate_representation(state, t, KernelSpec(table=table))
+        return u.grid[keep], u.weights[keep], u.profiles[mode.index.j][keep]
+    if route != "closed":
         raise ValueError(f"route must be one of {', '.join(ROUTES)}, got {route!r}")
-    state = propagate_representation(state_from_mode(mode, quad, table), t,
-                                     KernelSpec(table=table))
-    return quad.nodes, quad.weights, state.profiles[mode.index.j]
+    quad = RadialQuadrature(r_max, quad_panels, quad_nodes)
+    _window_mask(quad.nodes, window)
+    return quad.nodes, quad.weights, evolve_mode_closed_form(mode, quad.nodes, t)
 
 
-def window_errors(u, ref, r, weights, N: int, window) -> tuple[float, float]:
-    """Relative L^2(r^{N-1} dr) and sup distances of u from ref on the nodes
-    of the grid r in window = [lo, hi]; WindowError if the window holds none."""
+def _window_mask(r: np.ndarray, window) -> np.ndarray | None:
+    """The nodes of the grid r in window = [lo, hi]; WindowError if it holds
+    none.  No window, no mask."""
+    if window is None:
+        return None
     lo, hi = window
     mask = (r >= lo) & (r <= hi)
     if not mask.any():
         raise WindowError(f"[{lo!r}, {hi!r}] holds no node of the grid on "
                           f"[{r[0]:.6g}, {r[-1]:.6g}]")
+    return mask
+
+
+def window_errors(u, ref, r, weights, N: int, window) -> tuple[float, float]:
+    """Relative L^2(r^{N-1} dr) and sup distances of u from ref on the nodes
+    of the grid r in window = [lo, hi]; WindowError if the window holds none."""
+    mask = _window_mask(r, window)
     u, ref, r, weights = u[mask], ref[mask], r[mask], weights[mask]
     rpow = r ** (N - 1)
     err = np.sqrt(np.sum(weights * np.abs(u - ref) ** 2 * rpow))
@@ -448,8 +484,6 @@ class RouteParams:
     r_max: float = 30.0
     fd_points: int = 12000
     dt: float = 1e-3
-    quad_panels: int = 256
-    quad_nodes: int = 8
     window: tuple = (0.1, 8.0)
 
 
@@ -467,47 +501,44 @@ class RouteComparison:
 
 
 def compare_routes(mode: ModeIndex, params: RouteParams) -> RouteComparison:
-    """Run closed-form, representation-formula and Crank-Nicolson routes to
-    time T for one mode of the constant-coefficient problem and tabulate
-    pairwise relative errors on the comparison window; a failed route is
-    recorded in ``failures``."""
+    """Run the representation-formula and Crank-Nicolson routes to time T for
+    one mode of the constant-coefficient problem and tabulate pairwise
+    relative errors on the comparison window, against the closed form on
+    each route's own grid and against each other; a failed route is recorded
+    in ``failures``.  A window that holds no node of a route's grid raises
+    WindowError before that route runs."""
     report = RouteComparison(mode=(mode.n, mode.j))
     table = build_table(constant_a_spectrum(params.N, params.a, count=mode.j),
                         params.N, mode.j)
     nmode = make_mode(mode, table)
 
-    def run(route):
-        return evolve_route(route, nmode, table, params.T, params.r_max,
-                            params.quad_panels, params.quad_nodes, params.fd_points,
-                            params.dt)
-
     def record(pair, u, ref, r, weights):
         report.l2_rel[pair], report.sup_rel[pair] = window_errors(
             u, ref, r, weights, params.N, params.window)
 
-    # the closed form is the oracle for the other two
-    grid, weights, closed = run("closed")
     runs = {}
     for route, name in (("kernel", "representation"), ("fd", "fd")):
         try:
-            runs[name] = run(route)
+            runs[name] = evolve_route(route, nmode, table, params.T, params.r_max,
+                                      params.fd_points, params.dt, window=params.window)
+        except WindowError:
+            raise
         except Exception as exc:  # noqa: BLE001 - partial reports carry the failure
             report.failures[name] = repr(exc)
-    if "representation" in runs:
-        u_rep = runs["representation"][2]
-        record("closed_vs_representation", u_rep, closed, grid, weights)
-    if "fd" in runs:
-        fd_grid, fd_weights, u_fd = runs["fd"]
-        record("closed_vs_fd", u_fd, evolve_mode_closed_form(nmode, fd_grid, params.T),
-               fd_grid, fd_weights)
-        if "representation" in runs:
-            # compare on the quadrature grid; interpolate the smooth weighted
-            # FD profile r^alpha u
-            wfd = fd_grid ** nmode.alpha * u_fd
-            interp = np.interp(grid, fd_grid, wfd.real) + 1j * np.interp(
-                grid, fd_grid, wfd.imag)
-            record("representation_vs_fd", interp * grid ** (-nmode.alpha),
-                   u_rep, grid, weights)
+    # the closed form is the oracle for the other two
+    for name, (grid, weights, u) in runs.items():
+        record(f"closed_vs_{name}", u, evolve_mode_closed_form(nmode, grid, params.T),
+               grid, weights)
+    if len(runs) == 2:
+        # compare on the representation grid; interpolate the smooth weighted
+        # FD profile r^alpha u
+        grid, weights, u_rep = runs["representation"]
+        fd_grid, _, u_fd = runs["fd"]
+        wfd = fd_grid ** nmode.alpha * u_fd
+        interp = np.interp(grid, fd_grid, wfd.real) + 1j * np.interp(
+            grid, fd_grid, wfd.imag)
+        record("representation_vs_fd", interp * grid ** (-nmode.alpha),
+               u_rep, grid, weights)
     return report
 
 

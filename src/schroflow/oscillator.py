@@ -140,7 +140,11 @@ class NormalizedMode:
         r_arr = np.asarray(r, dtype=float)
         if not weighted and np.any(r_arr <= 0):
             raise ValueError("unweighted radial value requires r > 0")
-        core = np.exp(-r_arr * r_arr / 4.0) * self.poly(r_arr * r_arr / 2.0) / self.norm
+        r2 = r_arr * r_arr
+        gauss = np.exp(-r2 / 4.0)
+        # past the underflow of the Gaussian the polynomial can overflow
+        # (inf * 0 = NaN for n = 20 from r ~ 2e8); those samples are 0
+        core = gauss * self.poly(np.where(gauss > 0, r2, 0.0) / 2.0) / self.norm
         if weighted:
             return core
         return r_arr ** (-self.alpha) * core

@@ -1,5 +1,6 @@
-"""Special functions: Bessel J of real order, the scaled radial Bessel kernel,
-hypergeometric-type polynomials, Legendre polynomials and spherical harmonics.
+"""Special functions: Bessel J of real order (a validated wrapper of
+scipy.special.jv), the scaled radial Bessel kernel, hypergeometric-type
+polynomials, Legendre polynomials and spherical harmonics.
 
 Everything here is a pure function of its arguments; PolySpec caches its
 coefficients once at construction and is immutable afterwards.
@@ -13,60 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sp
 
-# Power series is used up to max(SERIES_RADIUS, 2*nu); beyond that the series
-# loses digits to cancellation and we switch to scipy's large-argument code.
-SERIES_RADIUS = 12.0
-SERIES_TERM_CAP = 200
-SERIES_RELATIVE_FLOOR = 1e-17
-
-
-def bessel_j_series(nu: float, r) -> np.ndarray | float:
-    """J_nu(r) by direct summation of the ascending power series.
-
-    Accurate for moderate r; terms are added until they fall below
-    SERIES_RELATIVE_FLOOR of the running sum (hard cap SERIES_TERM_CAP).
-    """
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    half = r / 2.0
-    # term_0 = (r/2)^nu / Gamma(nu+1); recurrence term_{k+1} = -term_k (r/2)^2/(k+1)(k+nu+1)
-    with np.errstate(divide="ignore"):
-        log_t0 = nu * np.log(np.where(half > 0, half, 1.0)) - math.lgamma(nu + 1.0)
-    term = np.where(half > 0, np.exp(log_t0), 1.0 if nu == 0 else 0.0)
-    total = term.copy()
-    h2 = half * half
-    live = np.ones_like(r, dtype=bool)
-    for k in range(SERIES_TERM_CAP):
-        term = -term * h2 / ((k + 1.0) * (k + 1.0 + nu))
-        total += np.where(live, term, 0.0)
-        live &= np.abs(term) > SERIES_RELATIVE_FLOOR * np.maximum(np.abs(total), 1e-300)
-        if not live.any():
-            break
-    return float(total[0]) if scalar else total
-
 
 def bessel_j(nu: float, r) -> np.ndarray | float:
-    """Bessel function of the first kind J_nu(r), nu >= 0, r >= 0.
-
-    Uses the power series for r <= max(12, 2 nu) and scipy's large-argument
-    evaluation beyond; the two branches agree to ~1e-9 in the overlap band.
-    """
+    """Bessel function of the first kind J_nu(r), nu >= 0, r >= 0, by
+    scipy.special.jv (AMOS: Amos 1986, ACM TOMS 12:265)."""
     if not (math.isfinite(nu) and nu >= 0):
         raise ValueError(f"bessel_j requires finite nu >= 0, got {nu!r}")
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
         raise ValueError("bessel_j requires r >= 0")
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
-    cut = max(SERIES_RADIUS, 2.0 * nu)
-    out = np.empty_like(r_arr)
-    small = r_arr <= cut
-    if small.any():
-        out[small] = bessel_j_series(nu, r_arr[small])
-    if (~small).any():
-        out[~small] = sp.jv(nu, r_arr[~small])
-    return float(out[0]) if scalar else out
+    out = sp.jv(nu, r_arr)
+    return float(out) if r_arr.ndim == 0 else out
 
 
 def j_scaled(N: int, alpha: float, r, weighted: bool = False):

@@ -13,6 +13,7 @@ import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,7 +25,7 @@ from schroflow.oscillator import (AccuracyWarning, ModeIndex, build_table,
 from schroflow.quadrature import RadialQuadrature
 from schroflow.flow import RouteParams, compare_routes
 from schroflow.radialfd import RadialSchema, evolve_heat, evolve_schrodinger
-from schroflow.specfun import PolySpec, bessel_j_series
+from schroflow.specfun import PolySpec, bessel_j, j_scaled
 
 from scipy import special as sp
 
@@ -257,14 +258,16 @@ def test_criterion_9_heat_appendix():
 
 
 def test_criterion_10_numerics_hygiene():
-    # Bessel series vs large-argument branch in the overlap band
+    # J_nu (absolute) and the radial kernel j_{-alpha} for N=3 (relative)
+    # against mpmath, over the orders and radii the routes use
     bessel_dev = 0.0
-    for nu in (0.0, 0.5, 1.5, 3.7, 7.0):
-        cut = max(12.0, 2.0 * nu)
-        r = np.linspace(cut - 2.0, cut + 2.0, 21)
-        bessel_dev = max(bessel_dev, float(np.max(np.abs(
-            bessel_j_series(nu, r) - sp.jv(nu, r)))))
-    assert bessel_dev <= 1e-9
+    for nu in (0.0, 0.25, 0.5, 1.5, 3.7, 7.0, 12.25, 20.5):
+        for r in np.geomspace(1e-6, 60.0, 31):
+            ref = mpmath.besselj(nu, r)
+            ref_j = float(ref / mpmath.sqrt(r))
+            bessel_dev = max(bessel_dev, abs(bessel_j(nu, r) - float(ref)),
+                             abs(j_scaled(3, 0.5 - nu, r) - ref_j) / abs(ref_j))
+    assert bessel_dev <= 1e-12
 
     # polynomial family vs the Laguerre recurrence
     t = np.linspace(0.0, 12.0, 40)
@@ -302,7 +305,7 @@ def test_criterion_10_numerics_hygiene():
         errs.append(float(np.linalg.norm(gg * (uu - ref)) / np.linalg.norm(gg * ref)))
     ratio = errs[0] / errs[1]
     assert 3.4 <= ratio <= 4.6
-    print(f"\nACCEPTANCE 10 PASS: Bessel overlap {bessel_dev:.2e} (tol 1e-9), "
+    print(f"\nACCEPTANCE 10 PASS: Bessel vs mpmath {bessel_dev:.2e} (tol 1e-12), "
           f"polynomial vs Laguerre {poly_dev:.2e} (tol 1e-10), CN norm drift "
           f"{norm_dev:.2e}/step (tol 1e-12), convergence ratio {ratio:.2f} "
           f"(in [3.4, 4.6])")

@@ -22,8 +22,7 @@ SMALL_RUNS = {
     "decay": {"mode": [0, 1], "times": {"lo_exp": 0, "hi_exp": 7}, "samples": 50},
     "kernel": {"K": 4, "rho": [0.5, 2.0], "x_dir": [0.4, 0.3], "y_dir": [1.2, 2.1]},
     "heat": {"fd_points": 500, "dt": 1e-2, "fit_times": [1, 4, 16, 64, 256]},
-    "compare": {"mode": [0, 1], "fd_points": 500, "dt": 1e-2, "r_max": 10.0,
-                "quad_panels": 64, "quad_nodes": 8},
+    "compare": {"mode": [0, 1], "fd_points": 500, "dt": 1e-2, "r_max": 10.0},
 }
 
 
@@ -140,6 +139,28 @@ class TestEvolve:
         assert summary["schema_version"] == 1
         assert summary["rel_l2_vs_closed"] < 1e-6
         assert "config_sha256" in summary["provenance"]
+
+    def test_kernel_route_grid(self, tmp_path):
+        # the output grid r = 2t k of the log grid, clipped to
+        # [1e-3 sqrt(1+t^2), r_max]; the route reads no quadrature size
+        t, r_max = 2.0, 12.0
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": {
+            "mode": [0, 1], "t": t, "route": "kernel", "r_max": r_max}})
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        header, _, rows = read_csv(out / "profiles.csv")
+        r = np.array([float(row[1]) for row in rows])
+        assert r[0] >= 1e-3 * math.sqrt(1.0 + t * t) and r[-1] <= r_max
+        assert np.allclose(np.diff(np.log(r)), math.log(flow.LOG_GRID_HI / flow.LOG_GRID_LO)
+                                                     / (flow.LOG_GRID_POINTS - 1))
+        assert not any("quad_" in line for line in header)
+
+    def test_kernel_route_past_r_max_exit_code(self, tmp_path, capsys):
+        # at t = 1e5 the route keeps r >= 1e-3 sqrt(1+t^2) = 100 > r_max
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": {
+            "mode": [0, 1], "t": 1e5, "route": "kernel"}})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 5
+        assert "past r_max" in capsys.readouterr().err
 
     def test_bad_route(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
@@ -259,8 +280,7 @@ class TestCompare:
         cfg = write_config(tmp_path, "c.json",
                            {"problem": {"N": 3, "a": 0.0},
                             "experiment": {"mode": [0, 1], "fd_points": 3000,
-                                           "dt": 2e-3, "quad_panels": 250,
-                                           "quad_nodes": 16}})
+                                           "dt": 2e-3}})
         out = tmp_path / "out"
         code = main(["compare", "--config", cfg, "--out", str(out),
                      "--expect", '{"l2_worst_max": 1e-3}'])
@@ -275,7 +295,7 @@ class TestCompare:
             "mode": [0, 1], "t": 1.0, "route": "fd", **grid}})
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
         cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": {
-            "mode": [0, 1], "T": 1.0, "quad_panels": 64, "quad_nodes": 8, **grid}})
+            "mode": [0, 1], "T": 1.0, **grid}})
         assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
         evolve = json.loads((tmp_path / "e" / "summary.json").read_text())
         compare = json.loads((tmp_path / "c" / "compare.json").read_text())
@@ -363,6 +383,10 @@ class TestConfigErrors:
                      id="residual.dr 0"),
         pytest.param("compare", {"problem": FREE, "experiment": {"mode": [0, 1], "T": 0}},
                      id="compare T 0"),
+        # the comparison evaluates the closed form on each route's own grid,
+        # so quadrature sizes would be silent no-ops
+        pytest.param("compare", {"problem": FREE, "experiment": {
+            **SMALL_RUNS["compare"], "quad_panels": 64}}, id="compare quad_panels"),
         # NaN with exit 0, or numeric failures, before: windows that hold no
         # grid node, and residual windows whose stencil leaves r > 0 or t > 0
         pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "window": [100, 200]}},
@@ -373,8 +397,8 @@ class TestConfigErrors:
         pytest.param("compare", {"problem": FREE, "experiment": {
             **SMALL_RUNS["compare"], "window": [100, 200]}}, id="compare window past r_max"),
         pytest.param("compare", {"problem": FREE, "experiment": {
-            **SMALL_RUNS["compare"], "window": [0.38, 0.4]}},
-                     id="compare window between quadrature nodes"),
+            **SMALL_RUNS["compare"], "window": [0.395, 0.405]}},
+                     id="compare window between fd cells"),
         pytest.param("heat", {"problem": LOSS, "experiment": {
             "residual": {"r_window": [0.001, 5.0]}}}, id="residual r_window lo below dr"),
         pytest.param("heat", {"problem": LOSS, "experiment": {
@@ -385,6 +409,24 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "c.json", config)
         assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command, experiment", [
+        pytest.param("evolve", {**FD, "window": [100, 200]}, id="evolve fd"),
+        pytest.param("evolve", {"mode": [0, 1], "t": 1.0, "route": "kernel",
+                                "window": [100, 200]}, id="evolve kernel"),
+        pytest.param("compare", {**SMALL_RUNS["compare"], "window": [100, 200]},
+                     id="compare"),
+    ])
+    def test_window_checked_before_the_route_runs(self, tmp_path, monkeypatch, capsys,
+                                                  command, experiment):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a route ran before its window was checked")
+
+        monkeypatch.setattr(flow, "evolve_schrodinger", refuse)
+        monkeypatch.setattr(flow, "propagate_representation", refuse)
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": experiment})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: experiment.window")
 
     @pytest.mark.parametrize("expect", ['{"alpha_1": 0, "alpha_1_tol": "x"}',
                                         '{"alpha_1_max": "x"}'])

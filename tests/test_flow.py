@@ -166,73 +166,86 @@ class TestKernel:
             flow.KernelSpec(table=table_free, K_trunc=99)
 
 
-def _two_mode_state(N, quad):
-    """A state on quad's nodes with modes 1 and 2 of a constant-coefficient
-    problem (N=3, a=-3/16) or an Aharonov-Bohm one (N=2, flux 0.3)."""
-    if N == 3:
-        eigsys = constant_a_spectrum(3, -0.1875, 2)
-    else:
-        prob = AngularProblem(N=2, scalar_coeff=0.2, magnetic_coeff={0: 0.3}, truncation=8)
-        eigsys = eigensolve(assemble_circle(prob), N=2)
-    table = build_table(eigsys, N, 2)
-    g = quad.nodes
-    profiles = {1: np.exp(-g ** 2 / 3.0) * (1.0 + 0.5j * g), 2: g * np.exp(-g ** 2 / 5.0)}
-    return flow.SeparatedState.from_quadrature(N, quad, profiles, table)
+def _log_state(mode, table):
+    """The mode sampled on the representation route's log grid."""
+    grid, weights = flow.log_grid()
+    return flow.SeparatedState(mode.N, grid, weights, {mode.index.j: mode.radial(grid)}, table)
 
 
-# 13 x 11 = 143 nodes: not a multiple of the kernel matrix's row block
-QUAD_SMALL = RadialQuadrature(10.0, 13, 11)
+def _propagate(mode, table, t, lo, hi):
+    """The mode propagated to time t, on the output nodes in [lo, hi]."""
+    out = flow.propagate_representation(_log_state(mode, table), t,
+                                        flow.KernelSpec(table=table))
+    keep = (out.grid >= lo) & (out.grid <= hi)
+    return out.grid[keep], out.profiles[mode.index.j][keep]
+
+
+def _sup_error(u, ref, weight=1.0):
+    return np.max(np.abs(u - ref) * weight) / np.max(np.abs(ref) * weight)
 
 
 class TestRepresentation:
-    @pytest.mark.parametrize("N", [2, 3])
-    def test_bitwise_equal_to_dense_kernel_matrix(self, N):
-        state = _two_mode_state(N, QUAD_SMALL)
-        t = 2.0
-        out = flow.propagate_representation(state, t, flow.KernelSpec(table=state.table))
-        g = state.grid
-        args = np.outer(g, g) / (2.0 * t)
-        pref = np.exp(1j * g ** 2 / (4.0 * t)) * np.exp(-1j * math.pi * N / 4.0) \
-            / (2.0 * t) ** (N / 2.0)
-        source = np.exp(1j * g ** 2 / (4.0 * t)) * g ** (N - 1) * state.weights
-        for j, f in state.profiles.items():
-            alpha = state.table.row(j)[1]
-            Kmat = j_scaled(N, alpha, args.ravel()).reshape(args.shape)
-            phase = complex(np.exp(1j * math.pi * alpha / 2.0))
-            assert np.array_equal(out.profiles[j], pref * phase * (Kmat @ (source * f)))
-
-    def test_kernel_evaluated_on_upper_triangle(self, monkeypatch):
-        state = _two_mode_state(3, QUAD_SMALL)
-        points = []
-        monkeypatch.setattr(flow, "j_scaled",
-                            lambda N, alpha, r: points.append(np.size(r)) or j_scaled(N, alpha, r))
-        flow.propagate_representation(state, 2.0, flow.KernelSpec(table=state.table))
-        n = len(state.grid)
-        assert sum(points) == 2 * n * (n + 1) // 2
-
-    def test_matches_closed_form(self, mode01_loss, table_loss, quad_default):
-        state0 = flow.state_from_mode(mode01_loss, quad_default, table_loss)
-        spec = flow.KernelSpec(table=table_loss)
-        out = flow.propagate_representation(state0, 1.0, spec)
-        ref = flow.evolve_mode_closed_form(mode01_loss, out.grid, 1.0)
-        rel = np.linalg.norm(out.profiles[1] - ref) / np.linalg.norm(ref)
+    # the kernel route keeps the output nodes in [1e-3 sqrt(1+t^2), r_max]
+    def test_matches_closed_form(self, mode01_loss, table_loss):
+        r, u = _propagate(mode01_loss, table_loss, 1.0, 1e-3 * math.sqrt(2.0), 30.0)
+        ref = flow.evolve_mode_closed_form(mode01_loss, r, 1.0)
+        rel = np.linalg.norm(u - ref) / np.linalg.norm(ref)
         assert rel < 1e-6
 
     def test_free_gaussian(self, mode01_free, table_free):
-        quad = RadialQuadrature(30.0, 250, 16)
-        state0 = flow.state_from_mode(mode01_free, quad, table_free)
-        spec = flow.KernelSpec(table=table_free)
-        out = flow.propagate_representation(state0, 0.7, spec)
+        r, u = _propagate(mode01_free, table_free, 0.7, 1e-3 * math.sqrt(1.49), 30.0)
         z = 1.0 + 0.7j
-        ref = z ** (-1.5) * np.exp(-out.grid ** 2 / (4.0 * z)) / mode01_free.norm
-        rel = np.linalg.norm(out.profiles[1] - ref) / np.linalg.norm(ref)
+        ref = z ** (-1.5) * np.exp(-r ** 2 / (4.0 * z)) / mode01_free.norm
+        rel = np.linalg.norm(u - ref) / np.linalg.norm(ref)
         assert rel < 1e-8
 
-    def test_underresolved_time_rejected(self, mode01_loss, table_loss, quad_default):
-        state0 = flow.state_from_mode(mode01_loss, quad_default, table_loss)
-        spec = flow.KernelSpec(table=table_loss)
+    @pytest.mark.parametrize("a, nu", [(-0.1875, 0.25), (2.0, 1.5)])
+    def test_bias_reaches_small_r_at_large_t(self, a, nu):
+        # the bias -(nu+1)/2 sets the output's accuracy at r << t; with no
+        # bias (q = 0) the sup error here is 8e1 at nu = 1/4 and 3e3 at nu = 3/2
+        table = build_table(constant_a_spectrum(3, a, 1), 3, 1)
+        mode = make_mode(ModeIndex(0, 1), table)
+        assert -mode.alpha + 0.5 == pytest.approx(nu)
+        t = 2.0 ** 14
+        r, u = _propagate(mode, table, t, 1e-6, 2.0)
+        assert _sup_error(u, flow.evolve_mode_closed_form(mode, r, t)) <= 1e-8
+
+    def test_high_mode_is_finite_and_resolved(self, table_loss):
+        # an n = 20 mode's radial factor overflows to inf * 0 = NaN from
+        # rho ~ 2e8 unless samples past the Gaussian's underflow are 0; the
+        # default quadrature of the former dense route accepted t >= 0.87
+        mode = make_mode(ModeIndex(20, 1), table_loss)
+        assert np.all(np.isfinite(_log_state(mode, table_loss).profiles[1]))
+        t = 0.9
+        s = math.sqrt(1.0 + t * t)
+        r, u = _propagate(mode, table_loss, t, 1e-3 * s, 8.0 * s)
+        assert np.all(np.isfinite(u))
+        ref = flow.evolve_mode_closed_form(mode, r, t)
+        assert _sup_error(u, ref, r ** mode.alpha) <= 1e-8
+
+    def test_modes_share_the_output_grid(self, table_loss):
+        # one output grid, with the first mode's offset, serves every mode
+        modes = [make_mode(ModeIndex(1, j), table_loss) for j in (1, 2, 5)]
+        grid, weights = flow.log_grid()
+        state = flow.SeparatedState(3, grid, weights,
+                                    {m.index.j: m.radial(grid) for m in modes}, table_loss)
+        t = 3.0
+        out = flow.propagate_representation(state, t, flow.KernelSpec(table=table_loss))
+        keep = (out.grid >= 1e-3 * math.sqrt(10.0)) & (out.grid <= 8.0 * math.sqrt(10.0))
+        r = out.grid[keep]
+        for mode in modes:
+            ref = flow.evolve_mode_closed_form(mode, r, t)
+            assert _sup_error(out.profiles[mode.index.j][keep], ref, r ** mode.alpha) <= 1e-9
+
+    def test_underresolved_time_rejected(self, mode01_loss, table_loss):
         with pytest.raises(flow.ResolutionError):
-            flow.propagate_representation(state0, 0.01, spec)
+            flow.propagate_representation(_log_state(mode01_loss, table_loss), 0.01,
+                                          flow.KernelSpec(table=table_loss))
+
+    def test_requires_a_log_grid(self, mode01_loss, table_loss, quad_default):
+        state = flow.state_from_mode(mode01_loss, quad_default, table_loss)
+        with pytest.raises(ValueError, match="log-uniform"):
+            flow.propagate_representation(state, 1.0, flow.KernelSpec(table=table_loss))
 
     def test_requires_hardy(self, quad_default):
         table = build_table(constant_a_spectrum(3, -0.25, 1), 3, 1)

@@ -115,8 +115,7 @@ class TestHeatStepper:
 
 class TestCompareRoutes:
     def test_free_mode_quick(self):
-        params = RouteParams(N=3, a=0.0, fd_points=3000, dt=2e-3,
-                             quad_panels=250, quad_nodes=16)
+        params = RouteParams(N=3, a=0.0, fd_points=3000, dt=2e-3)
         report = compare_routes(ModeIndex(0, 1), params)
         assert not report.failures
         assert report.l2_rel["closed_vs_representation"] < 1e-6
@@ -125,8 +124,7 @@ class TestCompareRoutes:
 
     def test_l2_error_weighted_by_r_to_the_n_minus_1(self):
         # N=4: the window error is the relative error in L^2(r^3 dr)
-        params = RouteParams(N=4, a=0.0, r_max=10.0, fd_points=1000, dt=1e-2,
-                             quad_panels=64, quad_nodes=8)
+        params = RouteParams(N=4, a=0.0, r_max=10.0, fd_points=1000, dt=1e-2)
         report = compare_routes(ModeIndex(0, 1), params)
         mode = make_mode(ModeIndex(0, 1), build_table(constant_a_spectrum(4, 0.0, 1), 4, 1))
         s = RadialSchema(N=4, mu=0.0, R=10.0, M=1000, dt=1e-2)
@@ -139,8 +137,7 @@ class TestCompareRoutes:
         assert report.l2_rel["closed_vs_fd"] == pytest.approx(err, rel=1e-10)
 
     def test_report_serializable(self):
-        params = RouteParams(N=3, a=0.0, fd_points=2000, dt=4e-3,
-                             quad_panels=250, quad_nodes=16)
+        params = RouteParams(N=3, a=0.0, fd_points=2000, dt=4e-3)
         report = compare_routes(ModeIndex(0, 1), params)
         d = report.to_dict()
         assert d["mode"] == (0, 1)

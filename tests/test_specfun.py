@@ -7,29 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from schroflow.specfun import (PolySpec, bessel_j, bessel_j_series, j_scaled,
-                               legendre_p, real_sph_harm, sph_harm)
+from schroflow.specfun import (PolySpec, bessel_j, j_scaled, legendre_p,
+                               real_sph_harm, sph_harm)
 
 
 class TestBesselJ:
     @pytest.mark.parametrize("nu,r", [(0.0, 1.0), (1.5, 2.0), (0.3, 5.0),
                                       (4.0, 0.1), (2.5, 11.0)])
-    def test_series_matches_mpmath(self, nu, r):
+    def test_matches_mpmath(self, nu, r):
         ref = float(mpmath.besselj(nu, r))
-        assert bessel_j_series(nu, r) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert bessel_j(nu, r) == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     def test_half_order_closed_form(self):
         r = np.linspace(0.1, 20.0, 50)
         ref = np.sqrt(2.0 / (math.pi * r)) * np.sin(r)
         assert np.allclose(bessel_j(0.5, r), ref, rtol=1e-10, atol=1e-12)
-
-    def test_series_large_argument_overlap(self):
-        # the two evaluation branches agree near the switchover radius
-        for nu in (0.0, 0.5, 1.5, 3.7, 7.0):
-            cut = max(12.0, 2.0 * nu)
-            r = np.linspace(cut - 2.0, cut + 2.0, 21)
-            dev = np.abs(bessel_j_series(nu, r) - sp.jv(nu, r))
-            assert dev.max() <= 1e-9
 
     def test_three_term_recurrence(self):
         rng = np.random.default_rng(7)
