@@ -28,7 +28,8 @@ from .oscillator import (AccuracyWarning, HardyViolation, ModeIndex,
                          build_table, make_mode)
 # evolve_schrodinger is not called here; the perfbench self-tests check that
 # its tracer rebinds cli.evolve_schrodinger
-from .radialfd import RadialSchema, evolve_heat, evolve_schrodinger  # noqa: F401
+from .radialfd import (RadialSchema, evolve_heat, evolve_schrodinger,  # noqa: F401
+                       step_count)
 
 SCHEMA_VERSION = 1
 
@@ -155,8 +156,8 @@ def _fit_times(times, where: str):
 
 
 _count = _integer(1)
-# a radialfd.RadialSchema grid has at least two cells
-_grid_points = _integer(2)
+# a radialfd.RadialSchema grid has at least three cells
+_grid_points = _integer(3)
 _pair = _list(_number, 2)
 # a kernel direction is an angle for N=2, and [theta, phi] or a 3-vector for N=3
 _direction = _either(list, _list(_number, 2, 3))
@@ -234,8 +235,22 @@ def _check_rules(command: str, problem: dict, experiment: dict) -> None:
         raise ConfigError("heat runs need 0 < t0 < t1")
     if command == "evolve" and experiment["route"] == "kernel" and not experiment["t"] > 0:
         raise ConfigError("the kernel route needs t > 0")
-    if command == "evolve" and experiment["route"] == "fd" and not experiment["t"] >= 0:
-        raise ConfigError("the fd route needs t >= 0")
+    # finite differences march a whole number of steps dt
+    if command == "evolve" and experiment["route"] == "fd":
+        _whole_steps(experiment["t"], experiment["dt"], "experiment.t")
+    if command == "heat":
+        _whole_steps(experiment["t1"] - experiment["t0"], experiment["dt"],
+                     "experiment.t1 - experiment.t0")
+    if command == "compare":
+        _whole_steps(experiment.get("T", flow.RouteParams.T),
+                     experiment.get("dt", flow.RouteParams.dt), "experiment.T")
+
+
+def _whole_steps(T: float, dt: float, where: str) -> None:
+    try:
+        step_count(T, dt)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path: str, command: str) -> tuple[dict, dict]:
@@ -293,8 +308,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, provenance: dict, extra_lines: list,
-               columns: list, rows) -> None:
+_CSV_BLOCK = 2048
+
+
+def _cells(column) -> list[str]:
+    """``_fmt`` of every value of a column: float and integer arrays in bulk
+    (repr of a Python float or int is what ``_fmt`` writes), anything else
+    value by value."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        return list(map(repr, column.tolist()))
+    return [_fmt(v) for v in column]
+
+
+def _write_csv(path: str, provenance: dict, extra_lines: list, columns: dict) -> None:
+    """Provenance header, then one CSV column per item of ``columns``
+    (name -> array or sequence of values)."""
     lines = [f"# {provenance['tool']} {provenance['version']}",
              f"# command: {provenance['command']}",
              f"# config_sha256: {provenance['config_sha256']}"]
@@ -302,10 +330,13 @@ def _write_csv(path: str, provenance: dict, extra_lines: list,
         lines.append(f"# param {key}={_fmt(provenance['parameters'][key])}")
     lines.extend(f"# {text}" for text in extra_lines)
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    rows = max(map(len, columns.values()), default=0)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+        # a block of rows at a time keeps the formatted text small
+        for start in range(0, rows, _CSV_BLOCK):
+            block = (_cells(c[start:start + _CSV_BLOCK]) for c in columns.values())
+            fh.write("\n".join(map(",".join, zip(*block, strict=True))) + "\n")
 
 
 def _write_json(path: str, provenance: dict, payload: dict) -> None:
@@ -374,7 +405,7 @@ def cmd_spectrum(config: dict, out_dir: str, expect: dict,
     rows = [(k,) + table.row(k) for k in range(1, K + 1)]
     _write_csv(os.path.join(out_dir, "spectrum.csv"), provenance,
                [f"classification: {table.decay_class}"],
-               ["k", "mu", "alpha", "beta"], rows)
+               dict(zip(["k", "mu", "alpha", "beta"], zip(*rows))))
     print(f"classification: {table.decay_class}")
     measured = {"mu_1": table.row(1)[0], "alpha_1": table.row(1)[1],
                 "beta_1": table.row(1)[2]}
@@ -413,9 +444,8 @@ def cmd_evolve(config: dict, out_dir: str, expect: dict,
         summary.update({"rel_l2_vs_closed": rel, "window": window})
         measured["rel_l2"] = rel
 
-    rows = [(t, r, v.real, v.imag) for r, v in zip(grid, u)]
     _write_csv(os.path.join(out_dir, "profiles.csv"), provenance, [],
-               ["t", "r", "re_u", "im_u"], rows)
+               {"t": np.full(len(grid), t), "r": grid, "re_u": u.real, "im_u": u.imag})
     _write_json(os.path.join(out_dir, "summary.json"), provenance, summary)
     _check_expect(expect, measured)
     return EXIT_OK
@@ -445,7 +475,7 @@ def cmd_decay(config: dict, out_dir: str, expect: dict,
     report = flow.decay_fit(pairs, weight_exponent=weight)
 
     _write_csv(os.path.join(out_dir, "samples.csv"), provenance, [],
-               ["t", "weighted_sup"], pairs)
+               dict(zip(["t", "weighted_sup"], zip(*pairs))))
     payload = {"decay": report.to_dict(),
                "reference_slope": -problem["N"] / 2.0 + mode.alpha}
     _write_json(os.path.join(out_dir, "decay.json"), provenance, payload)
@@ -480,8 +510,8 @@ def cmd_kernel(config: dict, out_dir: str, expect: dict,
         scaled = (2.0 * math.pi) ** (problem["N"] / 2.0) * abs(val)
         rows.append((float(rho), val.real, val.imag, weighted, scaled, truncated))
     _write_csv(os.path.join(out_dir, "kernel.csv"), provenance, [],
-               ["rho", "re_K", "im_K", "weighted_modulus", "scaled_modulus",
-                "truncation_warning"], rows)
+               dict(zip(["rho", "re_K", "im_K", "weighted_modulus", "scaled_modulus",
+                         "truncation_warning"], zip(*rows))))
     _check_expect(expect, {"weighted_modulus": weighted_max})
     return EXIT_OK
 
@@ -522,9 +552,8 @@ def cmd_heat(config: dict, out_dir: str, expect: dict,
         for t in times]
     report = flow.decay_fit(pairs, weight_exponent=alpha_k)
 
-    rows = list(zip(grid, v0, v_fd, v_exact))
     _write_csv(os.path.join(out_dir, "heat.csv"), provenance, [],
-               ["r", "v_initial", "v_fd", "v_exact"], rows)
+               {"r": grid, "v_initial": v0, "v_fd": v_fd, "v_exact": v_exact})
     payload = {
         "residual_rel": residual,
         "stepper_rel_l2": rel_l2,

@@ -10,14 +10,33 @@ w = r^{(N-1)/2} u, each mode obeys a 1-d equation on (0, R):
 with c_k = mu_k + (N-1)(N-3)/4; c_k > -1/4 is the Hardy condition for the
 mode.  The grid is cell-centered so 1/r^2 is never evaluated at r=0; the
 outer boundary is Dirichlet.
+
+Each flow's tridiagonal system matrix is the same at every step, so it is
+LU-factored once by LAPACK ``?gttrf`` and every step is one ``?gttrs``
+back-substitution.  A duration T must be a whole number of steps dt (to
+1e-9 relative, see ``step_count``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
+
+# how far T/dt may sit from a whole number of steps, relative to T/dt
+STEP_TOLERANCE = 1e-9
+
+
+def step_count(T: float, dt: float) -> int:
+    """The number of steps dt in the duration T; ValueError unless T >= 0
+    is a whole number of steps to within STEP_TOLERANCE (relative)."""
+    ratio = T / dt
+    if not (math.isfinite(ratio) and ratio >= 0
+            and abs(ratio - round(ratio)) <= STEP_TOLERANCE * ratio):
+        raise ValueError(f"duration {T!r} is not a whole number >= 0 of steps dt = {dt!r}")
+    return round(ratio)
 
 
 @dataclass(frozen=True)
@@ -36,8 +55,9 @@ class RadialSchema:
     dt: float
 
     def __post_init__(self):
-        if self.M < 2 or self.R <= 0 or self.dt <= 0:
-            raise ValueError("RadialSchema requires M >= 2, R > 0, dt > 0")
+        # scipy's ?gttrf wrapper rejects a 2 x 2 tridiagonal system
+        if self.M < 3 or self.R <= 0 or self.dt <= 0:
+            raise ValueError("RadialSchema requires M >= 3, R > 0, dt > 0")
 
     @property
     def c_k(self) -> float:
@@ -91,16 +111,26 @@ def _banded_matvec(bands: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _march(schema: RadialSchema, u0, T: float, lhs: np.ndarray,
            rhs: np.ndarray | None) -> np.ndarray:
-    """Solve lhs w_{n+1} = rhs w_n (rhs=None: identity) for T/dt steps
-    (rounded) in w = r^{(N-1)/2} u; takes and returns the profile u."""
+    """Solve lhs w_{n+1} = rhs w_n (rhs=None: identity) for T/dt steps in
+    w = r^{(N-1)/2} u; takes and returns the profile u."""
+    steps = step_count(T, schema.dt)
     u0 = np.asarray(u0)
     if u0.shape != (schema.M,):
         raise ValueError(f"profile shape {u0.shape} does not match grid size {schema.M}")
     r_half = schema.grid ** ((schema.N - 1) / 2.0)
     w = (r_half * u0).astype(lhs.dtype)
-    for _ in range(int(round(T / schema.dt))):
+    if not (np.isfinite(w).all() and np.isfinite(lhs).all()):
+        raise ValueError("profile and system matrix must be finite")
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (lhs,))
+    dl, d, du, du2, ipiv, info = gttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular system matrix: zero pivot {info}")
+    for _ in range(steps):
+        # w and the matvec's output are ours to overwrite
         b = w if rhs is None else _banded_matvec(rhs, w)
-        w = solve_banded((1, 1), lhs, b)
+        w, _ = gttrs(dl, d, du, du2, ipiv, b, overwrite_b=True)
+    if not np.isfinite(w).all():
+        raise ValueError("the march left a non-finite profile")
     return w / r_half
 
 

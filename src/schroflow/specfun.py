@@ -2,14 +2,14 @@
 scipy.special.jv), the scaled radial Bessel kernel, hypergeometric-type
 polynomials, Legendre polynomials and spherical harmonics.
 
-Everything here is a pure function of its arguments; PolySpec caches its
-coefficients once at construction and is immutable afterwards.
+Everything here is a pure function of its arguments; PolySpec is an
+immutable (degree, parameter) pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
@@ -58,31 +58,24 @@ def j_scaled(N: int, alpha: float, r, weighted: bool = False):
 class PolySpec:
     """Degree-n polynomial sum_i (-n)_i / (b)_i * t^i / i!  (b > 0).
 
-    Up to normalization this is the generalized Laguerre polynomial
-    L_n^{b-1}(t) / binom(n+b-1, n); coefficients are cached at construction
-    and evaluation is by Horner's rule.
+    This is the generalized Laguerre polynomial L_n^{b-1}(t) / binom(n+b-1, n),
+    evaluated by the three-term Laguerre recurrence of
+    scipy.special.eval_genlaguerre; summing the alternating monomial series
+    instead loses digits to cancellation at high degree.
     """
 
     n: int
     b: float
-    coeffs: tuple = field(init=False)
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("PolySpec requires degree n >= 0")
         if not (self.b > 0):
             raise ValueError(f"PolySpec requires b > 0, got {self.b}")
-        c = [1.0]
-        for i in range(self.n):
-            # c_{i+1} = c_i * (-n + i) / ((b + i)(i + 1))
-            c.append(c[-1] * (-self.n + i) / ((self.b + i) * (i + 1.0)))
-        object.__setattr__(self, "coeffs", tuple(c))
 
     def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = np.full_like(t_arr, self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            out = out * t_arr + c
+        out = (sp.eval_genlaguerre(self.n, self.b - 1.0, np.asarray(t, dtype=float))
+               / sp.binom(self.n + self.b - 1.0, self.n))
         return float(out) if np.ndim(t) == 0 else out
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schroflow import flow
+from schroflow import cli, flow
 from schroflow.cli import main
 from schroflow.oscillator import ModeIndex, build_table, make_mode
 from schroflow.angular import constant_a_spectrum
@@ -302,6 +302,35 @@ class TestCompare:
         assert evolve["rel_l2_vs_closed"] == compare["comparison"]["l2_rel"]["closed_vs_fd"]
 
 
+class TestCsv:
+    def test_columns_written_as_rows_of_fmt_cells(self, tmp_path):
+        # float and integer arrays take the bulk path; the file must equal
+        # the one written row by row with _fmt on every cell
+        rng = np.random.default_rng(7)
+        f64 = rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
+        f64[:6] = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 0.1]
+        columns = {
+            "f64": f64,
+            "f32": rng.standard_normal(40).astype(np.float32),
+            "i64": rng.integers(-10 ** 15, 10 ** 15, 40),
+            "u8": np.arange(40, dtype=np.uint8),
+            "py_float": [float(x) for x in rng.standard_normal(40)],
+            "py_int": list(range(-20, 20)),
+            "bool": [bool(x) for x in rng.integers(0, 2, 40)],
+            "mixed": [1, 2.5, np.float64(3.25), True, np.int32(7), np.float32(0.1), 0, 1e300] * 5,
+        }
+        provenance = {"tool": "schroflow", "version": "0.1.0", "command": "evolve",
+                      "config_sha256": "0" * 64,
+                      "parameters": {"N": 3, "a": -0.1875, "mode": [0, 1], "t": 1.0}}
+        path = tmp_path / "x.csv"
+        cli._write_csv(str(path), provenance, ["a note"], columns)
+        lines = ["# schroflow 0.1.0", "# command: evolve", "# config_sha256: " + "0" * 64,
+                 "# param N=3", "# param a=-0.1875", "# param mode=[0, 1]", "# param t=1.0",
+                 "# a note", ",".join(columns)]
+        lines += [",".join(cli._fmt(v) for v in row) for row in zip(*columns.values())]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 FREE = {"N": 3, "a": 0.0}
 KERNEL = {"K": 4, "rho": [0.5, 2.0], "x_dir": [0.4, 0.3], "y_dir": [1.2, 2.1]}
 FD = {"mode": [0, 1], "t": 1.0, "route": "fd", "fd_points": 500, "dt": 1e-2}
@@ -359,6 +388,8 @@ class TestConfigErrors:
                      id="r_max -1"),
         pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "fd_points": 1}},
                      id="fd_points 1"),
+        pytest.param("heat", {"problem": FREE, "experiment": {"fd_points": 2}},
+                     id="fd_points 2"),
         pytest.param("evolve", {"problem": FREE, "experiment": {
             "mode": [0, 1], "t": 0, "route": "kernel"}}, id="kernel route t 0"),
         pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "t": -1.0}},
@@ -403,12 +434,28 @@ class TestConfigErrors:
             "residual": {"r_window": [0.001, 5.0]}}}, id="residual r_window lo below dr"),
         pytest.param("heat", {"problem": LOSS, "experiment": {
             "residual": {"t_window": [1e-4, 2.0]}}}, id="residual t_window lo at dt"),
+        # silently marched round(T/dt) steps before: durations that are not
+        # a whole number of fd steps
+        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "t": 1.0004, "dt": 1e-3}},
+                     id="fd route t 1.0004"),
+        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "t": 0.0004, "dt": 1e-3}},
+                     id="fd route t 0.0004"),
+        pytest.param("heat", {"problem": FREE, "experiment": {**SMALL_RUNS["heat"], "t1": 2.005}},
+                     id="heat t1 - t0 2.005"),
+        pytest.param("compare", {"problem": FREE, "experiment": {
+            **SMALL_RUNS["compare"], "T": 1.005}}, id="compare T 1.005"),
     ])
     def test_malformed_value_exit_code(self, tmp_path, monkeypatch, capsys, command, config):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, "c.json", config)
         assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("route", ["closed", "kernel"])
+    def test_duration_rule_only_on_the_fd_route(self, tmp_path, route):
+        cfg = write_config(tmp_path, "c.json", {"problem": FREE, "experiment": {
+            "mode": [0, 1], "t": 1.0004, "route": route, "dt": 1e-3}})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("command, experiment", [
         pytest.param("evolve", {**FD, "window": [100, 200]}, id="evolve fd"),

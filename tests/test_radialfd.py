@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from schroflow import flow
 from schroflow.angular import constant_a_spectrum
 from schroflow.oscillator import ModeIndex, build_table, make_mode
 from schroflow.flow import RouteParams, compare_routes
-from schroflow.radialfd import RadialSchema, evolve_heat, evolve_schrodinger
+from schroflow.radialfd import (RadialSchema, _banded_matvec, evolve_heat,
+                                evolve_schrodinger, step_count)
 
 
 def _schema(mu=0.0, M=600, dt=1e-2, R=30.0):
@@ -44,6 +46,12 @@ class TestSchema:
         with pytest.raises(ValueError):
             RadialSchema(N=3, mu=0.0, R=30.0, M=10, dt=0.0)
 
+    def test_two_cells_rejected(self):
+        # LAPACK ?gttrf as scipy wraps it takes no 2 x 2 system
+        with pytest.raises(ValueError):
+            RadialSchema(N=3, mu=0.0, R=30.0, M=2, dt=1e-3)
+        RadialSchema(N=3, mu=0.0, R=30.0, M=3, dt=1e-3)
+
 
 class TestSchrodingerStepper:
     def test_norm_conserved_per_step(self):
@@ -81,6 +89,65 @@ class TestSchrodingerStepper:
         mask = (g >= 0.1) & (g <= 8.0)
         rel = np.linalg.norm((g * (u - ref))[mask]) / np.linalg.norm((g * ref)[mask])
         assert rel < 2e-3
+
+
+def _solve_banded_march(schema, u0, T, lhs, rhs):
+    """The march with a fresh banded LU solve (scipy solve_banded) per step."""
+    r_half = schema.grid ** ((schema.N - 1) / 2.0)
+    w = (r_half * u0).astype(lhs.dtype)
+    for _ in range(round(T / schema.dt)):
+        w = solve_banded((1, 1), lhs, w if rhs is None else _banded_matvec(rhs, w))
+    return w / r_half
+
+
+class TestFactorOnce:
+    # one mode with c_k < 0 and one with c_k > 0; 200 steps at M=400
+    @pytest.mark.parametrize("mu", [-0.1875, 2.0])
+    def test_schrodinger_equals_solve_banded_bitwise(self, mu):
+        s = _schema(mu=mu, M=400, dt=1e-3)
+        u0 = (np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.25).astype(complex)
+        z = 0.5j * s.dt
+        ref = _solve_banded_march(s, u0, 0.2, s.shifted_bands(z), s.shifted_bands(-z))
+        assert np.array_equal(evolve_schrodinger(s, u0, 0.2), ref)
+
+    @pytest.mark.parametrize("mu", [-0.1875, 2.0])
+    def test_heat_equals_solve_banded_bitwise(self, mu):
+        s = _schema(mu=mu, M=400, dt=1e-3)
+        u0 = np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.25
+        ref = _solve_banded_march(s, u0, 0.2, s.shifted_bands(s.dt), None)
+        assert np.array_equal(evolve_heat(s, u0, 0.2), ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_profile_rejected(self, bad):
+        s = _schema(M=50, dt=1e-3)
+        u0 = np.exp(-s.grid ** 2)
+        u0[7] = bad
+        # r^{(N-1)/2} (inf + 0j) is NaN in its imaginary part
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            evolve_schrodinger(s, u0.astype(complex), 0.01)
+        with pytest.raises(ValueError):
+            evolve_heat(s, u0, 0.01)
+
+    def test_non_finite_matrix_rejected(self):
+        s = _schema(mu=np.inf, M=50, dt=1e-3)
+        with pytest.raises(ValueError):
+            evolve_heat(s, np.exp(-s.grid ** 2), 0.01)
+
+
+class TestDuration:
+    @pytest.mark.parametrize("T, dt, steps", [(1.0, 1e-3, 1000), (0.0, 1e-3, 0),
+                                              (1.0, 8e-3, 125), (1.0, 1.0 / 3.0, 3)])
+    def test_whole_number_of_steps(self, T, dt, steps):
+        assert step_count(T, dt) == steps
+
+    @pytest.mark.parametrize("T", [1.0004, 0.0004, -1e-3, float("nan"), float("inf")])
+    def test_other_durations_rejected(self, T):
+        s = _schema(M=50, dt=1e-3)
+        u = np.exp(-s.grid ** 2)
+        with pytest.raises(ValueError):
+            evolve_schrodinger(s, u.astype(complex), T)
+        with pytest.raises(ValueError):
+            evolve_heat(s, u, T)
 
 
 class TestHeatStepper:

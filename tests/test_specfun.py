@@ -102,6 +102,16 @@ class TestPolySpec:
                 dev = np.max(np.abs(p(t) - ref) / np.maximum(np.abs(ref), 1.0))
                 assert dev <= 1e-10
 
+    @pytest.mark.parametrize("n, b", [(20, 1.25), (20, 0.75), (30, 2.5)])
+    def test_high_degree_matches_mpmath(self, n, b):
+        # weighted by e^{-x/2}, as the polynomial enters an oscillator mode
+        x = np.linspace(0.5, 200.0, 120)
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.hyp1f1(-n, b, mpmath.mpf(v))) for v in x])
+        w = np.exp(-x / 2.0)
+        err = np.max(np.abs(w * (PolySpec(n, b)(x) - ref))) / np.max(np.abs(w * ref))
+        assert err <= 1e-13
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             PolySpec(-1, 1.0)
