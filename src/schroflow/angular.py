@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .specfun import real_sph_harm, sph_harm
 
@@ -155,14 +156,16 @@ def assemble_circle(problem: AngularProblem) -> np.ndarray:
     for p, cp in al_hat.items():
         for q, cq in al_hat.items():
             g_hat[p + q] = g_hat.get(p + q, 0.0) + cp * cq
+    # the coefficient terms are Toeplitz in m - n = -2K..2K: first column
+    # m - n = 0..2K, first row m - n = 0..-2K; built in place, so that at
+    # most one matrix-sized temporary lives beside M
+    g, al = (np.array([c.get(q, 0.0) for q in range(-2 * K, 2 * K + 1)], dtype=complex)
+             for c in (g_hat, al_hat))
     ms = np.arange(-K, K + 1)
-    M = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
-    for i, m in enumerate(ms):
-        for j, n in enumerate(ms):
-            val = g_hat.get(m - n, 0.0) + (n + m) * al_hat.get(m - n, 0.0)
-            if m == n:
-                val += m * m
-            M[i, j] = val
+    M = toeplitz(al[2 * K:], al[2 * K::-1])
+    M *= np.add.outer(ms, ms)
+    M += toeplitz(g[2 * K:], g[2 * K::-1])
+    M[np.diag_indices_from(M)] += ms * ms
     _require_hermitian(M)
     return M
 
@@ -275,10 +278,10 @@ def eigensolve(M: np.ndarray, tol: float = 1e-11, basis_tag: str | None = None,
     residual = float(
         np.max(np.linalg.norm(M @ vecs - vecs * vals, axis=0))
     )
-    norm_M = float(np.linalg.norm(M, 2)) if M.size else 0.0
-    if residual > tol * max(norm_M, 1.0):
+    # for Hermitian M the spectral norm |M| is max |lambda|, so scale = max(|M|, 1)
+    if residual > tol * scale:
         raise EigensolveError(
-            f"eigensolve residual {residual:.3e} exceeds tol*|M| = {tol * norm_M:.3e}",
+            f"eigensolve residual {residual:.3e} exceeds tol*max(|M|, 1) = {tol * scale:.3e}",
             residual,
         )
     gram_dev = float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1]))))

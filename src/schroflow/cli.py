@@ -17,15 +17,13 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
 from . import __version__, flow
 from .angular import (AngularProblem, AngularProblemError, EigensolveError,
                       assemble_circle, constant_a_spectrum, eigensolve)
-from .oscillator import (AccuracyWarning, HardyViolation, ModeIndex,
-                         build_table, make_mode)
+from .oscillator import HardyViolation, ModeIndex, build_table, make_mode
 # evolve_schrodinger is not called here; the perfbench self-tests check that
 # its tracer rebinds cli.evolve_schrodinger
 from .radialfd import (RadialSchema, evolve_heat, evolve_schrodinger,  # noqa: F401
@@ -228,9 +226,14 @@ def _check_rules(command: str, problem: dict, experiment: dict) -> None:
                           "supported only for N=2")
     if N < 3 and command in ("heat", "compare") or N > 3 and command in ("decay", "kernel"):
         raise ConfigError(f"'{command}' runs do not support N={N}")
-    if command == "kernel" and N == 3 and not all(
-            isinstance(experiment[key], list) for key in ("x_dir", "y_dir")):
-        raise ConfigError("kernel directions for N=3 are [theta, phi] or 3-vectors")
+    if command == "kernel":
+        for key in ("x_dir", "y_dir"):
+            if isinstance(experiment[key], list) != (N == 3) or experiment[key] == [0, 0, 0]:
+                raise ConfigError(f"experiment.{key}: a kernel direction is an angle for "
+                                  "N=2, and [theta, phi] or a nonzero 3-vector for N=3")
+        # r^w |K| is infinite at r = 0 for w < 0
+        if experiment["weight_exponent"] < 0 and 0 in experiment["rho"]:
+            raise ConfigError("experiment.rho: a zero radius needs weight_exponent >= 0")
     if command == "heat" and not 0 < experiment["t0"] < experiment["t1"]:
         raise ConfigError("heat runs need 0 < t0 < t1")
     if command == "evolve" and experiment["route"] == "kernel" and not experiment["t"] > 0:
@@ -497,22 +500,16 @@ def cmd_kernel(config: dict, out_dir: str, expect: dict,
     provenance["parameters"].update({"k_start": spec.k_start, "K": experiment["K"],
                                      "path": spec.path, "weight_exponent": w_exp})
 
-    rows = []
-    weighted_max = 0.0
-    for rho in experiment["rho"]:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", AccuracyWarning)
-            val = flow.kernel_eval(spec, experiment["x_dir"], experiment["y_dir"],
-                                   float(rho))
-        truncated = int(any(issubclass(w.category, AccuracyWarning) for w in caught))
-        weighted = float(rho) ** w_exp * abs(val)
-        weighted_max = max(weighted_max, weighted)
-        scaled = (2.0 * math.pi) ** (problem["N"] / 2.0) * abs(val)
-        rows.append((float(rho), val.real, val.imag, weighted, scaled, truncated))
-    _write_csv(os.path.join(out_dir, "kernel.csv"), provenance, [],
-               dict(zip(["rho", "re_K", "im_K", "weighted_modulus", "scaled_modulus",
-                         "truncation_warning"], zip(*rows))))
-    _check_expect(expect, {"weighted_modulus": weighted_max})
+    rho = np.asarray(experiment["rho"], dtype=float)
+    values, tail = flow.kernel_eval(spec, experiment["x_dir"], experiment["y_dir"], rho)
+    modulus = np.abs(values)
+    weighted = rho ** w_exp * modulus
+    _write_csv(os.path.join(out_dir, "kernel.csv"), provenance, [], {
+        "rho": rho, "re_K": values.real, "im_K": values.imag,
+        "weighted_modulus": weighted,
+        "scaled_modulus": (2.0 * math.pi) ** (problem["N"] / 2.0) * modulus,
+        "truncation_warning": (tail > flow.TAIL_THRESHOLD).astype(int)})
+    _check_expect(expect, {"weighted_modulus": float(np.max(weighted))})
     return EXIT_OK
 
 

@@ -12,13 +12,13 @@ the scaling-invariant Schrodinger flow:
 ``evolve_route`` runs each route on its own grid, ``compare_routes`` checks
 them pairwise against the closed form evaluated on each route's grid.
 
-Also here: the kernel series K / K_k, the pseudoconformal transform, the
-self-similar heat solution, weighted sup norms and power-law decay fits.
+Also here: the kernel series K / K_k at an array of radii with its tail
+bounds (``kernel_eval``), the pseudoconformal transform, the self-similar
+heat solution, weighted sup norms and power-law decay fits.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -166,20 +166,25 @@ def pseudoconformal(state: SeparatedState, t: float, direction: str = "forward")
     )
 
 
+# A kernel tail bound above this flags a truncated series (kernel.csv's
+# truncation_warning column).
+TAIL_THRESHOLD = 1e-8
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Truncated kernel series K (k_start=1) or the tail kernel K_k.
 
     ``path``: ``mode_sum`` sums eigenfunction products directly;
-    ``legendre_collapsed`` (N=3, constant scalar coefficient only) collapses
-    each degree block to (2l+1)/(4pi) P_l(cos gamma).
+    ``legendre_collapsed`` (N=3, constant scalar coefficient only, modes
+    k_start..K_trunc in whole degree blocks) collapses each degree block to
+    (2l+1)/(4pi) P_l(cos gamma).
     """
 
     table: SpectralTable
     k_start: int = 1
     K_trunc: int | None = None
     path: str = "mode_sum"
-    tail_threshold: float = 1e-8
 
     def __post_init__(self):
         kt = self.K_trunc if self.K_trunc is not None else self.table.K_max
@@ -191,79 +196,71 @@ class KernelSpec:
             )
         if self.path not in ("mode_sum", "legendre_collapsed"):
             raise ValueError(f"unknown kernel path {self.path!r}")
+        if self.path == "legendre_collapsed":
+            eigsys = self.table.eigsys
+            if self.table.N != 3 or eigsys is None or eigsys.basis_tag != "analytic_constant":
+                raise ValueError("legendre_collapsed kernel path requires N=3 with "
+                                 "constant scalar coefficient")
+            (l_lo, m_lo), (l_hi, m_hi) = (eigsys.mode_labels[k - 1]
+                                          for k in (self.k_start, self.K_trunc))
+            if m_lo != -l_lo or m_hi != l_hi:
+                raise ValueError("legendre_collapsed requires k_start/K_trunc aligned "
+                                 "with whole degree blocks")
 
 
-def _unit_phase(alpha: float) -> complex:
+def _unit_phase(alpha):
     # Branch of the per-mode unimodular factor, fixed by the free-kernel
     # identity (2 pi)^{N/2} K(X, Y) = exp(-i X.Y).
-    return complex(np.exp(1j * math.pi * alpha / 2.0))
+    return np.exp(1j * math.pi * np.asarray(alpha) / 2.0)
 
 
-def _j_factor(N: int, alpha: float, rho: float) -> float:
-    if rho > 0:
-        return j_scaled(N, alpha, rho)
-    if alpha > 0:
-        raise ValueError("kernel term diverges at rho=0 for a mode with alpha > 0")
-    if alpha == 0:
-        return j_scaled(N, 0.0, 0.0, weighted=True)
-    return 0.0
+def kernel_eval(spec: KernelSpec, x_dir, y_dir, rho) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel values sum_k phase_k j_{-alpha_k}(rho) psi_k(x) conj(psi_k(y))
+    at an array of radii rho >= 0, and their tail bounds; both have rho's
+    shape.
 
-
-def kernel_eval(spec: KernelSpec, x_dir, y_dir, rho: float) -> complex:
-    """Kernel value sum_k phase_k j_{-alpha_k}(rho) psi_k(x) conj(psi_k(y)).
-
-    ``x_dir``/``y_dir``: an angle for N=2, or (theta, phi) / a unit 3-vector
-    for N=3.  The series is summed mode by mode over blocks of equal
-    alpha_k, with the factor phase j evaluated once per block.  Emits
-    AccuracyWarning when the Cauchy-Schwarz bound of the last block,
-    |phase j| sqrt(sum |psi_k(x)|^2 sum |psi_k(y)|^2), exceeds the tail
-    threshold.
+    ``x_dir``/``y_dir``: an angle for N=2, or (theta, phi) / a nonzero
+    3-vector for N=3.  The modes are summed in blocks of equal alpha_k, each
+    block's angular sum times its factor phase j.  The tail bound is the
+    Cauchy-Schwarz bound of the last block, |phase j| sqrt(sum |psi_k(x)|^2
+    sum |psi_k(y)|^2).  At rho = 0 only alpha_k = 0 contributes, and a mode
+    with alpha_k > 0 raises ValueError.
     """
-    if rho < 0:
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho < 0):
         raise ValueError("kernel_eval requires rho >= 0")
     if spec.path == "legendre_collapsed":
-        blocks = _legendre_blocks(spec, x_dir, y_dir)
+        alphas, sums, bound = _legendre_blocks(spec, x_dir, y_dir)
     else:
-        blocks = _mode_blocks(spec, x_dir, y_dir)
-    total = 0.0 + 0.0j
-    for alpha, terms, bound in blocks:
-        coef = _unit_phase(alpha) * _j_factor(spec.table.N, alpha, rho)
-        for term in terms:
-            total += term(coef)
-        tail = abs(coef) * bound
-    if tail > spec.tail_threshold:
-        warnings.warn(
-            f"kernel truncation tail estimate {tail:.2e} exceeds {spec.tail_threshold:.0e}",
-            AccuracyWarning, stacklevel=2,
-        )
-    return complex(total)
+        alphas, sums, bound = _mode_blocks(spec, x_dir, y_dir)
+    # one row of block coefficients per radius, summed along the row, so a
+    # radius's value is the same bits whatever other radii come with it
+    coef = _unit_phase(alphas) * j_scaled(spec.table.N, alphas, rho[..., None])
+    return np.sum(coef * sums, axis=-1), np.abs(coef[..., -1]) * bound
 
 
-def _mode_blocks(spec: KernelSpec, x_dir, y_dir) -> list:
-    """(alpha, per-mode term as a function of phase*j, angular bound) for
-    each run of equal alpha_k in [k_start, K_trunc]."""
+def _mode_blocks(spec: KernelSpec, x_dir, y_dir) -> tuple:
+    """(alpha, sum of psi_k(x) conj(psi_k(y))) for each run of equal alpha_k
+    in [k_start, K_trunc], and the angular Cauchy-Schwarz bound of the last
+    run."""
     table = spec.table
     eigsys = table.eigsys
     if eigsys is None:
         raise ValueError("mode_sum kernel evaluation needs the angular eigensystem")
-    blocks = []
-    modes = range(spec.k_start, spec.K_trunc + 1)
-    for alpha, ks in itertools.groupby(modes, key=lambda k: table.row(k)[1]):
-        ks = list(ks)
-        px = [_psi_value(eigsys, k, x_dir) for k in ks]
-        py = [_psi_value(eigsys, k, y_dir) for k in ks]
-        blocks.append((
-            alpha,
-            [lambda c, a=a, b=b: c * a * np.conj(b) for a, b in zip(px, py)],
-            math.sqrt(sum(abs(a) ** 2 for a in px) * sum(abs(b) ** 2 for b in py)),
-        ))
-    return blocks
+    ks = range(spec.k_start, spec.K_trunc + 1)
+    alpha = table.alpha[spec.k_start - 1:spec.K_trunc]
+    px, py = (np.array([_psi_value(eigsys, k, d) for k in ks]) for d in (x_dir, y_dir))
+    starts = np.flatnonzero(np.r_[True, alpha[1:] != alpha[:-1]])
+    last = starts[-1]
+    bound = math.sqrt(np.sum(np.abs(px[last:]) ** 2) * np.sum(np.abs(py[last:]) ** 2))
+    return alpha[starts], np.add.reduceat(px * np.conj(py), starts), bound
 
 
 def _psi_value(eigsys: AngularEigensystem, k: int, direction) -> complex:
     if eigsys.N == 2:
-        theta = float(direction) if np.isscalar(direction) else math.atan2(direction[1], direction[0])
-        return complex(eigsys.angular_value(k, theta))
+        if not np.isscalar(direction):
+            raise ValueError(f"an N=2 direction is an angle, got {direction!r}")
+        return complex(eigsys.angular_value(k, float(direction)))
     theta, phi = _sphere_angles(direction)
     return complex(eigsys.angular_value(k, theta, phi))
 
@@ -272,37 +269,20 @@ def _sphere_angles(direction):
     d = np.asarray(direction, dtype=float)
     if d.shape == (2,):            # (theta, phi)
         return float(d[0]), float(d[1])
-    if d.shape == (3,):            # unit vector
-        n = np.linalg.norm(d)
-        return math.acos(max(-1.0, min(1.0, d[2] / n))), math.atan2(d[1], d[0])
-    raise ValueError("sphere direction must be (theta, phi) or a 3-vector")
+    u = _to_unit_vector(d)
+    return math.acos(max(-1.0, min(1.0, u[2]))), math.atan2(u[1], u[0])
 
 
-def _legendre_blocks(spec: KernelSpec, x_dir, y_dir) -> list:
+def _legendre_blocks(spec: KernelSpec, x_dir, y_dir) -> tuple:
     """One block per degree l: the addition theorem collapses its modes to
-    (2l+1)/(4pi) P_l(cos gamma), which is also the block's angular bound."""
-    table = spec.table
-    eigsys = table.eigsys
-    if table.N != 3 or eigsys is None or eigsys.basis_tag != "analytic_constant":
-        raise ValueError(
-            "legendre_collapsed kernel path requires N=3 with constant scalar coefficient"
-        )
-    labels = eigsys.mode_labels
-    # degree blocks must be fully contained in [k_start, K_trunc]
-    degrees = [labels[k - 1][0] for k in range(spec.k_start, spec.K_trunc + 1)]
-    l_lo, l_hi = degrees[0], degrees[-1]
-    expected = sum(2 * l + 1 for l in range(l_lo, l_hi + 1))
-    if len(degrees) != expected:
-        raise ValueError(
-            "legendre_collapsed requires k_start/K_trunc aligned with whole degree blocks"
-        )
-    cosg = _cos_angle(x_dir, y_dir)
-    return [
-        (0.5 - math.sqrt(0.25 + l * (l + 1) + eigsys.constant_shift),
-         [lambda c, l=l: c * (2 * l + 1) / (4.0 * math.pi) * legendre_p(l, cosg)],
-         (2 * l + 1) / (4.0 * math.pi))
-        for l in range(l_lo, l_hi + 1)
-    ]
+    (2l+1)/(4pi) P_l(cos gamma); the last block's angular bound is
+    (2l+1)/(4pi)."""
+    eigsys = spec.table.eigsys
+    l_lo, l_hi = (eigsys.mode_labels[k - 1][0] for k in (spec.k_start, spec.K_trunc))
+    ls = np.arange(l_lo, l_hi + 1)
+    weight = (2 * ls + 1) / (4.0 * math.pi)
+    return (0.5 - np.sqrt(0.25 + ls * (ls + 1) + eigsys.constant_shift),
+            weight * legendre_p(ls, _cos_angle(x_dir, y_dir)), weight[-1])
 
 
 def _cos_angle(x_dir, y_dir) -> float:
@@ -312,14 +292,16 @@ def _cos_angle(x_dir, y_dir) -> float:
 
 def _to_unit_vector(direction) -> np.ndarray:
     d = np.asarray(direction, dtype=float)
-    if d.shape == (3,):
-        return d / np.linalg.norm(d)
-    theta, phi = _sphere_angles(d)
-    return np.array([
-        math.sin(theta) * math.cos(phi),
-        math.sin(theta) * math.sin(phi),
-        math.cos(theta),
-    ])
+    if d.shape == (2,):            # (theta, phi)
+        theta, phi = d
+        return np.array([math.sin(theta) * math.cos(phi),
+                         math.sin(theta) * math.sin(phi), math.cos(theta)])
+    if d.shape != (3,):
+        raise ValueError("sphere direction must be (theta, phi) or a 3-vector")
+    n = np.linalg.norm(d)
+    if not n > 0:
+        raise ValueError(f"a direction 3-vector must be nonzero, got {d.tolist()!r}")
+    return d / n
 
 
 def log_grid() -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,8 @@ scipy.special.jv), the scaled radial Bessel kernel, hypergeometric-type
 polynomials, Legendre polynomials and spherical harmonics.
 
 Everything here is a pure function of its arguments; PolySpec is an
-immutable (degree, parameter) pair.
+immutable (degree, parameter) pair.  The Bessel functions broadcast arrays
+of orders against r; ``legendre_p`` gives many degrees from one recurrence.
 """
 
 from __future__ import annotations
@@ -15,43 +16,49 @@ import numpy as np
 from scipy import special as sp
 
 
-def bessel_j(nu: float, r) -> np.ndarray | float:
+def bessel_j(nu, r) -> np.ndarray | float:
     """Bessel function of the first kind J_nu(r), nu >= 0, r >= 0, by
-    scipy.special.jv (AMOS: Amos 1986, ACM TOMS 12:265)."""
-    if not (math.isfinite(nu) and nu >= 0):
+    scipy.special.jv (AMOS: Amos 1986, ACM TOMS 12:265); an array of orders
+    broadcasts against r."""
+    nu_arr = np.asarray(nu, dtype=float)
+    if not np.all(np.isfinite(nu_arr) & (nu_arr >= 0)):
         raise ValueError(f"bessel_j requires finite nu >= 0, got {nu!r}")
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
         raise ValueError("bessel_j requires r >= 0")
-    out = sp.jv(nu, r_arr)
-    return float(out) if r_arr.ndim == 0 else out
+    out = sp.jv(nu_arr, r_arr)
+    return float(out) if out.ndim == 0 else out
 
 
-def j_scaled(N: int, alpha: float, r, weighted: bool = False):
-    """Radial kernel j_{-alpha}(r) = r^{-(N-2)/2} J_{-alpha+(N-2)/2}(r).
+def j_scaled(N: int, alpha, r, weighted: bool = False):
+    """Radial kernel j_{-alpha}(r) = r^{-(N-2)/2} J_{-alpha+(N-2)/2}(r); an
+    array of alpha broadcasts against r.
 
-    Near r=0 the unweighted value behaves like c r^{-alpha}.  With
-    ``weighted=True`` returns r^alpha * j_{-alpha}(r) = r^{-order} J_order(r),
-    which extends continuously to r=0 (value 2^{-order}/Gamma(order+1) there).
+    Near r=0 the unweighted value behaves like c r^{-alpha}: at r=0 it is
+    2^{-order}/Gamma(order+1) for alpha = 0 and 0 for alpha < 0, and alpha > 0
+    raises ValueError.  With ``weighted=True`` returns r^alpha * j_{-alpha}(r)
+    = r^{-order} J_order(r), which extends continuously to r=0 (value
+    2^{-order}/Gamma(order+1) there).
     """
     if N < 2:
         raise ValueError("j_scaled requires N >= 2")
+    alpha, r_arr = np.broadcast_arrays(np.asarray(alpha, dtype=float),
+                                       np.asarray(r, dtype=float))
     order = -alpha + (N - 2) / 2.0
-    if order < 0:
-        raise ValueError(f"j_scaled requires -alpha+(N-2)/2 >= 0, got {order}")
-    r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
-    if weighted:
-        out = np.full_like(r_arr, 2.0 ** (-order) / math.gamma(order + 1.0))
-        pos = r_arr != 0
-        if pos.any():
-            out[pos] = r_arr[pos] ** (-order) * bessel_j(order, r_arr[pos])
-        return float(out[0]) if scalar else out
-    if np.any(r_arr <= 0):
-        raise ValueError("j_scaled (unweighted) requires r > 0")
-    out = r_arr ** (-(N - 2) / 2.0) * bessel_j(order, r_arr)
-    return float(out[0]) if scalar else out
+    if np.any(order < 0):
+        raise ValueError(f"j_scaled requires -alpha+(N-2)/2 >= 0, got {np.min(order)}")
+    if np.any(r_arr < 0):
+        raise ValueError("j_scaled requires r >= 0")
+    zero = r_arr == 0
+    if not weighted and np.any(zero & (alpha > 0)):
+        raise ValueError("j_scaled (unweighted) diverges at r=0 for alpha > 0")
+    out = np.empty(r_arr.shape)
+    pos = ~zero
+    power = -order[pos] if weighted else -(N - 2) / 2.0
+    out[pos] = r_arr[pos] ** power * bessel_j(order[pos], r_arr[pos])
+    limit = 2.0 ** (-order[zero]) / sp.gamma(order[zero] + 1.0)
+    out[zero] = limit if weighted else np.where(alpha[zero] == 0, limit, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -79,20 +86,23 @@ class PolySpec:
         return float(out) if np.ndim(t) == 0 else out
 
 
-def legendre_p(l: int, x):
-    """Legendre polynomial P_l(x) on [-1, 1] by upward recurrence."""
-    if l < 0:
-        raise ValueError("legendre_p requires l >= 0")
+def legendre_p(l, x):
+    """Legendre polynomials P_l(x) on [-1, 1] by one upward recurrence to the
+    highest degree; an array of degrees gives an array of shape l.shape +
+    x.shape."""
+    l_arr = np.asarray(l)
+    if l_arr.dtype.kind not in "iu" or np.any(l_arr < 0):
+        raise ValueError(f"legendre_p requires integer degrees l >= 0, got {l!r}")
     x_arr = np.asarray(x, dtype=float)
     if np.any(np.abs(x_arr) > 1.0 + 1e-14):
         raise ValueError("legendre_p requires |x| <= 1")
-    p0 = np.ones_like(x_arr)
-    if l == 0:
-        return float(p0) if np.ndim(x) == 0 else p0
-    p1 = x_arr.copy()
-    for k in range(1, l):
-        p0, p1 = p1, ((2 * k + 1) * x_arr * p1 - k * p0) / (k + 1.0)
-    return float(p1) if np.ndim(x) == 0 else p1
+    top = int(np.max(l_arr))
+    p = np.empty((max(top, 1) + 1,) + x_arr.shape)
+    p[0], p[1] = 1.0, x_arr
+    for k in range(1, top):
+        p[k + 1] = ((2 * k + 1) * x_arr * p[k] - k * p[k - 1]) / (k + 1.0)
+    out = p[l_arr]
+    return float(out) if out.ndim == 0 else out
 
 
 def sph_harm(l: int, m: int, theta, phi):

@@ -11,7 +11,6 @@ asymptotic window t = 2^4..2^14, where the same tolerance is met.
 
 import math
 import time
-import warnings
 
 import mpmath
 import numpy as np
@@ -20,7 +19,7 @@ import pytest
 from schroflow import flow
 from schroflow.angular import (AngularProblem, assemble_circle,
                                constant_a_spectrum, eigensolve)
-from schroflow.oscillator import (AccuracyWarning, ModeIndex, build_table,
+from schroflow.oscillator import (ModeIndex, build_table,
                                   gamma_of, make_mode, project)
 from schroflow.quadrature import RadialQuadrature
 from schroflow.flow import RouteParams, compare_routes
@@ -66,8 +65,7 @@ def test_criterion_3_free_kernel_identity():
     L_cut = 60
     K = (L_cut + 1) ** 2
     table = build_table(constant_a_spectrum(3, 0.0, K), 3, K)
-    spec = flow.KernelSpec(table=table, path="legendre_collapsed",
-                           tail_threshold=np.inf)
+    spec = flow.KernelSpec(table=table, path="legendre_collapsed")
     rng = np.random.default_rng(2024)
     scale = (2.0 * math.pi) ** 1.5
     worst = 0.0
@@ -77,7 +75,7 @@ def test_criterion_3_free_kernel_identity():
         x *= rng.uniform(0.1, math.sqrt(10.0)) / np.linalg.norm(x)
         y *= rng.uniform(0.1, math.sqrt(10.0)) / np.linalg.norm(y)
         rho = float(np.linalg.norm(x) * np.linalg.norm(y))
-        val = flow.kernel_eval(spec, x, y, rho)
+        val, _ = flow.kernel_eval(spec, x, y, rho)
         worst = max(worst, abs(scale * val - np.exp(-1j * np.dot(x, y))))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-6
@@ -195,12 +193,10 @@ def test_criterion_7_tail_kernel_bounded():
     K = 169  # degrees 0..12
     table = build_table(constant_a_spectrum(3, 2.0, K), 3, K)
     alpha2 = table.row(2)[1]
-    spec = flow.KernelSpec(table=table, k_start=2, path="legendre_collapsed",
-                           tail_threshold=np.inf)
+    spec = flow.KernelSpec(table=table, k_start=2, path="legendre_collapsed")
     x, y = (0.3, 0.2), (1.1, 2.0)
     rhos = np.geomspace(1e-3, 20.0, 60)
-    vals = np.array([abs(flow.kernel_eval(spec, x, y, float(rho)))
-                     * rho ** alpha2 for rho in rhos])
+    vals = np.abs(flow.kernel_eval(spec, x, y, rhos)[0]) * rhos ** alpha2
     assert np.all(np.isfinite(vals))
     small = vals[rhos < 0.1].max()
     mid = vals[(rhos > 0.5) & (rhos < 5.0)].max()

@@ -59,6 +59,48 @@ class TestAharonovBohmCircle:
         assert abs(abs(psi1[0]) - 1.0 / math.sqrt(2 * math.pi)) < 1e-10
 
 
+def _loop_circle_matrix(problem):
+    """The Fourier-Galerkin matrix entry by entry, over dict lookups."""
+    K = problem.truncation
+    a_hat = (dict(problem.scalar_coeff) if isinstance(problem.scalar_coeff, dict)
+             else {0: complex(problem.scalar_coeff)})
+    al_hat = dict(problem.magnetic_coeff or {})
+    g_hat = dict(a_hat)
+    for p, cp in al_hat.items():
+        for q, cq in al_hat.items():
+            g_hat[p + q] = g_hat.get(p + q, 0.0) + cp * cq
+    ms = np.arange(-K, K + 1)
+    M = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
+    for i, m in enumerate(ms):
+        for j, n in enumerate(ms):
+            val = g_hat.get(m - n, 0.0) + (n + m) * al_hat.get(m - n, 0.0)
+            if m == n:
+                val += m * m
+            M[i, j] = val
+    return M
+
+
+class TestCircleAssembly:
+    @pytest.mark.parametrize("scalar, magnetic", [
+        pytest.param(0.2, {0: 0.3, 1: 0.1 + 0.25j, -1: 0.1 - 0.25j}, id="complex +-1 flux"),
+        pytest.param(0.2, {0: 0.3, 1: complex(-0.2, 0.15), -1: complex(-0.2, -0.15)},
+                     id="complex +-1 flux, negative real part"),
+        pytest.param({0: 0.5, 2: -0.25, -2: -0.25}, {0: -0.3, 3: 0.1, -3: 0.1},
+                     id="real Fourier a and flux"),
+        pytest.param(-1.5, None, id="constant a"),
+        # off-diagonal entries of real part -0.0 at q = 1, m + n < 0
+        pytest.param({0: 0.5, 1: complex(-0.0, 0.1), -1: complex(-0.0, -0.1)},
+                     {0: -0.3, 1: 0.2j, -1: -0.2j}, id="signed zeros"),
+    ])
+    def test_bitwise_equal_to_loop_assembly(self, scalar, magnetic):
+        prob = AngularProblem(N=2, scalar_coeff=scalar, magnetic_coeff=magnetic,
+                              truncation=9)
+        M, ref = assemble_circle(prob), _loop_circle_matrix(prob)
+        assert np.array_equal(M, ref)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(M)), np.signbit(part(ref)))
+
+
 class TestSphereGalerkin:
     def test_constant_coefficient_matches_analytic(self):
         prob = AngularProblem(N=3, scalar_coeff=2.0, truncation=6)

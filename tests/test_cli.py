@@ -444,6 +444,28 @@ class TestConfigErrors:
                      id="heat t1 - t0 2.005"),
         pytest.param("compare", {"problem": FREE, "experiment": {
             **SMALL_RUNS["compare"], "T": 1.005}}, id="compare T 1.005"),
+        # numeric failures (exit 5) before: kernel series the Legendre path
+        # cannot collapse, and a zero radius under a negative weight
+        pytest.param("kernel", {"problem": FREE, "experiment": {
+            **KERNEL, "K": 5, "path": "legendre_collapsed"}},
+                     id="legendre K not whole degree blocks"),
+        pytest.param("kernel", {"problem": {"N": 2, "a": 0.1}, "experiment": {
+            **KERNEL, "x_dir": 0.4, "y_dir": 1.2, "path": "legendre_collapsed"}},
+                     id="legendre N=2"),
+        pytest.param("kernel", {"problem": FREE, "experiment": {
+            **KERNEL, "rho": [0.0, 1.0], "weight_exponent": -1}},
+                     id="rho 0 with negative weight"),
+        # nan with exit 0, or read as another direction, before: malformed
+        # kernel directions
+        pytest.param("kernel", {"problem": FREE, "experiment": {
+            **KERNEL, "x_dir": [0, 0, 0]}}, id="x_dir zero vector"),
+        pytest.param("kernel", {"problem": FREE, "experiment": {
+            **KERNEL, "y_dir": [0.0, 0.0, 0.0], "path": "legendre_collapsed"}},
+                     id="y_dir zero vector legendre"),
+        pytest.param("kernel", {"problem": {"N": 2, "a": 0.1}, "experiment": {
+            **KERNEL, "x_dir": [0.4, 0.3, 5.0], "y_dir": 1.2}}, id="x_dir 3-vector N=2"),
+        pytest.param("kernel", {"problem": {"N": 2, "a": 0.1}, "experiment": {
+            **KERNEL, "x_dir": 0.4, "y_dir": [1.0, 0.0]}}, id="y_dir list N=2"),
     ])
     def test_malformed_value_exit_code(self, tmp_path, monkeypatch, capsys, command, config):
         monkeypatch.chdir(tmp_path)

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -86,7 +85,7 @@ class TestKernel:
             y = rng.normal(size=3)
             x *= rng.uniform(0.2, 3.0) / np.linalg.norm(x)
             y *= rng.uniform(0.2, 3.0) / np.linalg.norm(y)
-            val = flow.kernel_eval(spec, x, y, float(np.linalg.norm(x) * np.linalg.norm(y)))
+            val, _ = flow.kernel_eval(spec, x, y, float(np.linalg.norm(x) * np.linalg.norm(y)))
             assert abs(scale * val - np.exp(-1j * np.dot(x, y))) < 1e-10
 
     def test_mode_sum_matches_collapsed(self):
@@ -94,30 +93,56 @@ class TestKernel:
         s1 = flow.KernelSpec(table=table, path="mode_sum")
         s2 = flow.KernelSpec(table=table, path="legendre_collapsed")
         x, y = (0.4, 0.3), (1.2, 2.1)
-        for rho in (0.5, 2.0, 6.0):
-            import warnings as w
-            with w.catch_warnings():
-                w.simplefilter("ignore", AccuracyWarning)
-                v1 = flow.kernel_eval(s1, x, y, rho)
-                v2 = flow.kernel_eval(s2, x, y, rho)
-            assert abs(v1 - v2) < 1e-10
+        rho = np.array([0.5, 2.0, 6.0])
+        v1, t1 = flow.kernel_eval(s1, x, y, rho)
+        v2, t2 = flow.kernel_eval(s2, x, y, rho)
+        assert np.max(np.abs(v1 - v2)) < 1e-10
+        # the Cauchy-Schwarz bound of a degree block is (2l+1)/(4 pi) |j|
+        assert np.allclose(t1, t2, rtol=1e-12, atol=0.0)
+
+    def test_values_and_tails_have_the_shape_of_rho(self, table_free):
+        spec = flow.KernelSpec(table=table_free)
+        rho = np.array([[0.0, 0.5, 1.0], [2.0, 4.0, 8.0]])
+        values, tail = flow.kernel_eval(spec, (0.4, 0.3), (1.2, 2.1), rho)
+        assert values.shape == tail.shape == rho.shape
+        values, tail = flow.kernel_eval(spec, (0.4, 0.3), (1.2, 2.1), 2.0)
+        assert values.shape == tail.shape == ()
+
+    @pytest.mark.parametrize("path, K", [("mode_sum", 12), ("legendre_collapsed", 169)])
+    def test_vector_of_rho_bitwise_equals_each_alone(self, path, K):
+        # 4 and 13 blocks of equal alpha; at rho = 0 only alpha = 0 counts
+        table = build_table(constant_a_spectrum(3, 0.0, K), 3, K)
+        spec = flow.KernelSpec(table=table, path=path)
+        x, y = (0.4, 0.3), (1.2, 2.1)
+        rho = np.array([0.0, 1e-3, 0.3, 2.0, 6.0, 17.5, 40.0])
+        values, tail = flow.kernel_eval(spec, x, y, rho)
+        for i, r in enumerate(rho):
+            value, bound = flow.kernel_eval(spec, x, y, r)
+            assert value.tobytes() == values[i].tobytes()
+            assert bound.tobytes() == tail[i].tobytes()
 
     def test_origin_value_free(self, table_free):
         # only the alpha=0 term survives at rho=0
         spec = flow.KernelSpec(table=table_free)
-        val = flow.kernel_eval(spec, (0.1, 0.0), (2.0, 1.0), 0.0)
+        val, _ = flow.kernel_eval(spec, (0.1, 0.0), (2.0, 1.0), 0.0)
         expect = math.sqrt(2.0 / math.pi) / (4.0 * math.pi)
         assert val == pytest.approx(expect, rel=1e-12)
 
     def test_origin_diverges_for_positive_alpha(self, table_loss):
         spec = flow.KernelSpec(table=table_loss)
         with pytest.raises(ValueError):
-            flow.kernel_eval(spec, (0.1, 0.0), (2.0, 1.0), 0.0)
+            flow.kernel_eval(spec, (0.1, 0.0), (2.0, 1.0), np.array([1.0, 0.0]))
+
+    def test_negative_rho_rejected(self, table_free):
+        with pytest.raises(ValueError):
+            flow.kernel_eval(flow.KernelSpec(table=table_free), (0.1, 0.0), (2.0, 1.0),
+                             np.array([1.0, -1e-9]))
 
     def test_truncation_warning(self, table_free):
+        # the tail bound that sets kernel.csv's truncation_warning
         spec = flow.KernelSpec(table=table_free, K_trunc=4)
-        with pytest.warns(AccuracyWarning):
-            flow.kernel_eval(spec, (0.4, 0.3), (1.2, 2.1), 8.0)
+        _, tail = flow.kernel_eval(spec, (0.4, 0.3), (1.2, 2.1), 8.0)
+        assert tail > flow.TAIL_THRESHOLD
 
     def test_aharonov_bohm_plane_waves(self):
         # N=2 with flux phi and constant a: psi_k are plane waves e^{im theta}
@@ -127,43 +152,74 @@ class TestKernel:
         table = build_table(eigensolve(assemble_circle(prob), N=2), 2, K)
         spec = flow.KernelSpec(table=table)
         ms = sorted(range(-8, 9), key=lambda m: (m + phi) ** 2)[:K]
-        for rho in (0.3, 2.0, 7.5):
-            ref = sum(np.exp(-0.5j * math.pi * math.sqrt((m + phi) ** 2 + a))
-                      * sp.jv(math.sqrt((m + phi) ** 2 + a), rho)
-                      * np.exp(1j * m * (x - y)) / (2.0 * math.pi) for m in ms)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", AccuracyWarning)
-                val = flow.kernel_eval(spec, x, y, rho)
-            assert abs(val - ref) <= 1e-12 * max(abs(ref), 1.0)
+        rho = np.array([0.3, 2.0, 7.5])
+        ref = sum(np.exp(-0.5j * math.pi * math.sqrt((m + phi) ** 2 + a))
+                  * sp.jv(math.sqrt((m + phi) ** 2 + a), rho)
+                  * np.exp(1j * m * (x - y)) / (2.0 * math.pi) for m in ms)
+        val, _ = flow.kernel_eval(spec, x, y, rho)
+        assert np.all(np.abs(val - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
 
     def test_tail_bound_at_a_nodal_direction(self):
         # psi_9 = Y_2^2 vanishes at the pole, so the last term is zero, but
         # the degree-2 block's Cauchy-Schwarz bound is 1.2e-2 at rho=6
         table = build_table(constant_a_spectrum(3, 0.0, 9), 3, 9)
-        with pytest.warns(AccuracyWarning, match="1.18e-02"):
-            flow.kernel_eval(flow.KernelSpec(table=table), (0.0, 0.0), (1.1, 0.7), 6.0)
+        _, tail = flow.kernel_eval(flow.KernelSpec(table=table), (0.0, 0.0), (1.1, 0.7), 6.0)
+        assert tail == pytest.approx(1.18e-2, abs=5e-5)
+        assert tail > flow.TAIL_THRESHOLD
 
     def test_tail_bound_at_a_legendre_node(self):
         # P_2(1/sqrt 3) = 0; the bound is (2l+1)/(4 pi) |j_{-alpha_2}(rho)|
         table = build_table(constant_a_spectrum(3, 0.0, 9), 3, 9)
         spec = flow.KernelSpec(table=table, path="legendre_collapsed")
-        with pytest.warns(AccuracyWarning, match="1.18e-02"):
-            flow.kernel_eval(spec, (0.0, 0.0, 1.0), (1.0, 1.0, 1.0), 6.0)
+        _, tail = flow.kernel_eval(spec, (0.0, 0.0, 1.0), (1.0, 1.0, 1.0), 6.0)
+        assert tail == pytest.approx(1.18e-2, abs=5e-5)
+        assert tail > flow.TAIL_THRESHOLD
 
     def test_j_factor_once_per_block(self, table_free, monkeypatch):
-        # table_free's 12 modes form the degree blocks 1 + 3 + 5 + 3
+        # table_free's 16 modes form the degree blocks 1 + 3 + 5 + 7: one
+        # j_scaled call takes all four orders and every rho
         calls = []
         monkeypatch.setattr(flow, "j_scaled", lambda *a, **k: calls.append(a) or j_scaled(*a, **k))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AccuracyWarning)
-            flow.kernel_eval(flow.KernelSpec(table=table_free), (0.4, 0.3), (1.2, 2.1), 2.0)
-        assert len(calls) == 4
+        flow.kernel_eval(flow.KernelSpec(table=table_free), (0.4, 0.3), (1.2, 2.1),
+                         np.array([0.5, 2.0, 4.0]))
+        assert len(calls) == 1
+        assert np.shape(calls[0][1]) == (4,)
 
     def test_invalid_indices(self, table_free):
         with pytest.raises(ValueError):
             flow.KernelSpec(table=table_free, k_start=0)
         with pytest.raises(ValueError):
             flow.KernelSpec(table=table_free, K_trunc=99)
+
+    def test_legendre_path_needs_whole_degree_blocks(self, table_free):
+        # table_free holds the degrees 0..3, modes 1, 2-4, 5-9 and 10-16
+        with pytest.raises(ValueError, match="whole degree blocks"):
+            flow.KernelSpec(table=table_free, K_trunc=12, path="legendre_collapsed")
+        with pytest.raises(ValueError, match="whole degree blocks"):
+            flow.KernelSpec(table=table_free, k_start=3, K_trunc=9,
+                            path="legendre_collapsed")
+        flow.KernelSpec(table=table_free, k_start=2, K_trunc=9, path="legendre_collapsed")
+
+    def test_legendre_path_needs_n_3(self):
+        prob = AngularProblem(N=2, scalar_coeff=0.1, truncation=16)
+        table = build_table(eigensolve(assemble_circle(prob), N=2), 2, 5)
+        with pytest.raises(ValueError, match="N=3"):
+            flow.KernelSpec(table=table, path="legendre_collapsed")
+
+    @pytest.mark.parametrize("path", ["mode_sum", "legendre_collapsed"])
+    def test_zero_direction_rejected(self, path):
+        table = build_table(constant_a_spectrum(3, 0.0, 9), 3, 9)
+        spec = flow.KernelSpec(table=table, path=path)
+        for x, y in (((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0))):
+            with pytest.raises(ValueError, match="nonzero"):
+                flow.kernel_eval(spec, x, y, 1.0)
+
+    def test_circle_direction_is_an_angle(self):
+        prob = AngularProblem(N=2, scalar_coeff=0.1, truncation=16)
+        table = build_table(eigensolve(assemble_circle(prob), N=2), 2, 5)
+        spec = flow.KernelSpec(table=table)
+        with pytest.raises(ValueError, match="angle"):
+            flow.kernel_eval(spec, (1.0, 0.0), 0.3, 1.0)
 
 
 def _log_state(mode, table):
