@@ -9,7 +9,9 @@ Three regimes are covered:
 * ``constant_a_spectrum`` -- closed-form spectrum l(l+N-2) + a for constant a.
 
 ``eigensolve`` turns an assembled Hermitian matrix into a deterministic,
-ascending, orthonormal eigensystem.
+ascending, orthonormal eigensystem of its lowest ``count`` eigenpairs: the
+whole matrix is diagonalised, and only the kept pairs are ordered, phased and
+checked.
 """
 
 from __future__ import annotations
@@ -242,22 +244,30 @@ class EigensolveError(RuntimeError):
 
 
 def eigensolve(M: np.ndarray, tol: float = 1e-11, basis_tag: str | None = None,
-               N: int = 2, mode_labels: tuple = ()) -> AngularEigensystem:
-    """Full eigendecomposition of a Hermitian matrix.
+               N: int = 2, mode_labels: tuple = (),
+               count: int | None = None) -> AngularEigensystem:
+    """The lowest ``count`` eigenpairs of a Hermitian matrix (all of them if
+    ``count`` is None or at least the dimension).
 
-    Output is deterministic for identical input: eigenvalues ascending,
-    degenerate clusters ordered by the basis index of the dominant
+    The full matrix is diagonalised; only the kept pairs are ordered, phased
+    and checked.  Output is deterministic for identical input: eigenvalues
+    ascending, degenerate clusters ordered by the basis index of the dominant
     coefficient, each vector rotated so its first significant coefficient is
-    positive real.
+    positive real.  A cluster that the cut splits is ordered as a whole
+    first, so the kept pairs are the first ``count`` of the full solve.
     """
     M = np.asarray(M)
     _require_hermitian(M)
+    if count is not None and count < 1:
+        raise ValueError(f"eigensolve needs count >= 1, got {count}")
     vals, vecs = np.linalg.eigh(M)
+    # the tolerance scale is max|lambda| of the whole spectrum, kept or not
     scale = max(np.max(np.abs(vals)), 1.0)
+    kept = len(vals) if count is None else min(count, len(vals))
     # order degenerate clusters by dominant-coefficient index
     order = list(range(len(vals)))
     i = 0
-    while i < len(vals):
+    while i < kept:
         j = i
         while j + 1 < len(vals) and vals[j + 1] - vals[i] <= 10 * tol * scale:
             j += 1
@@ -266,8 +276,8 @@ def eigensolve(M: np.ndarray, tol: float = 1e-11, basis_tag: str | None = None,
                 order[i:j + 1], key=lambda k: int(np.argmax(np.abs(vecs[:, k])))
             )
         i = j + 1
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals = vals[order[:kept]]
+    vecs = vecs[:, order[:kept]]
     # fix the free phase: first coefficient above threshold is positive real
     for k in range(vecs.shape[1]):
         col = vecs[:, k]

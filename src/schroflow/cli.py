@@ -286,7 +286,7 @@ def build_eigensystem(problem: dict, count: int):
         prob = AngularProblem(N=2, scalar_coeff=problem["a"],
                               magnetic_coeff=problem.get("magnetic"),
                               truncation=problem.get("truncation", max(16, count + 4)))
-        return eigensolve(assemble_circle(prob), N=2)
+        return eigensolve(assemble_circle(prob), N=2, count=count)
     except AngularProblemError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -501,6 +501,11 @@ def cmd_kernel(config: dict, out_dir: str, expect: dict,
                                      "path": spec.path, "weight_exponent": w_exp})
 
     rho = np.asarray(experiment["rho"], dtype=float)
+    # j_{-alpha}(rho) is unbounded at rho = 0 for alpha > 0
+    alpha_max = float(np.max(table.alpha[spec.k_start - 1:spec.K_trunc]))
+    if alpha_max > 0 and np.any(rho == 0):
+        raise ConfigError(f"experiment.rho: rho = 0 needs alpha_k <= 0 for every mode "
+                          f"k_start..K of the series, got alpha_k = {alpha_max!r}")
     values, tail = flow.kernel_eval(spec, experiment["x_dir"], experiment["y_dir"], rho)
     modulus = np.abs(values)
     weighted = rho ** w_exp * modulus

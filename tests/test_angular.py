@@ -157,6 +157,54 @@ class TestEigensolve:
         with pytest.raises(AngularProblemError):
             eigensolve(np.array([[0.0, 1.0], [0.0, 0.0]]), N=2)
 
+    @staticmethod
+    def _assert_first_pairs(M, count):
+        full = eigensolve(M, N=2)
+        kept = eigensolve(M, N=2, count=count)
+        n = min(count, len(full))
+        assert len(kept) == n
+        assert np.array_equal(kept.eigenvalues, full.eigenvalues[:n])
+        assert np.array_equal(kept.eigenvectors, full.eigenvectors[:, :n])
+
+    @pytest.mark.parametrize("count", [1, 5, 12, 13, 40])
+    def test_count_keeps_the_first_pairs(self, count):
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(13, 13)) + 1j * rng.normal(size=(13, 13))
+        self._assert_first_pairs(A + A.conj().T, count)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_count_cuts_a_degenerate_cluster(self, count):
+        # flux 1/2 plus a gradient: the spectrum (m + 1/2)^2 + a is doubly
+        # degenerate with non-trivial vectors; counts 1 and 3 cut a pair,
+        # whose order comes from sorting the whole pair
+        prob = AngularProblem(N=2, scalar_coeff=0.7, truncation=12,
+                              magnetic_coeff={0: 0.5, 1: 0.1 + 0.2j, -1: 0.1 - 0.2j})
+        M = assemble_circle(prob)
+        vals = eigensolve(M, N=2).eigenvalues
+        assert np.allclose(vals[:4], [0.95, 0.95, 2.95, 2.95], atol=1e-12)
+        self._assert_first_pairs(M, count)
+
+    @pytest.mark.parametrize("spoiled, raises", [(1, True), (4, False)])
+    def test_count_checks_only_kept_pairs(self, monkeypatch, spoiled, raises):
+        eigh = np.linalg.eigh
+
+        def spoil(M):
+            vals, vecs = eigh(M)
+            vecs[:, spoiled] += 0.1 * vecs[:, spoiled + 1]
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", spoil)
+        M = np.diag(np.arange(1.0, 8.0))
+        if raises:
+            with pytest.raises(EigensolveError):
+                eigensolve(M, N=2, count=3)
+        else:
+            assert eigensolve(M, N=2, count=3).residual_bound <= 1e-15
+
+    def test_count_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            eigensolve(np.eye(3), N=2, count=0)
+
     @settings(max_examples=25, deadline=None)
     @given(hnp.arrays(np.float64, (6, 6),
                       elements=st.floats(-5, 5, allow_nan=False)))

@@ -96,6 +96,16 @@ class TestSpectrum:
         _, _, rows = read_csv(out / "spectrum.csv")
         assert float(rows[0][1]) == pytest.approx(0.09, abs=1e-10)
 
+    def test_rows_capped_at_the_truncation(self, tmp_path):
+        # truncation 3 has 2*3 + 1 = 7 circle modes, fewer than K
+        cfg = write_config(tmp_path, "c.json",
+                           {"problem": {"N": 2, "magnetic": {"0": 0.3}, "truncation": 3},
+                            "experiment": {"K": 10}})
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        _, _, rows = read_csv(out / "spectrum.csv")
+        assert [row[0] for row in rows] == [str(k) for k in range(1, 8)]
+
     def test_byte_identical_reruns(self, tmp_path):
         for command, experiment in SMALL_RUNS.items():
             cfg = write_config(tmp_path, f"{command}.json",
@@ -190,6 +200,14 @@ class TestEvolve:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("j, code", [(7, 0), (9, 2)])
+    def test_last_mode_of_the_truncation(self, tmp_path, j, code):
+        # truncation 3 has 7 circle modes
+        cfg = write_config(tmp_path, "c.json",
+                           {"problem": {"N": 2, "magnetic": {"0": 0.3}, "truncation": 3},
+                            "experiment": {"mode": [0, j], "t": 1.0}})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == code
+
 
 class TestDecay:
     def test_asymptotic_slope(self, tmp_path):
@@ -244,6 +262,17 @@ class TestKernel:
                                            "y_dir": [1.2, 2.1]}})
         assert main(["kernel", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_zero_radius_free(self, tmp_path):
+        # every alpha_k of the free problem is <= 0, so rho = 0 has a value:
+        # |K| = (2 pi)^{-3/2} from the l = 0 mode alone
+        cfg = write_config(tmp_path, "c.json",
+                           {"problem": FREE, "experiment": {**KERNEL, "rho": [0.0, 1.0]}})
+        out = tmp_path / "out"
+        assert main(["kernel", "--config", cfg, "--out", str(out)]) == 0
+        _, cols, rows = read_csv(out / "kernel.csv")
+        assert float(rows[0][cols.index("rho")]) == 0.0
+        assert float(rows[0][cols.index("scaled_modulus")]) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_grid_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
@@ -455,6 +484,10 @@ class TestConfigErrors:
         pytest.param("kernel", {"problem": FREE, "experiment": {
             **KERNEL, "rho": [0.0, 1.0], "weight_exponent": -1}},
                      id="rho 0 with negative weight"),
+        # numeric failure (exit 5) before: the series has no value at rho = 0
+        # when a mode has alpha_k > 0
+        pytest.param("kernel", {"problem": LOSS, "experiment": {
+            **KERNEL, "path": "mode_sum", "rho": [0.0, 1.0]}}, id="rho 0 with positive alpha"),
         # nan with exit 0, or read as another direction, before: malformed
         # kernel directions
         pytest.param("kernel", {"problem": FREE, "experiment": {
