@@ -542,8 +542,8 @@ def cmd_heat(config: dict, out_dir: str, expect: dict,
     v_fd = evolve_heat(schema, v0, t1 - t0)
     v_exact = flow.heat_self_similar(N, alpha_k, grid, t1)
     half = (N - 1) / 2.0
-    rel_l2 = float(np.linalg.norm(grid ** half * (v_fd - v_exact))
-                   / np.linalg.norm(grid ** half * v_exact))
+    rel_l2 = flow.relative_error(np.linalg.norm(grid ** half * (v_fd - v_exact)),
+                                 np.linalg.norm(grid ** half * v_exact))
 
     # time exponent of r^{alpha_k} v at fixed r/sqrt(t): exactly -N/2 + alpha_k
     ratio = experiment["fit_ratio"]

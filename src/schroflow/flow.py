@@ -447,13 +447,24 @@ def _window_mask(r: np.ndarray, window) -> np.ndarray | None:
 
 def window_errors(u, ref, r, weights, N: int, window) -> tuple[float, float]:
     """Relative L^2(r^{N-1} dr) and sup distances of u from ref on the nodes
-    of the grid r in window = [lo, hi]; WindowError if the window holds none."""
+    of the grid r in window = [lo, hi]; WindowError if the window holds none,
+    FloatingPointError if ref is zero or not finite there."""
     mask = _window_mask(r, window)
     u, ref, r, weights = u[mask], ref[mask], r[mask], weights[mask]
     rpow = r ** (N - 1)
     err = np.sqrt(np.sum(weights * np.abs(u - ref) ** 2 * rpow))
-    l2 = float(err / np.sqrt(np.sum(weights * np.abs(ref) ** 2 * rpow)))
-    return l2, float(np.max(np.abs(ref - u)) / np.max(np.abs(ref)))
+    l2 = relative_error(err, np.sqrt(np.sum(weights * np.abs(ref) ** 2 * rpow)))
+    return l2, relative_error(np.max(np.abs(ref - u)), np.max(np.abs(ref)))
+
+
+def relative_error(err, ref_norm) -> float:
+    """err / ref_norm; FloatingPointError if the reference norm is zero or
+    not finite (say, a reference that underflowed), where the quotient would
+    be NaN or infinite."""
+    if not (math.isfinite(ref_norm) and ref_norm > 0):
+        raise FloatingPointError(
+            f"reference norm {float(ref_norm)!r} is zero or not finite: no relative error")
+    return float(err / ref_norm)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,22 @@ with c_k = mu_k + (N-1)(N-3)/4; c_k > -1/4 is the Hardy condition for the
 mode.  The grid is cell-centered so 1/r^2 is never evaluated at r=0; the
 outer boundary is Dirichlet.
 
-Each flow's tridiagonal system matrix is the same at every step, so it is
-LU-factored once by LAPACK ``?gttrf`` and every step is one ``?gttrs``
-back-substitution.  A duration T must be a whole number of steps dt (to
-1e-9 relative, see ``step_count``).
+Each flow's tridiagonal system matrix I + zA (A the discrete operator) is
+the same at every step, so it is factored once and every step is one LAPACK
+back-substitution with no matrix-vector product:
+
+* heat (backward Euler, z = dt): I + dt A is real, symmetric and, for every
+  c_k >= -1/4, positive definite with non-positive off-diagonal entries,
+  i.e. an M-matrix.  It is LDL^T-factored by ``?pttrf`` and a step is one
+  ``?pttrs`` solve.  Where I + dt A is not positive definite (some
+  c_k < -1/4), ``?pttrf`` meets a non-positive pivot and the march refuses
+  to run (LinAlgError).
+* Schrodinger (Crank-Nicolson, z = i dt/2): I + zA is LU-factored by
+  ``?gttrf``.  Since I - zA = 2I - (I + zA), a step is the Cayley form
+  w <- 2 (I + zA)^{-1} w - w: one ``?gttrs`` solve and one in-place update.
+
+A duration T must be a whole number of steps dt (to 1e-9 relative, see
+``step_count``).
 """
 
 from __future__ import annotations
@@ -102,17 +114,12 @@ class RadialSchema:
         return eye + z * self.operator_bands()
 
 
-def _banded_matvec(bands: np.ndarray, w: np.ndarray) -> np.ndarray:
-    out = bands[1] * w
-    out[:-1] += bands[0, 1:] * w[1:]
-    out[1:] += bands[2, :-1] * w[:-1]
-    return out
-
-
 def _march(schema: RadialSchema, u0, T: float, lhs: np.ndarray,
-           rhs: np.ndarray | None) -> np.ndarray:
-    """Solve lhs w_{n+1} = rhs w_n (rhs=None: identity) for T/dt steps in
-    w = r^{(N-1)/2} u; takes and returns the profile u."""
+           cayley: bool) -> np.ndarray:
+    """Step w = r^{(N-1)/2} u through T/dt steps with the system matrix lhs,
+    factored once: w <- lhs^{-1} w for a real symmetric positive definite
+    lhs (LDL^T by ?pttrf), or with ``cayley`` w <- lhs^{-1} (2I - lhs) w
+    (LU by ?gttrf); takes and returns the profile u."""
     steps = step_count(T, schema.dt)
     u0 = np.asarray(u0)
     if u0.shape != (schema.M,):
@@ -121,14 +128,25 @@ def _march(schema: RadialSchema, u0, T: float, lhs: np.ndarray,
     w = (r_half * u0).astype(lhs.dtype)
     if not (np.isfinite(w).all() and np.isfinite(lhs).all()):
         raise ValueError("profile and system matrix must be finite")
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (lhs,))
-    dl, d, du, du2, ipiv, info = gttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular system matrix: zero pivot {info}")
-    for _ in range(steps):
-        # w and the matvec's output are ours to overwrite
-        b = w if rhs is None else _banded_matvec(rhs, w)
-        w, _ = gttrs(dl, d, du, du2, ipiv, b, overwrite_b=True)
+    if cayley:
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (lhs,))
+        dl, d, du, du2, ipiv, info = gttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular system matrix: zero pivot {info}")
+        for _ in range(steps):
+            y, _ = gttrs(dl, d, du, du2, ipiv, w)
+            y *= 2.0
+            y -= w
+            w = y
+    else:
+        pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (lhs,))
+        d, e, info = pttrf(lhs[1], lhs[0, 1:])
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"system matrix not positive definite: pivot {info}")
+        for _ in range(steps):
+            # w is ours to overwrite
+            w, _ = pttrs(d, e, w, overwrite_b=True)
     if not np.isfinite(w).all():
         raise ValueError("the march left a non-finite profile")
     return w / r_half
@@ -137,19 +155,23 @@ def _march(schema: RadialSchema, u0, T: float, lhs: np.ndarray,
 def evolve_schrodinger(schema: RadialSchema, u0: np.ndarray, T: float) -> np.ndarray:
     """Crank-Nicolson evolution of the radial profile u over a duration T.
 
-    The discrete propagator of i w_t = -w_rr + (c_k/r^2) w is a Cayley
-    transform of a symmetric matrix, so the discrete L^2 norm of w is
-    preserved to roundoff.
+    The discrete propagator (I + zA)^{-1}(I - zA), z = i dt/2, of
+    i w_t = -w_rr + (c_k/r^2) w is a Cayley transform of the real symmetric
+    A, so the discrete L^2 norm of w is preserved to roundoff.  Each step
+    applies it as 2 (I + zA)^{-1} w - w: one solve with the LU factor of
+    I + zA, no product with I - zA.
     """
-    z = 0.5j * schema.dt
-    return _march(schema, u0, T, schema.shifted_bands(z), schema.shifted_bands(-z))
+    return _march(schema, u0, T, schema.shifted_bands(0.5j * schema.dt), cayley=True)
 
 
 def evolve_heat(schema: RadialSchema, u0: np.ndarray, T: float) -> np.ndarray:
     """Backward-Euler evolution of the radial heat profile u over a duration T.
 
-    Backward Euler keeps the system matrix of w_t = w_rr - (c_k/r^2) w an
+    For c_k >= -1/4 the system matrix I + dt A of w_t = w_rr - (c_k/r^2) w
+    is symmetric positive definite with non-positive off-diagonal entries, an
     M-matrix, so positivity of the datum is preserved and the discrete norm
-    is non-increasing.
+    is non-increasing; each step is one solve with its LDL^T factor.  Where
+    I + dt A is not positive definite (some c_k < -1/4) the march refuses to
+    run: np.linalg.LinAlgError.
     """
-    return _march(schema, u0, T, schema.shifted_bands(schema.dt), None)
+    return _march(schema, u0, T, schema.shifted_bands(schema.dt), cayley=False)

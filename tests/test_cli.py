@@ -331,6 +331,24 @@ class TestCompare:
         assert evolve["rel_l2_vs_closed"] == compare["comparison"]["l2_rel"]["closed_vs_fd"]
 
 
+class TestUnderflowedReference:
+    # the closed-form reference underflows to 0 on the whole grid: Infinity
+    # and NaN relative errors were written with exit 0 before
+    @pytest.mark.parametrize("command, experiment", [
+        pytest.param("evolve", {"mode": [0, 1], "t": 1e160, "route": "fd", "dt": 1e160,
+                                "fd_points": 100}, id="evolve fd"),
+        pytest.param("heat", {"t0": 1, "t1": 1e300, "dt": 1e297, "fd_points": 100},
+                     id="heat"),
+    ])
+    def test_numeric_failure_writes_nothing(self, tmp_path, capsys, command, experiment):
+        cfg = write_config(tmp_path, "c.json",
+                           {"problem": {"N": 3, "a": 0.0}, "experiment": experiment})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 5
+        assert capsys.readouterr().err.startswith("numeric failure:")
+        assert list(out.iterdir()) == []
+
+
 class TestCsv:
     def test_columns_written_as_rows_of_fmt_cells(self, tmp_path):
         # float and integer arrays take the bulk path; the file must equal

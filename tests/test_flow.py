@@ -370,6 +370,15 @@ class TestNormsAndFits:
         assert np.array_equal(flow.dyadic_times(0, 3), [1.0, 2.0, 4.0, 8.0])
 
 
+class TestWindowErrors:
+    @pytest.mark.parametrize("ref_value", [0.0, np.inf, np.nan])
+    def test_reference_norm_zero_or_not_finite_rejected(self, ref_value):
+        r = np.linspace(0.5, 5.0, 10)
+        with pytest.raises(ArithmeticError):
+            flow.window_errors(np.ones(10), np.full(10, ref_value), r, np.ones(10), 3,
+                               (1.0, 4.0))
+
+
 class TestSeparatedState:
     def test_validation(self, quad_default):
         with pytest.raises(ValueError):

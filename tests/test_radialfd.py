@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 from schroflow import flow
 from schroflow.angular import constant_a_spectrum
 from schroflow.oscillator import ModeIndex, build_table, make_mode
 from schroflow.flow import RouteParams, compare_routes
-from schroflow.radialfd import (RadialSchema, _banded_matvec, evolve_heat,
-                                evolve_schrodinger, step_count)
+from schroflow.radialfd import (RadialSchema, evolve_heat, evolve_schrodinger,
+                                step_count)
 
 
 def _schema(mu=0.0, M=600, dt=1e-2, R=30.0):
@@ -91,12 +91,20 @@ class TestSchrodingerStepper:
         assert rel < 2e-3
 
 
-def _solve_banded_march(schema, u0, T, lhs, rhs):
-    """The march with a fresh banded LU solve (scipy solve_banded) per step."""
+def _banded_matvec(bands, w):
+    """bands @ w for a tridiagonal matrix in banded (3, M) storage."""
+    out = bands[1] * w
+    out[:-1] += bands[0, 1:] * w[1:]
+    out[1:] += bands[2, :-1] * w[:-1]
+    return out
+
+
+def _per_step_march(schema, u0, T, step):
+    """The march in w = r^{(N-1)/2} u with a fresh scipy solve per step."""
     r_half = schema.grid ** ((schema.N - 1) / 2.0)
-    w = (r_half * u0).astype(lhs.dtype)
+    w = r_half * u0
     for _ in range(round(T / schema.dt)):
-        w = solve_banded((1, 1), lhs, w if rhs is None else _banded_matvec(rhs, w))
+        w = step(w)
     return w / r_half
 
 
@@ -104,18 +112,45 @@ class TestFactorOnce:
     # one mode with c_k < 0 and one with c_k > 0; 200 steps at M=400
     @pytest.mark.parametrize("mu", [-0.1875, 2.0])
     def test_schrodinger_equals_solve_banded_bitwise(self, mu):
+        # the Cayley step 2 (I + zA)^{-1} w - w, solved by LAPACK ?gtsv
         s = _schema(mu=mu, M=400, dt=1e-3)
         u0 = (np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.25).astype(complex)
-        z = 0.5j * s.dt
-        ref = _solve_banded_march(s, u0, 0.2, s.shifted_bands(z), s.shifted_bands(-z))
+        lhs = s.shifted_bands(0.5j * s.dt)
+        ref = _per_step_march(s, u0, 0.2, lambda w: 2 * solve_banded((1, 1), lhs, w) - w)
         assert np.array_equal(evolve_schrodinger(s, u0, 0.2), ref)
 
     @pytest.mark.parametrize("mu", [-0.1875, 2.0])
+    def test_schrodinger_matches_the_product_form(self, mu):
+        # (I + zA)^{-1} (I - zA) w, the Crank-Nicolson step as a matvec and a solve
+        s = _schema(mu=mu, M=400, dt=1e-3)
+        u0 = (np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.25).astype(complex)
+        z = 0.5j * s.dt
+        lhs, rhs = s.shifted_bands(z), s.shifted_bands(-z)
+        ref = _per_step_march(s, u0, 0.2,
+                              lambda w: solve_banded((1, 1), lhs, _banded_matvec(rhs, w)))
+        u = evolve_schrodinger(s, u0, 0.2)
+        assert np.linalg.norm(s.grid * (u - ref)) <= 1e-12 * np.linalg.norm(s.grid * ref)
+
+    @pytest.mark.parametrize("mu", [-0.1875, 2.0])
     def test_heat_equals_solve_banded_bitwise(self, mu):
+        # LDL^T solve of the positive definite I + dt A, by LAPACK ?ptsv
         s = _schema(mu=mu, M=400, dt=1e-3)
         u0 = np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.25
-        ref = _solve_banded_march(s, u0, 0.2, s.shifted_bands(s.dt), None)
+        upper = s.shifted_bands(s.dt)[:2]
+        ref = _per_step_march(s, u0, 0.2, lambda w: solveh_banded(upper, w))
         assert np.array_equal(evolve_heat(s, u0, 0.2), ref)
+
+    def test_indefinite_heat_system_rejected(self):
+        # c_k = -1 < -1/4: lambda_min(A) is about -5.6e4, so I + dt A is indefinite
+        s = RadialSchema(N=3, mu=-1.0, R=30.0, M=6000, dt=1e-3)
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            evolve_heat(s, np.exp(-s.grid ** 2), s.dt)
+
+    def test_heat_at_the_hardy_edge_marches(self):
+        # c_k = -0.2499 >= -1/4: I + dt A is positive definite, an M-matrix
+        s = RadialSchema(N=3, mu=-0.2499, R=30.0, M=6000, dt=1e-3)
+        u = evolve_heat(s, np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.5, 0.01)
+        assert np.all(u > 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_profile_rejected(self, bad):
