@@ -9,7 +9,7 @@ from .flow import (DecayReport, KernelSpec, RouteParams, SeparatedState,
                    heat_residual, heat_self_similar, kernel_eval,
                    propagate_representation, pseudoconformal, weighted_sup_norm)
 from .oscillator import (ModeIndex, NormalizedMode, SpectralTable, build_table,
-                         gamma_of, level_multiplicity, make_mode, project)
+                         gamma_of, make_mode, project)
 from .quadrature import RadialQuadrature
 from .radialfd import RadialSchema, evolve_heat, evolve_schrodinger
 from .specfun import PolySpec, bessel_j, j_scaled, legendre_p, sph_harm
@@ -24,7 +24,7 @@ __all__ = [
     "compare_routes", "constant_a_spectrum", "decay_fit", "eigensolve",
     "evolve_heat", "evolve_mode_closed_form", "evolve_schrodinger",
     "gamma_of", "heat_residual", "heat_self_similar", "j_scaled",
-    "kernel_eval", "legendre_p", "level_multiplicity", "make_mode",
-    "project", "propagate_representation", "pseudoconformal",
+    "kernel_eval", "legendre_p", "make_mode", "project",
+    "propagate_representation", "pseudoconformal",
     "sph_harm", "weighted_sup_norm", "__version__",
 ]

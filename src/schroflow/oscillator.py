@@ -5,9 +5,9 @@ From the angular eigenvalues mu_k this module derives the indices
     alpha_k = (N-2)/2 - sqrt(((N-2)/2)^2 + mu_k),
     beta_k  = sqrt(((N-2)/2)^2 + mu_k),
 
-classifies the problem (Hardy validity, loss-of-decay range), enumerates the
-oscillator levels gamma_{n,j} = 2n - alpha_j + N/2 with their multiplicities,
-and builds/normalizes/projects the separable eigenfunctions
+classifies the problem (Hardy validity, loss-of-decay range), gives the
+oscillator levels gamma_{n,j} = 2n - alpha_j + N/2, and builds/normalizes/
+projects the separable eigenfunctions
 
     V_{n,j}(x) = r^{-alpha_j} e^{-r^2/4} P_{n}(r^2/2) psi_j(theta).
 """
@@ -106,19 +106,6 @@ def gamma_of(index: ModeIndex, table: SpectralTable) -> float:
     """Oscillator level gamma_{n,j} = 2n - alpha_j + N/2."""
     _, alpha_j, _ = table.row(index.j)
     return 2.0 * index.n - alpha_j + table.N / 2.0
-
-
-def level_multiplicity(gamma: float, table: SpectralTable, n_cap: int,
-                       tol: float = 1e-9) -> list[ModeIndex]:
-    """All (n, j) with j <= K_max, n <= n_cap and gamma_{n,j} = gamma (within
-    tol); the count is the level multiplicity within the truncation."""
-    out = []
-    for n in range(n_cap + 1):
-        for j in range(1, table.K_max + 1):
-            idx = ModeIndex(n, j)
-            if abs(gamma_of(idx, table) - gamma) <= tol:
-                out.append(idx)
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,36 @@
 """Finite-difference scheme for the radial mode equations, the third
 propagation route (driven by flow.evolve_route).
 
-After expanding over the angular eigenbasis and substituting
-w = r^{(N-1)/2} u, each mode obeys a 1-d equation on (0, R):
+After expanding over the angular eigenbasis, each mode's profile u obeys
+i u_t = H_k u (Schrodinger) or u_t = -H_k u (heat) on (0, R), with
 
-    i w_t = -w_rr + (c_k / r^2) w        (Schrodinger)
-      w_t =  w_rr - (c_k / r^2) w        (heat)
+    H_k u = -u'' - ((N-1)/r) u' + (mu_k / r^2) u.
 
-with c_k = mu_k + (N-1)(N-3)/4; c_k > -1/4 is the Hardy condition for the
-mode.  The grid is cell-centered so 1/r^2 is never evaluated at r=0; the
-outer boundary is Dirichlet.
+The mode must satisfy the Hardy bound mu_k >= -((N-2)/2)^2; RadialSchema
+refuses one below it (ValueError).  The scheme works in the ground-state
+form: with alpha_k = (N-2)/2 - sqrt(((N-2)/2)^2 + mu_k), which solves
+alpha^2 - (N-2) alpha = mu, the substitution v = r^{alpha_k} u cancels the
+inverse-square term exactly,
+
+    H_k u = r^{-alpha_k} (-v'' - ((d-1)/r) v'),     d = N - 2 alpha_k,
+
+a radial Laplacian in dimension d >= 2 with no potential, and the regular
+solution has a smooth v.  Its finite-volume form on cells r_i = (i + 1/2) h,
+with lumped cell volumes h r_i^{d-1}, is second order in h for smooth v,
+on the modes with alpha_k > 0 as on the others.  Symmetrised, it acts on
+w = r^{(N-1)/2} u = r^{(d-1)/2} v, so that sqrt(cell volume) v = sqrt(h) w
+and the conserved discrete norm is sum h r_i^{N-1} |u_i|^2 on every mode.
+The outer boundary is Dirichlet.
 
 Each flow's tridiagonal system matrix I + zA (A the discrete operator) is
 the same at every step, so it is factored once and every step is one LAPACK
 back-substitution with no matrix-vector product:
 
-* heat (backward Euler, z = dt): I + dt A is real, symmetric and, for every
-  c_k >= -1/4, positive definite with non-positive off-diagonal entries,
+* heat (backward Euler, z = dt): A is positive definite, so I + dt A is
+  real, symmetric, positive definite with non-positive off-diagonal entries,
   i.e. an M-matrix.  It is LDL^T-factored by ``?pttrf`` and a step is one
-  ``?pttrs`` solve.  Where I + dt A is not positive definite (some
-  c_k < -1/4), ``?pttrf`` meets a non-positive pivot and the march refuses
-  to run (LinAlgError).
+  ``?pttrs`` solve; a non-positive pivot reported by LAPACK raises
+  LinAlgError.
 * Schrodinger (Crank-Nicolson, z = i dt/2): I + zA is LU-factored by
   ``?gttrf``.  Since I - zA = 2I - (I + zA), a step is the Cayley form
   w <- 2 (I + zA)^{-1} w - w: one ``?gttrs`` solve and one in-place update.
@@ -53,11 +63,12 @@ def step_count(T: float, dt: float) -> int:
 
 @dataclass(frozen=True)
 class RadialSchema:
-    """Grid and coefficient for one radial mode equation.
+    """Grid and operator for one radial mode equation.
 
-    ``mu`` is the mode's angular eigenvalue; the inverse-square strength
-    ``c_k`` of the reduced equation follows from it and N.  The inner
-    boundary imposes w(0) = 0 via an antisymmetric ghost cell.
+    ``mu`` is the mode's angular eigenvalue; it must satisfy the Hardy bound
+    mu >= -((N-2)/2)^2, else ValueError.  The ground-state exponent ``alpha``
+    follows from it and N; the operator is the lumped finite-volume radial
+    Laplacian in v = r^alpha u, symmetrised to act on w = r^{(N-1)/2} u.
     """
 
     N: int
@@ -70,11 +81,17 @@ class RadialSchema:
         # scipy's ?gttrf wrapper rejects a 2 x 2 tridiagonal system
         if self.M < 3 or self.R <= 0 or self.dt <= 0:
             raise ValueError("RadialSchema requires M >= 3, R > 0, dt > 0")
+        # a nan or +inf mu passes here and is refused by _march's finite check
+        bound = -((self.N - 2) / 2.0) ** 2
+        if self.mu < bound:
+            raise ValueError(f"mode below the Hardy bound: mu = {self.mu!r} < "
+                             f"-((N-2)/2)^2 = {bound!r}")
 
     @property
-    def c_k(self) -> float:
-        """Inverse-square strength after the w = r^{(N-1)/2} u substitution."""
-        return self.mu + (self.N - 1) * (self.N - 3) / 4.0
+    def alpha(self) -> float:
+        """Ground-state exponent: alpha^2 - (N-2) alpha = mu, u ~ r^{-alpha} at 0."""
+        half = (self.N - 2) / 2.0
+        return half - math.sqrt(half * half + self.mu)
 
     @property
     def h(self) -> float:
@@ -85,26 +102,30 @@ class RadialSchema:
         return (np.arange(self.M) + 0.5) * self.h
 
     def operator_bands(self) -> np.ndarray:
-        """Symmetric tridiagonal -d^2/dr^2 + c/r^2 in banded (3, M) storage.
+        """Symmetric tridiagonal operator A in banded (3, M) storage.
 
-        The inverse-square potential is sampled as the harmonic mean of the
-        cell-face radii, c / (r_{i-1/2} r_{i+1/2}); this keeps the scheme
-        accurate near the singularity without baking in any particular power
-        behaviour of the solution.  The first cell, whose inner face sits at
-        r=0, falls back to the cell-center value.
+        With p = N - 1 - 2 alpha, face fluxes F_j = (j h)^p (F_0 = 0 at the
+        origin, F_M = 2 R^p for the Dirichlet face at R) and cells r_i:
+
+            A_ii = (F_i + F_{i+1}) / (h^2 r_i^p),
+            A_{i,i+1} = A_{i+1,i} = -F_{i+1} / (h^2 (r_i r_{i+1})^{p/2}).
+
+        A r^{p/2} vanishes in every row but the last, and A is positive
+        definite for every mu on or above the Hardy bound.  Each entry
+        is formed from ratios of radii, so large p does not overflow early.
         """
         h2 = self.h * self.h
+        p = self.N - 1 - 2.0 * self.alpha
         r = self.grid
-        i = np.arange(self.M)
-        c_k = self.c_k
-        pot = c_k / ((np.maximum(i, 1) * self.h) * ((i + 1) * self.h))
-        pot[0] = c_k / (r[0] * r[0])
-        diag = 2.0 / h2 + pot
-        diag[0] = 3.0 / h2 + pot[0]
+        faces = np.arange(self.M + 1) * self.h
+        flux_in = (faces[:-1] / r) ** p
+        flux_out = (faces[1:] / r) ** p
+        flux_out[-1] *= 2.0
         bands = np.zeros((3, self.M))
-        bands[0, 1:] = -1.0 / h2
-        bands[1] = diag
-        bands[2, :-1] = -1.0 / h2
+        bands[1] = (flux_in + flux_out) / h2
+        off = -(faces[1:-1] / np.sqrt(r[:-1] * r[1:])) ** p / h2
+        bands[0, 1:] = off
+        bands[2, :-1] = off
         return bands
 
     def shifted_bands(self, z) -> np.ndarray:
@@ -156,10 +177,10 @@ def evolve_schrodinger(schema: RadialSchema, u0: np.ndarray, T: float) -> np.nda
     """Crank-Nicolson evolution of the radial profile u over a duration T.
 
     The discrete propagator (I + zA)^{-1}(I - zA), z = i dt/2, of
-    i w_t = -w_rr + (c_k/r^2) w is a Cayley transform of the real symmetric
-    A, so the discrete L^2 norm of w is preserved to roundoff.  Each step
-    applies it as 2 (I + zA)^{-1} w - w: one solve with the LU factor of
-    I + zA, no product with I - zA.
+    i w_t = A w is a Cayley transform of the real symmetric A, so the
+    discrete L^2 norm of w is preserved to roundoff.  Each step applies it
+    as 2 (I + zA)^{-1} w - w: one solve with the LU factor of I + zA, no
+    product with I - zA.
     """
     return _march(schema, u0, T, schema.shifted_bands(0.5j * schema.dt), cayley=True)
 
@@ -167,11 +188,10 @@ def evolve_schrodinger(schema: RadialSchema, u0: np.ndarray, T: float) -> np.nda
 def evolve_heat(schema: RadialSchema, u0: np.ndarray, T: float) -> np.ndarray:
     """Backward-Euler evolution of the radial heat profile u over a duration T.
 
-    For c_k >= -1/4 the system matrix I + dt A of w_t = w_rr - (c_k/r^2) w
-    is symmetric positive definite with non-positive off-diagonal entries, an
-    M-matrix, so positivity of the datum is preserved and the discrete norm
-    is non-increasing; each step is one solve with its LDL^T factor.  Where
-    I + dt A is not positive definite (some c_k < -1/4) the march refuses to
-    run: np.linalg.LinAlgError.
+    The system matrix I + dt A of w_t = -A w is symmetric positive definite
+    with non-positive off-diagonal entries, an M-matrix, so positivity of the
+    datum is preserved and the discrete norm is non-increasing; each step is
+    one solve with its LDL^T factor.  A non-positive pivot reported by
+    LAPACK raises np.linalg.LinAlgError.
     """
     return _march(schema, u0, T, schema.shifted_bands(schema.dt), cayley=False)

@@ -7,8 +7,7 @@ import pytest
 from schroflow import flow
 from schroflow.angular import constant_a_spectrum
 from schroflow.oscillator import (AccuracyWarning, HardyViolation, ModeIndex,
-                                  build_table, gamma_of,
-                                  level_multiplicity, make_mode, project)
+                                  build_table, gamma_of, make_mode, project)
 from schroflow.quadrature import RadialQuadrature
 
 
@@ -55,16 +54,6 @@ class TestLevels:
         gs = [gamma_of(ModeIndex(n, 1), table_loss) for n in range(4)]
         assert np.allclose(np.diff(gs), 2.0)
 
-    def test_level_multiplicity_free(self, table_free):
-        # gamma = 3.5: (n=1, l=0) plus the five (n=0, l=2) modes
-        members = level_multiplicity(3.5, table_free, n_cap=3)
-        assert len(members) == 6
-        assert ModeIndex(1, 1) in members
-
-    def test_level_multiplicity_splits_when_a_nonzero(self, table_loss):
-        # a != 0 shifts alpha_j off integers, breaking the free degeneracy
-        gamma = gamma_of(ModeIndex(1, 1), table_loss)
-        assert len(level_multiplicity(gamma, table_loss, n_cap=3)) == 1
 
 
 class TestNormalizedMode:

@@ -11,7 +11,6 @@ from schroflow.radialfd import (RadialSchema, evolve_heat, evolve_schrodinger,
 
 
 def _schema(mu=0.0, M=600, dt=1e-2, R=30.0):
-    # N=3, so the reduced coefficient c_k equals mu
     return RadialSchema(N=3, mu=mu, R=R, M=M, dt=dt)
 
 
@@ -26,19 +25,28 @@ class TestSchema:
         b = s.operator_bands()
         assert np.allclose(b[0, 1:], b[2, :-1])
 
-    def test_operator_free_diag(self):
-        s = _schema(mu=0.0, M=50)
-        b = s.operator_bands()
-        assert np.allclose(b[1][1:], 2.0 / s.h ** 2)
-        assert b[1][0] == pytest.approx(3.0 / s.h ** 2)
+    def test_operator_ground_state(self):
+        # A r^{p/2}, p = N - 1 - 2 alpha, is the ground state v = 1 in
+        # w = r^{p/2} v: zero in every row but the Dirichlet one
+        for N in (2, 3, 4):
+            edge = -((N - 2) / 2.0) ** 2
+            for mu in (edge + 0.05 if N == 2 else -0.1875, edge, 0.0, 2.0, 12.0):
+                s = RadialSchema(N=N, mu=mu, R=30.0, M=400, dt=1e-3)
+                ground = s.grid ** ((N - 1 - 2.0 * s.alpha) / 2.0)
+                b = s.operator_bands()
+                residual = _banded_matvec(b, ground)
+                scale = b[1] * ground
+                assert np.max(np.abs(residual[:-1]) / scale[:-1]) <= 1e-12, (N, mu)
+                assert residual[-1] > 0.5 * scale[-1]
 
     def test_mode_coefficient(self):
-        # c_k = mu + (N-1)(N-3)/4 after the w = r^{(N-1)/2} u substitution
-        def c_k(N, mu):
-            return RadialSchema(N=N, mu=mu, R=30.0, M=10, dt=1e-3).c_k
-        assert c_k(3, -0.1875) == pytest.approx(-0.1875)
-        assert c_k(2, 0.09) == pytest.approx(0.09 - 0.25)
-        assert c_k(5, 0.0) == pytest.approx(2.0)
+        # alpha solves alpha^2 - (N-2) alpha = mu on the branch u ~ r^{-alpha}
+        # regular at the origin: alpha <= (N-2)/2
+        for N, mu, alpha in [(3, -0.1875, 0.25), (3, -0.25, 0.5), (3, 2.0, -1.0),
+                             (2, 0.09, -0.3), (4, -1.0, 1.0), (5, 0.0, 0.0)]:
+            s = RadialSchema(N=N, mu=mu, R=30.0, M=10, dt=1e-3)
+            assert s.alpha == pytest.approx(alpha, abs=1e-15)
+            assert s.alpha ** 2 - (N - 2) * s.alpha == pytest.approx(mu, abs=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -70,15 +78,17 @@ class TestSchrodingerStepper:
         with pytest.raises(ValueError):
             evolve_schrodinger(s, np.zeros(99, dtype=complex), s.dt)
 
-    def test_convergence_order(self, mode01_free):
-        errs = []
-        for M, dt in [(1500, 8e-3), (3000, 4e-3)]:
-            s = _schema(mu=0.0, M=M, dt=dt)
-            g = s.grid
-            u = evolve_schrodinger(s, mode01_free.radial(g), 1.0)
-            ref = flow.evolve_mode_closed_form(mode01_free, g, 1.0)
-            errs.append(np.linalg.norm(g * (u - ref)) / np.linalg.norm(g * ref))
-        assert 3.4 <= errs[0] / errs[1] <= 4.6
+    def test_convergence_order(self, mode01_free, mode01_loss):
+        # mode (0,1) free and at a = -3/16 (alpha = 1/4): second order on both
+        for mu, mode in [(0.0, mode01_free), (-0.1875, mode01_loss)]:
+            errs = []
+            for M, dt in [(1500, 8e-3), (3000, 4e-3)]:
+                s = _schema(mu=mu, M=M, dt=dt)
+                g = s.grid
+                u = evolve_schrodinger(s, mode.radial(g), 1.0)
+                ref = flow.evolve_mode_closed_form(mode, g, 1.0)
+                errs.append(np.linalg.norm(g * (u - ref)) / np.linalg.norm(g * ref))
+            assert 3.4 <= errs[0] / errs[1] <= 4.6, mu
 
     def test_singular_mode_accuracy(self, mode01_loss):
         # moderate resolution: guard the inner discretization quality
@@ -109,7 +119,7 @@ def _per_step_march(schema, u0, T, step):
 
 
 class TestFactorOnce:
-    # one mode with c_k < 0 and one with c_k > 0; 200 steps at M=400
+    # one mode with alpha > 0 and one with alpha < 0; 200 steps at M=400
     @pytest.mark.parametrize("mu", [-0.1875, 2.0])
     def test_schrodinger_equals_solve_banded_bitwise(self, mu):
         # the Cayley step 2 (I + zA)^{-1} w - w, solved by LAPACK ?gtsv
@@ -141,16 +151,21 @@ class TestFactorOnce:
         assert np.array_equal(evolve_heat(s, u0, 0.2), ref)
 
     def test_indefinite_heat_system_rejected(self):
-        # c_k = -1 < -1/4: lambda_min(A) is about -5.6e4, so I + dt A is indefinite
-        s = RadialSchema(N=3, mu=-1.0, R=30.0, M=6000, dt=1e-3)
-        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            evolve_heat(s, np.exp(-s.grid ** 2), s.dt)
+        # mu below the Hardy bound -((N-2)/2)^2: no ground state, so neither
+        # flow marches
+        for evolve in (evolve_schrodinger, evolve_heat):
+            for N, mu in [(3, -1.0), (3, -0.2501), (2, -1e-3), (4, -1.01)]:
+                with pytest.raises(ValueError, match="Hardy bound"):
+                    s = RadialSchema(N=N, mu=mu, R=30.0, M=600, dt=1e-3)
+                    evolve(s, np.exp(-s.grid ** 2).astype(complex), s.dt)
 
     def test_heat_at_the_hardy_edge_marches(self):
-        # c_k = -0.2499 >= -1/4: I + dt A is positive definite, an M-matrix
-        s = RadialSchema(N=3, mu=-0.2499, R=30.0, M=6000, dt=1e-3)
-        u = evolve_heat(s, np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.5, 0.01)
-        assert np.all(u > 0)
+        # mu >= -1/4, the bound itself included: I + dt A is positive
+        # definite, an M-matrix
+        for mu in (-0.2499, -0.25):
+            s = RadialSchema(N=3, mu=mu, R=30.0, M=6000, dt=1e-3)
+            u = evolve_heat(s, np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.5, 0.01)
+            assert np.all(u > 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_profile_rejected(self, bad):
