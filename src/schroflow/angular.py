@@ -9,9 +9,11 @@ Three regimes are covered:
 * ``constant_a_spectrum`` -- closed-form spectrum l(l+N-2) + a for constant a.
 
 ``eigensolve`` turns an assembled Hermitian matrix into a deterministic,
-ascending, orthonormal eigensystem of its lowest ``count`` eigenpairs: the
-whole matrix is diagonalised, and only the kept pairs are ordered, phased and
-checked.
+ascending, orthonormal eigensystem of its lowest ``count`` eigenpairs.  A
+matrix of bandwidth b with b*b <= n, such as the circle matrix, gets its whole
+spectrum from ``eigvals_banded`` and only the vectors up to the kept ones, by
+inverse iteration on its banded LU; a wider one is diagonalised by
+``np.linalg.eigh``.  Only the kept pairs are ordered, phased and checked.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
+from scipy.linalg import eigvals_banded, get_lapack_funcs, qr, toeplitz
 
 from .specfun import real_sph_harm, sph_harm
 
@@ -229,9 +231,17 @@ def assemble_sphere(problem: AngularProblem, n_theta: int | None = None,
     return M
 
 
-def _require_hermitian(M: np.ndarray) -> None:
-    dev = np.max(np.abs(M - M.conj().T))
-    if dev > HERMITICITY_TOL * max(1.0, np.max(np.abs(M))):
+def _require_hermitian(M: np.ndarray, b: int | None = None) -> None:
+    """Raise unless M is Hermitian to HERMITICITY_TOL.  Given the bandwidth
+    b of M, only its 2b+1 central diagonals are read: the rest is zero."""
+    if b is None:
+        dev, size = np.max(np.abs(M - M.conj().T)), np.max(np.abs(M))
+    else:
+        diagonals = [np.diagonal(M, d) for d in range(-b, b + 1)]
+        dev = max(np.max(np.abs(diagonals[b + d] - diagonals[b - d].conj()))
+                  for d in range(b + 1))
+        size = max(np.max(np.abs(v)) for v in diagonals)
+    if dev > HERMITICITY_TOL * max(1.0, size):
         raise AngularProblemError(f"matrix is not Hermitian (deviation {dev:.3e})")
 
 
@@ -249,33 +259,44 @@ def eigensolve(M: np.ndarray, tol: float = 1e-11, basis_tag: str | None = None,
     """The lowest ``count`` eigenpairs of a Hermitian matrix (all of them if
     ``count`` is None or at least the dimension).
 
-    The full matrix is diagonalised; only the kept pairs are ordered, phased
-    and checked.  Output is deterministic for identical input: eigenvalues
-    ascending, degenerate clusters ordered by the basis index of the dominant
-    coefficient, each vector rotated so its first significant coefficient is
-    positive real.  A cluster that the cut splits is ordered as a whole
-    first, so the kept pairs are the first ``count`` of the full solve.
+    A matrix of bandwidth b with b*b <= n takes the band route: the whole
+    spectrum from ``eigvals_banded`` in O(n^2 b) sets the tolerance scale and
+    the cut, then ``_band_eigh`` computes only the pairs up to the kept ones,
+    by inverse iteration.  A wider band takes ``np.linalg.eigh`` on the dense
+    matrix.  The route depends on M alone, never on ``count``.  Either way
+    only the kept pairs are ordered, phased and checked.  Output is
+    deterministic for identical input: eigenvalues ascending, degenerate
+    clusters ordered by the basis index of the dominant coefficient, each
+    vector rotated so its first significant coefficient is positive real.  A
+    cluster that the cut splits is ordered as a whole first, so the kept
+    pairs are the first ``count`` of the full solve.  A non-finite matrix or
+    residual raises ``EigensolveError``.
     """
     M = np.asarray(M)
-    _require_hermitian(M)
+    if not np.all(np.isfinite(M)):
+        raise EigensolveError("angular matrix has non-finite entries", math.nan)
+    b = _bandwidth(M)
+    band = b * b <= len(M)
+    _require_hermitian(M, b if band else None)
     if count is not None and count < 1:
         raise ValueError(f"eigensolve needs count >= 1, got {count}")
-    vals, vecs = np.linalg.eigh(M)
+    if band:
+        ab = _general_band(M, b)
+        vals = eigvals_banded(ab[2 * b:], lower=True, check_finite=False)
+    else:
+        vals, vecs = np.linalg.eigh(M)
     # the tolerance scale is max|lambda| of the whole spectrum, kept or not
     scale = max(np.max(np.abs(vals)), 1.0)
     kept = len(vals) if count is None else min(count, len(vals))
+    clusters = _clusters(vals, 10 * tol * scale, kept)
+    if band:
+        vals, vecs = _band_eigh(ab, b, vals, scale, tol, clusters)
     # order degenerate clusters by dominant-coefficient index
     order = list(range(len(vals)))
-    i = 0
-    while i < kept:
-        j = i
-        while j + 1 < len(vals) and vals[j + 1] - vals[i] <= 10 * tol * scale:
-            j += 1
-        if j > i:
-            order[i:j + 1] = sorted(
-                order[i:j + 1], key=lambda k: int(np.argmax(np.abs(vecs[:, k])))
-            )
-        i = j + 1
+    for i, j in clusters:
+        if j > i + 1:
+            order[i:j] = sorted(order[i:j],
+                                key=lambda k: int(np.argmax(np.abs(vecs[:, k]))))
     vals = vals[order[:kept]]
     vecs = vecs[:, order[:kept]]
     # fix the free phase: first coefficient above threshold is positive real
@@ -288,8 +309,9 @@ def eigensolve(M: np.ndarray, tol: float = 1e-11, basis_tag: str | None = None,
     residual = float(
         np.max(np.linalg.norm(M @ vecs - vecs * vals, axis=0))
     )
-    # for Hermitian M the spectral norm |M| is max |lambda|, so scale = max(|M|, 1)
-    if residual > tol * scale:
+    # for Hermitian M the spectral norm |M| is max |lambda|, so scale = max(|M|, 1);
+    # a NaN residual fails the check too
+    if not residual <= tol * scale:
         raise EigensolveError(
             f"eigensolve residual {residual:.3e} exceeds tol*max(|M|, 1) = {tol * scale:.3e}",
             residual,
@@ -305,6 +327,127 @@ def eigensolve(M: np.ndarray, tol: float = 1e-11, basis_tag: str | None = None,
         N=N,
         mode_labels=mode_labels,
     )
+
+
+def _clusters(vals: np.ndarray, width: float, kept: int) -> list:
+    """Degenerate clusters [i, j) of the ascending ``vals`` that start below
+    ``kept``: each runs while values stay within ``width`` of its first."""
+    clusters = []
+    i = 0
+    while i < kept:
+        j = i + 1
+        while j < len(vals) and vals[j] - vals[i] <= width:
+            j += 1
+        clusters.append((i, j))
+        i = j
+    return clusters
+
+
+def _bandwidth(M: np.ndarray) -> int:
+    """Largest |i - j| over the nonzero entries of M."""
+    i, j = np.nonzero(M != 0)
+    return int(np.max(np.abs(i - j), initial=0))
+
+
+def _general_band(M: np.ndarray, b: int) -> np.ndarray:
+    """M of bandwidth b in LAPACK general band storage: M[i, j] at
+    ``ab[2b + i - j, j]``, under b rows that ``?gbtrf`` fills; rows 2b..3b
+    are the lower band storage of ``eigvals_banded``."""
+    n = len(M)
+    ab = np.zeros((3 * b + 1, n), dtype=np.result_type(M, 1.0))
+    for d in range(b + 1):
+        ab[2 * b + d, :n - d] = np.diagonal(M, -d)
+        ab[2 * b - d, d:] = np.diagonal(M, d)
+    return ab
+
+
+def _band_matmul(ab: np.ndarray, b: int, X: np.ndarray) -> np.ndarray:
+    """M @ X for M in ``_general_band`` storage."""
+    n = len(X)
+    Y = ab[2 * b, :, None] * X
+    for d in range(1, b + 1):
+        Y[d:] += ab[2 * b + d, :n - d, None] * X[:n - d]
+        Y[:n - d] += ab[2 * b - d, d:, None] * X[d:]
+    return Y
+
+
+# inverse iteration: eigenvalues closer than GROUP_GAP*scale share a close
+# group, reorthogonalised and Rayleigh-Ritz rotated together.  Vectors of
+# different groups lose orthogonality by about eps/GROUP_GAP at worst (LAPACK
+# ?stein groups at 1e-3; 1e-4 keeps a 401-mode circle matrix's lowest 24
+# pairs free of a 70-pair group).  An iterate converges once its growth
+# reaches 1/(n*shift), and takes one more step.
+GROUP_GAP = 1e-4
+MAX_ITERATIONS = 5
+
+
+def _band_eigh(ab: np.ndarray, b: int, vals: np.ndarray, scale: float,
+               tol: float, clusters: list) -> tuple:
+    """The eigenpairs ``0..stop-1`` of the matrix in ``_general_band`` storage
+    ``ab``, whose ascending eigenvalues are ``vals``, by Wilkinson inverse
+    iteration; ``stop`` ends the close group that holds the last of
+    ``clusters``.  Returns the vectors' Rayleigh quotients and the vectors
+    as columns, like ``np.linalg.eigh``.
+
+    Each shift sits four ulps of ``scale`` below its eigenvalue and is
+    factored by ``?gbtrf``; a zero pivot is replaced by that distance, so no
+    iterate turns non-finite.  Start vectors are a fixed pseudo-random
+    sequence, the same for every ``stop``.  Within a close group each vector
+    is reorthogonalised against the group's earlier ones, and the group is
+    then Rayleigh-Ritz rotated, which resolves every eigenvalue gap above
+    roundoff.  Below that the rotation is arbitrary, so each degenerate
+    cluster of ``clusters`` is split into runs within ``tol*scale/2`` of
+    their first value, and each run gets a basis that depends only on its
+    eigenspace: the projections of the coordinate vectors that a pivoted QR
+    picks.  Any basis of such a run keeps the residual within half of
+    ``eigensolve``'s bound.  Whole groups are computed, so no pair depends
+    on ``stop``.
+    """
+    n = len(vals)
+    # wide enough that no degenerate cluster spans two groups
+    gap = max(GROUP_GAP, 10 * tol) * scale
+    bounds = (np.flatnonzero(np.diff(vals) > gap) + 1).tolist() + [n]
+    stop = next(e for e in bounds if e >= clusters[-1][1])
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    starts = np.random.default_rng(0).standard_normal((stop, n))
+    shift = 4 * np.spacing(scale)
+    # the vectors are the rows of V, so that a group is one contiguous block
+    V = np.empty((stop, n), dtype=ab.dtype)
+    g0 = 0
+    for g1 in bounds[:bounds.index(stop) + 1]:
+        for j in range(g0, g1):
+            lu = ab.copy()
+            lu[2 * b] -= vals[j] - shift
+            lu, piv, info = gbtrf(lu, b, b, overwrite_ab=True)
+            if info > 0:
+                lu[2 * b, lu[2 * b] == 0] = shift
+            x, converged = starts[j], False
+            for _ in range(MAX_ITERATIONS):
+                x = gbtrs(lu, b, b, x / _norm(x), piv)[0]
+                if converged:
+                    break
+                converged = _norm(x) * n * shift >= 1
+            for _ in range(2 if j > g0 else 0):
+                x -= (V[g0:j] @ x.conj()).conj() @ V[g0:j]
+            V[j] = x / _norm(x)
+        if g1 - g0 > 1:
+            W = V[g0:g1]
+            H = W.conj() @ _band_matmul(ab, b, W.T)
+            V[g0:g1] = np.linalg.eigh(0.5 * (H + H.conj().T))[1].T @ W
+        g0 = g1
+    for i, j in clusters:
+        for p, q in _clusters(vals[i:j], tol * scale / 2, j - i):
+            if q - p > 1:
+                run = V[i + p:i + q]
+                V[i + p:i + q] = qr(run.conj(), mode="economic", pivoting=True)[0].T @ run
+    ritz = np.einsum("ij,ji->i", V.conj(), _band_matmul(ab, b, V.T)).real
+    return ritz, V.T
+
+
+def _norm(x: np.ndarray) -> float:
+    """2-norm of a vector; a quarter of ``np.linalg.norm``'s call cost, which
+    the inverse iteration pays four times per vector."""
+    return math.sqrt(np.vdot(x, x).real)
 
 
 def harmonic_multiplicity(l: int, N: int) -> int:

@@ -6,8 +6,9 @@ the scaling-invariant Schrodinger flow:
 * ``evolve_mode_closed_form`` -- exact evolution of a single oscillator
   eigenfunction;
 * ``propagate_representation`` -- the representation formula, mode by mode:
-  its radial integral is a Hankel transform, computed by FFTLog (two real
-  ``scipy.fft.fht`` calls per mode, O(n log n)) on a log-uniform grid;
+  its radial integral is a Hankel transform, computed by FFTLog (one
+  ``scipy.fft.fht`` call per mode on Re h and Im h stacked, O(n log n)) on a
+  log-uniform grid;
 * Crank-Nicolson finite differences, the scheme of :mod:`schroflow.radialfd`;
 ``evolve_route`` runs each route on its own grid, ``compare_routes`` checks
 them pairwise against the closed form evaluated on each route's grid.
@@ -337,7 +338,8 @@ def propagate_representation(state: SeparatedState, t: float,
     k^{-(N-2)/2} A(k)/k, where A(k) = int_0^inf h(rho) J_nu(k rho) k d rho is
     the Hankel transform of h(rho) = rho^{N/2} e^{i rho^2/4t} f_j(rho).  FFTLog
     (Talman 1978, J. Comput. Phys. 29:35; Hamilton 2000, MNRAS 312:257)
-    computes A by two real ``scipy.fft.fht`` calls, on Re h and Im h.
+    computes A by one ``scipy.fft.fht`` call on Re h and Im h stacked, so the
+    transform's coefficients are computed once per mode.
 
     The state's grid must be log-uniform (``log_grid``).  The output grid is
     r = 2t k, log-uniform with the same step and weights r dln; its offset is
@@ -382,8 +384,8 @@ def propagate_representation(state: SeparatedState, t: float,
     out_profiles = {}
     for j, f in state.profiles.items():
         h, nu = chirp * f, order[j]
-        re, im = (fft.fht(part, dln, nu, offset=offset, bias=-(nu + 1.0) / 2.0)
-                  for part in (h.real, h.imag))
+        re, im = fft.fht(np.stack((h.real, h.imag)), dln, nu, offset=offset,
+                         bias=-(nu + 1.0) / 2.0)
         out_profiles[j] = pref_common * _unit_phase(table.row(j)[1]) * (re + 1j * im)
     return SeparatedState(N=N, grid=r, weights=r * dln, profiles=out_profiles, table=table)
 

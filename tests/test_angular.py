@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from schroflow import angular
 from schroflow.angular import (AngularProblem, AngularProblemError,
                                EigensolveError, assemble_circle,
                                assemble_sphere, constant_a_spectrum, eigensolve,
@@ -186,20 +187,32 @@ class TestEigensolve:
 
     @pytest.mark.parametrize("spoiled, raises", [(1, True), (4, False)])
     def test_count_checks_only_kept_pairs(self, monkeypatch, spoiled, raises):
-        eigh = np.linalg.eigh
-
-        def spoil(M):
-            vals, vecs = eigh(M)
+        # each route's full output is spoiled at pair `spoiled`; only the
+        # kept pairs 0..2 are checked
+        def spoil(vecs):
             vecs[:, spoiled] += 0.1 * vecs[:, spoiled + 1]
-            return vals, vecs
+            return vecs
 
-        monkeypatch.setattr(np.linalg, "eigh", spoil)
-        M = np.diag(np.arange(1.0, 8.0))
-        if raises:
-            with pytest.raises(EigensolveError):
-                eigensolve(M, N=2, count=3)
-        else:
-            assert eigensolve(M, N=2, count=3).residual_bound <= 1e-15
+        eigh, band_eigh = np.linalg.eigh, angular._band_eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: (eigh(M)[0], spoil(eigh(M)[1])))
+
+        def band_spoiled(ab, b, vals, scale, tol, _):
+            # the whole spectrum's pairs, in place of those up to the cut
+            every = angular._clusters(vals, 10 * tol * scale, len(vals))
+            ritz, vecs = band_eigh(ab, b, vals, scale, tol, every)
+            return ritz, spoil(vecs)
+
+        monkeypatch.setattr(angular, "_band_eigh", band_spoiled)
+        band = np.diag(np.arange(1.0, 8.0))
+        # a corner coupling widens the band to 6, past the band route
+        dense = band.copy()
+        dense[0, 6] = dense[6, 0] = 1e-3
+        for M in (band, dense):
+            if raises:
+                with pytest.raises(EigensolveError):
+                    eigensolve(M, N=2, count=3)
+            else:
+                assert eigensolve(M, N=2, count=3).residual_bound <= 1e-15
 
     def test_count_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -216,6 +229,116 @@ class TestEigensolve:
         assert np.max(np.abs(V.conj().T @ V - np.eye(6))) < 1e-10
         recon = (V * eig.eigenvalues) @ V.conj().T
         assert np.max(np.abs(recon - M)) < 1e-9 * max(1.0, np.max(np.abs(M)))
+
+
+def _magnetic_200():
+    """The truncation-200 magnetic matrix: bandwidth 2, dimension 401, with
+    the gauge-equivalent spectrum (m + 0.3)^2 + 0.2."""
+    prob = AngularProblem(N=2, scalar_coeff=0.2, truncation=200,
+                          magnetic_coeff={0: 0.3, 1: 0.1 + 0.2j, -1: 0.1 - 0.2j})
+    return assemble_circle(prob)
+
+
+class TestBandRoute:
+    def test_matches_eigh(self):
+        M = _magnetic_200()
+        eig = eigensolve(M, N=2)
+        vals, vecs = np.linalg.eigh(M)
+        scale = np.max(np.abs(vals))
+        assert np.max(np.abs(eig.eigenvalues - vals)) <= 1e-12 * scale
+        # no two eigenvalues lie closer than 0.4, so every pair is
+        # non-degenerate and matches eigh's pair of the same index
+        assert np.all(np.diff(eig.eigenvalues) > 0.39)
+        overlap = np.abs(np.sum(eig.eigenvectors.conj() * vecs, axis=0))
+        assert np.min(overlap) >= 1 - 1e-12
+
+    def test_real_matrix_keeps_real_vectors(self):
+        M = np.diag(np.arange(12.0)) + np.diag(np.full(11, 0.4), 1) + np.diag(np.full(11, 0.4), -1)
+        eig = eigensolve(M, N=3, count=5)
+        assert eig.eigenvectors.dtype == np.float64
+        assert np.allclose(eig.eigenvalues, np.linalg.eigvalsh(M)[:5], rtol=0, atol=1e-13)
+        assert eig.residual_bound <= 1e-13
+
+    def test_wide_band_is_bitwise_eigh(self):
+        # bandwidth 11 of 12: np.linalg.eigh, then only the phase fix (the
+        # eigenvalues are distinct, so no cluster is reordered)
+        rng = np.random.default_rng(11)
+        A = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        M = A + A.conj().T
+        vals, vecs = np.linalg.eigh(M)
+        for k in range(12):
+            pivot = vecs[np.argmax(np.abs(vecs[:, k]) > 1e-8), k]
+            vecs[:, k] *= np.conj(pivot) / abs(pivot)
+        eig = eigensolve(M, N=2)
+        assert np.array_equal(eig.eigenvalues, vals)
+        assert np.array_equal(eig.eigenvectors, vecs)
+
+    @pytest.mark.parametrize("b, band", [(0, True), (4, True), (5, False), (15, False)])
+    def test_routing_rule(self, monkeypatch, b, band):
+        # the band route when b*b <= n, here n = 16, whatever the count
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return eigvals_banded(*args, **kwargs)
+
+        eigvals_banded = angular.eigvals_banded
+        monkeypatch.setattr(angular, "eigvals_banded", spy)
+        M = np.diag(np.arange(16.0) ** 2)
+        if b:
+            M += np.diag(np.full(16 - b, 0.5), b) + np.diag(np.full(16 - b, 0.5), -b)
+        for count in (None, 3):
+            calls.clear()
+            eigensolve(M, N=2, count=count)
+            assert calls == ([1] if band else [])
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_count_cuts_a_close_group(self, count):
+        # eigenvalues 1, 1 + 2e-9 and 1 + 4e-5 form one close group, which
+        # the counts cut; the first two are one degenerate cluster but two
+        # runs, so the group's Rayleigh-Ritz rotation acts on their vectors.
+        # Two layers of plane rotations keep the bandwidth at 3 of 20.
+        n = 20
+        layers = np.eye(n), np.eye(n)
+        for start, Q in enumerate(layers):
+            for i in range(start, n - 1, 2):
+                c, s = math.cos(0.3 + 0.4 * start + 0.1 * i), math.sin(0.3 + 0.4 * start + 0.1 * i)
+                Q[i:i + 2, i:i + 2] = [[c, -s], [s, c]]
+        Q = layers[0] @ layers[1]
+        d = np.concatenate(([1.0, 1.0 + 2e-9, 1.0 + 4e-5], 3.0 + 2.0 * np.arange(n - 3)))
+        M = Q @ np.diag(d) @ Q.T
+        M = 0.5 * (M + M.T)
+        assert angular._bandwidth(M) == 3
+        TestEigensolve._assert_first_pairs(M, count)
+
+    def test_zero_pivot_stays_finite(self):
+        # the shift of the eigenvalue 1, four ulps below it, lands exactly on
+        # the diagonal entry 1 - 4 ulps: LAPACK reports a zero pivot
+        M = np.diag([1.0, 1.0 - 4 * np.spacing(1.0), 0.5])
+        eig = eigensolve(M, N=2)
+        assert np.all(np.isfinite(eig.eigenvectors))
+        assert np.allclose(np.abs(eig.eigenvectors), np.eye(3)[:, [2, 0, 1]], atol=1e-15)
+        assert eig.residual_bound <= 1e-15
+
+
+class TestNonFinite:
+    def test_non_finite_matrix_rejected(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(EigensolveError):
+                eigensolve(np.diag([1.0, bad, 2.0]), N=2)
+
+    def test_nan_residual_fails_the_check(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def nan_vectors(M):
+            vals, vecs = eigh(M)
+            return vals, np.full_like(vecs, np.nan)
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_vectors)
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=(6, 6))
+        with pytest.raises(EigensolveError):
+            eigensolve(A + A.T, N=2)
 
 
 class TestConstantSpectrum:

@@ -349,6 +349,19 @@ class TestUnderflowedReference:
         assert list(out.iterdir()) == []
 
 
+class TestNonFiniteAngularMatrix:
+    # a flux of 1e300 overflows the circle matrix to inf: NaN comparisons
+    # passed every eigensolve check, and spectrum wrote rows of nan and
+    # exited 3 before
+    def test_numeric_failure_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "problem": {"N": 2, "a": 0.1, "magnetic": {"0": 1e300}}, "experiment": {}})
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 5
+        assert capsys.readouterr().err.startswith("numeric failure:")
+        assert list(out.iterdir()) == []
+
+
 class TestCsv:
     def test_columns_written_as_rows_of_fmt_cells(self, tmp_path):
         # float and integer arrays take the bulk path; the file must equal
