@@ -90,7 +90,6 @@ class AngularEigensystem:
     residual_bound: float
     N: int
     mode_labels: tuple = ()
-    constant_shift: float = 0.0
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -146,7 +145,8 @@ def assemble_circle(problem: AngularProblem) -> np.ndarray:
     e^{im theta}, m = -K..K.
 
     M_{mn} = m^2 delta_{mn} + (n+m) alpha_hat_{m-n} + g_hat_{m-n} with
-    g = alpha^2 + a.
+    g = alpha^2 + a; Hermitian by construction from the conjugate-symmetric
+    coefficients, which are checked here (``eigensolve`` checks M again).
     """
     if problem.N != 2:
         raise AngularProblemError("assemble_circle requires N=2")
@@ -170,7 +170,6 @@ def assemble_circle(problem: AngularProblem) -> np.ndarray:
     M *= np.add.outer(ms, ms)
     M += toeplitz(g[2 * K:], g[2 * K::-1])
     M[np.diag_indices_from(M)] += ms * ms
-    _require_hermitian(M)
     return M
 
 
@@ -484,5 +483,4 @@ def constant_a_spectrum(N: int, a: float, count: int) -> AngularEigensystem:
         residual_bound=0.0,
         N=N,
         mode_labels=tuple(labels),
-        constant_shift=a,
     )

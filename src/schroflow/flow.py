@@ -104,30 +104,22 @@ def state_from_mode(mode: NormalizedMode, quad: RadialQuadrature,
 
 
 def evolve_mode_closed_form(mode: NormalizedMode, r, t: float, weighted: bool = False):
-    """Exact radial part of the evolved eigenfunction at time t.
+    """Exact radial part of the evolved eigenfunction at time t: the
+    pseudoconformal image of the mode, with s = 1+t^2,
 
-    The full solution is the returned value times psi_j(theta):
+        s^{-N/4} V(r/sqrt(s)) exp(i r^2 t / (4s)) exp(-i gamma arctan t),
 
-        (1+t^2)^{-N/4+alpha/2} r^{-alpha} e^{-r^2/(4(1+t^2))} / |V|
-        * exp(i r^2 t / (4(1+t^2))) * exp(-i gamma arctan t) * P(r^2/(2(1+t^2)))
-
-    At t=0 this reproduces the mode itself.
+    V = ``mode.radial``; the full solution is this times psi_j(theta).
+    ``weighted=True`` returns r^alpha times it, s^{-N/4+alpha/2}
+    V(r/sqrt(s), weighted=True) times the phases, which extends to r=0.  At
+    t=0 this reproduces the mode itself.
     """
     r_arr = np.asarray(r, dtype=float)
-    if not weighted and np.any(r_arr <= 0):
-        raise ValueError("unweighted closed-form evolution requires r > 0")
     s = 1.0 + t * t
-    r2 = r_arr * r_arr
-    amp = (
-        s ** (-mode.N / 4.0 + mode.alpha / 2.0)
-        * np.exp(-r2 / (4.0 * s))
-        * mode.poly(r2 / (2.0 * s))
-        / mode.norm
-    )
-    if not weighted:
-        amp = amp * r_arr ** (-mode.alpha)
-    phase = np.exp(1j * r2 * t / (4.0 * s)) * np.exp(-1j * mode.gamma * math.atan(t))
-    out = amp * phase
+    scale = s ** (-mode.N / 4.0 + (mode.alpha / 2.0 if weighted else 0.0))
+    phase = (np.exp(1j * r_arr * r_arr * t / (4.0 * s))
+             * np.exp(-1j * mode.gamma * math.atan(t)))
+    out = scale * mode.radial(r_arr / math.sqrt(s), weighted=weighted) * phase
     return complex(out) if np.ndim(r) == 0 else out
 
 
@@ -275,15 +267,16 @@ def _sphere_angles(direction):
 
 
 def _legendre_blocks(spec: KernelSpec, x_dir, y_dir) -> tuple:
-    """One block per degree l: the addition theorem collapses its modes to
+    """One block per degree l, whose alpha is the table's at the block's
+    first mode (index l^2): the addition theorem collapses its modes to
     (2l+1)/(4pi) P_l(cos gamma); the last block's angular bound is
     (2l+1)/(4pi)."""
     eigsys = spec.table.eigsys
     l_lo, l_hi = (eigsys.mode_labels[k - 1][0] for k in (spec.k_start, spec.K_trunc))
     ls = np.arange(l_lo, l_hi + 1)
     weight = (2 * ls + 1) / (4.0 * math.pi)
-    return (0.5 - np.sqrt(0.25 + ls * (ls + 1) + eigsys.constant_shift),
-            weight * legendre_p(ls, _cos_angle(x_dir, y_dir)), weight[-1])
+    return (spec.table.alpha[ls * ls], weight * legendre_p(ls, _cos_angle(x_dir, y_dir)),
+            weight[-1])
 
 
 def _cos_angle(x_dir, y_dir) -> float:
@@ -659,8 +652,8 @@ def decay_fit(samples, weight_exponent: float = 0.0) -> DecayReport:
     norms = np.array([s[1] for s in samples], dtype=float)
     if len(times) < MIN_FIT_SAMPLES:
         raise ValueError(f"decay_fit needs at least {MIN_FIT_SAMPLES} samples")
-    if np.any(norms <= 0):
-        raise ValueError("decay_fit requires strictly positive norms")
+    if not np.all(np.isfinite(norms) & (norms > 0)):
+        raise ValueError("decay_fit requires finite, strictly positive norms")
     if np.any(np.diff(times) <= 0):
         raise ValueError("decay_fit requires strictly increasing times")
     if times[-1] / times[0] < 100.0:

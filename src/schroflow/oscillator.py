@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import AngularEigensystem
-from .quadrature import RadialQuadrature
 from .specfun import PolySpec
 
 DECAY_INVALID = "invalid"
@@ -138,38 +137,38 @@ class NormalizedMode:
 
 
 class AccuracyWarning(UserWarning):
-    """A quadrature grid is too coarse for the requested operation."""
+    """A sampling is too coarse for the requested operation: a projection
+    grid with too few points inside the mode's support, or decay times that
+    span too few decades for a fit."""
 
 
-def make_mode(index: ModeIndex, table: SpectralTable,
-              quad: RadialQuadrature | None = None) -> NormalizedMode:
+def make_mode(index: ModeIndex, table: SpectralTable) -> NormalizedMode:
     """Construct and normalize the oscillator eigenfunction V_{n,j}.
 
-    The norm is computed by radial quadrature of
-    r^{N-1-2 alpha_j} e^{-r^2/2} P^2(r^2/2); the angular factor is already
-    unit-normalized on the sphere.
+    With b = N/2 - alpha_j and P = L_n^{b-1} / binom(n+b-1, n), the norm is
+    exact (t = r^2/2 and the Laguerre orthogonality relation):
+
+        int_0^inf r^{N-1-2 alpha_j} e^{-r^2/2} P(r^2/2)^2 dr
+            = 2^{b-1} Gamma(b) / binom(n+b-1, n),
+
+    evaluated in log space.  The angular factor is already unit-normalized
+    on the sphere.
     """
     if not table.hardy_ok:
         raise HardyViolation(
             "the oscillator eigenbasis requires mu_1 > -((N-2)/2)^2"
         )
-    if quad is None:
-        quad = RadialQuadrature()
-    mu_j, alpha_j, _ = table.row(index.j)
-    b = table.N / 2.0 - alpha_j
-    poly = PolySpec(index.n, b)
-    r = quad.nodes
-    integrand = r ** (table.N - 1 - 2.0 * alpha_j) * np.exp(-r * r / 2.0) * poly(r * r / 2.0) ** 2
-    norm_sq = float(quad.integrate(integrand))
-    if norm_sq <= 0:
-        raise ValueError(f"non-positive norm^2 = {norm_sq} for mode {index}")
+    _, alpha_j, _ = table.row(index.j)
+    n, b = index.n, table.N / 2.0 - alpha_j
+    log_norm_sq = ((b - 1.0) * math.log(2.0) + 2.0 * math.lgamma(b)
+                   + math.lgamma(n + 1.0) - math.lgamma(n + b))
     return NormalizedMode(
         index=index,
         N=table.N,
         alpha=alpha_j,
         gamma=gamma_of(index, table),
-        norm=math.sqrt(norm_sq),
-        poly=poly,
+        norm=math.exp(0.5 * log_norm_sq),
+        poly=PolySpec(n, b),
     )
 
 

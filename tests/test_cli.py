@@ -200,6 +200,14 @@ class TestEvolve:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_closed_route_far_out_writes_no_nan(self, tmp_path):
+        # past the Gaussian's underflow an n = 20 mode is 0, not inf * 0
+        cfg = write_config(tmp_path, "c.json", {"problem": {"N": 3, "a": 0.0}, "experiment": {
+            "mode": [20, 1], "t": 1.0, "r_max": 1e20}})
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        assert "nan" not in (out / "profiles.csv").read_text()
+
     @pytest.mark.parametrize("j, code", [(7, 0), (9, 2)])
     def test_last_mode_of_the_truncation(self, tmp_path, j, code):
         # truncation 3 has 7 circle modes
@@ -224,6 +232,16 @@ class TestDecay:
         report = json.loads((out / "decay.json").read_text())
         assert abs(report["decay"]["fitted_slope"] + 1.25) < 0.02
         assert (out / "samples.csv").exists()
+
+    def test_window_past_the_gaussian_underflow(self, tmp_path):
+        # the closed form of an n = 20 mode on r up to 1e20 was NaN, and so
+        # was the slope, with exit 0
+        cfg = write_config(tmp_path, "c.json", {"problem": {"N": 3, "a": 0.0}, "experiment": {
+            "mode": [20, 1], "window": [1e-3, 1e20], "times": {"lo_exp": 4, "hi_exp": 14}}})
+        out = tmp_path / "out"
+        assert main(["decay", "--config", cfg, "--out", str(out)]) == 0
+        slope = json.loads((out / "decay.json").read_text())["decay"]["fitted_slope"]
+        assert abs(slope + 1.5) <= 0.01
 
     def test_preasymptotic_window_misses(self, tmp_path):
         # early dyadic times are biased by the (1+t^2) scale: slope -1.2125
@@ -349,10 +367,24 @@ class TestUnderflowedReference:
         assert list(out.iterdir()) == []
 
 
+class TestNonFiniteNorms:
+    # r^400 overflows on the window: NaN sup norms passed decay_fit's
+    # positivity check, and decay wrote a NaN slope with exit 0 before
+    def test_numeric_failure_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"problem": {"N": 3, "a": 0.0}, "experiment": {
+            "mode": [0, 1], "weight": 400, "window": [1e-3, 1e10],
+            "times": {"lo_exp": 4, "hi_exp": 14}}})
+        out = tmp_path / "out"
+        assert main(["decay", "--config", cfg, "--out", str(out)]) == 5
+        assert capsys.readouterr().err.startswith("numeric failure:")
+        assert list(out.iterdir()) == []
+
+
 class TestNonFiniteAngularMatrix:
     # a flux of 1e300 overflows the circle matrix to inf: NaN comparisons
     # passed every eigensolve check, and spectrum wrote rows of nan and
     # exited 3 before
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numeric_failure_writes_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
             "problem": {"N": 2, "a": 0.1, "magnetic": {"0": 1e300}}, "experiment": {}})

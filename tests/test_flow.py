@@ -30,6 +30,15 @@ class TestClosedForm:
         val = flow.evolve_mode_closed_form(mode01_loss, 0.0, 1.0, weighted=True)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
 
+    @pytest.mark.parametrize("t", [0.0, 1.0, 2.0 ** 14])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_high_mode_vanishes_far_out(self, table_loss, t, weighted):
+        # at r = 1e20 an n = 20 mode's polynomial overflows where its
+        # Gaussian underflows: inf * 0 = NaN unless the amplitude is the
+        # guarded NormalizedMode.radial
+        mode = make_mode(ModeIndex(20, 1), table_loss)
+        assert flow.evolve_mode_closed_form(mode, 1e20, t, weighted=weighted) == 0.0
+
     def test_free_gaussian_fresnel(self, mode01_free):
         # a=0 ground mode is a Gaussian; its evolution is the Fresnel formula
         r = np.linspace(0.1, 10.0, 200)
@@ -360,6 +369,15 @@ class TestNormsAndFits:
     def test_decay_fit_requires_samples(self):
         with pytest.raises(ValueError):
             flow.decay_fit([(1.0, 1.0), (2.0, 0.5)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_decay_fit_rejects_non_finite_norms(self, bad):
+        # NaN <= 0 is false: a NaN norm passed the positivity check and
+        # gave a NaN slope
+        pairs = [(t, t ** -1.5) for t in flow.dyadic_times(0, 10)]
+        pairs[5] = (pairs[5][0], bad)
+        with pytest.raises(ValueError, match="finite"):
+            flow.decay_fit(pairs)
 
     def test_decay_fit_short_span_warns(self):
         pairs = [(t, t ** -2.0) for t in (1.0, 2.0, 4.0, 8.0)]

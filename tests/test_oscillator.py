@@ -67,6 +67,25 @@ class TestNormalizedMode:
         mode = make_mode(ModeIndex(0, 1), table_free)
         assert mode.norm ** 2 == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1, 20])
+    def test_unit_norm_to_roundoff(self, table_loss, n):
+        # the loss-of-decay mode's r^{2-2 alpha} = r^{3/2} singularity at
+        # r = 0 defeats Gauss-Legendre; the closed-form norm is exact
+        mode = make_mode(ModeIndex(n, 1), table_loss)
+        with mpmath.workdps(30):
+            alpha = mpmath.mpf(mode.alpha)
+            b = 1.5 - alpha
+            binom = mpmath.binomial(n + b - 1, n)
+
+            def density(r):
+                amplitude = r ** (1 - alpha) * mpmath.exp(-r * r / 4) \
+                    * mpmath.laguerre(n, b - 1, r * r / 2) / binom
+                return amplitude ** 2
+
+            total = mpmath.quad(density, [0, 1, 2, 4, 8, 16, mpmath.inf]) \
+                / mpmath.mpf(mode.norm) ** 2
+        assert abs(float(total) - 1.0) <= 1e-13
+
     def test_unit_l2_norm_on_grid(self, table_loss, quad_default):
         mode = make_mode(ModeIndex(2, 3), table_loss)
         r = quad_default.nodes
