@@ -252,8 +252,7 @@ class EigensolveError(RuntimeError):
         self.residual = residual
 
 
-def eigensolve(M: np.ndarray, tol: float = 1e-11, basis_tag: str | None = None,
-               N: int = 2, mode_labels: tuple = (),
+def eigensolve(M: np.ndarray, tol: float = 1e-11, N: int = 2, mode_labels: tuple = (),
                count: int | None = None) -> AngularEigensystem:
     """The lowest ``count`` eigenpairs of a Hermitian matrix (all of them if
     ``count`` is None or at least the dimension).
@@ -269,7 +268,9 @@ def eigensolve(M: np.ndarray, tol: float = 1e-11, basis_tag: str | None = None,
     vector rotated so its first significant coefficient is positive real.  A
     cluster that the cut splits is ordered as a whole first, so the kept
     pairs are the first ``count`` of the full solve.  A non-finite matrix or
-    residual raises ``EigensolveError``.
+    residual raises ``EigensolveError``.  N sets the basis of the vectors:
+    circle Fourier modes for N=2 (``assemble_circle``), real sphere harmonics
+    labelled by ``mode_labels`` otherwise (``assemble_sphere``).
     """
     M = np.asarray(M)
     if not np.all(np.isfinite(M)):
@@ -316,10 +317,8 @@ def eigensolve(M: np.ndarray, tol: float = 1e-11, basis_tag: str | None = None,
             residual,
         )
     gram_dev = float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1]))))
-    if basis_tag is None:
-        basis_tag = "circle_fourier" if np.iscomplexobj(M) else "sphere_harmonic"
     return AngularEigensystem(
-        basis_tag=basis_tag,
+        basis_tag="circle_fourier" if N == 2 else "sphere_harmonic",
         eigenvalues=vals,
         eigenvectors=vecs,
         residual_bound=max(residual, gram_dev),

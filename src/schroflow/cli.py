@@ -245,8 +245,7 @@ def _check_rules(command: str, problem: dict, experiment: dict) -> None:
         _whole_steps(experiment["t1"] - experiment["t0"], experiment["dt"],
                      "experiment.t1 - experiment.t0")
     if command == "compare":
-        _whole_steps(experiment.get("T", flow.RouteParams.T),
-                     experiment.get("dt", flow.RouteParams.dt), "experiment.T")
+        _whole_steps(experiment["T"], experiment["dt"], "experiment.T")
 
 
 def _whole_steps(T: float, dt: float, where: str) -> None:
@@ -576,23 +575,21 @@ def cmd_compare(config: dict, out_dir: str, expect: dict,
                 provenance: dict) -> int:
     problem, experiment = config["problem"], config["experiment"]
     mode_idx = experiment["mode"]
-    params = flow.RouteParams(N=problem["N"], a=problem["a"], **{
-        key: value for key, value in experiment.items() if key != "mode"})
-    provenance["parameters"].update({
-        "mode": [mode_idx.n, mode_idx.j], "T": params.T, "r_max": params.r_max,
-        "fd_points": params.fd_points, "dt": params.dt,
-        "window": list(params.window),
-    })
+    route_keys = ("T", "r_max", "fd_points", "dt", "window")
+    provenance["parameters"].update({"mode": [mode_idx.n, mode_idx.j],
+                                     **{key: experiment[key] for key in route_keys}})
+
+    table = _spectral_table(problem, mode_idx.j)
+    mode = make_mode(mode_idx, table)
     with _window_of("experiment.window"):
-        report = flow.compare_routes(mode_idx, params)
-    _write_json(os.path.join(out_dir, "compare.json"), provenance,
-                {"comparison": report.to_dict()})
-    if report.failures:
-        for route, failure in sorted(report.failures.items()):
+        report = flow.compare_routes(mode, table, *(experiment[key] for key in route_keys))
+    _write_json(os.path.join(out_dir, "compare.json"), provenance, {"comparison": report})
+    if report["failures"]:
+        for route, failure in sorted(report["failures"].items()):
             print(f"route {route} failed: {failure}", file=sys.stderr)
         return EXIT_NUMERIC
-    measured = {"l2_worst": max(report.l2_rel.values()),
-                "sup_worst": max(report.sup_rel.values())}
+    measured = {"l2_worst": max(report["l2_rel"].values()),
+                "sup_worst": max(report["sup_rel"].values())}
     _check_expect(expect, measured)
     return EXIT_OK
 
@@ -624,11 +621,10 @@ _COMMANDS = {
         "r_max": (_positive, 30.0), "fd_points": (_grid_points, 6000),
         "dt": (_positive, 1e-3), "fit_ratio": (_positive, 1.0),
         "fit_times": (_time_list, _CALLEE), "residual": (_RESIDUAL, {})}),
-    # every key but mode is a RouteParams field
     "compare": (cmd_compare, {
-        "mode": (_mode, _REQUIRED), "T": (_positive, _CALLEE),
-        "r_max": (_positive, _CALLEE), "fd_points": (_grid_points, _CALLEE),
-        "dt": (_positive, _CALLEE), "window": (_window(_number), _CALLEE)}),
+        "mode": (_mode, _REQUIRED), "T": (_positive, 1.0),
+        "r_max": (_positive, 30.0), "fd_points": (_grid_points, 12000),
+        "dt": (_positive, 1e-3), "window": (_window(_number), [0.1, 8.0])}),
 }
 
 

@@ -11,7 +11,8 @@ the scaling-invariant Schrodinger flow:
   log-uniform grid;
 * Crank-Nicolson finite differences, the scheme of :mod:`schroflow.radialfd`;
 ``evolve_route`` runs each route on its own grid, ``compare_routes`` checks
-them pairwise against the closed form evaluated on each route's grid.
+them pairwise against the closed form evaluated on each route's grid.  Both
+take the mode and the spectral table that the caller built.
 
 Also here: the kernel series K / K_k at an array of radii with its tail
 bounds (``kernel_eval``), the pseudoconformal transform, the self-similar
@@ -22,13 +23,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import AngularEigensystem, constant_a_spectrum
-from .oscillator import (AccuracyWarning, HardyViolation, ModeIndex, NormalizedMode,
-                         SpectralTable, build_table, make_mode)
+from .angular import AngularEigensystem
+from .oscillator import AccuracyWarning, HardyViolation, NormalizedMode, SpectralTable
 from .quadrature import RadialQuadrature
 from .radialfd import RadialSchema, evolve_schrodinger
 from .specfun import j_scaled, legendre_p
@@ -117,9 +117,13 @@ def evolve_mode_closed_form(mode: NormalizedMode, r, t: float, weighted: bool = 
     r_arr = np.asarray(r, dtype=float)
     s = 1.0 + t * t
     scale = s ** (-mode.N / 4.0 + (mode.alpha / 2.0 if weighted else 0.0))
-    phase = (np.exp(1j * r_arr * r_arr * t / (4.0 * s))
+    amp = scale * mode.radial(r_arr / math.sqrt(s), weighted=weighted)
+    # the phase's r^2 only where the amplitude is nonzero: past r ~ 1.3e154
+    # it overflows, and 0 * exp(1j * inf) is NaN
+    r_live = np.where(amp != 0, r_arr, 0.0)
+    phase = (np.exp(1j * r_live * r_live * t / (4.0 * s))
              * np.exp(-1j * mode.gamma * math.atan(t)))
-    out = scale * mode.radial(r_arr / math.sqrt(s), weighted=weighted) * phase
+    out = amp * phase
     return complex(out) if np.ndim(r) == 0 else out
 
 
@@ -318,8 +322,7 @@ def _hankel_grid(grid: np.ndarray, nu: float) -> tuple[float, float, np.ndarray]
     return dln, offset, math.exp(offset) / grid[::-1]
 
 
-def propagate_representation(state: SeparatedState, t: float,
-                             spec: KernelSpec) -> SeparatedState:
+def propagate_representation(state: SeparatedState, t: float) -> SeparatedState:
     """Evolve a separated state to time t > 0 through the kernel
     representation formula, reduced per angular mode to the radial integral
 
@@ -334,7 +337,8 @@ def propagate_representation(state: SeparatedState, t: float,
     computes A by one ``scipy.fft.fht`` call on Re h and Im h stacked, so the
     transform's coefficients are computed once per mode.
 
-    The state's grid must be log-uniform (``log_grid``).  The output grid is
+    The state's grid must be log-uniform (``log_grid``), and its spectral
+    table, which gives each mode's alpha_j, must be set.  The output grid is
     r = 2t k, log-uniform with the same step and weights r dln; its offset is
     the low-ringing one of the state's first mode, which the other modes
     share.  h vanishes like rho^{nu+1} at rho = 0; the bias q = -(nu+1)/2
@@ -349,14 +353,12 @@ def propagate_representation(state: SeparatedState, t: float,
 
     if t <= 0:
         raise ValueError("propagate_representation requires t > 0")
-    table = spec.table
+    table = state.table
+    if table is None:
+        raise ValueError("propagate_representation needs the state's spectral table")
     if not table.hardy_ok:
         raise HardyViolation("representation propagation requires the Hardy condition")
     for j in state.profiles:
-        if j < spec.k_start:
-            raise ValueError(
-                f"state carries mode j={j} below the kernel start index {spec.k_start}"
-            )
         if j > table.K_max:
             raise ValueError(f"state mode j={j} exceeds the spectral table (K_max={table.K_max})")
     N, g = state.N, state.grid
@@ -418,7 +420,7 @@ def evolve_route(route: str, mode: NormalizedMode, table: SpectralTable, t: floa
         _window_mask(r[keep], window)
         state = SeparatedState(N=mode.N, grid=grid, weights=weights,
                                profiles={mode.index.j: mode.radial(grid)}, table=table)
-        u = propagate_representation(state, t, KernelSpec(table=table))
+        u = propagate_representation(state, t)
         return u.grid[keep], u.weights[keep], u.profiles[mode.index.j][keep]
     if route != "closed":
         raise ValueError(f"route must be one of {', '.join(ROUTES)}, got {route!r}")
@@ -462,70 +464,42 @@ def relative_error(err, ref_norm) -> float:
     return float(err / ref_norm)
 
 
-@dataclass(frozen=True)
-class RouteParams:
-    """Shared configuration for a three-route comparison run."""
-
-    N: int = 3
-    a: float = 0.0
-    T: float = 1.0
-    r_max: float = 30.0
-    fd_points: int = 12000
-    dt: float = 1e-3
-    window: tuple = (0.1, 8.0)
-
-
-@dataclass
-class RouteComparison:
-    """Pairwise route errors for one mode; failures flagged per route."""
-
-    mode: tuple
-    l2_rel: dict = field(default_factory=dict)
-    sup_rel: dict = field(default_factory=dict)
-    failures: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def compare_routes(mode: ModeIndex, params: RouteParams) -> RouteComparison:
+def compare_routes(mode: NormalizedMode, table: SpectralTable, T: float, r_max: float,
+                   fd_points: int, dt: float, window) -> dict:
     """Run the representation-formula and Crank-Nicolson routes to time T for
-    one mode of the constant-coefficient problem and tabulate pairwise
-    relative errors on the comparison window, against the closed form on
-    each route's own grid and against each other; a failed route is recorded
-    in ``failures``.  A window that holds no node of a route's grid raises
-    WindowError before that route runs."""
-    report = RouteComparison(mode=(mode.n, mode.j))
-    table = build_table(constant_a_spectrum(params.N, params.a, count=mode.j),
-                        params.N, mode.j)
-    nmode = make_mode(mode, table)
+    one mode and tabulate pairwise relative errors on the comparison window,
+    against the closed form on each route's own grid and against each other.
+    Returns {"mode", "l2_rel", "sup_rel", "failures"}: the errors by pair,
+    and the repr of the exception of each failed route.  A window that holds
+    no node of a route's grid raises WindowError before that route runs."""
+    report = {"mode": (mode.index.n, mode.index.j), "l2_rel": {}, "sup_rel": {},
+              "failures": {}}
 
     def record(pair, u, ref, r, weights):
-        report.l2_rel[pair], report.sup_rel[pair] = window_errors(
-            u, ref, r, weights, params.N, params.window)
+        report["l2_rel"][pair], report["sup_rel"][pair] = window_errors(
+            u, ref, r, weights, mode.N, window)
 
     runs = {}
     for route, name in (("kernel", "representation"), ("fd", "fd")):
         try:
-            runs[name] = evolve_route(route, nmode, table, params.T, params.r_max,
-                                      params.fd_points, params.dt, window=params.window)
+            runs[name] = evolve_route(route, mode, table, T, r_max, fd_points, dt,
+                                      window=window)
         except WindowError:
             raise
         except Exception as exc:  # noqa: BLE001 - partial reports carry the failure
-            report.failures[name] = repr(exc)
+            report["failures"][name] = repr(exc)
     # the closed form is the oracle for the other two
     for name, (grid, weights, u) in runs.items():
-        record(f"closed_vs_{name}", u, evolve_mode_closed_form(nmode, grid, params.T),
-               grid, weights)
+        record(f"closed_vs_{name}", u, evolve_mode_closed_form(mode, grid, T), grid, weights)
     if len(runs) == 2:
         # compare on the representation grid; interpolate the smooth weighted
         # FD profile r^alpha u
         grid, weights, u_rep = runs["representation"]
         fd_grid, _, u_fd = runs["fd"]
-        wfd = fd_grid ** nmode.alpha * u_fd
+        wfd = fd_grid ** mode.alpha * u_fd
         interp = np.interp(grid, fd_grid, wfd.real) + 1j * np.interp(
             grid, fd_grid, wfd.imag)
-        record("representation_vs_fd", interp * grid ** (-nmode.alpha),
+        record("representation_vs_fd", interp * grid ** (-mode.alpha),
                u_rep, grid, weights)
     return report
 
@@ -599,8 +573,7 @@ def weighted_sup_norm(target, weight_exponent: float, r_window,
         if r_lo <= 0:
             raise ValueError("a callable target needs r_lo > 0")
         r = np.geomspace(r_lo, r_hi, samples)
-        vals = np.abs(np.asarray(target(r))) * r ** weight_exponent
-        sup = float(np.max(vals))
+        sup = _weighted_sup(np.abs(np.asarray(target(r))), r, weight_exponent)
         return WeightedSupNorm(per_mode={0: sup}, combined=sup)
     state: SeparatedState = target
     mask = (state.grid >= r_lo) & (state.grid <= r_hi)
@@ -612,8 +585,17 @@ def weighted_sup_norm(target, weight_exponent: float, r_window,
         ang = 1.0
         if state.table is not None and state.table.eigsys is not None:
             ang = state.table.eigsys.sup_abs(j)
-        per_mode[j] = float(np.max(np.abs(f[mask]) * r ** weight_exponent)) * ang
+        per_mode[j] = _weighted_sup(np.abs(f[mask]), r, weight_exponent) * ang
     return WeightedSupNorm(per_mode=per_mode, combined=float(sum(per_mode.values())))
+
+
+def _weighted_sup(abs_u: np.ndarray, r: np.ndarray, w: float) -> float:
+    """max of r^w |u| over the samples with |u| != 0 (0 if there are none):
+    r^w may overflow where u is 0, and inf * 0 is NaN; where it overflows
+    on a nonzero sample the sup is inf."""
+    live = abs_u != 0
+    with np.errstate(over="ignore"):
+        return float(np.max(abs_u[live] * r[live] ** w, initial=0.0))
 
 
 @dataclass(frozen=True)

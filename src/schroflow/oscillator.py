@@ -126,14 +126,17 @@ class NormalizedMode:
         r_arr = np.asarray(r, dtype=float)
         if not weighted and np.any(r_arr <= 0):
             raise ValueError("unweighted radial value requires r > 0")
-        r2 = r_arr * r_arr
+        with np.errstate(over="ignore"):
+            r2 = r_arr * r_arr         # inf past r ~ 1.3e154, where gauss is 0
         gauss = np.exp(-r2 / 4.0)
-        # past the underflow of the Gaussian the polynomial can overflow
-        # (inf * 0 = NaN for n = 20 from r ~ 2e8); those samples are 0
-        core = gauss * self.poly(np.where(gauss > 0, r2, 0.0) / 2.0) / self.norm
+        # past the underflow of the Gaussian the polynomial (n = 20 from
+        # r ~ 2e8) and r^{-alpha} can overflow, and inf * 0 = NaN; those
+        # samples are 0
+        live = gauss > 0
+        core = gauss * self.poly(np.where(live, r2, 0.0) / 2.0) / self.norm
         if weighted:
             return core
-        return r_arr ** (-self.alpha) * core
+        return np.where(live, r_arr, 1.0) ** (-self.alpha) * core
 
 
 class AccuracyWarning(UserWarning):

@@ -22,7 +22,7 @@ from schroflow.angular import (AngularProblem, assemble_circle,
 from schroflow.oscillator import (ModeIndex, build_table,
                                   gamma_of, make_mode, project)
 from schroflow.quadrature import RadialQuadrature
-from schroflow.flow import RouteParams, compare_routes
+from schroflow.flow import compare_routes
 from schroflow.radialfd import RadialSchema, evolve_heat, evolve_schrodinger
 from schroflow.specfun import PolySpec, bessel_j, j_scaled
 
@@ -107,13 +107,14 @@ def test_criterion_4_basis_orthonormality():
 
 def test_criterion_5_three_route_agreement():
     start = time.perf_counter()
-    report = compare_routes(ModeIndex(0, 1), RouteParams(N=3, a=-0.1875))
+    mode, table = _loss_mode()
+    report = compare_routes(mode, table, 1.0, 30.0, 12000, 1e-3, (0.1, 8.0))
     elapsed = time.perf_counter() - start
-    assert not report.failures
-    worst = max(report.l2_rel.values())
+    assert not report["failures"]
+    worst = max(report["l2_rel"].values())
     assert worst <= 1e-3
     assert elapsed <= 120.0
-    pairs = ", ".join(f"{k}={v:.2e}" for k, v in sorted(report.l2_rel.items()))
+    pairs = ", ".join(f"{k}={v:.2e}" for k, v in sorted(report["l2_rel"].items()))
     print(f"\nACCEPTANCE 5 PASS: route L2 errors on 0.1<=r<=8 ({pairs}; "
           f"tol 1e-3) in {elapsed:.1f}s (limit 120s)")
 

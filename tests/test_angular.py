@@ -105,7 +105,7 @@ class TestCircleAssembly:
 class TestSphereGalerkin:
     def test_constant_coefficient_matches_analytic(self):
         prob = AngularProblem(N=3, scalar_coeff=2.0, truncation=6)
-        eig = eigensolve(assemble_sphere(prob), basis_tag="sphere_harmonic", N=3,
+        eig = eigensolve(assemble_sphere(prob), N=3,
                          mode_labels=sphere_mode_labels(6))
         exact = constant_a_spectrum(3, 2.0, len(eig))
         assert np.allclose(eig.eigenvalues,
@@ -135,6 +135,12 @@ class TestEigensolve:
         eig = eigensolve(np.eye(5), N=2)
         assert np.allclose(eig.eigenvalues, 1.0)
         assert eig.residual_bound <= 1e-14
+
+    def test_basis_follows_the_dimension(self):
+        # a real N=2 matrix is a circle Fourier matrix, whatever its dtype
+        eig = eigensolve(np.diag([1.0, 2.0, 3.0]), N=2)
+        assert abs(eig.angular_value(1, 0.3)) == pytest.approx(1.0 / math.sqrt(2 * math.pi))
+        assert eig.sup_abs(1) == pytest.approx(1.0 / math.sqrt(2 * math.pi))
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(3)

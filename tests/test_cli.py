@@ -208,6 +208,17 @@ class TestEvolve:
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
         assert "nan" not in (out / "profiles.csv").read_text()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("j", [1, 5])
+    def test_closed_route_past_r_squared_overflow_writes_no_nan(self, tmp_path, j):
+        # past r ~ 1.3e154 the phase's r^2 overflows, and so does r^{-alpha}
+        # = r^2 of mode j = 5: 0 * exp(1j * inf) and inf * 0 were NaN
+        cfg = write_config(tmp_path, "c.json", {"problem": {"N": 3, "a": 0.0}, "experiment": {
+            "mode": [0, j], "t": 1.0, "r_max": 1e200}})
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        assert "nan" not in (out / "profiles.csv").read_text()
+
     @pytest.mark.parametrize("j, code", [(7, 0), (9, 2)])
     def test_last_mode_of_the_truncation(self, tmp_path, j, code):
         # truncation 3 has 7 circle modes
@@ -238,6 +249,16 @@ class TestDecay:
         # was the slope, with exit 0
         cfg = write_config(tmp_path, "c.json", {"problem": {"N": 3, "a": 0.0}, "experiment": {
             "mode": [20, 1], "window": [1e-3, 1e20], "times": {"lo_exp": 4, "hi_exp": 14}}})
+        out = tmp_path / "out"
+        assert main(["decay", "--config", cfg, "--out", str(out)]) == 0
+        slope = json.loads((out / "decay.json").read_text())["decay"]["fitted_slope"]
+        assert abs(slope + 1.5) <= 0.01
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_window_past_the_phase_overflow(self, tmp_path):
+        # the closed form was NaN past r ~ 1.3e154, and the fit exited 5
+        cfg = write_config(tmp_path, "c.json", {"problem": {"N": 3, "a": 0.0}, "experiment": {
+            "mode": [0, 1], "window": [1e-3, 1e200], "times": {"lo_exp": 4, "hi_exp": 14}}})
         out = tmp_path / "out"
         assert main(["decay", "--config", cfg, "--out", str(out)]) == 0
         slope = json.loads((out / "decay.json").read_text())["decay"]["fitted_slope"]
@@ -348,6 +369,27 @@ class TestCompare:
         compare = json.loads((tmp_path / "c" / "compare.json").read_text())
         assert evolve["rel_l2_vs_closed"] == compare["comparison"]["l2_rel"]["closed_vs_fd"]
 
+    def test_failed_route_writes_a_partial_report(self, tmp_path, capsys):
+        # at T = 0.01 the log grid cannot resolve an n = 20 mode's phase
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": {
+            "mode": [20, 1], "T": 0.01, "fd_points": 2000, "dt": 1e-3}})
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 5
+        assert capsys.readouterr().err.startswith(
+            "route representation failed: ResolutionError")
+        comparison = json.loads((out / "compare.json").read_text())["comparison"]
+        assert list(comparison["failures"]) == ["representation"]
+        assert list(comparison["l2_rel"]) == ["closed_vs_fd"]
+
+    def test_defaults_recorded(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS,
+                                                "experiment": {"mode": [0, 1]}})
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        parameters = json.loads((out / "compare.json").read_text())["provenance"]["parameters"]
+        assert {key: parameters[key] for key in ("T", "r_max", "fd_points", "dt", "window")} \
+            == {"T": 1.0, "r_max": 30.0, "fd_points": 12000, "dt": 1e-3, "window": [0.1, 8.0]}
+
 
 class TestUnderflowedReference:
     # the closed-form reference underflows to 0 on the whole grid: Infinity
@@ -370,6 +412,7 @@ class TestUnderflowedReference:
 class TestNonFiniteNorms:
     # r^400 overflows on the window: NaN sup norms passed decay_fit's
     # positivity check, and decay wrote a NaN slope with exit 0 before
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numeric_failure_writes_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"problem": {"N": 3, "a": 0.0}, "experiment": {
             "mode": [0, 1], "weight": 400, "window": [1e-3, 1e10],

@@ -239,8 +239,7 @@ def _log_state(mode, table):
 
 def _propagate(mode, table, t, lo, hi):
     """The mode propagated to time t, on the output nodes in [lo, hi]."""
-    out = flow.propagate_representation(_log_state(mode, table), t,
-                                        flow.KernelSpec(table=table))
+    out = flow.propagate_representation(_log_state(mode, table), t)
     keep = (out.grid >= lo) & (out.grid <= hi)
     return out.grid[keep], out.profiles[mode.index.j][keep]
 
@@ -295,7 +294,7 @@ class TestRepresentation:
         state = flow.SeparatedState(3, grid, weights,
                                     {m.index.j: m.radial(grid) for m in modes}, table_loss)
         t = 3.0
-        out = flow.propagate_representation(state, t, flow.KernelSpec(table=table_loss))
+        out = flow.propagate_representation(state, t)
         keep = (out.grid >= 1e-3 * math.sqrt(10.0)) & (out.grid <= 8.0 * math.sqrt(10.0))
         r = out.grid[keep]
         for mode in modes:
@@ -304,13 +303,12 @@ class TestRepresentation:
 
     def test_underresolved_time_rejected(self, mode01_loss, table_loss):
         with pytest.raises(flow.ResolutionError):
-            flow.propagate_representation(_log_state(mode01_loss, table_loss), 0.01,
-                                          flow.KernelSpec(table=table_loss))
+            flow.propagate_representation(_log_state(mode01_loss, table_loss), 0.01)
 
     def test_requires_a_log_grid(self, mode01_loss, table_loss, quad_default):
         state = flow.state_from_mode(mode01_loss, quad_default, table_loss)
         with pytest.raises(ValueError, match="log-uniform"):
-            flow.propagate_representation(state, 1.0, flow.KernelSpec(table=table_loss))
+            flow.propagate_representation(state, 1.0)
 
     def test_requires_hardy(self, quad_default):
         table = build_table(constant_a_spectrum(3, -0.25, 1), 3, 1)
@@ -318,7 +316,12 @@ class TestRepresentation:
             N=3, grid=quad_default.nodes, weights=quad_default.weights,
             profiles={1: np.exp(-quad_default.nodes ** 2)}, table=table)
         with pytest.raises(HardyViolation):
-            flow.propagate_representation(state, 1.0, flow.KernelSpec(table=table))
+            flow.propagate_representation(state, 1.0)
+
+    def test_requires_the_spectral_table(self, mode01_loss):
+        state = _log_state(mode01_loss, None)
+        with pytest.raises(ValueError, match="spectral table"):
+            flow.propagate_representation(state, 1.0)
 
 
 class TestHeat:

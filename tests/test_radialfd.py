@@ -5,7 +5,7 @@ from scipy.linalg import solve_banded, solveh_banded
 from schroflow import flow
 from schroflow.angular import constant_a_spectrum
 from schroflow.oscillator import ModeIndex, build_table, make_mode
-from schroflow.flow import RouteParams, compare_routes
+from schroflow.flow import compare_routes
 from schroflow.radialfd import (RadialSchema, evolve_heat, evolve_schrodinger,
                                 step_count)
 
@@ -230,19 +230,24 @@ class TestHeatStepper:
         assert np.linalg.norm(g * (u - ref)) / np.linalg.norm(g * ref) < 1e-3
 
 
+def _compare_free_mode(N, r_max=30.0, fd_points=12000, dt=1e-3):
+    """compare_routes on mode (0, 1) of the free problem, T = 1, window [0.1, 8]."""
+    table = build_table(constant_a_spectrum(N, 0.0, 1), N, 1)
+    return compare_routes(make_mode(ModeIndex(0, 1), table), table, 1.0, r_max,
+                          fd_points, dt, (0.1, 8.0))
+
+
 class TestCompareRoutes:
     def test_free_mode_quick(self):
-        params = RouteParams(N=3, a=0.0, fd_points=3000, dt=2e-3)
-        report = compare_routes(ModeIndex(0, 1), params)
-        assert not report.failures
-        assert report.l2_rel["closed_vs_representation"] < 1e-6
-        assert report.l2_rel["closed_vs_fd"] < 1e-3
-        assert report.l2_rel["representation_vs_fd"] < 1e-3
+        report = _compare_free_mode(3, fd_points=3000, dt=2e-3)
+        assert not report["failures"]
+        assert report["l2_rel"]["closed_vs_representation"] < 1e-6
+        assert report["l2_rel"]["closed_vs_fd"] < 1e-3
+        assert report["l2_rel"]["representation_vs_fd"] < 1e-3
 
     def test_l2_error_weighted_by_r_to_the_n_minus_1(self):
         # N=4: the window error is the relative error in L^2(r^3 dr)
-        params = RouteParams(N=4, a=0.0, r_max=10.0, fd_points=1000, dt=1e-2)
-        report = compare_routes(ModeIndex(0, 1), params)
+        report = _compare_free_mode(4, r_max=10.0, fd_points=1000, dt=1e-2)
         mode = make_mode(ModeIndex(0, 1), build_table(constant_a_spectrum(4, 0.0, 1), 4, 1))
         s = RadialSchema(N=4, mu=0.0, R=10.0, M=1000, dt=1e-2)
         g = s.grid
@@ -251,11 +256,9 @@ class TestCompareRoutes:
         m = (g >= 0.1) & (g <= 8.0)
         err = np.sqrt(np.sum(np.abs(diff[m]) ** 2 * g[m] ** 3)
                       / np.sum(np.abs(ref[m]) ** 2 * g[m] ** 3))
-        assert report.l2_rel["closed_vs_fd"] == pytest.approx(err, rel=1e-10)
+        assert report["l2_rel"]["closed_vs_fd"] == pytest.approx(err, rel=1e-10)
 
     def test_report_serializable(self):
-        params = RouteParams(N=3, a=0.0, fd_points=2000, dt=4e-3)
-        report = compare_routes(ModeIndex(0, 1), params)
-        d = report.to_dict()
-        assert d["mode"] == (0, 1)
-        assert set(d) == {"mode", "l2_rel", "sup_rel", "failures"}
+        report = _compare_free_mode(3, fd_points=2000, dt=4e-3)
+        assert report["mode"] == (0, 1)
+        assert set(report) == {"mode", "l2_rel", "sup_rel", "failures"}
