@@ -1,12 +1,11 @@
 """Angular eigenproblems on the unit sphere.
 
-Three regimes are covered:
+Two regimes are covered:
 
 * ``assemble_circle`` -- Fourier-Galerkin matrix of the magnetic operator
   (-i d/dtheta + alpha(theta))^2 + a(theta) on the circle (N=2);
-* ``assemble_sphere`` -- spherical-harmonic Galerkin matrix of
-  -Laplace_{S^2} + a(theta) (N=3, no magnetic term);
-* ``constant_a_spectrum`` -- closed-form spectrum l(l+N-2) + a for constant a.
+* ``constant_a_spectrum`` -- closed-form spectrum l(l+N-2) + a for constant a
+  (N >= 3).
 
 ``eigensolve`` turns an assembled Hermitian matrix into a deterministic,
 ascending, orthonormal eigensystem of its lowest ``count`` eigenpairs.  A
@@ -19,12 +18,12 @@ inverse iteration on its banded LU; a wider one is diagonalised by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvals_banded, get_lapack_funcs, qr, toeplitz
 
-from .specfun import real_sph_harm, sph_harm
+from .specfun import sph_harm
 
 HERMITICITY_TOL = 1e-12
 
@@ -35,33 +34,22 @@ class AngularProblemError(ValueError):
 
 @dataclass(frozen=True)
 class AngularProblem:
-    """Definition of the operator (-i grad_S + A)^2 + a on S^{N-1}.
+    """Definition of the operator (-i d/dtheta + alpha)^2 + a on the circle.
 
-    ``scalar_coeff`` is a constant, a dict of circle Fourier coefficients
-    {q: a_hat_q}, or a callable a(theta) on the sphere.  ``magnetic_coeff``
-    (circle only) is a dict of Fourier coefficients of the scalar tangential
-    component alpha(theta).  ``truncation`` is the Fourier cutoff K on the
-    circle or the harmonic degree cutoff L_max on the sphere.
+    ``scalar_coeff`` is a constant or a dict of Fourier coefficients
+    {q: a_hat_q}; ``magnetic_coeff`` is a dict of Fourier coefficients of the
+    scalar tangential component alpha(theta).  Both describe real functions,
+    so their coefficients must be conjugate-symmetric.  ``truncation`` is the
+    Fourier cutoff K.
     """
 
-    N: int
-    scalar_coeff: object
+    scalar_coeff: float | dict
     magnetic_coeff: dict | None = None
     truncation: int = 16
 
     def __post_init__(self):
-        if self.N < 2:
-            raise AngularProblemError("dimension N must be >= 2")
-        if self.N >= 3 and self.magnetic_coeff:
-            raise AngularProblemError("magnetic coefficients are supported only for N=2")
-        for coeffs in (self._scalar_fourier(), self.magnetic_coeff):
-            if isinstance(coeffs, dict):
-                _check_real_symmetry(coeffs)
-
-    def _scalar_fourier(self):
-        if isinstance(self.scalar_coeff, dict):
-            return self.scalar_coeff
-        return None
+        _check_real_symmetry(_as_fourier(self.scalar_coeff))
+        _check_real_symmetry(self.magnetic_coeff or {})
 
 
 def _check_real_symmetry(coeffs: dict, tol: float = 1e-12) -> None:
@@ -78,10 +66,10 @@ class AngularEigensystem:
     """Eigenvalues/eigenvectors of the angular operator, ascending, with
     eigenvalues repeated according to multiplicity.
 
-    ``basis_tag`` is one of ``circle_fourier`` (coefficients on e^{im theta}
-    modes, m = -K..K), ``sphere_harmonic`` (real harmonics, (l, m) pairs in
-    lexicographic order) or ``analytic_constant`` (exact degree-l harmonics,
-    ``mode_labels`` carries (l, m)).
+    ``basis_tag`` is ``circle_fourier`` (N=2, ``eigensolve``: coefficients on
+    the e^{im theta} modes, m = -K..K) or ``analytic_constant`` (N >= 3,
+    ``constant_a_spectrum``: exact degree-l harmonics, ``mode_labels``
+    carries (l, m); their values are provided for N=3).
     """
 
     basis_tag: str
@@ -100,44 +88,25 @@ class AngularEigensystem:
         if idx < 0 or idx >= len(self.eigenvalues):
             raise IndexError(f"mode index k={k} out of range")
         if self.basis_tag == "analytic_constant":
+            if self.N != 3:
+                raise NotImplementedError("analytic eigenfunction evaluation is provided for N=3")
             l, m = self.mode_labels[idx]
-            if self.N == 3:
-                return sph_harm(l, m, theta, 0.0 if phi is None else phi)
-            if self.N == 2:
-                return np.exp(1j * m * np.asarray(theta)) / math.sqrt(2 * math.pi)
-            raise NotImplementedError(
-                "analytic eigenfunction evaluation is provided for N in {2, 3}"
-            )
-        if self.basis_tag == "circle_fourier":
-            coeffs = self.eigenvectors[:, idx]
-            K = (len(coeffs) - 1) // 2
-            ms = np.arange(-K, K + 1)
-            th = np.asarray(theta, dtype=float)
-            return np.tensordot(coeffs, np.exp(1j * np.multiply.outer(ms, th)), axes=(0, 0)) / math.sqrt(
-                2 * math.pi
-            )
-        if self.basis_tag == "sphere_harmonic":
-            coeffs = self.eigenvectors[:, idx]
-            out = 0.0
-            for c, (l, m) in zip(coeffs, self.mode_labels):
-                if c != 0.0:
-                    out = out + c * real_sph_harm(l, m, theta, 0.0 if phi is None else phi)
-            return out
-        raise ValueError(f"unknown basis_tag {self.basis_tag!r}")
+            return sph_harm(l, m, theta, 0.0 if phi is None else phi)
+        coeffs = self.eigenvectors[:, idx]
+        K = (len(coeffs) - 1) // 2
+        ms = np.arange(-K, K + 1)
+        th = np.asarray(theta, dtype=float)
+        return np.tensordot(coeffs, np.exp(1j * np.multiply.outer(ms, th)), axes=(0, 0)) / math.sqrt(
+            2 * math.pi
+        )
 
     def sup_abs(self, k: int, samples: int = 256) -> float:
         """Grid estimate of max |psi_k| over the sphere."""
-        if self.basis_tag == "analytic_constant" and self.N == 3:
-            l, m = self.mode_labels[k - 1]
-            theta = np.linspace(0.0, math.pi, samples)
-            return float(np.max(np.abs(sph_harm(l, m, theta, 0.0))))
-        if self.N == 2 or self.basis_tag == "circle_fourier":
+        if self.basis_tag == "circle_fourier":
             theta = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
-            return float(np.max(np.abs(self.angular_value(k, theta))))
-        theta = np.linspace(0.0, math.pi, samples)
-        phi = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
-        tt, pp = np.meshgrid(theta, phi, indexing="ij")
-        return float(np.max(np.abs(self.angular_value(k, tt, pp))))
+        else:   # |Y_l^m| does not depend on the longitude
+            theta = np.linspace(0.0, math.pi, samples)
+        return float(np.max(np.abs(self.angular_value(k, theta))))
 
 
 def assemble_circle(problem: AngularProblem) -> np.ndarray:
@@ -146,15 +115,11 @@ def assemble_circle(problem: AngularProblem) -> np.ndarray:
 
     M_{mn} = m^2 delta_{mn} + (n+m) alpha_hat_{m-n} + g_hat_{m-n} with
     g = alpha^2 + a; Hermitian by construction from the conjugate-symmetric
-    coefficients, which are checked here (``eigensolve`` checks M again).
+    coefficients, which ``AngularProblem`` checks (``eigensolve`` checks M).
     """
-    if problem.N != 2:
-        raise AngularProblemError("assemble_circle requires N=2")
     K = problem.truncation
     a_hat = _as_fourier(problem.scalar_coeff)
     al_hat = dict(problem.magnetic_coeff or {})
-    _check_real_symmetry(a_hat)
-    _check_real_symmetry(al_hat)
     # g = alpha^2 + a via coefficient convolution
     g_hat: dict = dict(a_hat)
     for p, cp in al_hat.items():
@@ -183,53 +148,6 @@ def _as_fourier(scalar_coeff) -> dict:
     )
 
 
-def sphere_quadrature(L_max: int, n_theta: int | None = None, n_phi: int | None = None):
-    """Gauss-Legendre x trapezoid product quadrature on S^2.
-
-    Returns (theta, phi, w) flattened node arrays with sum(w) = 4 pi.
-    """
-    nt = n_theta if n_theta is not None else 2 * L_max + 2
-    np_ = n_phi if n_phi is not None else 4 * L_max + 4
-    if nt < 2 * L_max + 2 or np_ < 4 * L_max + 4:
-        raise AngularProblemError(
-            f"sphere quadrature needs >= {2*L_max+2} colatitude and >= {4*L_max+4} "
-            f"longitude nodes for L_max={L_max}"
-        )
-    x, wx = np.polynomial.legendre.leggauss(nt)
-    theta = np.arccos(x)
-    phi = 2.0 * math.pi * np.arange(np_) / np_
-    wphi = 2.0 * math.pi / np_
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    ww = np.repeat(wx * wphi, np_)
-    return tt.ravel(), pp.ravel(), ww
-
-
-def sphere_mode_labels(L_max: int) -> tuple:
-    return tuple((l, m) for l in range(L_max + 1) for m in range(-l, l + 1))
-
-
-def assemble_sphere(problem: AngularProblem, n_theta: int | None = None,
-                    n_phi: int | None = None) -> np.ndarray:
-    """Galerkin matrix of -Laplace_{S^2} + a(theta) over real harmonics up to
-    degree L_max: diag(l(l+1)) plus the quadrature Gram of a."""
-    if problem.N != 3:
-        raise AngularProblemError("assemble_sphere requires N=3")
-    L_max = problem.truncation
-    labels = sphere_mode_labels(L_max)
-    theta, phi, w = sphere_quadrature(L_max, n_theta, n_phi)
-    a = problem.scalar_coeff
-    a_vals = np.full_like(theta, float(a)) if np.isscalar(a) else np.asarray(
-        [a(t) for t in theta]
-    )
-    Y = np.empty((len(labels), len(theta)))
-    for i, (l, m) in enumerate(labels):
-        Y[i] = real_sph_harm(l, m, theta, phi)
-    M = (Y * (w * a_vals)) @ Y.T
-    M[np.diag_indices_from(M)] += [l * (l + 1) for l, _ in labels]
-    M = 0.5 * (M + M.T)
-    return M
-
-
 def _require_hermitian(M: np.ndarray, b: int | None = None) -> None:
     """Raise unless M is Hermitian to HERMITICITY_TOL.  Given the bandwidth
     b of M, only its 2b+1 central diagonals are read: the rest is zero."""
@@ -252,10 +170,11 @@ class EigensolveError(RuntimeError):
         self.residual = residual
 
 
-def eigensolve(M: np.ndarray, tol: float = 1e-11, N: int = 2, mode_labels: tuple = (),
+def eigensolve(M: np.ndarray, tol: float = 1e-11,
                count: int | None = None) -> AngularEigensystem:
     """The lowest ``count`` eigenpairs of a Hermitian matrix (all of them if
-    ``count`` is None or at least the dimension).
+    ``count`` is None or at least the dimension), as an N=2 eigensystem whose
+    vectors are coefficients on the circle Fourier modes (``assemble_circle``).
 
     A matrix of bandwidth b with b*b <= n takes the band route: the whole
     spectrum from ``eigvals_banded`` in O(n^2 b) sets the tolerance scale and
@@ -268,9 +187,7 @@ def eigensolve(M: np.ndarray, tol: float = 1e-11, N: int = 2, mode_labels: tuple
     vector rotated so its first significant coefficient is positive real.  A
     cluster that the cut splits is ordered as a whole first, so the kept
     pairs are the first ``count`` of the full solve.  A non-finite matrix or
-    residual raises ``EigensolveError``.  N sets the basis of the vectors:
-    circle Fourier modes for N=2 (``assemble_circle``), real sphere harmonics
-    labelled by ``mode_labels`` otherwise (``assemble_sphere``).
+    residual raises ``EigensolveError``.
     """
     M = np.asarray(M)
     if not np.all(np.isfinite(M)):
@@ -318,12 +235,11 @@ def eigensolve(M: np.ndarray, tol: float = 1e-11, N: int = 2, mode_labels: tuple
         )
     gram_dev = float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1]))))
     return AngularEigensystem(
-        basis_tag="circle_fourier" if N == 2 else "sphere_harmonic",
+        basis_tag="circle_fourier",
         eigenvalues=vals,
         eigenvectors=vecs,
         residual_bound=max(residual, gram_dev),
-        N=N,
-        mode_labels=mode_labels,
+        N=2,
     )
 
 

@@ -176,6 +176,8 @@ def _fourier(value, where: str) -> dict:
             q = int(key)
         except ValueError as exc:
             raise ConfigError(f"{where}: Fourier index {key!r} is not an integer") from exc
+        if q in out:
+            raise ConfigError(f"{where}: Fourier index {key!r} gives the index {q} again")
         out[q] = (complex(*_pair(val, f"{where}.{key}")) if isinstance(val, list)
                   else complex(_number(val, f"{where}.{key}")))
     return out
@@ -217,8 +219,16 @@ _RESIDUAL = {"r_window": (_window(_positive), _CALLEE),
 _OUTPUT = {"dir": (_string(), ".")}
 
 
-def _check_rules(command: str, problem: dict, experiment: dict) -> None:
-    """Rules that tie keys together, checked once every key has been read."""
+# the experiment keys each evolve route reads besides mode, t and route; the
+# closed route has nothing to measure, so it takes no window
+_EVOLVE_ROUTE_KEYS = {"closed": ("r_max", "quad_panels", "quad_nodes"),
+                      "kernel": ("r_max", "window"),
+                      "fd": ("r_max", "fd_points", "dt", "window")}
+
+
+def _check_rules(command: str, problem: dict, experiment: dict, given: set) -> None:
+    """Rules that tie keys together, checked once every key has been read;
+    ``given`` holds the keys that the experiment block gives."""
     N = problem["N"]
     if N > 2 and ("magnetic" in problem or "truncation" in problem
                   or isinstance(problem["a"], dict)):
@@ -236,6 +246,12 @@ def _check_rules(command: str, problem: dict, experiment: dict) -> None:
             raise ConfigError("experiment.rho: a zero radius needs weight_exponent >= 0")
     if command == "heat" and not 0 < experiment["t0"] < experiment["t1"]:
         raise ConfigError("heat runs need 0 < t0 < t1")
+    if command == "evolve":
+        route = experiment["route"]
+        unread = sorted(given - {"mode", "t", "route", *_EVOLVE_ROUTE_KEYS[route]})
+        if unread:
+            raise ConfigError(f"experiment: the {route} route does not read "
+                              f"{', '.join(unread)}")
     if command == "evolve" and experiment["route"] == "kernel" and not experiment["t"] > 0:
         raise ConfigError("the kernel route needs t > 0")
     # finite differences march a whole number of steps dt
@@ -255,6 +271,17 @@ def _whole_steps(T: float, dt: float, where: str) -> None:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object from its (key, value) pairs; ``json`` keeps the last
+    value of a key given twice, so that is a config error here."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"the key {key!r} is given twice in one JSON object")
+        out[key] = value
+    return out
+
+
 def load_config(path: str, command: str) -> tuple[dict, dict]:
     """Read a run config; returns its read blocks and the run's provenance,
     which records the problem block as written."""
@@ -264,13 +291,16 @@ def load_config(path: str, command: str) -> tuple[dict, dict]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
-        config = json.loads(raw)
+        config = json.loads(raw, object_pairs_hook=_object)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     blocks = _read(config, {"problem": (_PROBLEM, _REQUIRED),
                             "experiment": (_COMMANDS[command][1], {}),
                             "output": (_OUTPUT, {})}, "")
-    _check_rules(command, blocks["problem"], blocks["experiment"])
+    _check_rules(command, blocks["problem"], blocks["experiment"],
+                 set(config.get("experiment", {})))
     provenance = {"tool": "schroflow", "version": __version__, "command": command,
                   "config_sha256": hashlib.sha256(raw).hexdigest(),
                   "parameters": dict(config["problem"])}
@@ -282,10 +312,10 @@ def build_eigensystem(problem: dict, count: int):
     if problem["N"] > 2:
         return constant_a_spectrum(problem["N"], problem["a"], count)
     try:
-        prob = AngularProblem(N=2, scalar_coeff=problem["a"],
+        prob = AngularProblem(scalar_coeff=problem["a"],
                               magnetic_coeff=problem.get("magnetic"),
                               truncation=problem.get("truncation", max(16, count + 4)))
-        return eigensolve(assemble_circle(prob), N=2, count=count)
+        return eigensolve(assemble_circle(prob), count=count)
     except AngularProblemError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -422,17 +452,14 @@ def cmd_evolve(config: dict, out_dir: str, expect: dict,
                provenance: dict) -> int:
     problem, experiment = config["problem"], config["experiment"]
     mode_idx, t, route = (experiment[key] for key in ("mode", "t", "route"))
-    # the kernel route's grid is fixed: it reads only r_max
-    grid_keys = ("r_max",) + {"fd": ("fd_points", "dt"), "kernel": (),
-                              "closed": ("quad_panels", "quad_nodes")}[route]
+    grid_keys = tuple(key for key in _EVOLVE_ROUTE_KEYS[route] if key != "window")
     provenance["parameters"].update({"mode": [mode_idx.n, mode_idx.j], "t": t,
                                      "route": route,
                                      **{key: experiment[key] for key in grid_keys}})
 
     table = _spectral_table(problem, mode_idx.j)
     mode = make_mode(mode_idx, table)
-    # the closed route has nothing to measure, so it takes no window
-    window = None if route == "closed" else experiment["window"]
+    window = experiment["window"] if "window" in _EVOLVE_ROUTE_KEYS[route] else None
     with _window_of("experiment.window"):
         grid, weights, u = flow.evolve_route(route, mode, table, t, window=window, **{
             key: experiment[key] for key in ("r_max", "quad_panels", "quad_nodes",
@@ -501,7 +528,7 @@ def cmd_kernel(config: dict, out_dir: str, expect: dict,
 
     rho = np.asarray(experiment["rho"], dtype=float)
     # j_{-alpha}(rho) is unbounded at rho = 0 for alpha > 0
-    alpha_max = float(np.max(table.alpha[spec.k_start - 1:spec.K_trunc]))
+    alpha_max = float(np.max(table.alpha[spec.k_start - 1:]))
     if alpha_max > 0 and np.any(rho == 0):
         raise ConfigError(f"experiment.rho: rho = 0 needs alpha_k <= 0 for every mode "
                           f"k_start..K of the series, got alpha_k = {alpha_max!r}")
@@ -654,7 +681,7 @@ def main(argv=None) -> int:
     try:
         config, provenance = load_config(args.config, args.command)
         try:
-            expect = json.loads(args.expect or "{}")
+            expect = json.loads(args.expect or "{}", object_pairs_hook=_object)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--expect is not valid JSON: {exc}") from exc
         if not isinstance(expect, dict):

@@ -170,27 +170,23 @@ TAIL_THRESHOLD = 1e-8
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Truncated kernel series K (k_start=1) or the tail kernel K_k.
+    """Truncated kernel series K (k_start=1) or the tail kernel K_k, over the
+    modes k_start..K_max of the spectral table.
 
     ``path``: ``mode_sum`` sums eigenfunction products directly;
     ``legendre_collapsed`` (N=3, constant scalar coefficient only, modes
-    k_start..K_trunc in whole degree blocks) collapses each degree block to
+    k_start..K_max in whole degree blocks) collapses each degree block to
     (2l+1)/(4pi) P_l(cos gamma).
     """
 
     table: SpectralTable
     k_start: int = 1
-    K_trunc: int | None = None
     path: str = "mode_sum"
 
     def __post_init__(self):
-        kt = self.K_trunc if self.K_trunc is not None else self.table.K_max
-        object.__setattr__(self, "K_trunc", kt)
-        if not 1 <= self.k_start <= self.K_trunc <= self.table.K_max:
-            raise ValueError(
-                f"need 1 <= k_start <= K_trunc <= K_max, got "
-                f"({self.k_start}, {self.K_trunc}, {self.table.K_max})"
-            )
+        if not 1 <= self.k_start <= self.table.K_max:
+            raise ValueError(f"need 1 <= k_start <= K_max, got "
+                             f"({self.k_start}, {self.table.K_max})")
         if self.path not in ("mode_sum", "legendre_collapsed"):
             raise ValueError(f"unknown kernel path {self.path!r}")
         if self.path == "legendre_collapsed":
@@ -199,9 +195,9 @@ class KernelSpec:
                 raise ValueError("legendre_collapsed kernel path requires N=3 with "
                                  "constant scalar coefficient")
             (l_lo, m_lo), (l_hi, m_hi) = (eigsys.mode_labels[k - 1]
-                                          for k in (self.k_start, self.K_trunc))
+                                          for k in (self.k_start, self.table.K_max))
             if m_lo != -l_lo or m_hi != l_hi:
-                raise ValueError("legendre_collapsed requires k_start/K_trunc aligned "
+                raise ValueError("legendre_collapsed requires k_start/K_max aligned "
                                  "with whole degree blocks")
 
 
@@ -238,14 +234,14 @@ def kernel_eval(spec: KernelSpec, x_dir, y_dir, rho) -> tuple[np.ndarray, np.nda
 
 def _mode_blocks(spec: KernelSpec, x_dir, y_dir) -> tuple:
     """(alpha, sum of psi_k(x) conj(psi_k(y))) for each run of equal alpha_k
-    in [k_start, K_trunc], and the angular Cauchy-Schwarz bound of the last
+    in [k_start, K_max], and the angular Cauchy-Schwarz bound of the last
     run."""
     table = spec.table
     eigsys = table.eigsys
     if eigsys is None:
         raise ValueError("mode_sum kernel evaluation needs the angular eigensystem")
-    ks = range(spec.k_start, spec.K_trunc + 1)
-    alpha = table.alpha[spec.k_start - 1:spec.K_trunc]
+    ks = range(spec.k_start, table.K_max + 1)
+    alpha = table.alpha[spec.k_start - 1:]
     px, py = (np.array([_psi_value(eigsys, k, d) for k in ks]) for d in (x_dir, y_dir))
     starts = np.flatnonzero(np.r_[True, alpha[1:] != alpha[:-1]])
     last = starts[-1]
@@ -276,7 +272,7 @@ def _legendre_blocks(spec: KernelSpec, x_dir, y_dir) -> tuple:
     (2l+1)/(4pi) P_l(cos gamma); the last block's angular bound is
     (2l+1)/(4pi)."""
     eigsys = spec.table.eigsys
-    l_lo, l_hi = (eigsys.mode_labels[k - 1][0] for k in (spec.k_start, spec.K_trunc))
+    l_lo, l_hi = (eigsys.mode_labels[k - 1][0] for k in (spec.k_start, spec.table.K_max))
     ls = np.arange(l_lo, l_hi + 1)
     weight = (2 * ls + 1) / (4.0 * math.pi)
     return (spec.table.alpha[ls * ls], weight * legendre_p(ls, _cos_angle(x_dir, y_dir)),

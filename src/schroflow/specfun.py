@@ -126,14 +126,3 @@ def sph_harm(l: int, m: int, theta, phi):
         return complex(val)
     return val
 
-
-def real_sph_harm(l: int, m: int, theta, phi):
-    """Real orthonormal spherical harmonic basis (m<0: sine, m>0: cosine)."""
-    if abs(m) > l:
-        raise ValueError(f"real_sph_harm requires |m| <= l, got l={l}, m={m}")
-    if m == 0:
-        return np.real(sph_harm(l, 0, theta, phi))
-    y = sph_harm(l, abs(m), theta, phi)
-    if m > 0:
-        return math.sqrt(2.0) * (-1) ** m * np.real(y)
-    return math.sqrt(2.0) * (-1) ** m * np.imag(y)

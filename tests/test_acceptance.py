@@ -50,9 +50,9 @@ def test_criterion_1_spectral_indices():
 
 
 def test_criterion_2_aharonov_bohm_galerkin():
-    prob = AngularProblem(N=2, scalar_coeff=0.0, magnetic_coeff={0: 0.3},
+    prob = AngularProblem(scalar_coeff=0.0, magnetic_coeff={0: 0.3},
                           truncation=32)
-    eig = eigensolve(assemble_circle(prob), N=2)
+    eig = eigensolve(assemble_circle(prob))
     expected = np.sort([(m + 0.3) ** 2 for m in range(-32, 33)])
     dev = float(np.abs(eig.eigenvalues - expected)[:61].max())
     assert dev <= 1e-10

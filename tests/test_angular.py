@@ -9,50 +9,45 @@ from hypothesis.extra import numpy as hnp
 from schroflow import angular
 from schroflow.angular import (AngularProblem, AngularProblemError,
                                EigensolveError, assemble_circle,
-                               assemble_sphere, constant_a_spectrum, eigensolve,
-                               harmonic_multiplicity, sphere_mode_labels,
-                               sphere_quadrature)
+                               constant_a_spectrum, eigensolve,
+                               harmonic_multiplicity)
 
 
 class TestAharonovBohmCircle:
     def test_constant_flux_spectrum(self):
         # (-i d/dtheta + 0.3)^2 on the circle has eigenvalues (m + 0.3)^2
-        prob = AngularProblem(N=2, scalar_coeff=0.0,
+        prob = AngularProblem(scalar_coeff=0.0,
                               magnetic_coeff={0: 0.3}, truncation=32)
-        eig = eigensolve(assemble_circle(prob), N=2)
+        eig = eigensolve(assemble_circle(prob))
         expected = np.sort([(m + 0.3) ** 2 for m in range(-32, 33)])
         dev = np.abs(eig.eigenvalues - expected)
         # interior modes |m| <= 30 are unaffected by truncation
         assert dev[:61].max() <= 1e-10
 
     def test_scalar_shift(self):
-        base = AngularProblem(N=2, scalar_coeff=0.0,
+        base = AngularProblem(scalar_coeff=0.0,
                               magnetic_coeff={0: 0.3}, truncation=16)
-        shifted = AngularProblem(N=2, scalar_coeff=2.5,
+        shifted = AngularProblem(scalar_coeff=2.5,
                                  magnetic_coeff={0: 0.3}, truncation=16)
-        e0 = eigensolve(assemble_circle(base), N=2).eigenvalues
-        e1 = eigensolve(assemble_circle(shifted), N=2).eigenvalues
+        e0 = eigensolve(assemble_circle(base)).eigenvalues
+        e1 = eigensolve(assemble_circle(shifted)).eigenvalues
         assert np.allclose(e1 - e0, 2.5, atol=1e-10)
 
     def test_no_coefficients_gives_m_squared(self):
-        prob = AngularProblem(N=2, scalar_coeff=0.0, truncation=8)
-        eig = eigensolve(assemble_circle(prob), N=2)
+        prob = AngularProblem(scalar_coeff=0.0, truncation=8)
+        eig = eigensolve(assemble_circle(prob))
         expected = np.sort([m * m for m in range(-8, 9)])
         assert np.allclose(eig.eigenvalues, expected, atol=1e-12)
 
     def test_complex_coefficient_rejected(self):
         with pytest.raises(AngularProblemError):
-            AngularProblem(N=2, scalar_coeff={1: 1.0}, truncation=8)
-
-    def test_magnetic_on_sphere_rejected(self):
-        with pytest.raises(AngularProblemError):
-            AngularProblem(N=3, scalar_coeff=0.0, magnetic_coeff={0: 0.3})
+            AngularProblem(scalar_coeff={1: 1.0}, truncation=8)
 
     def test_eigenfunction_satisfies_operator(self):
         # for alpha(theta)=0.3 the k-th eigenfunction is a pure Fourier mode
-        prob = AngularProblem(N=2, scalar_coeff=0.0,
+        prob = AngularProblem(scalar_coeff=0.0,
                               magnetic_coeff={0: 0.3}, truncation=16)
-        eig = eigensolve(assemble_circle(prob), N=2)
+        eig = eigensolve(assemble_circle(prob))
         theta = np.linspace(0, 2 * math.pi, 64, endpoint=False)
         psi1 = eig.angular_value(1, theta)
         # mu_1 = 0.09 belongs to m=0: the ground state is constant
@@ -94,7 +89,7 @@ class TestCircleAssembly:
                      {0: -0.3, 1: 0.2j, -1: -0.2j}, id="signed zeros"),
     ])
     def test_bitwise_equal_to_loop_assembly(self, scalar, magnetic):
-        prob = AngularProblem(N=2, scalar_coeff=scalar, magnetic_coeff=magnetic,
+        prob = AngularProblem(scalar_coeff=scalar, magnetic_coeff=magnetic,
                               truncation=9)
         M, ref = assemble_circle(prob), _loop_circle_matrix(prob)
         assert np.array_equal(M, ref)
@@ -102,43 +97,15 @@ class TestCircleAssembly:
             assert np.array_equal(np.signbit(part(M)), np.signbit(part(ref)))
 
 
-class TestSphereGalerkin:
-    def test_constant_coefficient_matches_analytic(self):
-        prob = AngularProblem(N=3, scalar_coeff=2.0, truncation=6)
-        eig = eigensolve(assemble_sphere(prob), N=3,
-                         mode_labels=sphere_mode_labels(6))
-        exact = constant_a_spectrum(3, 2.0, len(eig))
-        assert np.allclose(eig.eigenvalues,
-                           exact.eigenvalues[:len(eig)], atol=1e-10)
-
-    def test_cos_theta_coupling(self):
-        # <Y_00 | cos theta | Y_10> = 1/sqrt(3)
-        prob = AngularProblem(N=3, scalar_coeff=np.cos, truncation=4)
-        M = assemble_sphere(prob)
-        labels = sphere_mode_labels(4)
-        i00 = labels.index((0, 0))
-        i10 = labels.index((1, 0))
-        assert M[i00, i10] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
-        assert np.max(np.abs(M - M.T)) < 1e-13
-
-    def test_quadrature_weight_sum(self):
-        _, _, w = sphere_quadrature(5)
-        assert np.sum(w) == pytest.approx(4 * math.pi, rel=1e-13)
-
-    def test_quadrature_underresolved_rejected(self):
-        with pytest.raises(AngularProblemError):
-            sphere_quadrature(5, n_theta=4)
-
-
 class TestEigensolve:
     def test_identity_matrix(self):
-        eig = eigensolve(np.eye(5), N=2)
+        eig = eigensolve(np.eye(5))
         assert np.allclose(eig.eigenvalues, 1.0)
         assert eig.residual_bound <= 1e-14
 
     def test_basis_follows_the_dimension(self):
-        # a real N=2 matrix is a circle Fourier matrix, whatever its dtype
-        eig = eigensolve(np.diag([1.0, 2.0, 3.0]), N=2)
+        # an eigensolve matrix is a circle Fourier matrix, whatever its dtype
+        eig = eigensolve(np.diag([1.0, 2.0, 3.0]))
         assert abs(eig.angular_value(1, 0.3)) == pytest.approx(1.0 / math.sqrt(2 * math.pi))
         assert eig.sup_abs(1) == pytest.approx(1.0 / math.sqrt(2 * math.pi))
 
@@ -146,8 +113,8 @@ class TestEigensolve:
         rng = np.random.default_rng(3)
         A = rng.normal(size=(12, 12))
         M = A + A.T
-        e1 = eigensolve(M, N=2)
-        e2 = eigensolve(M.copy(), N=2)
+        e1 = eigensolve(M)
+        e2 = eigensolve(M.copy())
         assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
         assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
 
@@ -155,19 +122,19 @@ class TestEigensolve:
         # twofold degenerate eigenvalue: vectors come out ordered by the
         # index of their dominant coefficient, pivot positive real
         M = np.diag([2.0, 1.0, 1.0, 5.0])
-        eig = eigensolve(M, N=2)
+        eig = eigensolve(M)
         assert np.allclose(eig.eigenvalues, [1.0, 1.0, 2.0, 5.0])
         assert eig.eigenvectors[1, 0] == pytest.approx(1.0)
         assert eig.eigenvectors[2, 1] == pytest.approx(1.0)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(AngularProblemError):
-            eigensolve(np.array([[0.0, 1.0], [0.0, 0.0]]), N=2)
+            eigensolve(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     @staticmethod
     def _assert_first_pairs(M, count):
-        full = eigensolve(M, N=2)
-        kept = eigensolve(M, N=2, count=count)
+        full = eigensolve(M)
+        kept = eigensolve(M, count=count)
         n = min(count, len(full))
         assert len(kept) == n
         assert np.array_equal(kept.eigenvalues, full.eigenvalues[:n])
@@ -184,10 +151,10 @@ class TestEigensolve:
         # flux 1/2 plus a gradient: the spectrum (m + 1/2)^2 + a is doubly
         # degenerate with non-trivial vectors; counts 1 and 3 cut a pair,
         # whose order comes from sorting the whole pair
-        prob = AngularProblem(N=2, scalar_coeff=0.7, truncation=12,
+        prob = AngularProblem(scalar_coeff=0.7, truncation=12,
                               magnetic_coeff={0: 0.5, 1: 0.1 + 0.2j, -1: 0.1 - 0.2j})
         M = assemble_circle(prob)
-        vals = eigensolve(M, N=2).eigenvalues
+        vals = eigensolve(M).eigenvalues
         assert np.allclose(vals[:4], [0.95, 0.95, 2.95, 2.95], atol=1e-12)
         self._assert_first_pairs(M, count)
 
@@ -216,20 +183,20 @@ class TestEigensolve:
         for M in (band, dense):
             if raises:
                 with pytest.raises(EigensolveError):
-                    eigensolve(M, N=2, count=3)
+                    eigensolve(M, count=3)
             else:
-                assert eigensolve(M, N=2, count=3).residual_bound <= 1e-15
+                assert eigensolve(M, count=3).residual_bound <= 1e-15
 
     def test_count_below_one_rejected(self):
         with pytest.raises(ValueError):
-            eigensolve(np.eye(3), N=2, count=0)
+            eigensolve(np.eye(3), count=0)
 
     @settings(max_examples=25, deadline=None)
     @given(hnp.arrays(np.float64, (6, 6),
                       elements=st.floats(-5, 5, allow_nan=False)))
     def test_reconstruction_property(self, A):
         M = A + A.T
-        eig = eigensolve(M, N=2)
+        eig = eigensolve(M)
         assert np.all(np.diff(eig.eigenvalues) >= -1e-10)
         V = eig.eigenvectors
         assert np.max(np.abs(V.conj().T @ V - np.eye(6))) < 1e-10
@@ -240,7 +207,7 @@ class TestEigensolve:
 def _magnetic_200():
     """The truncation-200 magnetic matrix: bandwidth 2, dimension 401, with
     the gauge-equivalent spectrum (m + 0.3)^2 + 0.2."""
-    prob = AngularProblem(N=2, scalar_coeff=0.2, truncation=200,
+    prob = AngularProblem(scalar_coeff=0.2, truncation=200,
                           magnetic_coeff={0: 0.3, 1: 0.1 + 0.2j, -1: 0.1 - 0.2j})
     return assemble_circle(prob)
 
@@ -248,7 +215,7 @@ def _magnetic_200():
 class TestBandRoute:
     def test_matches_eigh(self):
         M = _magnetic_200()
-        eig = eigensolve(M, N=2)
+        eig = eigensolve(M)
         vals, vecs = np.linalg.eigh(M)
         scale = np.max(np.abs(vals))
         assert np.max(np.abs(eig.eigenvalues - vals)) <= 1e-12 * scale
@@ -260,7 +227,7 @@ class TestBandRoute:
 
     def test_real_matrix_keeps_real_vectors(self):
         M = np.diag(np.arange(12.0)) + np.diag(np.full(11, 0.4), 1) + np.diag(np.full(11, 0.4), -1)
-        eig = eigensolve(M, N=3, count=5)
+        eig = eigensolve(M, count=5)
         assert eig.eigenvectors.dtype == np.float64
         assert np.allclose(eig.eigenvalues, np.linalg.eigvalsh(M)[:5], rtol=0, atol=1e-13)
         assert eig.residual_bound <= 1e-13
@@ -275,7 +242,7 @@ class TestBandRoute:
         for k in range(12):
             pivot = vecs[np.argmax(np.abs(vecs[:, k]) > 1e-8), k]
             vecs[:, k] *= np.conj(pivot) / abs(pivot)
-        eig = eigensolve(M, N=2)
+        eig = eigensolve(M)
         assert np.array_equal(eig.eigenvalues, vals)
         assert np.array_equal(eig.eigenvectors, vecs)
 
@@ -295,7 +262,7 @@ class TestBandRoute:
             M += np.diag(np.full(16 - b, 0.5), b) + np.diag(np.full(16 - b, 0.5), -b)
         for count in (None, 3):
             calls.clear()
-            eigensolve(M, N=2, count=count)
+            eigensolve(M, count=count)
             assert calls == ([1] if band else [])
 
     @pytest.mark.parametrize("count", [1, 2])
@@ -321,7 +288,7 @@ class TestBandRoute:
         # the shift of the eigenvalue 1, four ulps below it, lands exactly on
         # the diagonal entry 1 - 4 ulps: LAPACK reports a zero pivot
         M = np.diag([1.0, 1.0 - 4 * np.spacing(1.0), 0.5])
-        eig = eigensolve(M, N=2)
+        eig = eigensolve(M)
         assert np.all(np.isfinite(eig.eigenvectors))
         assert np.allclose(np.abs(eig.eigenvectors), np.eye(3)[:, [2, 0, 1]], atol=1e-15)
         assert eig.residual_bound <= 1e-15
@@ -331,7 +298,7 @@ class TestNonFinite:
     def test_non_finite_matrix_rejected(self):
         for bad in (np.inf, np.nan):
             with pytest.raises(EigensolveError):
-                eigensolve(np.diag([1.0, bad, 2.0]), N=2)
+                eigensolve(np.diag([1.0, bad, 2.0]))
 
     def test_nan_residual_fails_the_check(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -344,7 +311,7 @@ class TestNonFinite:
         rng = np.random.default_rng(2)
         A = rng.normal(size=(6, 6))
         with pytest.raises(EigensolveError):
-            eigensolve(A + A.T, N=2)
+            eigensolve(A + A.T)
 
 
 class TestConstantSpectrum:

@@ -508,6 +508,28 @@ class TestConfigErrors:
             **KERNEL, "rho": {"lo": 0.5, "hi": 2.0, "n": 4, "spacing": "lgo"}}},
                      id="rho.spacing misspelt"),
         pytest.param("spectrum", {"problem": {**FREE, "truncation": 8}}, id="truncation N=3"),
+        pytest.param("spectrum", {"problem": {**FREE, "magnetic": {"0": 0.3}}},
+                     id="magnetic N=3"),
+        pytest.param("spectrum", {"problem": {"N": 3, "a": {"0": 0.1}}}, id="Fourier a N=3"),
+        # the later value overwrote the earlier one: a Fourier index given
+        # twice once the keys are read as integers
+        pytest.param("spectrum", {"problem": {"N": 2, "magnetic": {"0": 0.25, "+0": 0.4}}},
+                     id="magnetic index given twice"),
+        pytest.param("spectrum", {"problem": {"N": 2, "a": {"1": 0.3, "01": 0.05, "-1": 0.05}}},
+                     id="a index given twice"),
+        # silently ignored before: keys that the evolve route does not read
+        pytest.param("evolve", {"problem": FREE, "experiment": {
+            "mode": [0, 1], "t": 1.0, "route": "kernel", "dt": 0.5}}, id="kernel route dt"),
+        pytest.param("evolve", {"problem": FREE, "experiment": {
+            "mode": [0, 1], "t": 1.0, "route": "kernel", "fd_points": 7}},
+                     id="kernel route fd_points"),
+        pytest.param("evolve", {"problem": FREE, "experiment": {
+            "mode": [0, 1], "t": 1.0, "route": "kernel", "quad_nodes": 3}},
+                     id="kernel route quad_nodes"),
+        pytest.param("evolve", {"problem": FREE, "experiment": {
+            "mode": [0, 1], "t": 1.0, "window": [100, 200]}}, id="closed route window"),
+        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "quad_panels": 64}},
+                     id="fd route quad_panels"),
         # tracebacks or numeric failures before: dimensions and directions
         # the command does not support
         pytest.param("kernel", {"problem": {"N": 4, "a": 0.0}, "experiment": KERNEL},
@@ -558,7 +580,7 @@ class TestConfigErrors:
         pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "window": [100, 200]}},
                      id="evolve fd window past r_max"),
         pytest.param("evolve", {"problem": FREE, "experiment": {
-            **SMALL_RUNS["compare"], "t": 1.0, "route": "kernel", "window": [100, 200]}},
+            "mode": [0, 1], "t": 1.0, "route": "kernel", "r_max": 10.0, "window": [100, 200]}},
                      id="evolve kernel window past r_max"),
         pytest.param("compare", {"problem": FREE, "experiment": {
             **SMALL_RUNS["compare"], "window": [100, 200]}}, id="compare window past r_max"),
@@ -612,10 +634,24 @@ class TestConfigErrors:
         assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("text, expect", [
+        ('{"problem": {"N": 2, "magnetic": {"0": 0.25, "0": 0.4}}}', "{}"),
+        ('{"problem": {"N": 3, "a": 0.0}, "experiment": {"K": 2, "K": 3}}', "{}"),
+        ('{"problem": {"N": 3, "a": -0.1875}}', '{"alpha_1": 0.25, "alpha_1": 9}'),
+    ], ids=["Fourier index", "experiment key", "expect key"])
+    def test_key_given_twice_exit_code(self, tmp_path, capsys, text, expect):
+        # json keeps the last value of a repeated key: the run went on with it
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path),
+                     "--expect", expect]) == 2
+        assert capsys.readouterr().err.startswith("config error: the key")
+
     @pytest.mark.parametrize("route", ["closed", "kernel"])
     def test_duration_rule_only_on_the_fd_route(self, tmp_path, route):
+        # t is not a whole number of steps of the default dt 1e-3
         cfg = write_config(tmp_path, "c.json", {"problem": FREE, "experiment": {
-            "mode": [0, 1], "t": 1.0004, "route": route, "dt": 1e-3}})
+            "mode": [0, 1], "t": 1.0004, "route": route}})
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("command, experiment", [

@@ -149,7 +149,7 @@ class TestKernel:
 
     def test_truncation_warning(self, table_free):
         # the tail bound that sets kernel.csv's truncation_warning
-        spec = flow.KernelSpec(table=table_free, K_trunc=4)
+        spec = flow.KernelSpec(table=build_table(table_free.eigsys, 3, 4))
         _, tail = flow.kernel_eval(spec, (0.4, 0.3), (1.2, 2.1), 8.0)
         assert tail > flow.TAIL_THRESHOLD
 
@@ -157,8 +157,8 @@ class TestKernel:
         # N=2 with flux phi and constant a: psi_k are plane waves e^{im theta}
         # with mu = (m+phi)^2 + a, so j_{-alpha}(rho) = J_{|alpha|}(rho)
         phi, a, K, x, y = 0.3, 0.2, 9, 0.7, 2.9
-        prob = AngularProblem(N=2, scalar_coeff=a, magnetic_coeff={0: phi}, truncation=16)
-        table = build_table(eigensolve(assemble_circle(prob), N=2), 2, K)
+        prob = AngularProblem(scalar_coeff=a, magnetic_coeff={0: phi}, truncation=16)
+        table = build_table(eigensolve(assemble_circle(prob)), 2, K)
         spec = flow.KernelSpec(table=table)
         ms = sorted(range(-8, 9), key=lambda m: (m + phi) ** 2)[:K]
         rho = np.array([0.3, 2.0, 7.5])
@@ -197,21 +197,20 @@ class TestKernel:
     def test_invalid_indices(self, table_free):
         with pytest.raises(ValueError):
             flow.KernelSpec(table=table_free, k_start=0)
-        with pytest.raises(ValueError):
-            flow.KernelSpec(table=table_free, K_trunc=99)
 
     def test_legendre_path_needs_whole_degree_blocks(self, table_free):
-        # table_free holds the degrees 0..3, modes 1, 2-4, 5-9 and 10-16
+        # table_free's eigensystem holds the degrees 0..3, modes 1, 2-4, 5-9
+        # and 10-16
+        table_12, table_9 = (build_table(table_free.eigsys, 3, K) for K in (12, 9))
         with pytest.raises(ValueError, match="whole degree blocks"):
-            flow.KernelSpec(table=table_free, K_trunc=12, path="legendre_collapsed")
+            flow.KernelSpec(table=table_12, path="legendre_collapsed")
         with pytest.raises(ValueError, match="whole degree blocks"):
-            flow.KernelSpec(table=table_free, k_start=3, K_trunc=9,
-                            path="legendre_collapsed")
-        flow.KernelSpec(table=table_free, k_start=2, K_trunc=9, path="legendre_collapsed")
+            flow.KernelSpec(table=table_9, k_start=3, path="legendre_collapsed")
+        flow.KernelSpec(table=table_9, k_start=2, path="legendre_collapsed")
 
     def test_legendre_path_needs_n_3(self):
-        prob = AngularProblem(N=2, scalar_coeff=0.1, truncation=16)
-        table = build_table(eigensolve(assemble_circle(prob), N=2), 2, 5)
+        prob = AngularProblem(scalar_coeff=0.1, truncation=16)
+        table = build_table(eigensolve(assemble_circle(prob)), 2, 5)
         with pytest.raises(ValueError, match="N=3"):
             flow.KernelSpec(table=table, path="legendre_collapsed")
 
@@ -224,8 +223,8 @@ class TestKernel:
                 flow.kernel_eval(spec, x, y, 1.0)
 
     def test_circle_direction_is_an_angle(self):
-        prob = AngularProblem(N=2, scalar_coeff=0.1, truncation=16)
-        table = build_table(eigensolve(assemble_circle(prob), N=2), 2, 5)
+        prob = AngularProblem(scalar_coeff=0.1, truncation=16)
+        table = build_table(eigensolve(assemble_circle(prob)), 2, 5)
         spec = flow.KernelSpec(table=table)
         with pytest.raises(ValueError, match="angle"):
             flow.kernel_eval(spec, (1.0, 0.0), 0.3, 1.0)

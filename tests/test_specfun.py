@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from schroflow.specfun import (PolySpec, bessel_j, j_scaled, legendre_p,
-                               real_sph_harm, sph_harm)
+                               sph_harm)
 
 
 class TestBesselJ:
@@ -167,19 +167,6 @@ class TestSphHarm:
         pairs = [(l, m) for l in range(5) for m in range(-l, l + 1)]
         Y = np.array([sph_harm(l, m, tt, pp).ravel() for l, m in pairs])
         gram = (Y * ww) @ Y.conj().T
-        assert np.max(np.abs(gram - np.eye(len(pairs)))) < 1e-12
-
-    def test_real_basis_orthonormal(self):
-        x, w = np.polynomial.legendre.leggauss(24)
-        theta = np.arccos(x)
-        nphi = 48
-        phi = 2 * math.pi * np.arange(nphi) / nphi
-        tt, pp = np.meshgrid(theta, phi, indexing="ij")
-        ww = np.repeat(w * 2 * math.pi / nphi, nphi)
-        pairs = [(l, m) for l in range(4) for m in range(-l, l + 1)]
-        Y = np.array([np.asarray(real_sph_harm(l, m, tt, pp)).ravel()
-                      for l, m in pairs])
-        gram = (Y * ww) @ Y.T
         assert np.max(np.abs(gram - np.eye(len(pairs)))) < 1e-12
 
     def test_invalid_m(self):
