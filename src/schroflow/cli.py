@@ -389,6 +389,28 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+def _read_expect(text: str | None) -> dict:
+    """The --expect JSON object, every value a number.  A tolerance
+    "name_tol" is >= 0 and needs its "name", a value to compare: alone, or
+    beside a misspelt name, it would check nothing."""
+    try:
+        expect = json.loads(text or "{}", object_pairs_hook=_object)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--expect is not valid JSON: {exc}") from exc
+    if not isinstance(expect, dict):
+        raise ConfigError("--expect must be a JSON object")
+    expect = {key: _number(value, f"--expect {key}") for key, value in expect.items()}
+    for key, tol in expect.items():
+        if not key.endswith("_tol"):
+            continue
+        if key[:-4] not in expect:
+            raise ConfigError(f"--expect {key} is the tolerance of {key[:-4]!r}, "
+                              "which is not given")
+        if not tol >= 0:
+            raise ConfigError(f"--expect {key} must be >= 0, got {tol!r}")
+    return expect
+
+
 def _check_expect(expect: dict, measured: dict) -> None:
     """Compare measured headline values against --expect tolerances.
 
@@ -493,14 +515,12 @@ def cmd_decay(config: dict, out_dir: str, expect: dict,
     table = _spectral_table(problem, mode_idx.j)
     mode = make_mode(mode_idx, table)
     ang_sup = table.eigsys.sup_abs(mode_idx.j)
+    r = np.geomspace(*window, experiment["samples"])
 
     pairs = []
     for t in times:
-        sup = flow.weighted_sup_norm(
-            lambda r, t=t: flow.evolve_mode_closed_form(mode, r, t),
-            weight, window, samples=experiment["samples"],
-        ).combined * ang_sup
-        pairs.append((float(t), sup))
+        sup = flow.weighted_sup_norm(r, flow.evolve_mode_closed_form(mode, r, t), weight)
+        pairs.append((float(t), sup * ang_sup))
     report = flow.decay_fit(pairs, weight_exponent=weight)
 
     _write_csv(os.path.join(out_dir, "samples.csv"), provenance, [],
@@ -534,7 +554,13 @@ def cmd_kernel(config: dict, out_dir: str, expect: dict,
                           f"k_start..K of the series, got alpha_k = {alpha_max!r}")
     values, tail = flow.kernel_eval(spec, experiment["x_dir"], experiment["y_dir"], rho)
     modulus = np.abs(values)
-    weighted = rho ** w_exp * modulus
+    # a zero |K| carries no weight, so rho^w overflowing there is harmless
+    with np.errstate(over="ignore"):
+        weighted = np.where(modulus != 0, rho ** w_exp, 0.0) * modulus
+    if not np.all(np.isfinite(weighted)):
+        raise FloatingPointError(
+            f"the weighted modulus rho^w |K| (w = {w_exp!r}) is not finite at "
+            f"rho = {float(rho[~np.isfinite(weighted)][0])!r}")
     _write_csv(os.path.join(out_dir, "kernel.csv"), provenance, [], {
         "rho": rho, "re_K": values.real, "im_K": values.imag,
         "weighted_modulus": weighted,
@@ -680,13 +706,7 @@ def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
     try:
         config, provenance = load_config(args.config, args.command)
-        try:
-            expect = json.loads(args.expect or "{}", object_pairs_hook=_object)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--expect is not valid JSON: {exc}") from exc
-        if not isinstance(expect, dict):
-            raise ConfigError("--expect must be a JSON object")
-        expect = {key: _number(value, f"--expect {key}") for key, value in expect.items()}
+        expect = _read_expect(args.expect)
         out_dir = args.out if args.out is not None else config["output"]["dir"]
         try:
             os.makedirs(out_dir, exist_ok=True)

@@ -14,9 +14,14 @@ the scaling-invariant Schrodinger flow:
 them pairwise against the closed form evaluated on each route's grid.  Both
 take the mode and the spectral table that the caller built.
 
+A ``SeparatedState`` holds radial profiles sampled on a grid, with the
+grid's quadrature weights and the spectral table that gives N and each
+alpha_j; ``propagate_representation`` maps one to another.
+
 Also here: the kernel series K / K_k at an array of radii with its tail
 bounds (``kernel_eval``), the pseudoconformal transform, the self-similar
-heat solution, weighted sup norms and power-law decay fits.
+heat solution, the weighted sup norm of a sampled profile
+(``weighted_sup_norm``) and power-law decay fits.
 """
 
 from __future__ import annotations
@@ -56,14 +61,14 @@ class SeparatedState:
 
     ``grid`` must be strictly increasing and positive; ``weights`` are the
     quadrature weights for integrals dr on the grid, so the L^2 norm and
-    projections are weighted dot products.
+    projections are weighted dot products.  ``table`` is the spectral table
+    of the modes j; the state's dimension N is the table's.
     """
 
-    N: int
     grid: np.ndarray
     weights: np.ndarray
     profiles: dict[int, np.ndarray]
-    table: SpectralTable | None = None
+    table: SpectralTable
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -81,11 +86,9 @@ class SeparatedState:
             if f.shape != self.grid.shape:
                 raise ValueError(f"profile for mode j={j} does not match the grid")
 
-    @classmethod
-    def from_quadrature(cls, N: int, quad: RadialQuadrature, profiles: dict,
-                        table: SpectralTable | None = None) -> "SeparatedState":
-        return cls(N=N, grid=quad.nodes.copy(), weights=quad.weights.copy(),
-                   profiles=profiles, table=table)
+    @property
+    def N(self) -> int:
+        return self.table.N
 
     def l2_norm(self) -> float:
         total = 0.0
@@ -93,14 +96,6 @@ class SeparatedState:
         for f in self.profiles.values():
             total += float(np.sum(self.weights * np.abs(f) ** 2 * rpow))
         return math.sqrt(total)
-
-
-def state_from_mode(mode: NormalizedMode, quad: RadialQuadrature,
-                    table: SpectralTable | None = None) -> SeparatedState:
-    """Sample a normalized oscillator eigenfunction as a separated state."""
-    return SeparatedState.from_quadrature(
-        mode.N, quad, {mode.index.j: mode.radial(quad.nodes).astype(complex)}, table,
-    )
 
 
 def evolve_mode_closed_form(mode: NormalizedMode, r, t: float, weighted: bool = False):
@@ -127,14 +122,6 @@ def evolve_mode_closed_form(mode: NormalizedMode, r, t: float, weighted: bool = 
     return complex(out) if np.ndim(r) == 0 else out
 
 
-def evolved_mode_state(mode: NormalizedMode, quad: RadialQuadrature, t: float,
-                       table: SpectralTable | None = None) -> SeparatedState:
-    """Closed-form evolution sampled as a separated state."""
-    return SeparatedState.from_quadrature(
-        mode.N, quad, {mode.index.j: evolve_mode_closed_form(mode, quad.nodes, t)}, table,
-    )
-
-
 def pseudoconformal(state: SeparatedState, t: float, direction: str = "forward") -> SeparatedState:
     """Pseudoconformal change of variables, exact on the grid.
 
@@ -157,7 +144,7 @@ def pseudoconformal(state: SeparatedState, t: float, direction: str = "forward")
     else:
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     return SeparatedState(
-        N=state.N, grid=new_grid, weights=new_weights,
+        grid=new_grid, weights=new_weights,
         profiles={j: factor * f for j, f in state.profiles.items()},
         table=state.table,
     )
@@ -191,7 +178,7 @@ class KernelSpec:
             raise ValueError(f"unknown kernel path {self.path!r}")
         if self.path == "legendre_collapsed":
             eigsys = self.table.eigsys
-            if self.table.N != 3 or eigsys is None or eigsys.basis_tag != "analytic_constant":
+            if self.table.N != 3 or eigsys.basis_tag != "analytic_constant":
                 raise ValueError("legendre_collapsed kernel path requires N=3 with "
                                  "constant scalar coefficient")
             (l_lo, m_lo), (l_hi, m_hi) = (eigsys.mode_labels[k - 1]
@@ -238,8 +225,6 @@ def _mode_blocks(spec: KernelSpec, x_dir, y_dir) -> tuple:
     run."""
     table = spec.table
     eigsys = table.eigsys
-    if eigsys is None:
-        raise ValueError("mode_sum kernel evaluation needs the angular eigensystem")
     ks = range(spec.k_start, table.K_max + 1)
     alpha = table.alpha[spec.k_start - 1:]
     px, py = (np.array([_psi_value(eigsys, k, d) for k in ks]) for d in (x_dir, y_dir))
@@ -333,13 +318,13 @@ def propagate_representation(state: SeparatedState, t: float) -> SeparatedState:
     computes A by one ``scipy.fft.fht`` call on Re h and Im h stacked, so the
     transform's coefficients are computed once per mode.
 
-    The state's grid must be log-uniform (``log_grid``), and its spectral
-    table, which gives each mode's alpha_j, must be set.  The output grid is
-    r = 2t k, log-uniform with the same step and weights r dln; its offset is
-    the low-ringing one of the state's first mode, which the other modes
-    share.  h vanishes like rho^{nu+1} at rho = 0; the bias q = -(nu+1)/2
-    keeps the output accurate at r << t: on r in [1e-6, 2] at t = 2^14 its
-    sup error is about 1e-9 where q = 0 gives 8e1.
+    The state's grid must be log-uniform (``log_grid``); its spectral table
+    gives each mode's alpha_j.  The output grid is r = 2t k, log-uniform with
+    the same step and weights r dln; its offset is the low-ringing one of the
+    state's first mode, which the other modes share.  h vanishes like
+    rho^{nu+1} at rho = 0; the bias q = -(nu+1)/2 keeps the output accurate
+    at r << t: on r in [1e-6, 2] at t = 2^14 its sup error is about 1e-9
+    where q = 0 gives 8e1.
 
     Raises ResolutionError when the log step moves the phase rho^2/4t by more
     than 1/8 of a period, rho^2 dln/2t > pi/4, at the last rho where some
@@ -350,8 +335,6 @@ def propagate_representation(state: SeparatedState, t: float) -> SeparatedState:
     if t <= 0:
         raise ValueError("propagate_representation requires t > 0")
     table = state.table
-    if table is None:
-        raise ValueError("propagate_representation needs the state's spectral table")
     if not table.hardy_ok:
         raise HardyViolation("representation propagation requires the Hardy condition")
     for j in state.profiles:
@@ -378,7 +361,7 @@ def propagate_representation(state: SeparatedState, t: float) -> SeparatedState:
         re, im = fft.fht(np.stack((h.real, h.imag)), dln, nu, offset=offset,
                          bias=-(nu + 1.0) / 2.0)
         out_profiles[j] = pref_common * _unit_phase(table.row(j)[1]) * (re + 1j * im)
-    return SeparatedState(N=N, grid=r, weights=r * dln, profiles=out_profiles, table=table)
+    return SeparatedState(grid=r, weights=r * dln, profiles=out_profiles, table=table)
 
 
 ROUTES = ("closed", "kernel", "fd")
@@ -414,7 +397,7 @@ def evolve_route(route: str, mode: NormalizedMode, table: SpectralTable, t: floa
             raise ValueError(f"the kernel route resolves r >= {r_min:.3g} at t = {t!r}, "
                              f"past r_max = {r_max!r}")
         _window_mask(r[keep], window)
-        state = SeparatedState(N=mode.N, grid=grid, weights=weights,
+        state = SeparatedState(grid=grid, weights=weights,
                                profiles={mode.index.j: mode.radial(grid)}, table=table)
         u = propagate_representation(state, t)
         return u.grid[keep], u.weights[keep], u.profiles[mode.index.j][keep]
@@ -546,52 +529,15 @@ def heat_residual(N: int, mu_k: float, alpha_k: float, r_window=(0.5, 5.0),
     return worst / vmax
 
 
-@dataclass(frozen=True)
-class WeightedSupNorm:
-    """Weighted sup norm, per angular mode and combined by triangle bound."""
-
-    per_mode: dict
-    combined: float
-
-
-def weighted_sup_norm(target, weight_exponent: float, r_window,
-                      samples: int = 2000) -> WeightedSupNorm:
-    """sup over the window of r^w |u(r)| max_theta |psi_j|, per mode.
-
-    ``target`` is either a SeparatedState (evaluated on its own grid) or a
-    callable r -> complex radial profile (sampled log-uniformly on the
-    window; angular sup taken as 1).
-    """
-    r_lo, r_hi = float(r_window[0]), float(r_window[1])
-    if not (0 <= r_lo < r_hi):
-        raise ValueError(f"empty or invalid radial window {r_window!r}")
-    if callable(target):
-        if r_lo <= 0:
-            raise ValueError("a callable target needs r_lo > 0")
-        r = np.geomspace(r_lo, r_hi, samples)
-        sup = _weighted_sup(np.abs(np.asarray(target(r))), r, weight_exponent)
-        return WeightedSupNorm(per_mode={0: sup}, combined=sup)
-    state: SeparatedState = target
-    mask = (state.grid >= r_lo) & (state.grid <= r_hi)
-    if not mask.any():
-        raise ValueError("radial window contains no grid points")
-    r = state.grid[mask]
-    per_mode = {}
-    for j, f in state.profiles.items():
-        ang = 1.0
-        if state.table is not None and state.table.eigsys is not None:
-            ang = state.table.eigsys.sup_abs(j)
-        per_mode[j] = _weighted_sup(np.abs(f[mask]), r, weight_exponent) * ang
-    return WeightedSupNorm(per_mode=per_mode, combined=float(sum(per_mode.values())))
-
-
-def _weighted_sup(abs_u: np.ndarray, r: np.ndarray, w: float) -> float:
-    """max of r^w |u| over the samples with |u| != 0 (0 if there are none):
-    r^w may overflow where u is 0, and inf * 0 is NaN; where it overflows
-    on a nonzero sample the sup is inf."""
+def weighted_sup_norm(r: np.ndarray, u: np.ndarray, weight_exponent: float) -> float:
+    """max of r^w |u| over the samples (r, u) with u != 0 (0 if there are
+    none): r^w may overflow where u is 0, and inf * 0 is NaN; where it
+    overflows on a nonzero sample the sup is inf, and a NaN sample makes it
+    NaN."""
+    abs_u = np.abs(u)
     live = abs_u != 0
     with np.errstate(over="ignore"):
-        return float(np.max(abs_u[live] * r[live] ** w, initial=0.0))
+        return float(np.max(abs_u[live] * r[live] ** weight_exponent, initial=0.0))
 
 
 @dataclass(frozen=True)

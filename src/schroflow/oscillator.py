@@ -35,7 +35,8 @@ class HardyViolation(ValueError):
 
 @dataclass(frozen=True)
 class SpectralTable:
-    """Rows (k, mu_k, alpha_k, beta_k) for k = 1..K_max plus classification."""
+    """Rows (k, mu_k, alpha_k, beta_k) for k = 1..K_max plus classification,
+    and the angular eigensystem the rows come from (``build_table``)."""
 
     N: int
     mu: np.ndarray
@@ -43,7 +44,7 @@ class SpectralTable:
     beta: np.ndarray
     hardy_ok: bool
     decay_class: str
-    eigsys: AngularEigensystem | None = None
+    eigsys: AngularEigensystem
 
     @property
     def K_max(self) -> int:

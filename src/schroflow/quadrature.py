@@ -1,7 +1,7 @@
 """Composite Gauss-Legendre quadrature on a radial interval (0, R].
 
-The node set doubles as the standard sampling grid for separated states, so
-radial integrals reduce to weighted dot products on the grid.
+Its nodes are the closed route's sampling grid, and an integral of values
+sampled on them is the weighted sum ``np.sum(weights * values)``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,3 @@ class RadialQuadrature:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def integrate(self, values) -> complex:
-        """Integral over (0, r_max] of a function sampled on the nodes."""
-        return np.sum(self.weights * np.asarray(values), axis=-1)

@@ -98,7 +98,7 @@ def test_criterion_4_basis_orthonormality():
         for k, mk in enumerate(modes):
             if mi.index.j != mk.index.j:
                 continue  # angular orthogonality is exact
-            gram[i, k] = quad.integrate(mi.radial(r) * mk.radial(r) * r ** 2)
+            gram[i, k] = np.sum(quad.weights * (mi.radial(r) * mk.radial(r) * r ** 2))
     dev = float(np.max(np.abs(gram - np.eye(12))))
     assert dev <= 1e-8
     print(f"\nACCEPTANCE 4 PASS: 12-mode Gram deviation {dev:.2e} (tol 1e-8) "
@@ -124,11 +124,10 @@ def _weighted_norm_samples(a, weight, lo_exp, hi_exp):
     if mode is None:
         tbl = build_table(constant_a_spectrum(3, a, 1), 3, 1)
         mode = make_mode(ModeIndex(0, 1), tbl)
+    r = np.geomspace(1e-6, 2.0, 400)
     pairs = []
     for t in flow.dyadic_times(lo_exp, hi_exp):
-        sup = flow.weighted_sup_norm(
-            lambda r, t=t: flow.evolve_mode_closed_form(mode, r, t),
-            weight, (1e-6, 2.0), samples=400).combined
+        sup = flow.weighted_sup_norm(r, flow.evolve_mode_closed_form(mode, r, t), weight)
         pairs.append((float(t), sup))
     return pairs
 
@@ -213,7 +212,10 @@ def test_criterion_8_pseudoconformal_phase_law():
     quad = RadialQuadrature(60.0, 250, 16)
     worst = 0.0
     for t in (0.5, 1.0, 3.0):
-        state = flow.evolved_mode_state(mode, quad, t, table)
+        state = flow.SeparatedState(
+            grid=quad.nodes, weights=quad.weights,
+            profiles={mode.index.j: flow.evolve_mode_closed_form(mode, quad.nodes, t)},
+            table=table)
         phi = flow.pseudoconformal(state, t, "forward")
         coeff = project(phi, mode)
         expect = np.exp(-1j * mode.gamma * math.atan(t))

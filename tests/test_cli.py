@@ -36,14 +36,15 @@ def read_csv(path):
     header = []
     rows = []
     cols = None
-    for line in open(path):
-        line = line.rstrip("\n")
-        if line.startswith("#"):
-            header.append(line)
-        elif cols is None:
-            cols = line.split(",")
-        else:
-            rows.append(line.split(","))
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                header.append(line)
+            elif cols is None:
+                cols = line.split(",")
+            else:
+                rows.append(line.split(","))
     return header, cols, rows
 
 
@@ -422,6 +423,17 @@ class TestNonFiniteNorms:
         assert capsys.readouterr().err.startswith("numeric failure:")
         assert list(out.iterdir()) == []
 
+    # 300^400 overflows: kernel warned, wrote inf to weighted_modulus and
+    # exited 0 before
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_kernel_weight_overflow_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"problem": FREE, "experiment": {
+            **KERNEL, "rho": [0.5, 2.0, 300.0], "weight_exponent": 400}})
+        out = tmp_path / "out"
+        assert main(["kernel", "--config", cfg, "--out", str(out)]) == 5
+        assert capsys.readouterr().err.startswith("numeric failure:")
+        assert list(out.iterdir()) == []
+
 
 class TestNonFiniteAngularMatrix:
     # a flux of 1e300 overflows the circle matrix to inf: NaN comparisons
@@ -672,8 +684,14 @@ class TestConfigErrors:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: experiment.window")
 
-    @pytest.mark.parametrize("expect", ['{"alpha_1": 0, "alpha_1_tol": "x"}',
-                                        '{"alpha_1_max": "x"}'])
+    @pytest.mark.parametrize("expect", [
+        '{"alpha_1": 0, "alpha_1_tol": "x"}', '{"alpha_1_max": "x"}',
+        # a tolerance with no value checked nothing (exit 0), and one beside
+        # a misspelt name left the value at tolerance 0 (exit 4)
+        '{"alpha_1_tol": 0.02}', '{"alpha_1": 0.24, "alpha1_tol": 0.02}',
+        # a negative tolerance failed every value (exit 4)
+        '{"alpha_1": 0.25, "alpha_1_tol": -0.01}',
+    ])
     def test_non_numeric_expectation_exit_code(self, tmp_path, capsys, expect):
         cfg = write_config(tmp_path, "c.json", {"problem": LOSS})
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path),

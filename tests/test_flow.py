@@ -19,11 +19,14 @@ class TestClosedForm:
         u0 = flow.evolve_mode_closed_form(mode01_loss, r, 0.0)
         assert np.allclose(u0, mode01_loss.radial(r), rtol=1e-14)
 
-    def test_unitarity(self, mode01_loss):
+    def test_unitarity(self, mode01_loss, table_loss):
         t = 2.0
         width = math.sqrt(1.0 + t * t)
         quad = RadialQuadrature(30.0 * width, 250, 16)
-        state = flow.evolved_mode_state(mode01_loss, quad, t)
+        state = flow.SeparatedState(
+            grid=quad.nodes, weights=quad.weights,
+            profiles={1: flow.evolve_mode_closed_form(mode01_loss, quad.nodes, t)},
+            table=table_loss)
         assert state.l2_norm() == pytest.approx(1.0, rel=1e-9)
 
     def test_weighted_form_extends_to_zero(self, mode01_loss):
@@ -50,9 +53,17 @@ class TestClosedForm:
         assert np.max(np.abs(u - ref)) < 1e-12
 
 
+def _closed_state(mode, quad, t, table):
+    """The closed form at time t sampled on the quadrature nodes."""
+    return flow.SeparatedState(
+        grid=quad.nodes, weights=quad.weights,
+        profiles={mode.index.j: flow.evolve_mode_closed_form(mode, quad.nodes, t)},
+        table=table)
+
+
 class TestPseudoconformal:
     def test_roundtrip_exact(self, mode01_loss, quad_default, table_loss):
-        state = flow.evolved_mode_state(mode01_loss, quad_default, 1.0, table_loss)
+        state = _closed_state(mode01_loss, quad_default, 1.0, table_loss)
         back = flow.pseudoconformal(
             flow.pseudoconformal(state, 1.0, "forward"), 1.0, "backward")
         assert np.array_equal(back.grid, state.grid) or np.allclose(
@@ -60,7 +71,7 @@ class TestPseudoconformal:
         assert np.allclose(back.profiles[1], state.profiles[1], rtol=1e-13)
 
     def test_norm_preserved(self, mode01_loss, quad_default, table_loss):
-        state = flow.evolved_mode_state(mode01_loss, quad_default, 2.0, table_loss)
+        state = _closed_state(mode01_loss, quad_default, 2.0, table_loss)
         phi = flow.pseudoconformal(state, 2.0, "forward")
         assert phi.l2_norm() == pytest.approx(state.l2_norm(), rel=1e-13)
 
@@ -68,14 +79,14 @@ class TestPseudoconformal:
         # transformed evolved mode = e^{-i gamma arctan t} x the mode itself
         quad = RadialQuadrature(60.0, 250, 16)
         for t in (0.5, 1.0, 3.0):
-            state = flow.evolved_mode_state(mode01_loss, quad, t, table_loss)
+            state = _closed_state(mode01_loss, quad, t, table_loss)
             phi = flow.pseudoconformal(state, t, "forward")
             coeff = project(phi, mode01_loss)
             expect = np.exp(-1j * mode01_loss.gamma * math.atan(t))
             assert abs(coeff - expect) < 1e-6
 
-    def test_bad_direction(self, mode01_loss, quad_default):
-        state = flow.evolved_mode_state(mode01_loss, quad_default, 1.0)
+    def test_bad_direction(self, mode01_loss, quad_default, table_loss):
+        state = _closed_state(mode01_loss, quad_default, 1.0, table_loss)
         with pytest.raises(ValueError):
             flow.pseudoconformal(state, 1.0, "sideways")
 
@@ -233,7 +244,7 @@ class TestKernel:
 def _log_state(mode, table):
     """The mode sampled on the representation route's log grid."""
     grid, weights = flow.log_grid()
-    return flow.SeparatedState(mode.N, grid, weights, {mode.index.j: mode.radial(grid)}, table)
+    return flow.SeparatedState(grid, weights, {mode.index.j: mode.radial(grid)}, table)
 
 
 def _propagate(mode, table, t, lo, hi):
@@ -290,7 +301,7 @@ class TestRepresentation:
         # one output grid, with the first mode's offset, serves every mode
         modes = [make_mode(ModeIndex(1, j), table_loss) for j in (1, 2, 5)]
         grid, weights = flow.log_grid()
-        state = flow.SeparatedState(3, grid, weights,
+        state = flow.SeparatedState(grid, weights,
                                     {m.index.j: m.radial(grid) for m in modes}, table_loss)
         t = 3.0
         out = flow.propagate_representation(state, t)
@@ -305,21 +316,16 @@ class TestRepresentation:
             flow.propagate_representation(_log_state(mode01_loss, table_loss), 0.01)
 
     def test_requires_a_log_grid(self, mode01_loss, table_loss, quad_default):
-        state = flow.state_from_mode(mode01_loss, quad_default, table_loss)
+        state = _closed_state(mode01_loss, quad_default, 0.0, table_loss)
         with pytest.raises(ValueError, match="log-uniform"):
             flow.propagate_representation(state, 1.0)
 
     def test_requires_hardy(self, quad_default):
         table = build_table(constant_a_spectrum(3, -0.25, 1), 3, 1)
         state = flow.SeparatedState(
-            N=3, grid=quad_default.nodes, weights=quad_default.weights,
+            grid=quad_default.nodes, weights=quad_default.weights,
             profiles={1: np.exp(-quad_default.nodes ** 2)}, table=table)
         with pytest.raises(HardyViolation):
-            flow.propagate_representation(state, 1.0)
-
-    def test_requires_the_spectral_table(self, mode01_loss):
-        state = _log_state(mode01_loss, None)
-        with pytest.raises(ValueError, match="spectral table"):
             flow.propagate_representation(state, 1.0)
 
 
@@ -349,17 +355,24 @@ class TestHeat:
 
 
 class TestNormsAndFits:
-    def test_weighted_sup_norm_callable(self):
-        out = flow.weighted_sup_norm(lambda r: 1.0 / r, 1.0, (0.1, 10.0))
-        assert out.combined == pytest.approx(1.0, rel=1e-12)
-
-    def test_weighted_sup_norm_state(self, mode01_loss, quad_default, table_loss):
-        state = flow.state_from_mode(mode01_loss, quad_default, table_loss)
-        out = flow.weighted_sup_norm(state, mode01_loss.alpha, (1e-2, 10.0))
-        direct = flow.weighted_sup_norm(
-            lambda r: mode01_loss.radial(r), mode01_loss.alpha, (1e-2, 10.0))
-        ang = table_loss.eigsys.sup_abs(1)
-        assert out.combined == pytest.approx(direct.combined * ang, rel=1e-3)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r, u, w, expect", [
+        # r |1/r| is 1 on every sample
+        pytest.param(np.geomspace(0.1, 10.0, 2000), 1.0 / np.geomspace(0.1, 10.0, 2000),
+                     1.0, 1.0, id="r times 1/r"),
+        # 1e10^400 overflows where u is 0, and inf * 0 would be NaN
+        pytest.param(np.array([1.0, 1e10]), np.array([2.0 + 0j, 0.0]), 400.0, 2.0,
+                     id="overflow on a zero sample"),
+        pytest.param(np.array([1.0, 1e10]), np.array([2.0, 1e-300j]), 400.0, math.inf,
+                     id="overflow on a nonzero sample"),
+        pytest.param(np.array([1.0, 1e10]), np.zeros(2), 400.0, 0.0, id="all zero"),
+        pytest.param(np.array([1.0, 2.0]), np.array([1.0, math.nan]), 1.0, math.nan,
+                     id="NaN sample"),
+    ])
+    def test_weighted_sup_norm(self, r, u, w, expect):
+        out = flow.weighted_sup_norm(r, u, w)
+        assert isinstance(out, float)
+        assert out == pytest.approx(expect, rel=1e-12, nan_ok=True)
 
     def test_decay_fit_exact_power_law(self):
         times = flow.dyadic_times(0, 10)
@@ -400,15 +413,19 @@ class TestWindowErrors:
 
 
 class TestSeparatedState:
-    def test_validation(self, quad_default):
+    def test_validation(self, quad_default, table_loss):
         with pytest.raises(ValueError):
-            flow.SeparatedState(N=3, grid=np.array([1.0, 0.5]),
+            flow.SeparatedState(grid=np.array([1.0, 0.5]),
                                 weights=np.array([1.0, 1.0]),
-                                profiles={1: np.zeros(2)})
+                                profiles={1: np.zeros(2)}, table=table_loss)
         with pytest.raises(ValueError):
-            flow.SeparatedState(N=3, grid=quad_default.nodes,
-                                weights=quad_default.weights, profiles={})
+            flow.SeparatedState(grid=quad_default.nodes,
+                                weights=quad_default.weights, profiles={},
+                                table=table_loss)
+
+    def test_dimension_comes_from_the_table(self, mode01_loss, quad_default, table_loss):
+        assert _closed_state(mode01_loss, quad_default, 0.0, table_loss).N == table_loss.N
 
     def test_l2_norm_of_mode_is_one(self, mode01_loss, quad_default, table_loss):
-        state = flow.state_from_mode(mode01_loss, quad_default, table_loss)
+        state = _closed_state(mode01_loss, quad_default, 0.0, table_loss)
         assert state.l2_norm() == pytest.approx(1.0, rel=1e-9)
