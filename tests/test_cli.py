@@ -434,6 +434,21 @@ class TestNonFiniteNorms:
         assert capsys.readouterr().err.startswith("numeric failure:")
         assert list(out.iterdir()) == []
 
+    # 1e-200^-2 overflows, but |K(1e-200)| is about 1.6e-202, so the product
+    # is about 1.6e198: the run exited 5 before
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_kernel_finite_product_past_the_power_overflow(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"problem": FREE, "experiment": {
+            **KERNEL, "k_start": 2, "rho": [1e-200, 1.0], "weight_exponent": -2}})
+        out = tmp_path / "out"
+        assert main(["kernel", "--config", cfg, "--out", str(out)]) == 0
+        _, cols, rows = read_csv(out / "kernel.csv")
+        modulus = abs(complex(float(rows[0][cols.index("re_K")]),
+                              float(rows[0][cols.index("im_K")])))
+        weighted = float(rows[0][cols.index("weighted_modulus")])
+        assert 1e198 < weighted < 1e199
+        assert weighted == pytest.approx(modulus * 1e200 * 1e200, rel=1e-12)
+
 
 class TestNonFiniteAngularMatrix:
     # a flux of 1e300 overflows the circle matrix to inf: NaN comparisons

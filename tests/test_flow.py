@@ -365,6 +365,9 @@ class TestNormsAndFits:
                      id="overflow on a zero sample"),
         pytest.param(np.array([1.0, 1e10]), np.array([2.0, 1e-300j]), 400.0, math.inf,
                      id="overflow on a nonzero sample"),
+        # 1e-200^-2 overflows, the product 1.6e-202 * 1e400 does not
+        pytest.param(np.array([1e-200, 1.0]), np.array([1.6e-202, 0.5]), -2.0, 1.6e198,
+                     id="finite product past the power overflow"),
         pytest.param(np.array([1.0, 1e10]), np.zeros(2), 400.0, 0.0, id="all zero"),
         pytest.param(np.array([1.0, 2.0]), np.array([1.0, math.nan]), 1.0, math.nan,
                      id="NaN sample"),
