@@ -554,9 +554,7 @@ def cmd_kernel(config: dict, out_dir: str, expect: dict,
                           f"k_start..K of the series, got alpha_k = {alpha_max!r}")
     values, tail = flow.kernel_eval(spec, experiment["x_dir"], experiment["y_dir"], rho)
     modulus = np.abs(values)
-    # a zero |K| carries no weight, so rho^w overflowing there is harmless
-    with np.errstate(over="ignore"):
-        weighted = np.where(modulus != 0, rho ** w_exp, 0.0) * modulus
+    weighted = flow.weighted_modulus(rho, modulus, w_exp)
     if not np.all(np.isfinite(weighted)):
         raise FloatingPointError(
             f"the weighted modulus rho^w |K| (w = {w_exp!r}) is not finite at "
@@ -657,7 +655,7 @@ _COMMANDS = {
         "route": (_string(*flow.ROUTES), "closed"),
         "r_max": (_positive, 30.0), "quad_panels": (_count, 125),
         "quad_nodes": (_count, 16), "fd_points": (_grid_points, 12000),
-        "dt": (_positive, 1e-3), "window": (_window(_number), [0.1, 8.0])}),
+        "dt": (_positive, 1e-2), "window": (_window(_number), [0.1, 8.0])}),
     "decay": (cmd_decay, {
         "mode": (_mode, _REQUIRED), "weight": (_number, 0.0),
         "times": (_either(dict, _dyadic_times, _time_list), {}),
@@ -677,7 +675,7 @@ _COMMANDS = {
     "compare": (cmd_compare, {
         "mode": (_mode, _REQUIRED), "T": (_positive, 1.0),
         "r_max": (_positive, 30.0), "fd_points": (_grid_points, 12000),
-        "dt": (_positive, 1e-3), "window": (_window(_number), [0.1, 8.0])}),
+        "dt": (_positive, 1e-2), "window": (_window(_number), [0.1, 8.0])}),
 }
 
 

@@ -9,7 +9,8 @@ the scaling-invariant Schrodinger flow:
   its radial integral is a Hankel transform, computed by FFTLog (one
   ``scipy.fft.fht`` call per mode on Re h and Im h stacked, O(n log n)) on a
   log-uniform grid;
-* Crank-Nicolson finite differences, the scheme of :mod:`schroflow.radialfd`;
+* finite differences stepped by the fourth-order Pade (2,2) scheme of
+  :mod:`schroflow.radialfd`;
 ``evolve_route`` runs each route on its own grid, ``compare_routes`` checks
 them pairwise against the closed form evaluated on each route's grid.  Both
 take the mode and the spectral table that the caller built.
@@ -20,8 +21,8 @@ alpha_j; ``propagate_representation`` maps one to another.
 
 Also here: the kernel series K / K_k at an array of radii with its tail
 bounds (``kernel_eval``), the pseudoconformal transform, the self-similar
-heat solution, the weighted sup norm of a sampled profile
-(``weighted_sup_norm``) and power-law decay fits.
+heat solution, the weighted modulus r^w |u| of samples and its sup
+(``weighted_modulus``, ``weighted_sup_norm``) and power-law decay fits.
 """
 
 from __future__ import annotations
@@ -445,7 +446,7 @@ def relative_error(err, ref_norm) -> float:
 
 def compare_routes(mode: NormalizedMode, table: SpectralTable, T: float, r_max: float,
                    fd_points: int, dt: float, window) -> dict:
-    """Run the representation-formula and Crank-Nicolson routes to time T for
+    """Run the representation-formula and finite-difference routes to time T for
     one mode and tabulate pairwise relative errors on the comparison window,
     against the closed form on each route's own grid and against each other.
     Returns {"mode", "l2_rel", "sup_rel", "failures"}: the errors by pair,
@@ -529,15 +530,31 @@ def heat_residual(N: int, mu_k: float, alpha_k: float, r_window=(0.5, 5.0),
     return worst / vmax
 
 
-def weighted_sup_norm(r: np.ndarray, u: np.ndarray, weight_exponent: float) -> float:
-    """max of r^w |u| over the samples (r, u) with u != 0 (0 if there are
-    none): r^w may overflow where u is 0, and inf * 0 is NaN; where it
-    overflows on a nonzero sample the sup is inf, and a NaN sample makes it
-    NaN."""
-    abs_u = np.abs(u)
-    live = abs_u != 0
+def weighted_modulus(r: np.ndarray, modulus: np.ndarray, weight_exponent: float) -> np.ndarray:
+    """r^w |u| per sample, from the radii r and the moduli |u| >= 0.
+
+    A sample with |u| = 0 reads 0: r^w may overflow there, and inf * 0 is
+    NaN.  Where r^w alone overflows on a nonzero sample the product is
+    formed as exp(w log r + log |u|), so it is inf only if the product
+    itself overflows; every other sample is the plain product r^w * |u|.
+    A NaN modulus reads NaN.
+    """
     with np.errstate(over="ignore"):
-        return float(np.max(abs_u[live] * r[live] ** weight_exponent, initial=0.0))
+        power = r ** weight_exponent
+    live = modulus != 0
+    weighted = np.where(live, power, 0.0) * modulus
+    past = live & np.isinf(power)
+    if past.any():
+        with np.errstate(over="ignore", divide="ignore"):
+            weighted[past] = np.exp(weight_exponent * np.log(r[past]) + np.log(modulus[past]))
+    return weighted
+
+
+def weighted_sup_norm(r: np.ndarray, u: np.ndarray, weight_exponent: float) -> float:
+    """max of r^w |u| over the samples (r, u), by ``weighted_modulus`` (0 if
+    every u is 0): inf only if a product overflows, and a NaN sample makes
+    it NaN."""
+    return float(np.max(weighted_modulus(r, np.abs(u), weight_exponent), initial=0.0))
 
 
 @dataclass(frozen=True)

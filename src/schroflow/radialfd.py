@@ -22,18 +22,24 @@ w = r^{(N-1)/2} u = r^{(d-1)/2} v, so that sqrt(cell volume) v = sqrt(h) w
 and the conserved discrete norm is sum h r_i^{N-1} |u_i|^2 on every mode.
 The outer boundary is Dirichlet.
 
-Each flow's tridiagonal system matrix I + zA (A the discrete operator) is
-the same at every step, so it is factored once and every step is one LAPACK
-back-substitution with no matrix-vector product:
+Each flow's step is built from tridiagonal system matrices I + zA (A the
+discrete operator) that are the same at every step, so each is factored
+once and every step is LAPACK back-substitution with no matrix-vector
+product:
 
 * heat (backward Euler, z = dt): A is positive definite, so I + dt A is
   real, symmetric, positive definite with non-positive off-diagonal entries,
   i.e. an M-matrix.  It is LDL^T-factored by ``?pttrf`` and a step is one
   ``?pttrs`` solve; a non-positive pivot reported by LAPACK raises
   LinAlgError.
-* Schrodinger (Crank-Nicolson, z = i dt/2): I + zA is LU-factored by
-  ``?gttrf``.  Since I - zA = 2I - (I + zA), a step is the Cayley form
-  w <- 2 (I + zA)^{-1} w - w: one ``?gttrs`` solve and one in-place update.
+* Schrodinger (diagonal Pade (2,2), the stability function of the 2-stage
+  Gauss method): with x = -i dt A the step is
+  (1 + x/2 + x^2/12) / (1 - x/2 + x^2/12), unitary and fourth order in dt.
+  The denominator's roots are x_k = 3 +- i sqrt(3), so the step is the
+  product of two Cayley factors (I + c_k A)^{-1} (I - c_k A),
+  c_k = i dt / x_k.  Each I + c_k A is LU-factored by ``?gttrf``, and since
+  I - c_k A = 2I - (I + c_k A) a step is w <- 2 (I + c_k A)^{-1} w - w for
+  k = 1, 2: two ``?gttrs`` solves and two in-place updates.
 
 A duration T must be a whole number of steps dt (to 1e-9 relative, see
 ``step_count``).
@@ -49,6 +55,10 @@ from scipy.linalg import get_lapack_funcs
 
 # how far T/dt may sit from a whole number of steps, relative to T/dt
 STEP_TOLERANCE = 1e-9
+
+# the roots x_k of the Pade (2,2) denominator 1 - x/2 + x^2/12, in the
+# order evolve_schrodinger applies their Cayley factors
+_PADE_ROOTS = (complex(3.0, math.sqrt(3.0)), complex(3.0, -math.sqrt(3.0)))
 
 
 def step_count(T: float, dt: float) -> int:
@@ -135,54 +145,74 @@ class RadialSchema:
         return eye + z * self.operator_bands()
 
 
-def _march(schema: RadialSchema, u0, T: float, lhs: np.ndarray,
+def _factored(lhs: np.ndarray, cayley: bool) -> list:
+    """The LAPACK factor of one banded system matrix, without its info
+    flag: LU by ?gttrf with ``cayley``, else LDL^T by ?pttrf, which needs
+    lhs real symmetric positive definite."""
+    if not np.isfinite(lhs).all():
+        raise ValueError("system matrix must be finite")
+    if cayley:
+        gttrf, = get_lapack_funcs(("gttrf",), (lhs,))
+        *factor, info = gttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular system matrix: zero pivot {info}")
+    else:
+        pttrf, = get_lapack_funcs(("pttrf",), (lhs,))
+        *factor, info = pttrf(lhs[1], lhs[0, 1:])
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"system matrix not positive definite: pivot {info}")
+    return factor
+
+
+def _march(schema: RadialSchema, u0, T: float, shifts: list,
            cayley: bool) -> np.ndarray:
-    """Step w = r^{(N-1)/2} u through T/dt steps with the system matrix lhs,
-    factored once: w <- lhs^{-1} w for a real symmetric positive definite
-    lhs (LDL^T by ?pttrf), or with ``cayley`` w <- lhs^{-1} (2I - lhs) w
-    (LU by ?gttrf); takes and returns the profile u."""
+    """Step w = r^{(N-1)/2} u through T/dt steps with the system matrices
+    I + zA, one per shift z, each factored once.  Heat takes one shift and
+    a step w <- (I + zA)^{-1} w; with ``cayley`` a step applies, for each
+    shift in turn, w <- (I + zA)^{-1} (I - zA) w = 2 (I + zA)^{-1} w - w.
+    Takes and returns the profile u."""
     steps = step_count(T, schema.dt)
     u0 = np.asarray(u0)
     if u0.shape != (schema.M,):
         raise ValueError(f"profile shape {u0.shape} does not match grid size {schema.M}")
     r_half = schema.grid ** ((schema.N - 1) / 2.0)
-    w = (r_half * u0).astype(lhs.dtype)
-    if not (np.isfinite(w).all() and np.isfinite(lhs).all()):
-        raise ValueError("profile and system matrix must be finite")
+    w = (r_half * u0).astype(np.result_type(float, *shifts))
+    if not np.isfinite(w).all():
+        raise ValueError("profile must be finite")
+    # each banded I + zA is dropped once factored: the march holds factors only
+    factors = [_factored(schema.shifted_bands(z), cayley) for z in shifts]
     if cayley:
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (lhs,))
-        dl, d, du, du2, ipiv, info = gttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
-        if info > 0:
-            raise np.linalg.LinAlgError(f"singular system matrix: zero pivot {info}")
+        gttrs, = get_lapack_funcs(("gttrs",), (w,))
         for _ in range(steps):
-            y, _ = gttrs(dl, d, du, du2, ipiv, w)
-            y *= 2.0
-            y -= w
-            w = y
+            for factor in factors:
+                y, _ = gttrs(*factor, w)
+                y *= 2.0
+                y -= w
+                w = y
     else:
-        pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (lhs,))
-        d, e, info = pttrf(lhs[1], lhs[0, 1:])
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"system matrix not positive definite: pivot {info}")
+        pttrs, = get_lapack_funcs(("pttrs",), (w,))
+        factor, = factors
         for _ in range(steps):
             # w is ours to overwrite
-            w, _ = pttrs(d, e, w, overwrite_b=True)
+            w, _ = pttrs(*factor, w, overwrite_b=True)
     if not np.isfinite(w).all():
         raise ValueError("the march left a non-finite profile")
     return w / r_half
 
 
 def evolve_schrodinger(schema: RadialSchema, u0: np.ndarray, T: float) -> np.ndarray:
-    """Crank-Nicolson evolution of the radial profile u over a duration T.
+    """Pade (2,2) evolution of the radial profile u over a duration T.
 
-    The discrete propagator (I + zA)^{-1}(I - zA), z = i dt/2, of
-    i w_t = A w is a Cayley transform of the real symmetric A, so the
-    discrete L^2 norm of w is preserved to roundoff.  Each step applies it
-    as 2 (I + zA)^{-1} w - w: one solve with the LU factor of I + zA, no
-    product with I - zA.
+    The step e^{x}, x = -i dt A, of i w_t = A w is replaced by its diagonal
+    Pade (2,2) approximant, the product of the Cayley factors
+    (I + c_k A)^{-1} (I - c_k A), c_k = i dt / x_k over the roots
+    x_k = 3 +- i sqrt(3) of 1 - x/2 + x^2/12.  It is fourth order in dt and,
+    A being real symmetric, unitary, so the discrete L^2 norm of w is
+    preserved to roundoff.  Each factor is applied as 2 (I + c_k A)^{-1} w - w:
+    one solve with the LU factor of I + c_k A, no product with I - c_k A.
     """
-    return _march(schema, u0, T, schema.shifted_bands(0.5j * schema.dt), cayley=True)
+    return _march(schema, u0, T, [1j * schema.dt / x for x in _PADE_ROOTS], cayley=True)
 
 
 def evolve_heat(schema: RadialSchema, u0: np.ndarray, T: float) -> np.ndarray:
@@ -194,4 +224,4 @@ def evolve_heat(schema: RadialSchema, u0: np.ndarray, T: float) -> np.ndarray:
     one solve with its LDL^T factor.  A non-positive pivot reported by
     LAPACK raises np.linalg.LinAlgError.
     """
-    return _march(schema, u0, T, schema.shifted_bands(schema.dt), cayley=False)
+    return _march(schema, u0, T, [schema.dt], cayley=False)

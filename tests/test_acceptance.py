@@ -279,7 +279,7 @@ def test_criterion_10_numerics_hygiene():
             poly_dev = max(poly_dev, float(dev.max()))
     assert poly_dev <= 1e-10
 
-    # Crank-Nicolson norm conservation per step
+    # Pade (2,2) Schrodinger step: norm conservation per step
     schema = RadialSchema(N=3, mu=-0.1875, R=30.0, M=2000, dt=1e-3)
     g = schema.grid
     u = (g ** -0.25 * np.exp(-g * g / 4.0)).astype(complex)
@@ -305,6 +305,6 @@ def test_criterion_10_numerics_hygiene():
     ratio = errs[0] / errs[1]
     assert 3.4 <= ratio <= 4.6
     print(f"\nACCEPTANCE 10 PASS: Bessel vs mpmath {bessel_dev:.2e} (tol 1e-12), "
-          f"polynomial vs Laguerre {poly_dev:.2e} (tol 1e-10), CN norm drift "
+          f"polynomial vs Laguerre {poly_dev:.2e} (tol 1e-10), Pade norm drift "
           f"{norm_dev:.2e}/step (tol 1e-12), convergence ratio {ratio:.2f} "
           f"(in [3.4, 4.6])")

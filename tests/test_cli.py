@@ -389,7 +389,7 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         parameters = json.loads((out / "compare.json").read_text())["provenance"]["parameters"]
         assert {key: parameters[key] for key in ("T", "r_max", "fd_points", "dt", "window")} \
-            == {"T": 1.0, "r_max": 30.0, "fd_points": 12000, "dt": 1e-3, "window": [0.1, 8.0]}
+            == {"T": 1.0, "r_max": 30.0, "fd_points": 12000, "dt": 1e-2, "window": [0.1, 8.0]}
 
 
 class TestUnderflowedReference:
@@ -676,7 +676,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("route", ["closed", "kernel"])
     def test_duration_rule_only_on_the_fd_route(self, tmp_path, route):
-        # t is not a whole number of steps of the default dt 1e-3
+        # t is not a whole number of steps of the fd route's default dt 1e-2
         cfg = write_config(tmp_path, "c.json", {"problem": FREE, "experiment": {
             "mode": [0, 1], "t": 1.0004, "route": route}})
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0

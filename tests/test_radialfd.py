@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded, solveh_banded
 
 from schroflow import flow
 from schroflow.angular import constant_a_spectrum
@@ -90,6 +90,25 @@ class TestSchrodingerStepper:
                 errs.append(np.linalg.norm(g * (u - ref)) / np.linalg.norm(g * ref))
             assert 3.4 <= errs[0] / errs[1] <= 4.6, mu
 
+    @pytest.mark.parametrize("mu", [-0.1875, 2.0])
+    def test_fourth_order_in_time(self, mu):
+        # against the exact discrete propagator: the datum sums the 20 lowest
+        # eigenvectors V of A, so w(T) = V e^{-i lambda T} on the same grid and
+        # only the time error is left; it falls 16x per halving of dt
+        base = _schema(mu=mu, M=400)
+        bands = base.operator_bands()
+        lam, vecs = eigh_tridiagonal(bands[1], bands[0, 1:], select="i",
+                                     select_range=(0, 19))
+        r_half = base.grid  # r^{(N-1)/2} for N = 3
+        exact = vecs @ np.exp(-1j * lam)
+        errs = []
+        for dt in (0.1, 0.05, 0.025):
+            u = evolve_schrodinger(_schema(mu=mu, M=400, dt=dt),
+                                   (vecs.sum(axis=1) / r_half).astype(complex), 1.0)
+            errs.append(np.linalg.norm(r_half * u - exact) / np.linalg.norm(exact))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 14.0 <= coarse / fine <= 18.0, errs
+
     def test_singular_mode_accuracy(self, mode01_loss):
         # moderate resolution: guard the inner discretization quality
         s = _schema(mu=-0.1875, M=6000, dt=2e-3)
@@ -109,6 +128,12 @@ def _banded_matvec(bands, w):
     return out
 
 
+def _pade_shifts(dt):
+    """c_k = i dt / x_k over the roots x_k = 3 +- i sqrt(3) of the Pade (2,2)
+    denominator 1 - x/2 + x^2/12, x = -i dt A."""
+    return [1j * dt / complex(3.0, sign * np.sqrt(3.0)) for sign in (1.0, -1.0)]
+
+
 def _per_step_march(schema, u0, T, step):
     """The march in w = r^{(N-1)/2} u with a fresh scipy solve per step."""
     r_half = schema.grid ** ((schema.N - 1) / 2.0)
@@ -122,22 +147,34 @@ class TestFactorOnce:
     # one mode with alpha > 0 and one with alpha < 0; 200 steps at M=400
     @pytest.mark.parametrize("mu", [-0.1875, 2.0])
     def test_schrodinger_equals_solve_banded_bitwise(self, mu):
-        # the Cayley step 2 (I + zA)^{-1} w - w, solved by LAPACK ?gtsv
+        # the Pade (2,2) step as its two Cayley factors 2 (I + c_k A)^{-1} w - w,
+        # each solved by LAPACK ?gtsv
         s = _schema(mu=mu, M=400, dt=1e-3)
         u0 = (np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.25).astype(complex)
-        lhs = s.shifted_bands(0.5j * s.dt)
-        ref = _per_step_march(s, u0, 0.2, lambda w: 2 * solve_banded((1, 1), lhs, w) - w)
+        lhs = [s.shifted_bands(c) for c in _pade_shifts(s.dt)]
+
+        def step(w):
+            for bands in lhs:
+                w = 2 * solve_banded((1, 1), bands, w) - w
+            return w
+
+        ref = _per_step_march(s, u0, 0.2, step)
         assert np.array_equal(evolve_schrodinger(s, u0, 0.2), ref)
 
     @pytest.mark.parametrize("mu", [-0.1875, 2.0])
     def test_schrodinger_matches_the_product_form(self, mu):
-        # (I + zA)^{-1} (I - zA) w, the Crank-Nicolson step as a matvec and a solve
+        # (I + c_2 A)^{-1} (I - c_2 A) (I + c_1 A)^{-1} (I - c_1 A) w, the
+        # Pade (2,2) step as matvecs and solves
         s = _schema(mu=mu, M=400, dt=1e-3)
         u0 = (np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.25).astype(complex)
-        z = 0.5j * s.dt
-        lhs, rhs = s.shifted_bands(z), s.shifted_bands(-z)
-        ref = _per_step_march(s, u0, 0.2,
-                              lambda w: solve_banded((1, 1), lhs, _banded_matvec(rhs, w)))
+        pairs = [(s.shifted_bands(c), s.shifted_bands(-c)) for c in _pade_shifts(s.dt)]
+
+        def step(w):
+            for lhs, rhs in pairs:
+                w = solve_banded((1, 1), lhs, _banded_matvec(rhs, w))
+            return w
+
+        ref = _per_step_march(s, u0, 0.2, step)
         u = evolve_schrodinger(s, u0, 0.2)
         assert np.linalg.norm(s.grid * (u - ref)) <= 1e-12 * np.linalg.norm(s.grid * ref)
 
