@@ -26,6 +26,8 @@ from scipy.linalg import eigvals_banded, get_lapack_funcs, qr, toeplitz
 from .specfun import sph_harm
 
 HERMITICITY_TOL = 1e-12
+# eigensolve's residual bound, relative to max(|M|, 1)
+EIGENSOLVE_TOL = 1e-11
 
 
 class AngularProblemError(ValueError):
@@ -100,12 +102,12 @@ class AngularEigensystem:
             2 * math.pi
         )
 
-    def sup_abs(self, k: int, samples: int = 256) -> float:
-        """Grid estimate of max |psi_k| over the sphere."""
+    def sup_abs(self, k: int) -> float:
+        """Estimate of max |psi_k| over the sphere on 256 angles."""
         if self.basis_tag == "circle_fourier":
-            theta = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
+            theta = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
         else:   # |Y_l^m| does not depend on the longitude
-            theta = np.linspace(0.0, math.pi, samples)
+            theta = np.linspace(0.0, math.pi, 256)
         return float(np.max(np.abs(self.angular_value(k, theta))))
 
 
@@ -163,15 +165,14 @@ def _require_hermitian(M: np.ndarray, b: int | None = None) -> None:
 
 
 class EigensolveError(RuntimeError):
-    """Eigendecomposition failed to reach the requested residual."""
+    """Eigendecomposition failed to reach the residual bound EIGENSOLVE_TOL."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
 
 
-def eigensolve(M: np.ndarray, tol: float = 1e-11,
-               count: int | None = None) -> AngularEigensystem:
+def eigensolve(M: np.ndarray, count: int | None = None) -> AngularEigensystem:
     """The lowest ``count`` eigenpairs of a Hermitian matrix (all of them if
     ``count`` is None or at least the dimension), as an N=2 eigensystem whose
     vectors are coefficients on the circle Fourier modes (``assemble_circle``).
@@ -186,8 +187,9 @@ def eigensolve(M: np.ndarray, tol: float = 1e-11,
     clusters ordered by the basis index of the dominant coefficient, each
     vector rotated so its first significant coefficient is positive real.  A
     cluster that the cut splits is ordered as a whole first, so the kept
-    pairs are the first ``count`` of the full solve.  A non-finite matrix or
-    residual raises ``EigensolveError``.
+    pairs are the first ``count`` of the full solve.  A non-finite matrix, or
+    a residual that is not finite or exceeds EIGENSOLVE_TOL*max(|M|, 1),
+    raises ``EigensolveError``.
     """
     M = np.asarray(M)
     if not np.all(np.isfinite(M)):
@@ -205,9 +207,9 @@ def eigensolve(M: np.ndarray, tol: float = 1e-11,
     # the tolerance scale is max|lambda| of the whole spectrum, kept or not
     scale = max(np.max(np.abs(vals)), 1.0)
     kept = len(vals) if count is None else min(count, len(vals))
-    clusters = _clusters(vals, 10 * tol * scale, kept)
+    clusters = _clusters(vals, 10 * EIGENSOLVE_TOL * scale, kept)
     if band:
-        vals, vecs = _band_eigh(ab, b, vals, scale, tol, clusters)
+        vals, vecs = _band_eigh(ab, b, vals, scale, clusters)
     # order degenerate clusters by dominant-coefficient index
     order = list(range(len(vals)))
     for i, j in clusters:
@@ -228,9 +230,10 @@ def eigensolve(M: np.ndarray, tol: float = 1e-11,
     )
     # for Hermitian M the spectral norm |M| is max |lambda|, so scale = max(|M|, 1);
     # a NaN residual fails the check too
-    if not residual <= tol * scale:
+    if not residual <= EIGENSOLVE_TOL * scale:
         raise EigensolveError(
-            f"eigensolve residual {residual:.3e} exceeds tol*max(|M|, 1) = {tol * scale:.3e}",
+            f"eigensolve residual {residual:.3e} exceeds tol*max(|M|, 1) = "
+            f"{EIGENSOLVE_TOL * scale:.3e}",
             residual,
         )
     gram_dev = float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1]))))
@@ -296,7 +299,7 @@ MAX_ITERATIONS = 5
 
 
 def _band_eigh(ab: np.ndarray, b: int, vals: np.ndarray, scale: float,
-               tol: float, clusters: list) -> tuple:
+               clusters: list) -> tuple:
     """The eigenpairs ``0..stop-1`` of the matrix in ``_general_band`` storage
     ``ab``, whose ascending eigenvalues are ``vals``, by Wilkinson inverse
     iteration; ``stop`` ends the close group that holds the last of
@@ -310,16 +313,17 @@ def _band_eigh(ab: np.ndarray, b: int, vals: np.ndarray, scale: float,
     is reorthogonalised against the group's earlier ones, and the group is
     then Rayleigh-Ritz rotated, which resolves every eigenvalue gap above
     roundoff.  Below that the rotation is arbitrary, so each degenerate
-    cluster of ``clusters`` is split into runs within ``tol*scale/2`` of
-    their first value, and each run gets a basis that depends only on its
-    eigenspace: the projections of the coordinate vectors that a pivoted QR
-    picks.  Any basis of such a run keeps the residual within half of
-    ``eigensolve``'s bound.  Whole groups are computed, so no pair depends
-    on ``stop``.
+    cluster of ``clusters`` is split into runs within
+    ``EIGENSOLVE_TOL*scale/2`` of their first value, and each run gets a
+    basis that depends only on its eigenspace: the projections of the
+    coordinate vectors that a pivoted QR picks.  Any basis of such a run
+    keeps the residual within half of ``eigensolve``'s bound.  Whole groups
+    are computed, so no pair depends on ``stop``.
     """
     n = len(vals)
-    # wide enough that no degenerate cluster spans two groups
-    gap = max(GROUP_GAP, 10 * tol) * scale
+    # wider than the clusters, 10*EIGENSOLVE_TOL*scale, so that no
+    # degenerate cluster spans two groups
+    gap = GROUP_GAP * scale
     bounds = (np.flatnonzero(np.diff(vals) > gap) + 1).tolist() + [n]
     stop = next(e for e in bounds if e >= clusters[-1][1])
     gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
@@ -350,7 +354,7 @@ def _band_eigh(ab: np.ndarray, b: int, vals: np.ndarray, scale: float,
             V[g0:g1] = np.linalg.eigh(0.5 * (H + H.conj().T))[1].T @ W
         g0 = g1
     for i, j in clusters:
-        for p, q in _clusters(vals[i:j], tol * scale / 2, j - i):
+        for p, q in _clusters(vals[i:j], EIGENSOLVE_TOL * scale / 2, j - i):
             if q - p > 1:
                 run = V[i + p:i + q]
                 V[i + p:i + q] = qr(run.conj(), mode="economic", pivoting=True)[0].T @ run

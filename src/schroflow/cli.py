@@ -185,10 +185,7 @@ def _fourier(value, where: str) -> dict:
 
 def _rho_range(value, where: str) -> np.ndarray:
     rho = _read(value, _RHO, where)
-    if rho["spacing"] == "log" and not min(rho["lo"], rho["hi"]) > 0:
-        raise ConfigError(f"{where}.lo and {where}.hi must be positive with log spacing")
-    space = np.geomspace if rho["spacing"] == "log" else np.linspace
-    return space(rho["lo"], rho["hi"], rho["n"])
+    return np.geomspace(rho["lo"], rho["hi"], rho["n"])
 
 
 def _dyadic_times(value, where: str) -> np.ndarray:
@@ -203,25 +200,19 @@ def _time_list(value, where: str) -> list:
 _PROBLEM = {"N": (_integer(2), _REQUIRED), "a": (_either(dict, _fourier), 0.0),
             "magnetic": (_fourier, _CALLEE), "truncation": (_integer(0), _CALLEE)}
 
-_RHO = {"lo": (_nonnegative, _REQUIRED), "hi": (_nonnegative, _REQUIRED),
-        "n": (_count, _REQUIRED), "spacing": (_string("log", "linear"), "log")}
+_RHO = {"lo": (_positive, _REQUIRED), "hi": (_positive, _REQUIRED), "n": (_count, _REQUIRED)}
 
 # flow.dyadic_times's keyword arguments; 2^511 is the largest dyadic time t
 # whose 1 + t^2 in the closed form is finite, and the bound caps the count
 _time_exponent = _integer(-511, 511)
 _TIMES = {"lo_exp": (_time_exponent, _CALLEE), "hi_exp": (_time_exponent, _CALLEE)}
 
-# flow.heat_residual's keyword arguments
-_RESIDUAL = {"r_window": (_window(_positive), _CALLEE),
-             "t_window": (_window(_positive), _CALLEE),
-             "dr": (_positive, _CALLEE), "dt": (_positive, _CALLEE)}
-
 _OUTPUT = {"dir": (_string(), ".")}
 
 
 # the experiment keys each evolve route reads besides mode, t and route; the
 # closed route has nothing to measure, so it takes no window
-_EVOLVE_ROUTE_KEYS = {"closed": ("r_max", "quad_panels", "quad_nodes"),
+_EVOLVE_ROUTE_KEYS = {"closed": ("r_max",),
                       "kernel": ("r_max", "window"),
                       "fd": ("r_max", "fd_points", "dt", "window")}
 
@@ -484,8 +475,7 @@ def cmd_evolve(config: dict, out_dir: str, expect: dict,
     window = experiment["window"] if "window" in _EVOLVE_ROUTE_KEYS[route] else None
     with _window_of("experiment.window"):
         grid, weights, u = flow.evolve_route(route, mode, table, t, window=window, **{
-            key: experiment[key] for key in ("r_max", "quad_panels", "quad_nodes",
-                                             "fd_points", "dt")})
+            key: experiment[key] for key in ("r_max", "fd_points", "dt")})
 
     summary = {"route": route, "t": t, "mode": [mode_idx.n, mode_idx.j]}
     measured = {}
@@ -582,8 +572,7 @@ def cmd_heat(config: dict, out_dir: str, expect: dict,
         return EXIT_HARDY
     mu_k, alpha_k, _ = table.row(k)
 
-    with _window_of("experiment.residual"):
-        residual = flow.heat_residual(N, mu_k, alpha_k, **experiment["residual"])
+    residual = flow.heat_residual(N, mu_k, alpha_k)
 
     schema = RadialSchema(N=N, mu=mu_k, R=experiment["r_max"],
                           M=experiment["fd_points"], dt=experiment["dt"])
@@ -595,12 +584,10 @@ def cmd_heat(config: dict, out_dir: str, expect: dict,
     rel_l2 = flow.relative_error(np.linalg.norm(grid ** half * (v_fd - v_exact)),
                                  np.linalg.norm(grid ** half * v_exact))
 
-    # time exponent of r^{alpha_k} v at fixed r/sqrt(t): exactly -N/2 + alpha_k
-    ratio = experiment["fit_ratio"]
+    # time exponent of r^{alpha_k} v at r = sqrt(t): exactly -N/2 + alpha_k
     times = experiment.get("fit_times", flow.dyadic_times())
     pairs = [(float(t), float(abs(
-        (ratio * math.sqrt(t)) ** alpha_k
-        * flow.heat_self_similar(N, alpha_k, ratio * math.sqrt(t), t))))
+        math.sqrt(t) ** alpha_k * flow.heat_self_similar(N, alpha_k, math.sqrt(t), t))))
         for t in times]
     report = flow.decay_fit(pairs, weight_exponent=alpha_k)
 
@@ -653,8 +640,7 @@ _COMMANDS = {
     "evolve": (cmd_evolve, {
         "mode": (_mode, _REQUIRED), "t": (_number, _REQUIRED),
         "route": (_string(*flow.ROUTES), "closed"),
-        "r_max": (_positive, 30.0), "quad_panels": (_count, 125),
-        "quad_nodes": (_count, 16), "fd_points": (_grid_points, 12000),
+        "r_max": (_positive, 30.0), "fd_points": (_grid_points, 12000),
         "dt": (_positive, 1e-2), "window": (_window(_number), [0.1, 8.0])}),
     "decay": (cmd_decay, {
         "mode": (_mode, _REQUIRED), "weight": (_number, 0.0),
@@ -670,8 +656,7 @@ _COMMANDS = {
     "heat": (cmd_heat, {
         "k": (_count, 1), "t0": (_number, 1.0), "t1": (_number, 2.0),
         "r_max": (_positive, 30.0), "fd_points": (_grid_points, 6000),
-        "dt": (_positive, 1e-3), "fit_ratio": (_positive, 1.0),
-        "fit_times": (_time_list, _CALLEE), "residual": (_RESIDUAL, {})}),
+        "dt": (_positive, 1e-3), "fit_times": (_time_list, _CALLEE)}),
     "compare": (cmd_compare, {
         "mode": (_mode, _REQUIRED), "T": (_positive, 1.0),
         "r_max": (_positive, 30.0), "fd_points": (_grid_points, 12000),

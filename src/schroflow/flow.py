@@ -53,7 +53,7 @@ class ResolutionError(ValueError):
 
 
 class WindowError(ValueError):
-    """A sample window holds no grid node, or samples outside the domain."""
+    """A sample window holds no grid node."""
 
 
 @dataclass
@@ -99,21 +99,18 @@ class SeparatedState:
         return math.sqrt(total)
 
 
-def evolve_mode_closed_form(mode: NormalizedMode, r, t: float, weighted: bool = False):
+def evolve_mode_closed_form(mode: NormalizedMode, r, t: float):
     """Exact radial part of the evolved eigenfunction at time t: the
     pseudoconformal image of the mode, with s = 1+t^2,
 
         s^{-N/4} V(r/sqrt(s)) exp(i r^2 t / (4s)) exp(-i gamma arctan t),
 
-    V = ``mode.radial``; the full solution is this times psi_j(theta).
-    ``weighted=True`` returns r^alpha times it, s^{-N/4+alpha/2}
-    V(r/sqrt(s), weighted=True) times the phases, which extends to r=0.  At
+    V = ``mode.radial``; the full solution is this times psi_j(theta).  At
     t=0 this reproduces the mode itself.
     """
     r_arr = np.asarray(r, dtype=float)
     s = 1.0 + t * t
-    scale = s ** (-mode.N / 4.0 + (mode.alpha / 2.0 if weighted else 0.0))
-    amp = scale * mode.radial(r_arr / math.sqrt(s), weighted=weighted)
+    amp = s ** (-mode.N / 4.0) * mode.radial(r_arr / math.sqrt(s))
     # the phase's r^2 only where the amplitude is nonzero: past r ~ 1.3e154
     # it overflows, and 0 * exp(1j * inf) is NaN
     r_live = np.where(amp != 0, r_arr, 0.0)
@@ -369,12 +366,12 @@ ROUTES = ("closed", "kernel", "fd")
 
 
 def evolve_route(route: str, mode: NormalizedMode, table: SpectralTable, t: float,
-                 r_max: float, fd_points: int, dt: float, quad_panels: int = 125,
-                 quad_nodes: int = 16, window=None) -> tuple:
+                 r_max: float, fd_points: int, dt: float, window=None) -> tuple:
     """Evolve one mode to time t by one route; returns (grid, weights, u) on
     the route's own grid:
 
-    * ``closed``: the RadialQuadrature nodes and weights;
+    * ``closed``: the nodes and weights of the default RadialQuadrature on
+      (0, r_max];
     * ``kernel``: the output grid r = 2t k of ``propagate_representation`` run
       on ``log_grid()``, clipped to [1e-3 sqrt(1+t^2), r_max], weights r dln;
     * ``fd``: the RadialSchema cells, each of weight h.
@@ -404,7 +401,7 @@ def evolve_route(route: str, mode: NormalizedMode, table: SpectralTable, t: floa
         return u.grid[keep], u.weights[keep], u.profiles[mode.index.j][keep]
     if route != "closed":
         raise ValueError(f"route must be one of {', '.join(ROUTES)}, got {route!r}")
-    quad = RadialQuadrature(r_max, quad_panels, quad_nodes)
+    quad = RadialQuadrature(r_max)
     _window_mask(quad.nodes, window)
     return quad.nodes, quad.weights, evolve_mode_closed_form(mode, quad.nodes, t)
 
@@ -499,21 +496,16 @@ def heat_self_similar(N: int, alpha_k: float, r, t: float):
     return float(out) if np.ndim(r) == 0 else out
 
 
-def heat_residual(N: int, mu_k: float, alpha_k: float, r_window=(0.5, 5.0),
-                  t_window=(1.0, 2.0), dr: float = 1.0 / 200.0,
-                  dt: float = 1e-4) -> float:
+def heat_residual(N: int, mu_k: float, alpha_k: float) -> float:
     """Centered-finite-difference residual of the self-similar heat solution.
 
-    Checks v_t = v_rr + ((N-1)/r) v_r - (mu_k/r^2) v on a (r, t) sample
-    window and returns max |residual| / max |v| over the window; a window
-    must start above its step, so that r - dr > 0 and t - dt > 0.
+    Checks v_t = v_rr + ((N-1)/r) v_r - (mu_k/r^2) v on the window
+    r in [0.5, 5], t in [1, 2], with steps dr = 1/200 and dt = 1e-4, and
+    returns max |residual| / max |v| over the window.
     """
-    if not r_window[0] > dr:
-        raise WindowError(f"r_window starts at {r_window[0]!r}, not above dr = {dr!r}")
-    if not t_window[0] > dt:
-        raise WindowError(f"t_window starts at {t_window[0]!r}, not above dt = {dt!r}")
-    r = np.arange(r_window[0], r_window[1] + dr / 2.0, dr)
-    ts = np.linspace(t_window[0], t_window[1], 9)
+    dr, dt = 1.0 / 200.0, 1e-4
+    r = np.arange(0.5, 5.0 + dr / 2.0, dr)
+    ts = np.linspace(1.0, 2.0, 9)
     worst = 0.0
     vmax = 0.0
     for t in ts:

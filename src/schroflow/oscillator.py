@@ -119,14 +119,12 @@ class NormalizedMode:
     norm: float
     poly: PolySpec
 
-    def radial(self, r, weighted: bool = False):
-        """Normalized radial factor r^{-alpha} e^{-r^2/4} P(r^2/2) / norm.
-
-        ``weighted=True`` returns r^alpha times that, which extends to r=0.
-        """
+    def radial(self, r):
+        """Normalized radial factor r^{-alpha} e^{-r^2/4} P(r^2/2) / norm at
+        radii r > 0."""
         r_arr = np.asarray(r, dtype=float)
-        if not weighted and np.any(r_arr <= 0):
-            raise ValueError("unweighted radial value requires r > 0")
+        if np.any(r_arr <= 0):
+            raise ValueError("the radial value requires r > 0")
         with np.errstate(over="ignore"):
             r2 = r_arr * r_arr         # inf past r ~ 1.3e154, where gauss is 0
         gauss = np.exp(-r2 / 4.0)
@@ -135,8 +133,6 @@ class NormalizedMode:
         # samples are 0
         live = gauss > 0
         core = gauss * self.poly(np.where(live, r2, 0.0) / 2.0) / self.norm
-        if weighted:
-            return core
         return np.where(live, r_arr, 1.0) ** (-self.alpha) * core
 
 

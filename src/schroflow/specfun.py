@@ -30,15 +30,13 @@ def bessel_j(nu, r) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def j_scaled(N: int, alpha, r, weighted: bool = False):
+def j_scaled(N: int, alpha, r):
     """Radial kernel j_{-alpha}(r) = r^{-(N-2)/2} J_{-alpha+(N-2)/2}(r); an
     array of alpha broadcasts against r.
 
-    Near r=0 the unweighted value behaves like c r^{-alpha}: at r=0 it is
+    Near r=0 the value behaves like c r^{-alpha}: at r=0 it is
     2^{-order}/Gamma(order+1) for alpha = 0 and 0 for alpha < 0, and alpha > 0
-    raises ValueError.  With ``weighted=True`` returns r^alpha * j_{-alpha}(r)
-    = r^{-order} J_order(r), which extends continuously to r=0 (value
-    2^{-order}/Gamma(order+1) there).
+    raises ValueError.
     """
     if N < 2:
         raise ValueError("j_scaled requires N >= 2")
@@ -50,14 +48,13 @@ def j_scaled(N: int, alpha, r, weighted: bool = False):
     if np.any(r_arr < 0):
         raise ValueError("j_scaled requires r >= 0")
     zero = r_arr == 0
-    if not weighted and np.any(zero & (alpha > 0)):
-        raise ValueError("j_scaled (unweighted) diverges at r=0 for alpha > 0")
+    if np.any(zero & (alpha > 0)):
+        raise ValueError("j_scaled diverges at r=0 for alpha > 0")
     out = np.empty(r_arr.shape)
     pos = ~zero
-    power = -order[pos] if weighted else -(N - 2) / 2.0
-    out[pos] = r_arr[pos] ** power * bessel_j(order[pos], r_arr[pos])
-    limit = 2.0 ** (-order[zero]) / sp.gamma(order[zero] + 1.0)
-    out[zero] = limit if weighted else np.where(alpha[zero] == 0, limit, 0.0)
+    out[pos] = r_arr[pos] ** (-(N - 2) / 2.0) * bessel_j(order[pos], r_arr[pos])
+    out[zero] = np.where(alpha[zero] == 0,
+                         2.0 ** (-order[zero]) / sp.gamma(order[zero] + 1.0), 0.0)
     return float(out) if out.ndim == 0 else out
 
 

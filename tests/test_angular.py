@@ -169,10 +169,10 @@ class TestEigensolve:
         eigh, band_eigh = np.linalg.eigh, angular._band_eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda M: (eigh(M)[0], spoil(eigh(M)[1])))
 
-        def band_spoiled(ab, b, vals, scale, tol, _):
+        def band_spoiled(ab, b, vals, scale, _):
             # the whole spectrum's pairs, in place of those up to the cut
-            every = angular._clusters(vals, 10 * tol * scale, len(vals))
-            ritz, vecs = band_eigh(ab, b, vals, scale, tol, every)
+            every = angular._clusters(vals, 10 * angular.EIGENSOLVE_TOL * scale, len(vals))
+            ritz, vecs = band_eigh(ab, b, vals, scale, every)
             return ritz, spoil(vecs)
 
         monkeypatch.setattr(angular, "_band_eigh", band_spoiled)

@@ -502,8 +502,6 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command, config", [
         pytest.param("kernel", {"problem": FREE, "experiment": {
             **KERNEL, "rho": {"lo": [1], "hi": 2.0, "n": 4}}}, id="rho.lo list"),
-        pytest.param("heat", {"problem": FREE, "experiment": {"residual": {"r_window": 5}}},
-                     id="residual.r_window scalar"),
         pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "r_max": "x"}},
                      id="r_max string"),
         pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "fd_points": "many"}},
@@ -531,9 +529,6 @@ class TestConfigErrors:
         # accepted silently before
         pytest.param("kernel", {"problem": FREE, "experiment": {**KERNEL, "K": True}},
                      id="K true"),
-        pytest.param("kernel", {"problem": FREE, "experiment": {
-            **KERNEL, "rho": {"lo": 0.5, "hi": 2.0, "n": 4, "spacing": "lgo"}}},
-                     id="rho.spacing misspelt"),
         pytest.param("spectrum", {"problem": {**FREE, "truncation": 8}}, id="truncation N=3"),
         pytest.param("spectrum", {"problem": {**FREE, "magnetic": {"0": 0.3}}},
                      id="magnetic N=3"),
@@ -551,12 +546,7 @@ class TestConfigErrors:
             "mode": [0, 1], "t": 1.0, "route": "kernel", "fd_points": 7}},
                      id="kernel route fd_points"),
         pytest.param("evolve", {"problem": FREE, "experiment": {
-            "mode": [0, 1], "t": 1.0, "route": "kernel", "quad_nodes": 3}},
-                     id="kernel route quad_nodes"),
-        pytest.param("evolve", {"problem": FREE, "experiment": {
             "mode": [0, 1], "t": 1.0, "window": [100, 200]}}, id="closed route window"),
-        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "quad_panels": 64}},
-                     id="fd route quad_panels"),
         # tracebacks or numeric failures before: dimensions and directions
         # the command does not support
         pytest.param("kernel", {"problem": {"N": 4, "a": 0.0}, "experiment": KERNEL},
@@ -594,16 +584,10 @@ class TestConfigErrors:
             "mode": [0, 1], "times": [1, 2, 4, 4]}}, id="times repeated"),
         pytest.param("heat", {"problem": FREE, "experiment": {"fit_times": [1, 2, 3]}},
                      id="fit_times 3 values"),
-        pytest.param("heat", {"problem": FREE, "experiment": {"residual": {"dr": 0}}},
-                     id="residual.dr 0"),
         pytest.param("compare", {"problem": FREE, "experiment": {"mode": [0, 1], "T": 0}},
                      id="compare T 0"),
-        # the comparison evaluates the closed form on each route's own grid,
-        # so quadrature sizes would be silent no-ops
-        pytest.param("compare", {"problem": FREE, "experiment": {
-            **SMALL_RUNS["compare"], "quad_panels": 64}}, id="compare quad_panels"),
         # NaN with exit 0, or numeric failures, before: windows that hold no
-        # grid node, and residual windows whose stencil leaves r > 0 or t > 0
+        # grid node
         pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "window": [100, 200]}},
                      id="evolve fd window past r_max"),
         pytest.param("evolve", {"problem": FREE, "experiment": {
@@ -614,10 +598,6 @@ class TestConfigErrors:
         pytest.param("compare", {"problem": FREE, "experiment": {
             **SMALL_RUNS["compare"], "window": [0.395, 0.405]}},
                      id="compare window between fd cells"),
-        pytest.param("heat", {"problem": LOSS, "experiment": {
-            "residual": {"r_window": [0.001, 5.0]}}}, id="residual r_window lo below dr"),
-        pytest.param("heat", {"problem": LOSS, "experiment": {
-            "residual": {"t_window": [1e-4, 2.0]}}}, id="residual t_window lo at dt"),
         # silently marched round(T/dt) steps before: durations that are not
         # a whole number of fd steps
         pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "t": 1.0004, "dt": 1e-3}},
@@ -660,6 +640,32 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "c.json", config)
         assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    # settings that no run gave a value other than their default are
+    # constants; their keys, given even that value, are refused as unknown
+    @pytest.mark.parametrize("command, experiment, where, key", [
+        pytest.param("evolve", {"mode": [0, 1], "t": 1.0, "quad_panels": 125},
+                     "experiment", "quad_panels", id="closed route quad_panels"),
+        pytest.param("evolve", {"mode": [0, 1], "t": 1.0, "quad_nodes": 16},
+                     "experiment", "quad_nodes", id="closed route quad_nodes"),
+        pytest.param("evolve", {"mode": [0, 1], "t": 1.0, "route": "kernel", "quad_nodes": 16},
+                     "experiment", "quad_nodes", id="kernel route quad_nodes"),
+        pytest.param("evolve", {**FD, "quad_panels": 125}, "experiment", "quad_panels",
+                     id="fd route quad_panels"),
+        pytest.param("compare", {**SMALL_RUNS["compare"], "quad_panels": 125},
+                     "experiment", "quad_panels", id="compare quad_panels"),
+        pytest.param("heat", {"fit_ratio": 1.0}, "experiment", "fit_ratio",
+                     id="heat fit_ratio"),
+        pytest.param("heat", {"residual": {"dr": 0.005}}, "experiment", "residual",
+                     id="heat residual"),
+        pytest.param("kernel", {**KERNEL, "rho": {"lo": 0.5, "hi": 2.0, "n": 4,
+                                                  "spacing": "log"}},
+                     "experiment.rho", "spacing", id="kernel rho.spacing"),
+    ])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, command, experiment, where, key):
+        cfg = write_config(tmp_path, "c.json", {"problem": FREE, "experiment": experiment})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: unknown keys in {where}: {key}\n"
 
     @pytest.mark.parametrize("text, expect", [
         ('{"problem": {"N": 2, "magnetic": {"0": 0.25, "0": 0.4}}}', "{}"),

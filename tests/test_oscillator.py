@@ -92,8 +92,7 @@ class TestNormalizedMode:
         val = np.abs(mode.radial(r)) ** 2 * r ** 2
         assert np.sum(quad_default.weights * val) == pytest.approx(1.0, rel=1e-10)
 
-    def test_weighted_radial_finite_at_zero(self, mode01_loss):
-        assert np.isfinite(mode01_loss.radial(0.0, weighted=True))
+    def test_radial_refuses_zero(self, mode01_loss):
         with pytest.raises(ValueError):
             mode01_loss.radial(0.0)
 

@@ -51,23 +51,20 @@ class TestJScaled:
         ref = math.sqrt(2.0 / math.pi) * np.sin(r) / r
         assert np.allclose(j_scaled(3, 0.0, r), ref, rtol=1e-10, atol=1e-12)
 
-    def test_weighted_value_at_zero(self):
-        for N, alpha in [(3, 0.25), (3, -1.0), (2, 0.0)]:
-            order = -alpha + (N - 2) / 2.0
-            expect = 2.0 ** (-order) / math.gamma(order + 1.0)
-            assert j_scaled(N, alpha, 0.0, weighted=True) == pytest.approx(
-                expect, rel=1e-14)
-
-    def test_weighted_continuity_at_switchover(self):
-        # weighted values are continuous and equal r^alpha j_{-alpha}(r)
-        for N, alpha in [(3, 0.25), (3, -0.9), (4, -0.3)]:
-            below = j_scaled(N, alpha, 0.4999, weighted=True)
-            above = j_scaled(N, alpha, 0.5001, weighted=True)
-            assert abs(below - above) < 1e-4 * max(abs(below), 1e-3)
-            r = 0.8
-            direct = r ** alpha * j_scaled(N, alpha, r)
-            assert j_scaled(N, alpha, r, weighted=True) == pytest.approx(
-                direct, rel=1e-12)
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_value_at_zero(self, N):
+        # c r^{-alpha} near 0: the limit 2^{-order}/Gamma(order+1) for
+        # alpha = 0, 0 for alpha < 0, and no value for alpha > 0
+        order = (N - 2) / 2.0
+        assert j_scaled(N, 0.0, 0.0) == pytest.approx(
+            2.0 ** (-order) / math.gamma(order + 1.0), rel=1e-14)
+        assert j_scaled(N, -0.3, 0.0) == 0.0
+        assert j_scaled(N, 0.0, 1e-8) == pytest.approx(j_scaled(N, 0.0, 0.0), rel=1e-14)
+        assert np.array_equal(j_scaled(N, np.array([0.0, -0.5, -1.0]), 0.0),
+                              [j_scaled(N, 0.0, 0.0), 0.0, 0.0])
+        # for N = 2 an alpha > 0 is refused by its negative order first
+        with pytest.raises(ValueError, match="diverges at r=0" if N == 3 else "-alpha"):
+            j_scaled(N, 0.25, np.array([1.0, 0.0]))
 
     def test_singular_growth(self):
         # alpha > 0 gives an r^{-alpha} singularity at the origin
