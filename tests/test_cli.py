@@ -586,6 +586,16 @@ class TestConfigErrors:
                      id="fit_times 3 values"),
         pytest.param("compare", {"problem": FREE, "experiment": {"mode": [0, 1], "T": 0}},
                      id="compare T 0"),
+        # the heat residual window is fixed: these invalid residual blocks,
+        # refused by range checks before, are now refused as an unknown key
+        pytest.param("heat", {"problem": FREE, "experiment": {"residual": {"r_window": 5}}},
+                     id="residual.r_window scalar"),
+        pytest.param("heat", {"problem": FREE, "experiment": {"residual": {"dr": 0}}},
+                     id="residual.dr 0"),
+        pytest.param("heat", {"problem": LOSS, "experiment": {
+            "residual": {"r_window": [0.001, 5.0]}}}, id="residual r_window lo below dr"),
+        pytest.param("heat", {"problem": LOSS, "experiment": {
+            "residual": {"t_window": [1e-4, 2.0]}}}, id="residual t_window lo at dt"),
         # NaN with exit 0, or numeric failures, before: windows that hold no
         # grid node
         pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "window": [100, 200]}},
