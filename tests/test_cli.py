@@ -382,6 +382,16 @@ class TestCompare:
         assert list(comparison["failures"]) == ["representation"]
         assert list(comparison["l2_rel"]) == ["closed_vs_fd"]
 
+    def test_default_interpolation_error_below_fd_error(self, tmp_path):
+        # representation_vs_fd reads the fd profile between its cells: at the
+        # defaults that interpolation adds at most as much as the fd error
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS,
+                                                "experiment": {"mode": [0, 1]}})
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        l2_rel = json.loads((out / "compare.json").read_text())["comparison"]["l2_rel"]
+        assert l2_rel["representation_vs_fd"] <= 2.0 * l2_rel["closed_vs_fd"]
+
     def test_defaults_recorded(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"problem": LOSS,
                                                 "experiment": {"mode": [0, 1]}})

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, solve_banded, solveh_banded
 
 from schroflow import flow
-from schroflow.angular import constant_a_spectrum
+from schroflow.angular import AngularProblem, assemble_circle, constant_a_spectrum, eigensolve
 from schroflow.oscillator import ModeIndex, build_table, make_mode
 from schroflow.flow import compare_routes
 from schroflow.radialfd import (RadialSchema, evolve_heat, evolve_schrodinger,
@@ -299,3 +299,46 @@ class TestCompareRoutes:
         report = _compare_free_mode(3, fd_points=2000, dt=4e-3)
         assert report["mode"] == (0, 1)
         assert set(report) == {"mode", "l2_rel", "sup_rel", "failures"}
+
+
+# the evolve and compare default fd_points
+DEFAULT_FD_POINTS = 1500
+
+
+def _fd_route_error(mode, table, t, fd_points):
+    """Relative L^2(r^{N-1} dr) error of the fd route on [0.1, 8], r_max 30,
+    dt 1e-2, against the closed form."""
+    grid, weights, u = flow.evolve_route("fd", mode, table, t, 30.0, fd_points, 1e-2)
+    return flow.window_errors(u, flow.evolve_mode_closed_form(mode, grid, t), grid,
+                              weights, mode.N, (0.1, 8.0))[0]
+
+
+def _magnetic_table(a, flux, K):
+    prob = AngularProblem(scalar_coeff=a, magnetic_coeff={0: flux}, truncation=16)
+    return build_table(eigensolve(assemble_circle(prob), count=K), 2, K)
+
+
+class TestExtrapolatedFdRoute:
+    @pytest.mark.parametrize("table, index, t", [
+        pytest.param(build_table(constant_a_spectrum(3, -0.186, 1), 3, 1), ModeIndex(2, 1),
+                     1.0, id="N3 a-0.186 mode21 t1"),
+        pytest.param(build_table(constant_a_spectrum(3, -0.1875, 1), 3, 1), ModeIndex(2, 1),
+                     4.0, id="N3 a-0.1875 mode21 t4"),
+        pytest.param(_magnetic_table(0.2, 0.3, 2), ModeIndex(1, 2), 1.0,
+                     id="N2 a0.2 flux0.3 mode12 t1"),
+    ])
+    def test_default_no_worse_than_plain_march_on_12000_cells(self, table, index, t):
+        mode = make_mode(index, table)
+        plain = RadialSchema(N=mode.N, mu=table.row(index.j)[0], R=30.0, M=12000, dt=1e-2)
+        g = plain.grid
+        plain_err = flow.window_errors(
+            evolve_schrodinger(plain, mode.radial(g), t), flow.evolve_mode_closed_form(mode, g, t),
+            g, np.full(len(g), plain.h), mode.N, (0.1, 8.0))[0]
+        assert _fd_route_error(mode, table, t, DEFAULT_FD_POINTS) <= plain_err
+
+    def test_error_falls_at_least_8x_per_halving_of_h(self):
+        # a plain second-order march falls 4x here, 1.9e-3 -> 4.6e-4
+        table = build_table(constant_a_spectrum(3, 0.5, 2), 3, 2)
+        mode = make_mode(ModeIndex(1, 2), table)
+        coarse, fine = (_fd_route_error(mode, table, 1.0, M) for M in (500, 1000))
+        assert fine * 8.0 <= coarse
