@@ -54,9 +54,9 @@ class AngularProblem:
         _check_real_symmetry(self.magnetic_coeff or {})
 
 
-def _check_real_symmetry(coeffs: dict, tol: float = 1e-12) -> None:
+def _check_real_symmetry(coeffs: dict) -> None:
     for q, c in coeffs.items():
-        if abs(np.conj(coeffs.get(-q, 0.0)) - c) > tol:
+        if abs(np.conj(coeffs.get(-q, 0.0)) - c) > HERMITICITY_TOL:
             raise AngularProblemError(
                 f"Fourier coefficients are not conjugate-symmetric at q={q}; "
                 "the coefficient function must be real-valued"

@@ -640,7 +640,7 @@ _COMMANDS = {
     "evolve": (cmd_evolve, {
         "mode": (_mode, _REQUIRED), "t": (_number, _REQUIRED),
         "route": (_string(*flow.ROUTES), "closed"),
-        "r_max": (_positive, 30.0), "fd_points": (_grid_points, 12000),
+        "r_max": (_positive, 30.0), "fd_points": (_grid_points, 1500),
         "dt": (_positive, 1e-2), "window": (_window(_number), [0.1, 8.0])}),
     "decay": (cmd_decay, {
         "mode": (_mode, _REQUIRED), "weight": (_number, 0.0),
@@ -659,7 +659,7 @@ _COMMANDS = {
         "dt": (_positive, 1e-3), "fit_times": (_time_list, _CALLEE)}),
     "compare": (cmd_compare, {
         "mode": (_mode, _REQUIRED), "T": (_positive, 1.0),
-        "r_max": (_positive, 30.0), "fd_points": (_grid_points, 12000),
+        "r_max": (_positive, 30.0), "fd_points": (_grid_points, 1500),
         "dt": (_positive, 1e-2), "window": (_window(_number), [0.1, 8.0])}),
 }
 

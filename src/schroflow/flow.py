@@ -10,7 +10,8 @@ the scaling-invariant Schrodinger flow:
   ``scipy.fft.fht`` call per mode on Re h and Im h stacked, O(n log n)) on a
   log-uniform grid;
 * finite differences stepped by the fourth-order Pade (2,2) scheme of
-  :mod:`schroflow.radialfd`;
+  :mod:`schroflow.radialfd`, Richardson-extrapolated in space from nested
+  grids h and h/3;
 ``evolve_route`` runs each route on its own grid, ``compare_routes`` checks
 them pairwise against the closed form evaluated on each route's grid.  Both
 take the mode and the spectral table that the caller built.
@@ -374,18 +375,25 @@ def evolve_route(route: str, mode: NormalizedMode, table: SpectralTable, t: floa
       (0, r_max];
     * ``kernel``: the output grid r = 2t k of ``propagate_representation`` run
       on ``log_grid()``, clipped to [1e-3 sqrt(1+t^2), r_max], weights r dln;
-    * ``fd``: the RadialSchema cells, each of weight h.
+    * ``fd``: the cells of a RadialSchema of ``fd_points`` cells, each of
+      weight h.  The mode is marched on it and on the nested schema of
+      3 ``fd_points`` cells, whose cell 3i+1 has the centre of cell i; the
+      scheme's error in space is a series in h^2, so Richardson's
+      extrapolation (9 u_{h/3} - u_h) / 8 cancels its leading term.  The
+      time step dt is the same on both grids, so the Pade step's error in
+      time is kept, not cancelled.
 
     Given a window [lo, hi], raises WindowError before the route runs if the
     window holds no node of that grid.
     """
     if route == "fd":
-        schema = RadialSchema(N=mode.N, mu=table.row(mode.index.j)[0], R=r_max,
-                              M=fd_points, dt=dt)
-        grid = schema.grid
+        coarse, fine = (RadialSchema(N=mode.N, mu=table.row(mode.index.j)[0], R=r_max,
+                                     M=cells, dt=dt) for cells in (fd_points, 3 * fd_points))
+        grid = coarse.grid
         _window_mask(grid, window)
-        return (grid, np.full(fd_points, schema.h),
-                evolve_schrodinger(schema, mode.radial(grid), t))
+        u_coarse = evolve_schrodinger(coarse, mode.radial(grid), t)
+        u_fine = evolve_schrodinger(fine, mode.radial(fine.grid), t)[1::3]
+        return grid, np.full(fd_points, coarse.h), (9.0 * u_fine - u_coarse) / 8.0
     if route == "kernel":
         grid, weights = log_grid()
         r = 2.0 * t * _hankel_grid(grid, -mode.alpha + (mode.N - 2) / 2.0)[2]
@@ -448,7 +456,13 @@ def compare_routes(mode: NormalizedMode, table: SpectralTable, T: float, r_max: 
     against the closed form on each route's own grid and against each other.
     Returns {"mode", "l2_rel", "sup_rel", "failures"}: the errors by pair,
     and the repr of the exception of each failed route.  A window that holds
-    no node of a route's grid raises WindowError before that route runs."""
+    no node of a route's grid raises WindowError before that route runs.
+
+    ``representation_vs_fd`` is measured on the representation grid, where
+    the fd profile is read by the 4-point Lagrange interpolant of the smooth
+    r^alpha u on the uniform fd cells (``_lagrange4``): its O(h^4) error
+    stays below the extrapolated fd route's own, where linear interpolation
+    read 2.6e-5 at h = 0.02."""
     report = {"mode": (mode.index.n, mode.index.j), "l2_rel": {}, "sup_rel": {},
               "failures": {}}
 
@@ -472,13 +486,30 @@ def compare_routes(mode: NormalizedMode, table: SpectralTable, T: float, r_max: 
         # compare on the representation grid; interpolate the smooth weighted
         # FD profile r^alpha u
         grid, weights, u_rep = runs["representation"]
-        fd_grid, _, u_fd = runs["fd"]
-        wfd = fd_grid ** mode.alpha * u_fd
-        interp = np.interp(grid, fd_grid, wfd.real) + 1j * np.interp(
-            grid, fd_grid, wfd.imag)
+        fd_grid, fd_weights, u_fd = runs["fd"]
+        interp = _lagrange4(grid, fd_grid[0], fd_weights[0], fd_grid ** mode.alpha * u_fd)
         record("representation_vs_fd", interp * grid ** (-mode.alpha),
                u_rep, grid, weights)
     return report
+
+
+def _lagrange4(x: np.ndarray, x0: float, h: float, f: np.ndarray) -> np.ndarray:
+    """The 4-point Lagrange interpolant at x of the samples f on the uniform
+    nodes x0 + i h: the cubic through the two nodes on each side of x, or
+    through the 4 nodes at an end of the grid (3 if it has only 3).  Its
+    error is O(h^4) where linear interpolation's is O(h^2)."""
+    width = min(4, len(f))
+    pos = (x - x0) / h
+    start = np.clip(np.floor(pos).astype(int) - (width // 2 - 1), 0, len(f) - width)
+    s = pos - start
+    out = np.zeros(np.shape(x), dtype=np.result_type(f, float))
+    for j in range(width):
+        basis = np.ones_like(s)
+        for m in range(width):
+            if m != j:
+                basis *= (s - m) / (j - m)
+        out += basis * f[start + j]
+    return out
 
 
 def heat_self_similar(N: int, alpha_k: float, r, t: float):

@@ -17,10 +17,12 @@ inverse-square term exactly,
 a radial Laplacian in dimension d >= 2 with no potential, and the regular
 solution has a smooth v.  Its finite-volume form on cells r_i = (i + 1/2) h,
 with lumped cell volumes h r_i^{d-1}, is second order in h for smooth v,
-on the modes with alpha_k > 0 as on the others.  Symmetrised, it acts on
-w = r^{(N-1)/2} u = r^{(d-1)/2} v, so that sqrt(cell volume) v = sqrt(h) w
-and the conserved discrete norm is sum h r_i^{N-1} |u_i|^2 on every mode.
-The outer boundary is Dirichlet.
+on the modes with alpha_k > 0 as on the others, and its error is a series
+in h^2: flow.evolve_route's fd route marches on h and h/3 and cancels the
+h^2 term by Richardson extrapolation, with no change to the scheme here.
+Symmetrised, the operator acts on w = r^{(N-1)/2} u = r^{(d-1)/2} v, so
+that sqrt(cell volume) v = sqrt(h) w and the conserved discrete norm is
+sum h r_i^{N-1} |u_i|^2 on every mode.  The outer boundary is Dirichlet.
 
 Each flow's step is built from tridiagonal system matrices I + zA (A the
 discrete operator) that are the same at every step, so each is factored

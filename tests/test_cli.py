@@ -399,7 +399,7 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         parameters = json.loads((out / "compare.json").read_text())["provenance"]["parameters"]
         assert {key: parameters[key] for key in ("T", "r_max", "fd_points", "dt", "window")} \
-            == {"T": 1.0, "r_max": 30.0, "fd_points": 12000, "dt": 1e-2, "window": [0.1, 8.0]}
+            == {"T": 1.0, "r_max": 30.0, "fd_points": 1500, "dt": 1e-2, "window": [0.1, 8.0]}
 
 
 class TestUnderflowedReference:

@@ -410,6 +410,19 @@ class TestWindowErrors:
                                (1.0, 4.0))
 
 
+class TestLagrangeInterpolant:
+    # compare_routes reads the fd profile between its cells with it; x runs
+    # past both ends of the nodes, as the representation grid does
+    @pytest.mark.parametrize("nodes, degree", [(40, 3), (4, 3), (3, 2)])
+    def test_exact_on_polynomials_of_its_degree(self, nodes, degree):
+        x0, h = 0.01, 0.02
+        cells = x0 + h * np.arange(nodes)
+        poly = np.polynomial.Polynomial(np.arange(1.0, degree + 2) * (1 - 0.5j))
+        x = np.linspace(0.0, cells[-1] + h, 97)
+        got = flow._lagrange4(x, x0, h, poly(cells))
+        assert np.max(np.abs(got - poly(x))) <= 1e-12 * np.max(np.abs(poly(x)))
+
+
 class TestSeparatedState:
     def test_validation(self, quad_default, table_loss):
         with pytest.raises(ValueError):
