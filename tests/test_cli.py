@@ -343,6 +343,17 @@ class TestHeat:
                             "experiment": {"k": 1}})
         assert main(["heat", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    def test_defaults_recorded(self, tmp_path):
+        # heat marches on the evolve and compare default grid
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": {}})
+        out = tmp_path / "out"
+        assert main(["heat", "--config", cfg, "--out", str(out)]) == 0
+        parameters = json.loads((out / "residual.json").read_text())["provenance"]["parameters"]
+        assert {key: parameters[key] for key in ("k", "t0", "t1", "r_max", "fd_points", "dt")} \
+            == {"k": 1, "t0": 1.0, "t1": 2.0, "r_max": 30.0, "fd_points": 1500, "dt": 1e-3}
+        _, _, rows = read_csv(out / "heat.csv")
+        assert len(rows) == 1500
+
 
 class TestCompare:
     def test_free_quick(self, tmp_path):
