@@ -634,13 +634,18 @@ def cmd_compare(config: dict, out_dir: str, expect: dict,
 
 
 
+# the cells every finite-difference march defaults to: the fd route
+# extrapolates from these and 3x as many, and heat's backward Euler error at
+# dt 1e-3 is its time error, which more cells do not reduce
+_FD_POINTS = 1500
+
 # each command with the reader table of its experiment block
 _COMMANDS = {
     "spectrum": (cmd_spectrum, {"K": (_count, 8)}),
     "evolve": (cmd_evolve, {
         "mode": (_mode, _REQUIRED), "t": (_number, _REQUIRED),
         "route": (_string(*flow.ROUTES), "closed"),
-        "r_max": (_positive, 30.0), "fd_points": (_grid_points, 1500),
+        "r_max": (_positive, 30.0), "fd_points": (_grid_points, _FD_POINTS),
         "dt": (_positive, 1e-2), "window": (_window(_number), [0.1, 8.0])}),
     "decay": (cmd_decay, {
         "mode": (_mode, _REQUIRED), "weight": (_number, 0.0),
@@ -655,11 +660,11 @@ _COMMANDS = {
         "weight_exponent": (_number, 0.0)}),
     "heat": (cmd_heat, {
         "k": (_count, 1), "t0": (_number, 1.0), "t1": (_number, 2.0),
-        "r_max": (_positive, 30.0), "fd_points": (_grid_points, 6000),
+        "r_max": (_positive, 30.0), "fd_points": (_grid_points, _FD_POINTS),
         "dt": (_positive, 1e-3), "fit_times": (_time_list, _CALLEE)}),
     "compare": (cmd_compare, {
         "mode": (_mode, _REQUIRED), "T": (_positive, 1.0),
-        "r_max": (_positive, 30.0), "fd_points": (_grid_points, 1500),
+        "r_max": (_positive, 30.0), "fd_points": (_grid_points, _FD_POINTS),
         "dt": (_positive, 1e-2), "window": (_window(_number), [0.1, 8.0])}),
 }
 

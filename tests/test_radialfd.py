@@ -322,7 +322,7 @@ class TestCompareRoutes:
         assert set(report) == {"mode", "l2_rel", "sup_rel", "failures"}
 
 
-# the evolve and compare default fd_points
+# the default fd_points of every command
 DEFAULT_FD_POINTS = 1500
 
 
