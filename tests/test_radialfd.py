@@ -237,6 +237,17 @@ class TestDuration:
             evolve_heat(s, u, T)
 
 
+def _heat_error(a, k, M):
+    """Relative L^2(r^2 dr) error of evolve_heat on N=3 from t0 = 1 to t1 = 2,
+    dt 1e-3, r_max 30, against the self-similar solution, as heat reports it."""
+    mu, alpha, _ = build_table(constant_a_spectrum(3, a, k), 3, k).row(k)
+    s = _schema(mu=mu, M=M, dt=1e-3)
+    g = s.grid
+    u = evolve_heat(s, flow.heat_self_similar(3, alpha, g, 1.0), 1.0)
+    ref = flow.heat_self_similar(3, alpha, g, 2.0)
+    return np.linalg.norm(g * (u - ref)) / np.linalg.norm(g * ref)
+
+
 class TestHeatStepper:
     def test_positivity_preserved(self):
         s = _schema(mu=2.0, M=500, dt=5e-3)
@@ -258,27 +269,8 @@ class TestHeatStepper:
             prev = n
 
     def test_tracks_self_similar_solution(self):
-        N, a = 3, -0.1875
-        alpha = build_table(constant_a_spectrum(N, a, 1), N, 1).row(1)[1]
-        s = _schema(mu=a, M=6000, dt=1e-3)
-        g = s.grid
-        u = evolve_heat(s, flow.heat_self_similar(N, alpha, g, 1.0), 1.0)
-        ref = flow.heat_self_similar(N, alpha, g, 2.0)
-        assert np.linalg.norm(g * (u - ref)) / np.linalg.norm(g * ref) < 1e-3
+        assert _heat_error(-0.1875, 1, 6000) < 1e-3
 
-
-def _heat_error(a, k, M):
-    """Relative L^2(r^2 dr) error of evolve_heat on N=3 from t0 = 1 to t1 = 2,
-    dt 1e-3, r_max 30, against the self-similar solution, as heat reports it."""
-    mu, alpha, _ = build_table(constant_a_spectrum(3, a, k), 3, k).row(k)
-    s = _schema(mu=mu, M=M, dt=1e-3)
-    g = s.grid
-    u = evolve_heat(s, flow.heat_self_similar(3, alpha, g, 1.0), 1.0)
-    ref = flow.heat_self_similar(3, alpha, g, 2.0)
-    return np.linalg.norm(g * (u - ref)) / np.linalg.norm(g * ref)
-
-
-class TestHeatGrid:
     # at dt 1e-3 backward Euler's time error dominates: 1500 cells cost
     # little against 6000 (1.998e-4 against 1.950e-4 on the loss mode)
     @pytest.mark.parametrize("a, k", [
