@@ -3,7 +3,8 @@
 Two regimes are covered:
 
 * ``assemble_circle`` -- Fourier-Galerkin matrix of the magnetic operator
-  (-i d/dtheta + alpha(theta))^2 + a(theta) on the circle (N=2);
+  (-i d/dtheta + alpha(theta))^2 + a(theta) on the circle (N=2), written
+  only on the diagonals that carry a Fourier coefficient;
 * ``constant_a_spectrum`` -- closed-form spectrum l(l+N-2) + a for constant a
   (N >= 3).
 
@@ -11,8 +12,9 @@ Two regimes are covered:
 ascending, orthonormal eigensystem of its lowest ``count`` eigenpairs.  A
 matrix of bandwidth b with b*b <= n, such as the circle matrix, gets its whole
 spectrum from ``eigvals_banded`` and only the vectors up to the kept ones, by
-inverse iteration on its banded LU; a wider one is diagonalised by
-``np.linalg.eigh``.  Only the kept pairs are ordered, phased and checked.
+inverse iteration on its banded LU, and its residual from the band storage;
+a wider one is diagonalised by ``np.linalg.eigh``.  Only the kept pairs are
+ordered, phased and checked.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded, get_lapack_funcs, qr, toeplitz
+from scipy.linalg import eigvals_banded, get_lapack_funcs, qr
 
 from .specfun import sph_harm
 
@@ -70,8 +72,9 @@ class AngularEigensystem:
 
     ``basis_tag`` is ``circle_fourier`` (N=2, ``eigensolve``: coefficients on
     the e^{im theta} modes, m = -K..K) or ``analytic_constant`` (N >= 3,
-    ``constant_a_spectrum``: exact degree-l harmonics, ``mode_labels``
-    carries (l, m); their values are provided for N=3).
+    ``constant_a_spectrum``: exact degree-l harmonics, row k-1 of the
+    (count, 2) integer array ``mode_labels`` carries mode k's (l, m); their
+    values are provided for N=3).
     """
 
     basis_tag: str
@@ -79,28 +82,30 @@ class AngularEigensystem:
     eigenvectors: np.ndarray | None
     residual_bound: float
     N: int
-    mode_labels: tuple = ()
+    mode_labels: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
 
-    def angular_value(self, k: int, theta, phi=None):
-        """Value of the k-th (1-based) normalized eigenfunction."""
-        idx = k - 1
-        if idx < 0 or idx >= len(self.eigenvalues):
-            raise IndexError(f"mode index k={k} out of range")
+    def angular_value(self, k, theta, phi=None):
+        """Value of the k-th (1-based) normalized eigenfunction; an integer
+        array of k gives shape k.shape + theta.shape, each value the bits of
+        its own scalar call."""
+        idx = np.asarray(k) - 1
+        bad = np.flatnonzero((idx < 0) | (idx >= len(self.eigenvalues)))
+        if bad.size:
+            raise IndexError(f"mode index k={idx.flat[bad[0]] + 1} out of range")
         if self.basis_tag == "analytic_constant":
             if self.N != 3:
                 raise NotImplementedError("analytic eigenfunction evaluation is provided for N=3")
-            l, m = self.mode_labels[idx]
+            l, m = self.mode_labels[idx, 0], self.mode_labels[idx, 1]
             return sph_harm(l, m, theta, 0.0 if phi is None else phi)
-        coeffs = self.eigenvectors[:, idx]
-        K = (len(coeffs) - 1) // 2
-        ms = np.arange(-K, K + 1)
-        th = np.asarray(theta, dtype=float)
-        return np.tensordot(coeffs, np.exp(1j * np.multiply.outer(ms, th)), axes=(0, 0)) / math.sqrt(
-            2 * math.pi
-        )
+        K = (len(self.eigenvectors) - 1) // 2
+        waves = np.exp(1j * np.multiply.outer(np.arange(-K, K + 1), np.asarray(theta, dtype=float)))
+        # one dot per mode: a matrix product over all modes sums in another
+        # order and moves the last bits
+        values = [np.tensordot(self.eigenvectors[:, i], waves, axes=(0, 0)) for i in idx.flat]
+        return np.reshape(values, idx.shape + waves.shape[1:]) / math.sqrt(2 * math.pi)
 
     def sup_abs(self, k: int) -> float:
         """Estimate of max |psi_k| over the sphere on 256 angles."""
@@ -127,15 +132,17 @@ def assemble_circle(problem: AngularProblem) -> np.ndarray:
     for p, cp in al_hat.items():
         for q, cq in al_hat.items():
             g_hat[p + q] = g_hat.get(p + q, 0.0) + cp * cq
-    # the coefficient terms are Toeplitz in m - n = -2K..2K: first column
-    # m - n = 0..2K, first row m - n = 0..-2K; built in place, so that at
-    # most one matrix-sized temporary lives beside M
-    g, al = (np.array([c.get(q, 0.0) for q in range(-2 * K, 2 * K + 1)], dtype=complex)
-             for c in (g_hat, al_hat))
+    # only the diagonals q = m - n that carry a coefficient are written; each
+    # takes the product and the sum even where alpha_hat_q or g_hat_q is
+    # absent, so its signed zeros are those of the entry-by-entry sum
+    n = 2 * K + 1
     ms = np.arange(-K, K + 1)
-    M = toeplitz(al[2 * K:], al[2 * K::-1])
-    M *= np.add.outer(ms, ms)
-    M += toeplitz(g[2 * K:], g[2 * K::-1])
+    M = np.zeros((n, n), dtype=complex)
+    for q in sorted(set(g_hat) | set(al_hat)):
+        if abs(q) <= 2 * K:
+            rows = np.arange(max(q, 0), n + min(q, 0))
+            M[rows, rows - q] = (complex(al_hat.get(q, 0.0)) * (ms[rows] + ms[rows - q])
+                                 + complex(g_hat.get(q, 0.0)))
     M[np.diag_indices_from(M)] += ms * ms
     return M
 
@@ -180,8 +187,8 @@ def eigensolve(M: np.ndarray, count: int | None = None) -> AngularEigensystem:
     A matrix of bandwidth b with b*b <= n takes the band route: the whole
     spectrum from ``eigvals_banded`` in O(n^2 b) sets the tolerance scale and
     the cut, then ``_band_eigh`` computes only the pairs up to the kept ones,
-    by inverse iteration.  A wider band takes ``np.linalg.eigh`` on the dense
-    matrix.  The route depends on M alone, never on ``count``.  Either way
+    by inverse iteration, and the residual M X - X Lambda is formed on the
+    band.  A wider band takes ``np.linalg.eigh`` on the dense matrix.  The route depends on M alone, never on ``count``.  Either way
     only the kept pairs are ordered, phased and checked.  Output is
     deterministic for identical input: eigenvalues ascending, degenerate
     clusters ordered by the basis index of the dominant coefficient, each
@@ -225,9 +232,8 @@ def eigensolve(M: np.ndarray, count: int | None = None) -> AngularEigensystem:
         pivot = col[idx]
         if pivot != 0:
             vecs[:, k] = col * (np.conj(pivot) / abs(pivot))
-    residual = float(
-        np.max(np.linalg.norm(M @ vecs - vecs * vals, axis=0))
-    )
+    product = _band_matmul(ab, b, vecs) if band else M @ vecs
+    residual = float(np.max(np.linalg.norm(product - vecs * vals, axis=0)))
     # for Hermitian M the spectral norm |M| is max |lambda|, so scale = max(|M|, 1);
     # a NaN residual fails the check too
     if not residual <= EIGENSOLVE_TOL * scale:
@@ -384,22 +390,19 @@ def constant_a_spectrum(N: int, a: float, count: int) -> AngularEigensystem:
         raise AngularProblemError("constant_a_spectrum requires N >= 3")
     if count < 1:
         raise AngularProblemError("count must be >= 1")
-    eigenvalues = []
-    labels = []
-    l = 0
-    while len(eigenvalues) < count:
-        mult = harmonic_multiplicity(l, N)
-        eigenvalues.extend([l * (l + N - 2) + a] * mult)
-        if N == 3:
-            labels.extend((l, m) for m in range(-l, l + 1))
-        else:
-            labels.extend((l, i) for i in range(mult))
-        l += 1
+    mult = []
+    while sum(mult) < count:
+        mult.append(harmonic_multiplicity(len(mult), N))
+    ls = np.arange(len(mult))
+    degree = np.repeat(ls, mult)
+    # the label's second entry counts the modes of a degree block from 0;
+    # on S^2 it is the order m = -l..l
+    within = np.arange(len(degree)) - np.repeat(np.cumsum(mult) - mult, mult)
     return AngularEigensystem(
         basis_tag="analytic_constant",
-        eigenvalues=np.array(eigenvalues),
+        eigenvalues=np.repeat(ls * (ls + N - 2) + a, mult),
         eigenvectors=None,
         residual_bound=0.0,
         N=N,
-        mode_labels=tuple(labels),
+        mode_labels=np.column_stack((degree, within - degree if N == 3 else within)),
     )

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import AngularEigensystem
 from .oscillator import AccuracyWarning, HardyViolation, NormalizedMode, SpectralTable
 from .quadrature import RadialQuadrature
 from .radialfd import RadialSchema, evolve_schrodinger
@@ -224,25 +223,22 @@ def _mode_blocks(spec: KernelSpec, x_dir, y_dir) -> tuple:
     run."""
     table = spec.table
     eigsys = table.eigsys
-    ks = range(spec.k_start, table.K_max + 1)
+    ks = np.arange(spec.k_start, table.K_max + 1)
     alpha = table.alpha[spec.k_start - 1:]
-    px, py = (np.array([_psi_value(eigsys, k, d) for k in ks]) for d in (x_dir, y_dir))
+    px, py = (eigsys.angular_value(ks, *_direction_angles(table.N, d)) for d in (x_dir, y_dir))
     starts = np.flatnonzero(np.r_[True, alpha[1:] != alpha[:-1]])
     last = starts[-1]
     bound = math.sqrt(np.sum(np.abs(px[last:]) ** 2) * np.sum(np.abs(py[last:]) ** 2))
     return alpha[starts], np.add.reduceat(px * np.conj(py), starts), bound
 
 
-def _psi_value(eigsys: AngularEigensystem, k: int, direction) -> complex:
-    if eigsys.N == 2:
+def _direction_angles(N: int, direction) -> tuple:
+    """``angular_value``'s angles of a kernel direction: (angle,) on the
+    circle, (theta, phi) on the sphere."""
+    if N == 2:
         if not np.isscalar(direction):
             raise ValueError(f"an N=2 direction is an angle, got {direction!r}")
-        return complex(eigsys.angular_value(k, float(direction)))
-    theta, phi = _sphere_angles(direction)
-    return complex(eigsys.angular_value(k, theta, phi))
-
-
-def _sphere_angles(direction):
+        return (float(direction),)
     d = np.asarray(direction, dtype=float)
     if d.shape == (2,):            # (theta, phi)
         return float(d[0]), float(d[1])

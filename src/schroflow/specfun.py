@@ -4,7 +4,8 @@ polynomials, Legendre polynomials and spherical harmonics.
 
 Everything here is a pure function of its arguments; PolySpec is an
 immutable (degree, parameter) pair.  The Bessel functions broadcast arrays
-of orders against r; ``legendre_p`` gives many degrees from one recurrence.
+of orders against r; ``legendre_p`` gives many degrees from one recurrence;
+``sph_harm`` broadcasts arrays of (l, m) pairs through one ``lpmv`` call.
 """
 
 from __future__ import annotations
@@ -102,24 +103,31 @@ def legendre_p(l, x):
     return float(out) if out.ndim == 0 else out
 
 
-def sph_harm(l: int, m: int, theta, phi):
+def sph_harm(l, m, theta, phi):
     """Orthonormal complex spherical harmonic Y_l^m(theta, phi).
 
     theta is the colatitude, phi the longitude; Condon-Shortley phase.
+    Integer arrays of degrees and orders broadcast against each other, and
+    the result has shape broadcast(l, m).shape + broadcast(theta, phi).shape;
+    each value is the bits of its own scalar call.
     """
-    if abs(m) > l:
-        raise ValueError(f"sph_harm requires |m| <= l, got l={l}, m={m}")
-    theta_arr = np.asarray(theta, dtype=float)
-    phi_arr = np.asarray(phi, dtype=float)
-    ma = abs(m)
+    l, m = np.broadcast_arrays(np.asarray(l), np.asarray(m))
+    bad = np.flatnonzero(np.abs(m) > l)
+    if bad.size:
+        raise ValueError(f"sph_harm requires |m| <= l, got l={l.flat[bad[0]]}, "
+                         f"m={m.flat[bad[0]]}")
+    theta_arr, phi_arr = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                             np.asarray(phi, dtype=float))
+    ma = np.abs(m)
+    # one scalar norm per (l, |m|), as math computes it
+    norm = np.reshape([
+        math.sqrt((2 * li + 1) / (4 * math.pi)
+                  * math.exp(math.lgamma(li - mi + 1) - math.lgamma(li + mi + 1)))
+        for li, mi in zip(l.ravel().tolist(), ma.ravel().tolist())], l.shape)
+    # the (l, m) axes lead, the angle axes follow
+    l, ma, m, norm = (v.reshape(v.shape + (1,) * theta_arr.ndim) for v in (l, ma, m, norm))
     # lpmv carries the Condon-Shortley (-1)^m already
-    norm = math.sqrt(
-        (2 * l + 1) / (4 * math.pi) * math.exp(math.lgamma(l - ma + 1) - math.lgamma(l + ma + 1))
-    )
     val = norm * sp.lpmv(ma, l, np.cos(theta_arr)) * np.exp(1j * ma * phi_arr)
-    if m < 0:
-        val = (-1) ** ma * np.conj(val)
-    if np.ndim(theta) == 0 and np.ndim(phi) == 0:
-        return complex(val)
-    return val
+    val = np.where(m < 0, (-1) ** ma * np.conj(val), val)
+    return complex(val) if val.ndim == 0 else val
 

@@ -87,6 +87,8 @@ class TestCircleAssembly:
         # off-diagonal entries of real part -0.0 at q = 1, m + n < 0
         pytest.param({0: 0.5, 1: complex(-0.0, 0.1), -1: complex(-0.0, -0.1)},
                      {0: -0.3, 1: 0.2j, -1: -0.2j}, id="signed zeros"),
+        # alpha_hat_{+-12} lies in the band m - n = -18..18, g_hat_{+-24} past it
+        pytest.param(0.2, {0: -0.3, 12: 0.1, -12: 0.1}, id="coefficients past the band"),
     ])
     def test_bitwise_equal_to_loop_assembly(self, scalar, magnetic):
         prob = AngularProblem(scalar_coeff=scalar, magnetic_coeff=magnetic,
@@ -328,8 +330,8 @@ class TestConstantSpectrum:
         assert eig.eigenvalues[0] == pytest.approx(-0.1875)
         assert np.allclose(eig.eigenvalues[1:4], 2.0 - 0.1875)
         assert np.allclose(eig.eigenvalues[4:9], 6.0 - 0.1875)
-        assert eig.mode_labels[0] == (0, 0)
-        assert eig.mode_labels[1] == (1, -1)
+        assert tuple(eig.mode_labels[0]) == (0, 0)
+        assert tuple(eig.mode_labels[1]) == (1, -1)
         assert len(eig) >= 10
 
     def test_two_dim_rejected(self):
@@ -341,3 +343,62 @@ class TestConstantSpectrum:
         # k=1 is Y_00
         assert eig.angular_value(1, 0.4, 1.0) == pytest.approx(
             1.0 / math.sqrt(4 * math.pi))
+
+    # counts that end a degree block and counts that cut one
+    @pytest.mark.parametrize("N, count", [(3, 1), (3, 2), (3, 9), (3, 30), (3, 3721),
+                                          (4, 5), (4, 7), (4, 100), (5, 6), (5, 21), (5, 50)])
+    def test_equals_a_per_degree_loop(self, N, count):
+        eig = constant_a_spectrum(N, 0.1, count)
+        values, labels = _loop_constant_spectrum(N, 0.1, count)
+        assert np.array_equal(eig.eigenvalues, values)
+        assert eig.mode_labels.dtype.kind == "i"
+        assert [tuple(row) for row in eig.mode_labels.tolist()] == labels
+
+
+def _loop_constant_spectrum(N, a, count):
+    """The constant-a spectrum and its (l, m) labels, mode by mode."""
+    values, labels, l = [], [], 0
+    while len(values) < count:
+        mult = harmonic_multiplicity(l, N)
+        values.extend([l * (l + N - 2) + a] * mult)
+        if N == 3:
+            labels.extend((l, m) for m in range(-l, l + 1))
+        else:
+            labels.extend((l, i) for i in range(mult))
+        l += 1
+    return np.array(values), labels
+
+
+class TestAngularValueArray:
+    @pytest.fixture(scope="class", params=["circle", "sphere"])
+    def system(self, request):
+        if request.param == "circle":
+            return (request.getfixturevalue("magnetic_circle"),
+                    [(0.0,), (2.9,), (np.linspace(0.0, 6.0, 7),)])
+        return (constant_a_spectrum(3, -0.1875, 169),
+                [(0.0, 0.0), (math.pi, 0.5), (0.7, 1.3), (np.array([0.3, 2.2]), -0.4)])
+
+    def test_bitwise_equals_stacked_scalar_calls(self, system):
+        eig, directions = system
+        ks = np.arange(1, len(eig) + 1)
+        for angles in directions:
+            values = eig.angular_value(ks, *angles)
+            ref = np.array([eig.angular_value(int(k), *angles) for k in ks])
+            assert values.shape == ks.shape + np.shape(angles[0])
+            assert np.array_equal(values, ref)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(values)), np.signbit(part(ref)))
+
+    def test_shape_of_k_leads(self, system):
+        eig, directions = system
+        ks = np.array([[1, 3], [4, 2]])
+        values = eig.angular_value(ks, *directions[-1])
+        assert values.shape == (2, 2) + np.shape(directions[-1][0])
+        assert np.array_equal(values[1, 0], eig.angular_value(4, *directions[-1]))
+
+    @pytest.mark.parametrize("bad", [0, -1, "past"])
+    def test_out_of_range_k_in_array(self, system, bad):
+        eig, directions = system
+        k = len(eig) + 1 if bad == "past" else bad
+        with pytest.raises(IndexError, match=f"k={k} "):
+            eig.angular_value(np.array([1, k, 2]), *directions[0])

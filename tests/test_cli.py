@@ -314,6 +314,20 @@ class TestKernel:
         assert float(rows[0][cols.index("rho")]) == 0.0
         assert float(rows[0][cols.index("scaled_modulus")]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_aharonov_bohm_run(self, tmp_path, aharonov_bohm_series):
+        # the N=2 kernel path through the CLI (it once ended in a traceback)
+        cfg = write_config(tmp_path, "c.json",
+                           {"problem": {"N": 2, "a": 0.2, "magnetic": {"0": 0.3}},
+                            "experiment": {"K": 9, "rho": [0.3, 2.0, 7.5],
+                                           "x_dir": 0.7, "y_dir": 2.9}})
+        out = tmp_path / "out"
+        assert main(["kernel", "--config", cfg, "--out", str(out)]) == 0
+        _, cols, rows = read_csv(out / "kernel.csv")
+        values = np.array([complex(float(row[cols.index("re_K")]), float(row[cols.index("im_K")]))
+                           for row in rows])
+        ref = aharonov_bohm_series(0.3, 0.2, 9, 0.7, 2.9, np.array([0.3, 2.0, 7.5]))
+        assert np.all(np.abs(values - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
     def test_empty_grid_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
                            {"problem": {"N": 3, "a": 0.0},

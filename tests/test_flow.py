@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special as sp
 
 from schroflow import flow
 from schroflow.angular import (AngularProblem, assemble_circle,
@@ -159,20 +158,39 @@ class TestKernel:
         _, tail = flow.kernel_eval(spec, (0.4, 0.3), (1.2, 2.1), 8.0)
         assert tail > flow.TAIL_THRESHOLD
 
-    def test_aharonov_bohm_plane_waves(self):
+    def test_aharonov_bohm_plane_waves(self, aharonov_bohm_series):
         # N=2 with flux phi and constant a: psi_k are plane waves e^{im theta}
-        # with mu = (m+phi)^2 + a, so j_{-alpha}(rho) = J_{|alpha|}(rho)
         phi, a, K, x, y = 0.3, 0.2, 9, 0.7, 2.9
         prob = AngularProblem(scalar_coeff=a, magnetic_coeff={0: phi}, truncation=16)
         table = build_table(eigensolve(assemble_circle(prob)), 2, K)
         spec = flow.KernelSpec(table=table)
-        ms = sorted(range(-8, 9), key=lambda m: (m + phi) ** 2)[:K]
         rho = np.array([0.3, 2.0, 7.5])
-        ref = sum(np.exp(-0.5j * math.pi * math.sqrt((m + phi) ** 2 + a))
-                  * sp.jv(math.sqrt((m + phi) ** 2 + a), rho)
-                  * np.exp(1j * m * (x - y)) / (2.0 * math.pi) for m in ms)
+        ref = aharonov_bohm_series(phi, a, K, x, y, rho)
         val, _ = flow.kernel_eval(spec, x, y, rho)
         assert np.all(np.abs(val - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+    @pytest.mark.parametrize("system", ["circle", "sphere", "sphere tail"])
+    def test_mode_blocks_equal_a_per_mode_loop(self, system, magnetic_circle):
+        if system == "circle":
+            spec = flow.KernelSpec(table=build_table(magnetic_circle, 2, 24))
+            x, y, angles = 0.7, 2.9, lambda d: (d,)
+        else:
+            table = build_table(constant_a_spectrum(3, -0.1875, 169), 3, 169)
+            spec = flow.KernelSpec(table=table, k_start=1 if system == "sphere" else 7)
+            x, y, angles = (0.4, 0.3), (1.2, 2.1), lambda d: d
+        alphas, sums, bound = flow._mode_blocks(spec, x, y)
+        eigsys, alpha = spec.table.eigsys, spec.table.alpha
+        blocks = {}     # alpha -> [sum psi(x) conj psi(y), sum |psi(x)|^2, sum |psi(y)|^2]
+        for k in range(spec.k_start, spec.table.K_max + 1):
+            px, py = (complex(eigsys.angular_value(k, *angles(d))) for d in (x, y))
+            block = blocks.setdefault(float(alpha[k - 1]), [0j, 0.0, 0.0])
+            block[0] += px * py.conjugate()
+            block[1] += abs(px) ** 2
+            block[2] += abs(py) ** 2
+        assert alphas.tolist() == list(blocks)
+        np.testing.assert_allclose(sums, [b[0] for b in blocks.values()], rtol=1e-13, atol=1e-15)
+        last = list(blocks.values())[-1]
+        assert bound == pytest.approx(math.sqrt(last[1] * last[2]), rel=1e-13)
 
     def test_tail_bound_at_a_nodal_direction(self):
         # psi_9 = Y_2^2 vanishes at the pole, so the last term is zero, but

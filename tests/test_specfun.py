@@ -169,3 +169,33 @@ class TestSphHarm:
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             sph_harm(1, 2, 0.0, 0.0)
+
+    # both poles, a pole at nonzero longitude, and generic directions
+    @pytest.mark.parametrize("theta, phi", [(0.0, 0.0), (math.pi, 0.0), (0.0, 1.3),
+                                            (math.pi, -2.0), (0.7, 1.3), (2.1, -0.4)])
+    def test_array_of_degrees_bitwise_equals_scalar_calls(self, theta, phi):
+        l, m = np.array([(l, m) for l in range(61) for m in range(-l, l + 1)]).T
+        values = sph_harm(l, m, theta, phi)
+        ref = np.array([sph_harm(int(li), int(mi), theta, phi) for li, mi in zip(l, m)])
+        assert values.shape == l.shape
+        _assert_same_bits(values, ref)
+
+    def test_degrees_and_angles_broadcast(self):
+        l, m = np.array([[3], [4]]), np.array([-2, 0, 1])
+        theta, phi = np.array([0.0, 0.4, 1.9]), np.array([[0.2], [-1.1]])
+        values = sph_harm(l, m, theta, phi)
+        assert values.shape == (2, 3, 2, 3)
+        for i, j in np.ndindex(2, 3):
+            _assert_same_bits(values[i, j], sph_harm(int(l[i, 0]), int(m[j]), theta, phi))
+
+    def test_invalid_m_in_array(self):
+        with pytest.raises(ValueError, match="l=2, m=3"):
+            sph_harm(np.array([1, 2, 3]), np.array([0, 3, 1]), 0.4, 0.2)
+
+
+def _assert_same_bits(a, b):
+    """Equal values, and equal signs of every zero real and imaginary part."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert np.array_equal(a, b)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
