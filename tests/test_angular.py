@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from schroflow import angular
+from schroflow import angular, cli
 from schroflow.angular import (AngularProblem, AngularProblemError,
                                EigensolveError, assemble_circle,
                                constant_a_spectrum, eigensolve,
@@ -38,6 +38,14 @@ class TestAharonovBohmCircle:
         eig = eigensolve(assemble_circle(prob))
         expected = np.sort([m * m for m in range(-8, 9)])
         assert np.allclose(eig.eigenvalues, expected, atol=1e-12)
+
+    def test_gauged_spectrum_is_exact(self):
+        # alpha's harmonics +-1 are gauged away: the spectrum is that of the
+        # flux 0.3 alone, (m + 0.3)^2 + 0.2, with no truncation error
+        eig = cli.build_eigensystem({"N": 2, "a": 0.2, "truncation": 16,
+                                     "magnetic": {0: 0.3, 1: 0.4 + 0.3j, -1: 0.4 - 0.3j}}, 24)
+        expected = np.sort([(m + 0.3) ** 2 + 0.2 for m in range(-16, 17)])[:24]
+        assert np.max(np.abs(eig.eigenvalues - expected)) <= 1e-12
 
     def test_complex_coefficient_rejected(self):
         with pytest.raises(AngularProblemError):
