@@ -3,7 +3,7 @@ Schrodinger and heat flows, with cross-validated propagation routes and
 frequency-dependent decay-exponent experiments."""
 
 from .angular import (AngularEigensystem, AngularProblem, assemble_circle,
-                      constant_a_spectrum, eigensolve)
+                      circle_eigensystem, constant_a_spectrum, eigensolve)
 from .flow import (DecayReport, KernelSpec, SeparatedState, compare_routes,
                    decay_fit, evolve_mode_closed_form, heat_residual,
                    heat_self_similar, kernel_eval, propagate_representation,
@@ -20,8 +20,8 @@ __all__ = [
     "AngularEigensystem", "AngularProblem", "DecayReport", "KernelSpec",
     "ModeIndex", "NormalizedMode", "PolySpec", "RadialQuadrature",
     "RadialSchema", "SeparatedState", "SpectralTable", "assemble_circle",
-    "bessel_j", "build_table", "compare_routes", "constant_a_spectrum",
-    "decay_fit", "eigensolve",
+    "bessel_j", "build_table", "circle_eigensystem", "compare_routes",
+    "constant_a_spectrum", "decay_fit", "eigensolve",
     "evolve_heat", "evolve_mode_closed_form", "evolve_schrodinger",
     "gamma_of", "heat_residual", "heat_self_similar", "j_scaled",
     "kernel_eval", "legendre_p", "make_mode", "project",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, flow
 from .angular import (AngularProblem, AngularProblemError, EigensolveError,
-                      assemble_circle, constant_a_spectrum, eigensolve)
+                      circle_eigensystem, constant_a_spectrum)
 from .oscillator import HardyViolation, ModeIndex, build_table, make_mode
 # evolve_schrodinger is not called here; the perfbench self-tests check that
 # its tracer rebinds cli.evolve_schrodinger
@@ -306,7 +306,7 @@ def build_eigensystem(problem: dict, count: int):
         prob = AngularProblem(scalar_coeff=problem["a"],
                               magnetic_coeff=problem.get("magnetic"),
                               truncation=problem.get("truncation", max(16, count + 4)))
-        return eigensolve(assemble_circle(prob), count=count)
+        return circle_eigensystem(prob, count=count)
     except AngularProblemError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from schroflow import (AngularProblem, ModeIndex, RadialQuadrature, assemble_circle,
-                       build_table, constant_a_spectrum, eigensolve, make_mode)
+from schroflow import (AngularProblem, ModeIndex, RadialQuadrature, build_table,
+                       circle_eigensystem, constant_a_spectrum, make_mode)
 
 
 @pytest.fixture(scope="session")
@@ -55,4 +55,4 @@ def magnetic_circle():
     200, a 401 x 401 matrix, lowest 24 pairs."""
     prob = AngularProblem(scalar_coeff=0.2, truncation=200,
                           magnetic_coeff={0: 0.3, 1: complex(0.1, 0.2), -1: complex(0.1, -0.2)})
-    return eigensolve(assemble_circle(prob), count=24)
+    return circle_eigensystem(prob, count=24)

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from schroflow import angular, cli
+from schroflow import cli
 from schroflow.angular import (AngularProblem, AngularProblemError,
                                EigensolveError, assemble_circle,
-                               constant_a_spectrum, eigensolve,
-                               harmonic_multiplicity)
+                               circle_eigensystem, constant_a_spectrum,
+                               eigensolve, harmonic_multiplicity)
 
 
 class TestAharonovBohmCircle:
@@ -61,14 +61,31 @@ class TestAharonovBohmCircle:
         # mu_1 = 0.09 belongs to m=0: the ground state is constant
         assert np.allclose(psi1, psi1[0], atol=1e-10)
         assert abs(abs(psi1[0]) - 1.0 / math.sqrt(2 * math.pi)) < 1e-10
+        # a non-constant alpha, harmonics +-1 and +-3 beside the flux: the
+        # operator applied by FFT on 256 angles to the gauged eigenfunctions
+        al_hat = {0: 0.3, 1: 0.2 + 0.1j, -1: 0.2 - 0.1j, 3: 0.15j, -3: -0.15j}
+        eig = circle_eigensystem(AngularProblem(scalar_coeff=0.2, magnetic_coeff=al_hat,
+                                                truncation=16), count=8)
+        theta = 2 * math.pi * np.arange(256) / 256
+        alpha = sum(c * np.exp(1j * q * theta) for q, c in al_hat.items()).real
+        wavenumber = np.fft.fftfreq(256, 1.0 / 256)
+
+        def covariant(f):
+            # (-i d/dtheta + alpha) f
+            return np.fft.ifft(wavenumber * np.fft.fft(f, axis=-1), axis=-1) + alpha * f
+
+        psi = eig.angular_value(np.arange(1, 9), theta)
+        residual = covariant(covariant(psi)) + 0.2 * psi - eig.eigenvalues[:, None] * psi
+        assert np.max(np.abs(residual)) <= 1e-9
 
 
 def _loop_circle_matrix(problem):
-    """The Fourier-Galerkin matrix entry by entry, over dict lookups."""
+    """The Fourier-Galerkin matrix entry by entry, over dict lookups, of the
+    flux operator: alpha keeps only alpha_hat_0, the rest is gauged away."""
     K = problem.truncation
     a_hat = (dict(problem.scalar_coeff) if isinstance(problem.scalar_coeff, dict)
              else {0: complex(problem.scalar_coeff)})
-    al_hat = dict(problem.magnetic_coeff or {})
+    al_hat = {q: c for q, c in (problem.magnetic_coeff or {}).items() if q == 0}
     g_hat = dict(a_hat)
     for p, cp in al_hat.items():
         for q, cq in al_hat.items():
@@ -91,6 +108,7 @@ class TestCircleAssembly:
                      id="complex +-1 flux, negative real part"),
         pytest.param({0: 0.5, 2: -0.25, -2: -0.25}, {0: -0.3, 3: 0.1, -3: 0.1},
                      id="real Fourier a and flux"),
+        pytest.param({1: 0.25, -1: 0.25}, {2: 0.1, -2: 0.1}, id="no flux, no a_hat_0"),
         pytest.param(-1.5, None, id="constant a"),
         # off-diagonal entries of real part -0.0 at q = 1, m + n < 0
         pytest.param({0: 0.5, 1: complex(-0.0, 0.1), -1: complex(-0.0, -0.1)},
@@ -158,39 +176,42 @@ class TestEigensolve:
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
     def test_count_cuts_a_degenerate_cluster(self, count):
-        # flux 1/2 plus a gradient: the spectrum (m + 1/2)^2 + a is doubly
-        # degenerate with non-trivial vectors; counts 1 and 3 cut a pair,
-        # whose order comes from sorting the whole pair
-        prob = AngularProblem(scalar_coeff=0.7, truncation=12,
-                              magnetic_coeff={0: 0.5, 1: 0.1 + 0.2j, -1: 0.1 - 0.2j})
+        # flux 1/2: the spectrum (m + 1/2)^2 + a is doubly degenerate; counts
+        # 1 and 3 cut a pair, whose order comes from sorting the whole pair.
+        # The diagonal circle matrix takes the diagonal route; a unitary
+        # change of basis takes eigh, with non-trivial degenerate vectors
+        prob = AngularProblem(scalar_coeff=0.7, truncation=12, magnetic_coeff={0: 0.5})
         M = assemble_circle(prob)
-        vals = eigensolve(M).eigenvalues
-        assert np.allclose(vals[:4], [0.95, 0.95, 2.95, 2.95], atol=1e-12)
-        self._assert_first_pairs(M, count)
+        rng = np.random.default_rng(5)
+        Q = np.linalg.qr(rng.normal(size=M.shape) + 1j * rng.normal(size=M.shape))[0]
+        rotated = Q @ M @ Q.conj().T
+        for A in (M, 0.5 * (rotated + rotated.conj().T)):
+            vals = eigensolve(A).eigenvalues
+            assert np.allclose(vals[:4], [0.95, 0.95, 2.95, 2.95], atol=1e-12)
+            self._assert_first_pairs(A, count)
 
     @pytest.mark.parametrize("spoiled, raises", [(1, True), (4, False)])
     def test_count_checks_only_kept_pairs(self, monkeypatch, spoiled, raises):
-        # each route's full output is spoiled at pair `spoiled`; only the
-        # kept pairs 0..2 are checked
+        # each route's full output is spoiled at pair `spoiled`: eigh's
+        # vector, and the diagonal entry that the diagonal route reads as
+        # that pair's eigenvalue; only the kept pairs 0..2 are checked
         def spoil(vecs):
             vecs[:, spoiled] += 0.1 * vecs[:, spoiled + 1]
             return vecs
 
-        eigh, band_eigh = np.linalg.eigh, angular._band_eigh
+        def spoil_diagonal(M):
+            d = diagonal(M).copy()
+            d[spoiled] += 0.1
+            return d
+
+        eigh, diagonal = np.linalg.eigh, np.diagonal
         monkeypatch.setattr(np.linalg, "eigh", lambda M: (eigh(M)[0], spoil(eigh(M)[1])))
-
-        def band_spoiled(ab, b, vals, scale, _):
-            # the whole spectrum's pairs, in place of those up to the cut
-            every = angular._clusters(vals, 10 * angular.EIGENSOLVE_TOL * scale, len(vals))
-            ritz, vecs = band_eigh(ab, b, vals, scale, every)
-            return ritz, spoil(vecs)
-
-        monkeypatch.setattr(angular, "_band_eigh", band_spoiled)
-        band = np.diag(np.arange(1.0, 8.0))
-        # a corner coupling widens the band to 6, past the band route
-        dense = band.copy()
+        monkeypatch.setattr(np, "diagonal", spoil_diagonal)
+        diag = np.diag(np.arange(1.0, 8.0))
+        # a corner coupling takes eigh
+        dense = diag.copy()
         dense[0, 6] = dense[6, 0] = 1e-3
-        for M in (band, dense):
+        for M in (diag, dense):
             if raises:
                 with pytest.raises(EigensolveError):
                     eigensolve(M, count=3)
@@ -215,15 +236,19 @@ class TestEigensolve:
 
 
 def _magnetic_200():
-    """The truncation-200 magnetic matrix: bandwidth 2, dimension 401, with
-    the gauge-equivalent spectrum (m + 0.3)^2 + 0.2."""
+    """The truncation-200 magnetic matrix, dimension 401: the flux 0.3
+    alone, so diagonal, with the spectrum (m + 0.3)^2 + 0.2."""
     prob = AngularProblem(scalar_coeff=0.2, truncation=200,
                           magnetic_coeff={0: 0.3, 1: 0.1 + 0.2j, -1: 0.1 - 0.2j})
     return assemble_circle(prob)
 
 
 class TestBandRoute:
+    """The route a band matrix takes: its diagonal when the bandwidth is 0,
+    np.linalg.eigh otherwise."""
+
     def test_matches_eigh(self):
+        # the diagonal route on the benchmark's magnetic matrix
         M = _magnetic_200()
         eig = eigensolve(M)
         vals, vecs = np.linalg.eigh(M)
@@ -256,52 +281,24 @@ class TestBandRoute:
         assert np.array_equal(eig.eigenvalues, vals)
         assert np.array_equal(eig.eigenvectors, vecs)
 
-    @pytest.mark.parametrize("b, band", [(0, True), (4, True), (5, False), (15, False)])
-    def test_routing_rule(self, monkeypatch, b, band):
-        # the band route when b*b <= n, here n = 16, whatever the count
+    @pytest.mark.parametrize("b, diagonal", [(0, True), (4, False), (5, False), (15, False)])
+    def test_routing_rule(self, monkeypatch, b, diagonal):
+        # eigh for any off-diagonal entry, here at distance b, whatever the count
         calls = []
 
-        def spy(*args, **kwargs):
+        def spy(M):
             calls.append(1)
-            return eigvals_banded(*args, **kwargs)
+            return eigh(M)
 
-        eigvals_banded = angular.eigvals_banded
-        monkeypatch.setattr(angular, "eigvals_banded", spy)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", spy)
         M = np.diag(np.arange(16.0) ** 2)
         if b:
             M += np.diag(np.full(16 - b, 0.5), b) + np.diag(np.full(16 - b, 0.5), -b)
         for count in (None, 3):
             calls.clear()
             eigensolve(M, count=count)
-            assert calls == ([1] if band else [])
-
-    @pytest.mark.parametrize("count", [1, 2])
-    def test_count_cuts_a_close_group(self, count):
-        # eigenvalues 1, 1 + 2e-9 and 1 + 4e-5 form one close group, which
-        # the counts cut; the first two are one degenerate cluster but two
-        # runs, so the group's Rayleigh-Ritz rotation acts on their vectors.
-        # Two layers of plane rotations keep the bandwidth at 3 of 20.
-        n = 20
-        layers = np.eye(n), np.eye(n)
-        for start, Q in enumerate(layers):
-            for i in range(start, n - 1, 2):
-                c, s = math.cos(0.3 + 0.4 * start + 0.1 * i), math.sin(0.3 + 0.4 * start + 0.1 * i)
-                Q[i:i + 2, i:i + 2] = [[c, -s], [s, c]]
-        Q = layers[0] @ layers[1]
-        d = np.concatenate(([1.0, 1.0 + 2e-9, 1.0 + 4e-5], 3.0 + 2.0 * np.arange(n - 3)))
-        M = Q @ np.diag(d) @ Q.T
-        M = 0.5 * (M + M.T)
-        assert angular._bandwidth(M) == 3
-        TestEigensolve._assert_first_pairs(M, count)
-
-    def test_zero_pivot_stays_finite(self):
-        # the shift of the eigenvalue 1, four ulps below it, lands exactly on
-        # the diagonal entry 1 - 4 ulps: LAPACK reports a zero pivot
-        M = np.diag([1.0, 1.0 - 4 * np.spacing(1.0), 0.5])
-        eig = eigensolve(M)
-        assert np.all(np.isfinite(eig.eigenvectors))
-        assert np.allclose(np.abs(eig.eigenvectors), np.eye(3)[:, [2, 0, 1]], atol=1e-15)
-        assert eig.residual_bound <= 1e-15
+            assert calls == ([] if diagonal else [1])
 
 
 class TestNonFinite:
