@@ -458,6 +458,20 @@ class TestNonFiniteNorms:
         assert capsys.readouterr().err.startswith("numeric failure:")
         assert list(out.iterdir()) == []
 
+    # 1 + t^2 overflows past t ~ 1.34e154: both commands exited 5 with
+    # "the radial value requires r > 0", which names no input
+    @pytest.mark.parametrize("command, experiment", [
+        ("decay", {"mode": [0, 1], "weight": 0.25, "times": [1, 10, 1e100, 1e160]}),
+        ("evolve", {"mode": [0, 1], "t": 1e160, "route": "closed"}),
+    ])
+    def test_overflowing_time_is_named(self, tmp_path, capsys, command, experiment):
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": experiment})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "t = 1e+160" in err
+        assert list(out.iterdir()) == []
+
     # 300^400 overflows: kernel warned, wrote inf to weighted_modulus and
     # exited 0 before
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,13 @@ class TestClosedForm:
         # guarded NormalizedMode.radial
         mode = make_mode(ModeIndex(20, 1), table_loss)
         assert flow.evolve_mode_closed_form(mode, 1e20, t) == 0.0
+
+    @pytest.mark.parametrize("t", [1e160, -1e160, math.inf])
+    def test_overflowing_scale_names_t(self, mode01_loss, t):
+        # 1 + t^2 overflows past |t| ~ 1.34e154: r / sqrt(s) was 0 and the
+        # radial value raised "requires r > 0", which names no input
+        with pytest.raises(ValueError, match=re.escape(f"t = {t!r}")):
+            flow.evolve_mode_closed_form(mode01_loss, np.array([1.0, 2.0]), t)
 
     def test_free_gaussian_fresnel(self, mode01_free):
         # a=0 ground mode is a Gaussian; its evolution is the Fresnel formula
