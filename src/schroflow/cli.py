@@ -509,7 +509,7 @@ def cmd_decay(config: dict, out_dir: str, expect: dict,
 
     pairs = []
     for t in times:
-        sup = flow.weighted_sup_norm(r, flow.evolve_mode_closed_form(mode, r, t), weight)
+        sup = flow.weighted_sup_norm(r, flow.closed_form_amplitude(mode, r, t), weight)
         pairs.append((float(t), sup * ang_sup))
     report = flow.decay_fit(pairs, weight_exponent=weight)
 

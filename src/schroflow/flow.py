@@ -4,7 +4,8 @@ Three mutually cross-validating ways to evolve separated initial data under
 the scaling-invariant Schrodinger flow:
 
 * ``evolve_mode_closed_form`` -- exact evolution of a single oscillator
-  eigenfunction;
+  eigenfunction, its real amplitude times its phase
+  (``closed_form_amplitude``);
 * ``propagate_representation`` -- the representation formula, mode by mode:
   its radial integral is a Hankel transform, computed by FFTLog (one
   ``scipy.fft.fht`` call per mode on Re h and Im h stacked, O(n log n)) on a
@@ -99,6 +100,17 @@ class SeparatedState:
         return math.sqrt(total)
 
 
+def closed_form_amplitude(mode: NormalizedMode, r, t: float) -> np.ndarray:
+    """Real amplitude s^{-N/4} V(r/sqrt(s)), s = 1+t^2, of the closed form
+    at radii r > 0; the closed form is this times a phase of modulus 1, so
+    its absolute value is the closed form's modulus.  Raises ValueError
+    naming t if s overflows (|t| above about 1.34e154)."""
+    s = 1.0 + t * t
+    if not math.isfinite(s):
+        raise ValueError(f"the closed form's scale 1 + t^2 is not finite at t = {t!r}")
+    return s ** (-mode.N / 4.0) * mode.radial(np.asarray(r, dtype=float) / math.sqrt(s))
+
+
 def evolve_mode_closed_form(mode: NormalizedMode, r, t: float):
     """Exact radial part of the evolved eigenfunction at time t: the
     pseudoconformal image of the mode, with s = 1+t^2,
@@ -110,7 +122,7 @@ def evolve_mode_closed_form(mode: NormalizedMode, r, t: float):
     """
     r_arr = np.asarray(r, dtype=float)
     s = 1.0 + t * t
-    amp = s ** (-mode.N / 4.0) * mode.radial(r_arr / math.sqrt(s))
+    amp = closed_form_amplitude(mode, r_arr, t)
     # the phase's r^2 only where the amplitude is nonzero: past r ~ 1.3e154
     # it overflows, and 0 * exp(1j * inf) is NaN
     r_live = np.where(amp != 0, r_arr, 0.0)

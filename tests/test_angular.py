@@ -260,6 +260,24 @@ class TestBandRoute:
         overlap = np.abs(np.sum(eig.eigenvectors.conj() * vecs, axis=0))
         assert np.min(overlap) >= 1 - 1e-12
 
+    @pytest.mark.parametrize("tilt", [0.0, 1e-10])
+    def test_diagonal_residual_is_the_dense_one(self, tilt):
+        # the diagonal route gathers M's kept columns; its residual is the
+        # dense max |M @ vecs - vecs vals|, nonzero once the diagonal carries
+        # an imaginary part that eigensolve drops from the eigenvalues
+        M = _magnetic_200()
+        M[np.diag_indices_from(M)] += 1j * tilt * (np.arange(len(M)) % 3)
+        eig = eigensolve(M, count=24)
+        vals, vecs = eig.eigenvalues, eig.eigenvectors
+        dense = float(np.max(np.linalg.norm(M @ vecs - vecs * vals, axis=0)))
+        assert eig.residual_bound == dense
+        assert (dense > 0) == (tilt > 0)
+        # and the pairs are the stably sorted diagonal and its unit vectors
+        by_value = np.argsort(np.diagonal(M).real, kind="stable")[:24]
+        assert np.array_equal(vals, np.diagonal(M).real[by_value])
+        assert vecs.dtype == np.complex128
+        assert np.array_equal(vecs, np.eye(len(M), dtype=complex)[:, by_value])
+
     def test_real_matrix_keeps_real_vectors(self):
         M = np.diag(np.arange(12.0)) + np.diag(np.full(11, 0.4), 1) + np.diag(np.full(11, 0.4), -1)
         eig = eigensolve(M, count=5)

@@ -245,6 +245,26 @@ class TestDecay:
         assert abs(report["decay"]["fitted_slope"] + 1.25) < 0.02
         assert (out / "samples.csv").exists()
 
+    def test_samples_are_the_amplitude_sup(self, tmp_path):
+        # README's example: each sample is the weighted sup of the closed
+        # form's real amplitude, bit for bit; the complex field's modulus
+        # moved 4 of the 11 samples in their last digit
+        cfg = write_config(tmp_path, "c.json",
+                           {"problem": LOSS,
+                            "experiment": {"mode": [0, 1], "weight": 0.25,
+                                           "times": {"lo_exp": 4, "hi_exp": 14}}})
+        out = tmp_path / "out"
+        assert main(["decay", "--config", cfg, "--out", str(out)]) == 0
+        _, cols, rows = read_csv(out / "samples.csv")
+        assert cols == ["t", "weighted_sup"] and len(rows) == 11
+        table = build_table(constant_a_spectrum(3, -0.1875, 1), 3, 1)
+        mode = make_mode(ModeIndex(0, 1), table)
+        r = np.geomspace(1e-3, 60.0, 4000)
+        ang_sup = table.eigsys.sup_abs(1)
+        for t, sup in rows:
+            amp = flow.closed_form_amplitude(mode, r, float(t))
+            assert float(sup) == flow.weighted_sup_norm(r, amp, 0.25) * ang_sup
+
     def test_window_past_the_gaussian_underflow(self, tmp_path):
         # the closed form of an n = 20 mode on r up to 1e20 was NaN, and so
         # was the slope, with exit 0

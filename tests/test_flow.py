@@ -55,6 +55,53 @@ class TestClosedForm:
         assert np.max(np.abs(u - ref)) < 1e-12
 
 
+class TestClosedFormAmplitude:
+    """``closed_form_amplitude`` is the real factor s^{-N/4} V(r/sqrt(s)) of
+    the closed form, which ``decay`` samples for its modulus."""
+
+    MODES = [(0, 1), (2, 1), (20, 1), (0, 2)]
+    WINDOWS = [(1e-3, 60.0), (1e-3, 1e20)]
+    TIMES = flow.dyadic_times(0, 14)
+
+    @pytest.mark.parametrize("n, j", MODES)
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_times_phase_is_bitwise_the_closed_form(self, table_loss, n, j, window):
+        mode = make_mode(ModeIndex(n, j), table_loss)
+        r = np.geomspace(*window, 4000)
+        for t in self.TIMES:
+            amp = flow.closed_form_amplitude(mode, r, t)
+            assert amp.dtype == np.float64
+            s = 1.0 + t * t
+            r_live = np.where(amp != 0, r, 0.0)
+            phase = (np.exp(1j * r_live * r_live * t / (4.0 * s))
+                     * np.exp(-1j * mode.gamma * math.atan(t)))
+            assert np.array_equal(amp * phase, flow.evolve_mode_closed_form(mode, r, t))
+
+    @pytest.mark.parametrize("n, j", MODES)
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_weighted_sup_matches_the_complex_field(self, table_loss, n, j, window):
+        # the phase's modulus is 1 to a few ulps, so the sups agree to those
+        mode = make_mode(ModeIndex(n, j), table_loss)
+        r = np.geomspace(*window, 4000)
+        for t in self.TIMES:
+            sup = flow.weighted_sup_norm(r, flow.closed_form_amplitude(mode, r, t), mode.alpha)
+            ref = flow.weighted_sup_norm(r, flow.evolve_mode_closed_form(mode, r, t), mode.alpha)
+            assert sup > 0
+            assert abs(sup - ref) <= 1e-15 * ref
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_weight_fails_the_fit(self, mode01_loss):
+        # decay's pipeline at weight 400 on [1e-3, 1e10]: r^400 overflows on
+        # a nonzero sample, the sup is inf and the fit raises the ValueError
+        # that the CLI exits 5 on (tests/test_cli.py, TestNonFiniteNorms)
+        r = np.geomspace(1e-3, 1e10, 4000)
+        pairs = [(t, flow.weighted_sup_norm(r, flow.closed_form_amplitude(mode01_loss, r, t), 400))
+                 for t in flow.dyadic_times(4, 14)]
+        assert all(sup == math.inf for _, sup in pairs)
+        with pytest.raises(ValueError, match="finite"):
+            flow.decay_fit(pairs, weight_exponent=400)
+
+
 def _closed_state(mode, quad, t, table):
     """The closed form at time t sampled on the quadrature nodes."""
     return flow.SeparatedState(
