@@ -492,6 +492,18 @@ class TestNonFiniteNorms:
         assert err.startswith("numeric failure:") and "t = 1e+160" in err
         assert list(out.iterdir()) == []
 
+    # r / sqrt(1 + t^2) underflows to 0 at r = 1e-300, t = 1e100: decay
+    # exited 5 with "the radial value requires r > 0", which names no input
+    def test_underflowing_radius_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": {
+            "mode": [0, 1], "weight": 0.25, "window": [1e-300, 1.0],
+            "times": [1, 10, 1e10, 1e100]}})
+        out = tmp_path / "out"
+        assert main(["decay", "--config", cfg, "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "r = 1e-300, t = 1e+100" in err
+        assert list(out.iterdir()) == []
+
     # 300^400 overflows: kernel warned, wrote inf to weighted_modulus and
     # exited 0 before
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -44,6 +44,15 @@ class TestClosedForm:
         with pytest.raises(ValueError, match=re.escape(f"t = {t!r}")):
             flow.evolve_mode_closed_form(mode01_loss, np.array([1.0, 2.0]), t)
 
+    def test_underflowing_radius_names_r_and_t(self, mode01_loss):
+        # at t = 1e100, r = 1e-300 gives r / sqrt(s) = 1e-400, which is 0:
+        # the radial value raised "requires r > 0", which names no input
+        r = np.array([1e-300, 1e-3, 1.0])
+        with pytest.raises(ValueError, match=re.escape("r = 1e-300, t = 1e+100")):
+            flow.closed_form_amplitude(mode01_loss, r, 1e100)
+        # the same radii at t = 1e10 are all positive after the scale
+        assert np.all(flow.closed_form_amplitude(mode01_loss, r, 1e10) > 0)
+
     def test_free_gaussian_fresnel(self, mode01_free):
         # a=0 ground mode is a Gaussian; its evolution is the Fresnel formula
         r = np.linspace(0.1, 10.0, 200)
