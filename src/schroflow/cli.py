@@ -324,7 +324,7 @@ def _spectral_table(problem: dict, K: int):
 # artifact writing
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, int, np.integer)):
+    if isinstance(value, (bool, int, np.integer, np.bool_)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -345,7 +345,8 @@ def _cells(column) -> list[str]:
 
 def _write_csv(path: str, provenance: dict, extra_lines: list, columns: dict) -> None:
     """Provenance header, then one CSV column per item of ``columns``
-    (name -> array or sequence of values)."""
+    (name -> array or sequence of values, or a scalar: the same value on
+    every row, formatted once)."""
     lines = [f"# {provenance['tool']} {provenance['version']}",
              f"# command: {provenance['command']}",
              f"# config_sha256: {provenance['config_sha256']}"]
@@ -353,12 +354,15 @@ def _write_csv(path: str, provenance: dict, extra_lines: list, columns: dict) ->
         lines.append(f"# param {key}={_fmt(provenance['parameters'][key])}")
     lines.extend(f"# {text}" for text in extra_lines)
     lines.append(",".join(columns))
-    rows = max(map(len, columns.values()), default=0)
+    constant = {name: _fmt(c) for name, c in columns.items() if np.ndim(c) == 0}
+    rows = max((len(c) for name, c in columns.items() if name not in constant), default=0)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
         # a block of rows at a time keeps the formatted text small
         for start in range(0, rows, _CSV_BLOCK):
-            block = (_cells(c[start:start + _CSV_BLOCK]) for c in columns.values())
+            count = min(_CSV_BLOCK, rows - start)
+            block = ([constant[name]] * count if name in constant
+                     else _cells(c[start:start + _CSV_BLOCK]) for name, c in columns.items())
             fh.write("\n".join(map(",".join, zip(*block, strict=True))) + "\n")
 
 
@@ -486,7 +490,7 @@ def cmd_evolve(config: dict, out_dir: str, expect: dict,
         measured["rel_l2"] = rel
 
     _write_csv(os.path.join(out_dir, "profiles.csv"), provenance, [],
-               {"t": np.full(len(grid), t), "r": grid, "re_u": u.real, "im_u": u.imag})
+               {"t": t, "r": grid, "re_u": u.real, "im_u": u.imag})
     _write_json(os.path.join(out_dir, "summary.json"), provenance, summary)
     _check_expect(expect, measured)
     return EXIT_OK

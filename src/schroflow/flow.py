@@ -104,11 +104,18 @@ def closed_form_amplitude(mode: NormalizedMode, r, t: float) -> np.ndarray:
     """Real amplitude s^{-N/4} V(r/sqrt(s)), s = 1+t^2, of the closed form
     at radii r > 0; the closed form is this times a phase of modulus 1, so
     its absolute value is the closed form's modulus.  Raises ValueError
-    naming t if s overflows (|t| above about 1.34e154)."""
+    naming t if s overflows (|t| above about 1.34e154), and naming r and t
+    if some r > 0 has r/sqrt(s) underflow to 0."""
     s = 1.0 + t * t
     if not math.isfinite(s):
         raise ValueError(f"the closed form's scale 1 + t^2 is not finite at t = {t!r}")
-    return s ** (-mode.N / 4.0) * mode.radial(np.asarray(r, dtype=float) / math.sqrt(s))
+    r_arr = np.asarray(r, dtype=float)
+    x = r_arr / math.sqrt(s)
+    lost = (x == 0) & (r_arr > 0)
+    if lost.any():
+        raise ValueError(f"r / sqrt(1 + t^2) underflows to 0 at r = "
+                         f"{float(r_arr[lost].min())!r}, t = {t!r}")
+    return s ** (-mode.N / 4.0) * mode.radial(x)
 
 
 def evolve_mode_closed_form(mode: NormalizedMode, r, t: float):
@@ -310,7 +317,8 @@ def _hankel_grid(grid: np.ndarray, nu: float) -> tuple[float, float, np.ndarray]
     return dln, offset, math.exp(offset) / grid[::-1]
 
 
-def propagate_representation(state: SeparatedState, t: float) -> SeparatedState:
+def propagate_representation(state: SeparatedState, t: float,
+                             r_range=None) -> SeparatedState:
     """Evolve a separated state to time t > 0 through the kernel
     representation formula, reduced per angular mode to the radial integral
 
@@ -332,6 +340,13 @@ def propagate_representation(state: SeparatedState, t: float) -> SeparatedState:
     rho^{nu+1} at rho = 0; the bias q = -(nu+1)/2 keeps the output accurate
     at r << t: on r in [1e-6, 2] at t = 2^14 its sup error is about 1e-9
     where q = 0 gives 8e1.
+
+    Only the live prefix of the grid, up to the last node where some profile
+    is nonzero, is chirped: past it h is exactly 0.  ``r_range=(lo, hi)``
+    keeps the output nodes with lo <= r <= hi, and only those get the
+    prefactor e^{i r^2/4t} k^{-N/2}...; the default None keeps them all.
+    Either way each kept value is bitwise the one the whole computation
+    gives.  A range that holds no output node raises ValueError.
 
     Raises ResolutionError when the log step moves the phase rho^2/4t by more
     than 1/8 of a period, rho^2 dln/2t > pi/4, at the last rho where some
@@ -359,14 +374,22 @@ def propagate_representation(state: SeparatedState, t: float) -> SeparatedState:
             f"{edge:.3g}, more than 1/8 of a period; refine the grid or raise t"
         )
     r = 2.0 * t * k
+    lo, hi = (0.0, math.inf) if r_range is None else r_range
+    first, stop = np.searchsorted(r, lo), np.searchsorted(r, hi, side="right")
+    if first >= stop:
+        raise ValueError(f"r_range [{lo!r}, {hi!r}] holds no node of the output grid on "
+                         f"[{r[0]:.6g}, {r[-1]:.6g}]")
+    r, k = r[first:stop], k[first:stop]
     pref_common = np.exp(1j * r ** 2 / (4.0 * t)) * np.exp(-1j * math.pi * N / 4.0) \
         / (2.0 * t) ** (N / 2.0) * k ** (-N / 2.0)
-    chirp = g ** (N / 2.0) * np.exp(1j * g ** 2 / (4.0 * t))
+    live = 1 + max(int(np.max(np.flatnonzero(f), initial=-1)) for f in state.profiles.values())
+    chirp = g[:live] ** (N / 2.0) * np.exp(1j * g[:live] ** 2 / (4.0 * t))
+    h = np.zeros((2, len(g)))
     out_profiles = {}
     for j, f in state.profiles.items():
-        h, nu = chirp * f, order[j]
-        re, im = fft.fht(np.stack((h.real, h.imag)), dln, nu, offset=offset,
-                         bias=-(nu + 1.0) / 2.0)
+        hj, nu = chirp * f[:live], order[j]
+        h[0, :live], h[1, :live] = hj.real, hj.imag
+        re, im = fft.fht(h, dln, nu, offset=offset, bias=-(nu + 1.0) / 2.0)[:, first:stop]
         out_profiles[j] = pref_common * _unit_phase(table.row(j)[1]) * (re + 1j * im)
     return SeparatedState(grid=r, weights=r * dln, profiles=out_profiles, table=table)
 
@@ -413,8 +436,8 @@ def evolve_route(route: str, mode: NormalizedMode, table: SpectralTable, t: floa
         _window_mask(r[keep], window)
         state = SeparatedState(grid=grid, weights=weights,
                                profiles={mode.index.j: mode.radial(grid)}, table=table)
-        u = propagate_representation(state, t)
-        return u.grid[keep], u.weights[keep], u.profiles[mode.index.j][keep]
+        u = propagate_representation(state, t, r_range=(r_min, r_max))
+        return u.grid, u.weights, u.profiles[mode.index.j]
     if route != "closed":
         raise ValueError(f"route must be one of {', '.join(ROUTES)}, got {route!r}")
     quad = RadialQuadrature(r_max)

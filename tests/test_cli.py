@@ -220,6 +220,36 @@ class TestEvolve:
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
         assert "nan" not in (out / "profiles.csv").read_text()
 
+    @pytest.mark.parametrize("problem, experiment", [
+        (LOSS, {"mode": [0, 1], "t": 1.0}),
+        ({"N": 3, "a": 0.5}, {"mode": [2, 3], "t": 4.0, "r_max": 12.0}),
+        ({"N": 2, "a": 0.2, "magnetic": {"0": 0.3}}, {"mode": [1, 2], "t": 2.0}),
+    ])
+    def test_kernel_profiles_are_the_cropped_whole_output(self, tmp_path, monkeypatch,
+                                                           problem, experiment):
+        # the route forms only the output nodes in [1e-3 sqrt(1+t^2), r_max]
+        # and writes t as a scalar column: the file is the one written from
+        # the whole output grid cropped to that range, with np.full's t
+        cfg = write_config(tmp_path, "c.json", {"problem": problem, "experiment": {
+            **experiment, "route": "kernel"}})
+        written, write = [], cli._write_csv
+        monkeypatch.setattr(cli, "_write_csv", lambda *args: written.append(args) or write(*args))
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        [(_, provenance, extra, _)] = written
+        config, _ = cli.load_config(cfg, "evolve")
+        index, t, r_max = (config["experiment"][key] for key in ("mode", "t", "r_max"))
+        table = cli._spectral_table(config["problem"], index.j)
+        grid, weights = flow.log_grid()
+        whole = flow.propagate_representation(flow.SeparatedState(
+            grid, weights, {index.j: make_mode(index, table).radial(grid)}, table), t)
+        keep = (whole.grid >= 1e-3 * math.sqrt(1.0 + t * t)) & (whole.grid <= r_max)
+        u = whole.profiles[index.j][keep]
+        write(str(tmp_path / "ref.csv"), provenance, extra, {
+            "t": np.full(np.count_nonzero(keep), t), "r": whole.grid[keep],
+            "re_u": u.real, "im_u": u.imag})
+        assert (out / "profiles.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     @pytest.mark.parametrize("j, code", [(7, 0), (9, 2)])
     def test_last_mode_of_the_truncation(self, tmp_path, j, code):
         # truncation 3 has 7 circle modes
@@ -572,6 +602,18 @@ class TestCsv:
                  "# a note", ",".join(columns)]
         lines += [",".join(cli._fmt(v) for v in row) for row in zip(*columns.values())]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("value", [1.01915, -0.0, math.nan, math.inf, 7, True])
+    def test_scalar_column_is_the_full_column(self, tmp_path, value):
+        # a scalar column is formatted once and written on every row, over
+        # more than one block of rows
+        provenance = {"tool": "schroflow", "version": "0.1.0", "command": "evolve",
+                      "config_sha256": "0" * 64, "parameters": {"t": value}}
+        r = np.geomspace(1e-3, 10.0, 2 * cli._CSV_BLOCK + 5)
+        paths = [tmp_path / "scalar.csv", tmp_path / "full.csv"]
+        for path, t in zip(paths, [value, np.full(len(r), value)]):
+            cli._write_csv(str(path), provenance, [], {"t": t, "r": r})
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 FREE = {"N": 3, "a": 0.0}

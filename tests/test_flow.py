@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from schroflow import flow
-from schroflow.angular import (AngularProblem, assemble_circle,
+from schroflow.angular import (AngularProblem, assemble_circle, circle_eigensystem,
                                constant_a_spectrum, eigensolve)
 from schroflow.oscillator import (AccuracyWarning, HardyViolation, ModeIndex,
                                   build_table, make_mode, project)
@@ -326,9 +326,8 @@ def _log_state(mode, table):
 
 def _propagate(mode, table, t, lo, hi):
     """The mode propagated to time t, on the output nodes in [lo, hi]."""
-    out = flow.propagate_representation(_log_state(mode, table), t)
-    keep = (out.grid >= lo) & (out.grid <= hi)
-    return out.grid[keep], out.profiles[mode.index.j][keep]
+    out = flow.propagate_representation(_log_state(mode, table), t, r_range=(lo, hi))
+    return out.grid, out.profiles[mode.index.j]
 
 
 def _sup_error(u, ref, weight=1.0):
@@ -404,6 +403,101 @@ class TestRepresentation:
             profiles={1: np.exp(-quad_default.nodes ** 2)}, table=table)
         with pytest.raises(HardyViolation):
             flow.propagate_representation(state, 1.0)
+
+
+def _range_state(case):
+    """A state on the log grid: the N=3 mode (0,1) at a = -3/16 or (2,3) at
+    a = 0.5, the N=2 Aharonov-Bohm mode (1,2) at a = 0.2 with flux 0.3, the
+    two N=3 modes (0,1) and (20,2) at a = -3/16, or the mode (0,1) cut to 0
+    past rho = 5, where it is still about 1e-3."""
+    if case == "aharonov_bohm_12":
+        prob = AngularProblem(scalar_coeff=0.2, magnetic_coeff={0: 0.3}, truncation=16)
+        table, modes = build_table(circle_eigensystem(prob, count=2), 2, 2), [(1, 2)]
+    else:
+        a, modes = {"loss_01": (-0.1875, [(0, 1)]), "classical_23": (0.5, [(2, 3)]),
+                    "two_modes": (-0.1875, [(0, 1), (20, 2)]),
+                    "cut_01": (-0.1875, [(0, 1)])}[case]
+        table = build_table(constant_a_spectrum(3, a, 3), 3, 3)
+    grid, weights = flow.log_grid()
+    cut = grid <= 5.0 if case == "cut_01" else 1.0
+    return flow.SeparatedState(grid, weights, {
+        j: cut * make_mode(ModeIndex(n, j), table).radial(grid) for n, j in modes}, table)
+
+
+def _whole_chirp(state, t):
+    """propagate_representation's profiles with h = chirp * f formed on the
+    whole grid, past the last nonzero node too."""
+    from scipy import fft
+
+    N, g = state.N, state.grid
+    nus = {j: -state.table.row(j)[1] + (N - 2) / 2.0 for j in state.profiles}
+    dln, offset, k = flow._hankel_grid(g, nus[next(iter(nus))])
+    r = 2.0 * t * k
+    pref = np.exp(1j * r ** 2 / (4.0 * t)) * np.exp(-1j * math.pi * N / 4.0) \
+        / (2.0 * t) ** (N / 2.0) * k ** (-N / 2.0)
+    chirp = g ** (N / 2.0) * np.exp(1j * g ** 2 / (4.0 * t))
+    out = {}
+    for j, f in state.profiles.items():
+        h = chirp * f
+        re, im = fft.fht(np.stack((h.real, h.imag)), dln, nus[j], offset=offset,
+                         bias=-(nus[j] + 1.0) / 2.0)
+        out[j] = pref * flow._unit_phase(state.table.row(j)[1]) * (re + 1j * im)
+    return out
+
+
+class TestRepresentationRange:
+    """``r_range`` evaluates only the output nodes in [lo, hi], and only the
+    live prefix of the grid is chirped; neither moves a bit of the output."""
+
+    CASES = ["loss_01", "classical_23", "aharonov_bohm_12", "two_modes", "cut_01"]
+    TIMES = [0.7, 1.0, 4.0, 2.0 ** 14]
+
+    @pytest.mark.parametrize("t", TIMES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_range_is_the_sliced_whole_output(self, case, t):
+        state = _range_state(case)
+        whole = flow.propagate_representation(state, t)
+        s = math.sqrt(1.0 + t * t)
+        # the kernel route's range, a range whose ends are nodes, everything
+        for lo, hi in [(1e-3 * s, 8.0 * s), (whole.grid[1000], whole.grid[9000]),
+                       (0.0, math.inf)]:
+            keep = (whole.grid >= lo) & (whole.grid <= hi)
+            part = flow.propagate_representation(state, t, r_range=(lo, hi))
+            assert part.grid.tobytes() == whole.grid[keep].tobytes()
+            assert part.weights.tobytes() == whole.weights[keep].tobytes()
+            assert list(part.profiles) == list(whole.profiles)
+            for j, u in part.profiles.items():
+                assert u.tobytes() == whole.profiles[j][keep].tobytes()
+
+    @pytest.mark.parametrize("t", TIMES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_live_prefix_is_the_whole_chirp(self, case, t):
+        state = _range_state(case)
+        live = 1 + max(np.flatnonzero(f)[-1] for f in state.profiles.values())
+        assert live < len(state.grid)
+        ref = _whole_chirp(state, t)
+        out = flow.propagate_representation(state, t)
+        for j, u in out.profiles.items():
+            assert u.tobytes() == ref[j].tobytes()
+
+    def test_range_without_a_node_rejected(self, mode01_loss, table_loss):
+        state = _log_state(mode01_loss, table_loss)
+        r = flow.propagate_representation(state, 1.0).grid
+        for lo, hi in [(r[100] * (1 + 1e-9), r[101] * (1 - 1e-9)),
+                       (2.0 * r[-1], 3.0 * r[-1]), (1.0, 0.5)]:
+            with pytest.raises(ValueError, match="holds no node"):
+                flow.propagate_representation(state, 1.0, r_range=(lo, hi))
+
+    def test_all_zero_profile(self, table_loss):
+        # the phase guard reads the last node, 1e12: a ResolutionError,
+        # not an IndexError from the search for the live prefix
+        grid, weights = flow.log_grid()
+        state = flow.SeparatedState(grid, weights, {1: np.zeros_like(grid)}, table_loss)
+        with pytest.raises(flow.ResolutionError):
+            flow.propagate_representation(state, 1.0)
+        # past the guard's bound in t the live prefix is empty and u is 0
+        out = flow.propagate_representation(state, 1e30)
+        assert not np.any(out.profiles[1])
 
 
 class TestHeat:
