@@ -378,6 +378,15 @@ class TestKernel:
         ref = aharonov_bohm_series(0.3, 0.2, 9, 0.7, 2.9, np.array([0.3, 2.0, 7.5]))
         assert np.all(np.abs(values - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
 
+    def test_hardy_violation_exit_code(self, tmp_path, capsys):
+        # exit 0 with a kernel.csv built from the clamped alpha_1 = 0.5 before
+        cfg = write_config(tmp_path, "c.json", {"problem": {"N": 3, "a": -0.3}, "experiment": {
+            "K": 4, "rho": [0.5], "x_dir": [0.1, 0.2], "y_dir": [0.3, 0.4]}})
+        out = tmp_path / "out"
+        assert main(["kernel", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("Hardy condition violated:")
+        assert not (out / "kernel.csv").exists()
+
     def test_empty_grid_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
                            {"problem": {"N": 3, "a": 0.0},

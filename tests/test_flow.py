@@ -211,6 +211,13 @@ class TestKernel:
         with pytest.raises(ValueError):
             flow.kernel_eval(spec, (0.1, 0.0), (2.0, 1.0), np.array([1.0, 0.0]))
 
+    def test_requires_hardy(self):
+        # a = -0.3 at N=3: build_table clamps beta_1 to 0, so the series
+        # would be summed with alpha_1 = 0.5 of a basis that does not exist
+        table = build_table(constant_a_spectrum(3, -0.3, 4), 3, 4)
+        with pytest.raises(HardyViolation):
+            flow.kernel_eval(flow.KernelSpec(table=table), (0.1, 0.2), (0.3, 0.4), 0.5)
+
     def test_negative_rho_rejected(self, table_free):
         with pytest.raises(ValueError):
             flow.kernel_eval(flow.KernelSpec(table=table_free), (0.1, 0.0), (2.0, 1.0),
