@@ -4,10 +4,10 @@ frequency-dependent decay-exponent experiments."""
 
 from .angular import (AngularEigensystem, AngularProblem, assemble_circle,
                       circle_eigensystem, constant_a_spectrum, eigensolve)
-from .flow import (DecayReport, KernelSpec, SeparatedState, compare_routes,
-                   decay_fit, evolve_mode_closed_form, heat_residual,
-                   heat_self_similar, kernel_eval, propagate_representation,
-                   pseudoconformal, weighted_sup_norm)
+from .flow import (KernelSpec, SeparatedState, compare_routes, decay_fit,
+                   evolve_mode_closed_form, heat_residual, heat_self_similar,
+                   kernel_eval, propagate_representation, pseudoconformal,
+                   weighted_sup_norm)
 from .oscillator import (ModeIndex, NormalizedMode, SpectralTable, build_table,
                          gamma_of, make_mode, project)
 from .quadrature import RadialQuadrature
@@ -17,7 +17,7 @@ from .specfun import PolySpec, bessel_j, j_scaled, legendre_p, sph_harm
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularEigensystem", "AngularProblem", "DecayReport", "KernelSpec",
+    "AngularEigensystem", "AngularProblem", "KernelSpec",
     "ModeIndex", "NormalizedMode", "PolySpec", "RadialQuadrature",
     "RadialSchema", "SeparatedState", "SpectralTable", "assemble_circle",
     "bessel_j", "build_table", "circle_eigensystem", "compare_routes",

@@ -370,18 +370,8 @@ def _write_json(path: str, provenance: dict, payload: dict) -> None:
     document = {"schema_version": SCHEMA_VERSION, "provenance": provenance}
     document.update(payload)
     with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 def _read_expect(text: str | None) -> dict:
@@ -476,16 +466,16 @@ def cmd_evolve(config: dict, out_dir: str, expect: dict,
 
     table = _spectral_table(problem, mode_idx.j)
     mode = make_mode(mode_idx, table)
-    window = experiment["window"] if "window" in _EVOLVE_ROUTE_KEYS[route] else None
-    with _window_of("experiment.window"):
-        grid, weights, u = flow.evolve_route(route, mode, table, t, window=window, **{
-            key: experiment[key] for key in ("r_max", "fd_points", "dt")})
+    grid, weights, u = flow.evolve_route(route, mode, table, t, **{
+        key: experiment[key] for key in ("r_max", "fd_points", "dt")})
 
     summary = {"route": route, "t": t, "mode": [mode_idx.n, mode_idx.j]}
     measured = {}
-    if window is not None:
-        rel, _ = flow.window_errors(u, flow.evolve_mode_closed_form(mode, grid, t),
-                                    grid, weights, problem["N"], window)
+    if "window" in _EVOLVE_ROUTE_KEYS[route]:
+        window = experiment["window"]
+        with _window_of("experiment.window"):
+            rel, _ = flow.window_errors(u, flow.evolve_mode_closed_form(mode, grid, t),
+                                        grid, weights, problem["N"], window)
         summary.update({"rel_l2_vs_closed": rel, "window": window})
         measured["rel_l2"] = rel
 
@@ -515,15 +505,14 @@ def cmd_decay(config: dict, out_dir: str, expect: dict,
     for t in times:
         sup = flow.weighted_sup_norm(r, flow.closed_form_amplitude(mode, r, t), weight)
         pairs.append((float(t), sup * ang_sup))
-    report = flow.decay_fit(pairs, weight_exponent=weight)
+    fit = flow.decay_fit(pairs)
 
     _write_csv(os.path.join(out_dir, "samples.csv"), provenance, [],
                dict(zip(["t", "weighted_sup"], zip(*pairs))))
-    payload = {"decay": report.to_dict(),
+    payload = {"decay": {**fit, "weight_exponent": weight},
                "reference_slope": -problem["N"] / 2.0 + mode.alpha}
     _write_json(os.path.join(out_dir, "decay.json"), provenance, payload)
-    _check_expect(expect, {"slope": report.fitted_slope,
-                           "r_squared": report.r_squared})
+    _check_expect(expect, {"slope": fit["fitted_slope"], "r_squared": fit["r_squared"]})
     return EXIT_OK
 
 
@@ -593,23 +582,23 @@ def cmd_heat(config: dict, out_dir: str, expect: dict,
     pairs = [(float(t), float(abs(
         math.sqrt(t) ** alpha_k * flow.heat_self_similar(N, alpha_k, math.sqrt(t), t))))
         for t in times]
-    report = flow.decay_fit(pairs, weight_exponent=alpha_k)
+    fit = flow.decay_fit(pairs)
 
     _write_csv(os.path.join(out_dir, "heat.csv"), provenance, [],
                {"r": grid, "v_initial": v0, "v_fd": v_fd, "v_exact": v_exact})
     payload = {
         "residual_rel": residual,
         "stepper_rel_l2": rel_l2,
-        "fitted_exponent": report.fitted_slope,
+        "fitted_exponent": fit["fitted_slope"],
         "reference_exponent": -N / 2.0 + alpha_k,
-        "fit": report.to_dict(),
+        "fit": {**fit, "weight_exponent": alpha_k},
     }
     if a == 0.0:
         free = t1 ** (-N / 2.0) * np.exp(-grid ** 2 / (4.0 * t1))
         payload["free_profile_dev"] = float(np.max(np.abs(v_exact - free)))
     _write_json(os.path.join(out_dir, "residual.json"), provenance, payload)
     _check_expect(expect, {"residual": residual, "rel_l2": rel_l2,
-                           "exponent": report.fitted_slope})
+                           "exponent": fit["fitted_slope"]})
     return EXIT_OK
 
 

@@ -221,8 +221,11 @@ def kernel_eval(spec: KernelSpec, x_dir, y_dir, rho) -> tuple[np.ndarray, np.nda
     block's angular sum times its factor phase j.  The tail bound is the
     Cauchy-Schwarz bound of the last block, |phase j| sqrt(sum |psi_k(x)|^2
     sum |psi_k(y)|^2).  At rho = 0 only alpha_k = 0 contributes, and a mode
-    with alpha_k > 0 raises ValueError.
+    with alpha_k > 0 raises ValueError.  A table that violates the Hardy
+    condition raises HardyViolation: its alpha_k are not those of a basis.
     """
+    if not spec.table.hardy_ok:
+        raise HardyViolation("the kernel series requires the Hardy condition")
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ValueError("kernel_eval requires rho >= 0")
@@ -398,7 +401,7 @@ ROUTES = ("closed", "kernel", "fd")
 
 
 def evolve_route(route: str, mode: NormalizedMode, table: SpectralTable, t: float,
-                 r_max: float, fd_points: int, dt: float, window=None) -> tuple:
+                 r_max: float, fd_points: int, dt: float) -> tuple:
     """Evolve one mode to time t by one route; returns (grid, weights, u) on
     the route's own grid:
 
@@ -413,27 +416,20 @@ def evolve_route(route: str, mode: NormalizedMode, table: SpectralTable, t: floa
       extrapolation (9 u_{h/3} - u_h) / 8 cancels its leading term.  The
       time step dt is the same on both grids, so the Pade step's error in
       time is kept, not cancelled.
-
-    Given a window [lo, hi], raises WindowError before the route runs if the
-    window holds no node of that grid.
     """
     if route == "fd":
         coarse, fine = (RadialSchema(N=mode.N, mu=table.row(mode.index.j)[0], R=r_max,
                                      M=cells, dt=dt) for cells in (fd_points, 3 * fd_points))
         grid = coarse.grid
-        _window_mask(grid, window)
         u_coarse = evolve_schrodinger(coarse, mode.radial(grid), t)
         u_fine = evolve_schrodinger(fine, mode.radial(fine.grid), t)[1::3]
         return grid, np.full(fd_points, coarse.h), (9.0 * u_fine - u_coarse) / 8.0
     if route == "kernel":
-        grid, weights = log_grid()
-        r = 2.0 * t * _hankel_grid(grid, -mode.alpha + (mode.N - 2) / 2.0)[2]
         r_min = 1e-3 * math.sqrt(1.0 + t * t)
-        keep = (r >= r_min) & (r <= r_max)
-        if not keep.any():
+        if r_min > r_max:
             raise ValueError(f"the kernel route resolves r >= {r_min:.3g} at t = {t!r}, "
                              f"past r_max = {r_max!r}")
-        _window_mask(r[keep], window)
+        grid, weights = log_grid()
         state = SeparatedState(grid=grid, weights=weights,
                                profiles={mode.index.j: mode.radial(grid)}, table=table)
         u = propagate_representation(state, t, r_range=(r_min, r_max))
@@ -441,28 +437,18 @@ def evolve_route(route: str, mode: NormalizedMode, table: SpectralTable, t: floa
     if route != "closed":
         raise ValueError(f"route must be one of {', '.join(ROUTES)}, got {route!r}")
     quad = RadialQuadrature(r_max)
-    _window_mask(quad.nodes, window)
     return quad.nodes, quad.weights, evolve_mode_closed_form(mode, quad.nodes, t)
-
-
-def _window_mask(r: np.ndarray, window) -> np.ndarray | None:
-    """The nodes of the grid r in window = [lo, hi]; WindowError if it holds
-    none.  No window, no mask."""
-    if window is None:
-        return None
-    lo, hi = window
-    mask = (r >= lo) & (r <= hi)
-    if not mask.any():
-        raise WindowError(f"[{lo!r}, {hi!r}] holds no node of the grid on "
-                          f"[{r[0]:.6g}, {r[-1]:.6g}]")
-    return mask
 
 
 def window_errors(u, ref, r, weights, N: int, window) -> tuple[float, float]:
     """Relative L^2(r^{N-1} dr) and sup distances of u from ref on the nodes
     of the grid r in window = [lo, hi]; WindowError if the window holds none,
     FloatingPointError if ref is zero or not finite there."""
-    mask = _window_mask(r, window)
+    lo, hi = window
+    mask = (r >= lo) & (r <= hi)
+    if not mask.any():
+        raise WindowError(f"[{lo!r}, {hi!r}] holds no node of the grid on "
+                          f"[{r[0]:.6g}, {r[-1]:.6g}]")
     u, ref, r, weights = u[mask], ref[mask], r[mask], weights[mask]
     rpow = r ** (N - 1)
     err = np.sqrt(np.sum(weights * np.abs(u - ref) ** 2 * rpow))
@@ -487,7 +473,7 @@ def compare_routes(mode: NormalizedMode, table: SpectralTable, T: float, r_max: 
     against the closed form on each route's own grid and against each other.
     Returns {"mode", "l2_rel", "sup_rel", "failures"}: the errors by pair,
     and the repr of the exception of each failed route.  A window that holds
-    no node of a route's grid raises WindowError before that route runs.
+    no node of a route's grid raises WindowError.
 
     ``representation_vs_fd`` is measured on the representation grid, where
     the fd profile is read by the 4-point Lagrange interpolant of the smooth
@@ -504,10 +490,7 @@ def compare_routes(mode: NormalizedMode, table: SpectralTable, T: float, r_max: 
     runs = {}
     for route, name in (("kernel", "representation"), ("fd", "fd")):
         try:
-            runs[name] = evolve_route(route, mode, table, T, r_max, fd_points, dt,
-                                      window=window)
-        except WindowError:
-            raise
+            runs[name] = evolve_route(route, mode, table, T, r_max, fd_points, dt)
         except Exception as exc:  # noqa: BLE001 - partial reports carry the failure
             report["failures"][name] = repr(exc)
     # the closed form is the oracle for the other two
@@ -611,36 +594,16 @@ def weighted_sup_norm(r: np.ndarray, u: np.ndarray, weight_exponent: float) -> f
     return float(np.max(weighted_modulus(r, np.abs(u), weight_exponent), initial=0.0))
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    """Log-log least-squares fit of (time, norm) decay samples."""
-
-    times: np.ndarray
-    norms: np.ndarray
-    weight_exponent: float
-    fitted_slope: float
-    fitted_intercept: float
-    r_squared: float
-
-    def to_dict(self) -> dict:
-        return {
-            "times": [float(t) for t in self.times],
-            "norms": [float(n) for n in self.norms],
-            "weight_exponent": self.weight_exponent,
-            "fitted_slope": self.fitted_slope,
-            "fitted_intercept": self.fitted_intercept,
-            "r_squared": self.r_squared,
-        }
-
-
 MIN_FIT_SAMPLES = 4
 
 
-def decay_fit(samples, weight_exponent: float = 0.0) -> DecayReport:
+def decay_fit(samples) -> dict:
     """Least-squares power-law fit on (log t, log norm) pairs.
 
-    The slope is the measured decay exponent; the intercept is reported raw
-    (no constant is asserted).
+    Returns {"times", "norms", "fitted_slope", "fitted_intercept",
+    "r_squared"} as Python floats, the samples sorted by time.  The slope is
+    the measured decay exponent; the intercept is reported raw (no constant
+    is asserted).
     """
     samples = sorted(samples)
     times = np.array([s[0] for s in samples], dtype=float)
@@ -661,10 +624,8 @@ def decay_fit(samples, weight_exponent: float = 0.0) -> DecayReport:
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_sq = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return DecayReport(
-        times=times, norms=norms, weight_exponent=weight_exponent,
-        fitted_slope=float(slope), fitted_intercept=float(intercept), r_squared=r_sq,
-    )
+    return {"times": times.tolist(), "norms": norms.tolist(), "fitted_slope": float(slope),
+            "fitted_intercept": float(intercept), "r_squared": r_sq}
 
 
 def dyadic_times(lo_exp: int = 0, hi_exp: int = 10) -> np.ndarray:

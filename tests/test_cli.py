@@ -87,6 +87,13 @@ class TestSpectrum:
                      "--expect", '{"alpha_1": 0.5, "alpha_1_tol": 0.01}'])
         assert code == 4
 
+    def test_bound_miss_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": {"K": 1}})
+        code = main(["spectrum", "--config", cfg, "--out", str(tmp_path),
+                     "--expect", '{"alpha_1_max": 0.1}'])
+        assert code == 4
+        assert capsys.readouterr().err == "expectation miss: alpha_1 = 0.25 exceeds bound 0.1\n"
+
     def test_magnetic_circle_spectrum(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
                            {"problem": {"N": 2, "magnetic": {"0": 0.3},
@@ -378,15 +385,6 @@ class TestKernel:
         ref = aharonov_bohm_series(0.3, 0.2, 9, 0.7, 2.9, np.array([0.3, 2.0, 7.5]))
         assert np.all(np.abs(values - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
 
-    def test_hardy_violation_exit_code(self, tmp_path, capsys):
-        # exit 0 with a kernel.csv built from the clamped alpha_1 = 0.5 before
-        cfg = write_config(tmp_path, "c.json", {"problem": {"N": 3, "a": -0.3}, "experiment": {
-            "K": 4, "rho": [0.5], "x_dir": [0.1, 0.2], "y_dir": [0.3, 0.4]}})
-        out = tmp_path / "out"
-        assert main(["kernel", "--config", cfg, "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("Hardy condition violated:")
-        assert not (out / "kernel.csv").exists()
-
     def test_empty_grid_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
                            {"problem": {"N": 3, "a": 0.0},
@@ -484,6 +482,23 @@ class TestCompare:
         parameters = json.loads((out / "compare.json").read_text())["provenance"]["parameters"]
         assert {key: parameters[key] for key in ("T", "r_max", "fd_points", "dt", "window")} \
             == {"T": 1.0, "r_max": 30.0, "fd_points": 1500, "dt": 1e-2, "window": [0.1, 8.0]}
+
+
+@pytest.mark.parametrize("command, experiment", [
+    ("evolve", {"mode": [0, 1], "t": 1.0}),
+    ("decay", {"mode": [0, 1]}),
+    ("compare", {"mode": [0, 1]}),
+    # exit 0 with a kernel.csv built from the clamped alpha_1 = 0.5 before
+    ("kernel", {"K": 4, "rho": [0.5], "x_dir": [0.1, 0.2], "y_dir": [0.3, 0.4]}),
+])
+def test_hardy_violation_exits_3(tmp_path, capsys, command, experiment):
+    # a = -0.3 < -1/4 violates the Hardy condition at N=3
+    cfg = write_config(tmp_path, "c.json", {"problem": {"N": 3, "a": -0.3},
+                                            "experiment": experiment})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("Hardy condition violated:")
+    assert not any(out.iterdir())
 
 
 class TestUnderflowedReference:
@@ -665,6 +680,9 @@ class TestConfigErrors:
         pytest.param("spectrum", {"problem": {**FREE, "magnetic": {"0": 0.3}}},
                      id="magnetic N=3"),
         pytest.param("spectrum", {"problem": {"N": 3, "a": {"0": 0.1}}}, id="Fourier a N=3"),
+        # a real coefficient function has c_{-q} = conj(c_q)
+        pytest.param("spectrum", {"problem": {"N": 2, "a": {"1": 0.3}}},
+                     id="a not conjugate-symmetric"),
         # the later value overwrote the earlier one: a Fourier index given
         # twice once the keys are read as integers
         pytest.param("spectrum", {"problem": {"N": 2, "magnetic": {"0": 0.25, "+0": 0.4}}},
@@ -716,6 +734,10 @@ class TestConfigErrors:
             "mode": [0, 1], "times": [1, 2, 4, 4]}}, id="times repeated"),
         pytest.param("heat", {"problem": FREE, "experiment": {"fit_times": [1, 2, 3]}},
                      id="fit_times 3 values"),
+        pytest.param("heat", {"problem": FREE, "experiment": {"t0": 2.0, "t1": 1.0}},
+                     id="heat t0 > t1"),
+        pytest.param("heat", {"problem": FREE, "experiment": {"t0": 1.0, "t1": 1.0}},
+                     id="heat t0 = t1"),
         pytest.param("compare", {"problem": FREE, "experiment": {"mode": [0, 1], "T": 0}},
                      id="compare T 0"),
         # the heat residual window is fixed: these invalid residual blocks,
@@ -836,16 +858,14 @@ class TestConfigErrors:
         pytest.param("compare", {**SMALL_RUNS["compare"], "window": [100, 200]},
                      id="compare"),
     ])
-    def test_window_checked_before_the_route_runs(self, tmp_path, monkeypatch, capsys,
-                                                  command, experiment):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a route ran before its window was checked")
-
-        monkeypatch.setattr(flow, "evolve_schrodinger", refuse)
-        monkeypatch.setattr(flow, "propagate_representation", refuse)
+    def test_window_checked_before_the_route_runs(self, tmp_path, capsys, command, experiment):
+        # the route runs; the window is checked where it is measured, before
+        # any artifact is written
         cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": experiment})
-        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: experiment.window")
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("expect", [
         '{"alpha_1": 0, "alpha_1_tol": "x"}', '{"alpha_1_max": "x"}',
@@ -854,12 +874,25 @@ class TestConfigErrors:
         '{"alpha_1_tol": 0.02}', '{"alpha_1": 0.24, "alpha1_tol": 0.02}',
         # a negative tolerance failed every value (exit 4)
         '{"alpha_1": 0.25, "alpha_1_tol": -0.01}',
+        # not an object, and names that no command measures
+        '[1]', '{"nope": 1}', '{"nope_max": 1}',
     ])
     def test_non_numeric_expectation_exit_code(self, tmp_path, capsys, expect):
         cfg = write_config(tmp_path, "c.json", {"problem": LOSS})
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path),
                      "--expect", expect]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("text, out", [
+        pytest.param('{"problem": {"N": 3,', "out", id="invalid JSON config"),
+        pytest.param('{"problem": {"N": 3, "a": 0.0}}', "c.json/out", id="out below a file"),
+    ])
+    def test_unusable_config_or_out_exit_code(self, tmp_path, capsys, text, out):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert sorted(tmp_path.iterdir()) == [cfg]
 
     def test_explicit_out_overrides_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
