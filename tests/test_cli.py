@@ -490,6 +490,8 @@ class TestCompare:
     ("compare", {"mode": [0, 1]}),
     # exit 0 with a kernel.csv built from the clamped alpha_1 = 0.5 before
     ("kernel", {"K": 4, "rho": [0.5], "x_dir": [0.1, 0.2], "y_dir": [0.3, 0.4]}),
+    # exit 2 before, citing the rho = 0 rule against the clamped alpha_k = 0.5
+    ("kernel", {"K": 4, "rho": [0.0, 0.5], "x_dir": [0.1, 0.2], "y_dir": [0.3, 0.4]}),
 ])
 def test_hardy_violation_exits_3(tmp_path, capsys, command, experiment):
     # a = -0.3 < -1/4 violates the Hardy condition at N=3
