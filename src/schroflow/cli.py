@@ -529,6 +529,11 @@ def cmd_kernel(config: dict, out_dir: str, expect: dict,
     provenance["parameters"].update({"k_start": spec.k_start, "K": experiment["K"],
                                      "path": spec.path, "weight_exponent": w_exp})
 
+    # a Hardy-violating table's alpha_k are clamped, not a basis's, so the
+    # rho = 0 rule below would cite an alpha_k that does not exist
+    if not table.hardy_ok:
+        print("Hardy condition violated: mu_1 <= -((N-2)/2)^2", file=sys.stderr)
+        return EXIT_HARDY
     rho = np.asarray(experiment["rho"], dtype=float)
     # j_{-alpha}(rho) is unbounded at rho = 0 for alpha > 0
     alpha_max = float(np.max(table.alpha[spec.k_start - 1:]))
