@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -125,6 +125,14 @@ class TestCircleAssembly:
             assert np.array_equal(np.signbit(part(M)), np.signbit(part(ref)))
 
 
+def _near_degenerate():
+    """A of M = A + A^T with eigenvalues 0, 0, 0 and 2.0e-10: closer than
+    10 EIGENSOLVE_TOL but not split apart by roundoff."""
+    A = np.zeros((6, 6))
+    A[0, 1], A[5, 0], A[5, 5] = 1e-5, 1.0, 1.0
+    return A
+
+
 class TestEigensolve:
     def test_identity_matrix(self):
         eig = eigensolve(np.eye(5))
@@ -225,6 +233,7 @@ class TestEigensolve:
     @settings(max_examples=25, deadline=None)
     @given(hnp.arrays(np.float64, (6, 6),
                       elements=st.floats(-5, 5, allow_nan=False)))
+    @example(_near_degenerate())
     def test_reconstruction_property(self, A):
         M = A + A.T
         eig = eigensolve(M)
