@@ -232,7 +232,9 @@ def eigensolve(M: np.ndarray, count: int | None = None) -> AngularEigensystem:
     # the tolerance scale is max|lambda| of the whole spectrum, kept or not
     scale = max(np.max(np.abs(vals)), 1.0)
     kept = len(vals) if count is None else min(count, len(vals))
-    clusters = _clusters(vals, 10 * EIGENSOLVE_TOL * scale, kept)
+    # a cluster joins only values that roundoff can split apart: a wider one
+    # joins distinct values, and its basis-index order is then not ascending
+    clusters = _clusters(vals, 64 * np.finfo(float).eps * scale, kept)
     if diagonal:
         stop = clusters[-1][1]
         vecs = np.zeros((n, stop), dtype=np.result_type(M, 1.0))
