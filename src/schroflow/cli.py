@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -486,6 +487,12 @@ def cmd_evolve(config: dict, out_dir: str, expect: dict,
     return EXIT_OK
 
 
+# samples per closed-form call of decay: the default 11 times of 4000
+# samples are one call, and 1023 times are 64 calls, not one (times,
+# samples) array of 4 million samples and its temporaries
+_DECAY_BLOCK = 2 ** 16
+
+
 def cmd_decay(config: dict, out_dir: str, expect: dict,
               provenance: dict) -> int:
     problem, experiment = config["problem"], config["experiment"]
@@ -501,10 +508,14 @@ def cmd_decay(config: dict, out_dir: str, expect: dict,
     ang_sup = table.eigsys.sup_abs(mode_idx.j)
     r = np.geomspace(*window, experiment["samples"])
 
-    pairs = []
-    for t in times:
-        sup = flow.weighted_sup_norm(r, flow.closed_form_amplitude(mode, r, t), weight)
-        pairs.append((float(t), sup * ang_sup))
+    # every time at once, as rows of one (times, samples) array, in blocks of
+    # rows that keep the array small when times * samples is large
+    rows = max(1, _DECAY_BLOCK // len(r))
+    sups = []
+    for start in range(0, len(times), rows):
+        amp = flow.closed_form_amplitude(mode, r, times[start:start + rows])
+        sups.extend(flow.weighted_sup_norm(r, amp, weight).tolist())
+    pairs = [(float(t), sup * ang_sup) for t, sup in zip(times, sups)]
     fit = flow.decay_fit(pairs)
 
     _write_csv(os.path.join(out_dir, "samples.csv"), provenance, [],
@@ -670,7 +681,10 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 # entry point
 
-def _parse_args(argv):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call of a process and
+    reused by every later one: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="schroflow",
         description="Spectral simulation of scaling-invariant Schrodinger and "
@@ -685,11 +699,11 @@ def _parse_args(argv):
     parser.add_argument("--expect", default=None,
                         help="JSON object of expected headline values; a miss "
                              "exits with code 4")
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv if argv is not None else sys.argv[1:])
+    args = _parser().parse_args(argv if argv is not None else sys.argv[1:])
     try:
         config, provenance = load_config(args.config, args.command)
         expect = _read_expect(args.expect)

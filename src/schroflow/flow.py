@@ -100,22 +100,36 @@ class SeparatedState:
         return math.sqrt(total)
 
 
-def closed_form_amplitude(mode: NormalizedMode, r, t: float) -> np.ndarray:
+def closed_form_amplitude(mode: NormalizedMode, r, t) -> np.ndarray:
     """Real amplitude s^{-N/4} V(r/sqrt(s)), s = 1+t^2, of the closed form
-    at radii r > 0; the closed form is this times a phase of modulus 1, so
-    its absolute value is the closed form's modulus.  Raises ValueError
-    naming t if s overflows (|t| above about 1.34e154), and naming r and t
-    if some r > 0 has r/sqrt(s) underflow to 0."""
-    s = 1.0 + t * t
-    if not math.isfinite(s):
-        raise ValueError(f"the closed form's scale 1 + t^2 is not finite at t = {t!r}")
+    at radii r > 0 and times t, of shape t.shape + r.shape; each time's row
+    is bitwise its own call's.  The closed form is this times a phase of
+    modulus 1, so its absolute value is the closed form's modulus.  Raises
+    ValueError at the first time, in order, whose s overflows (|t| above
+    about 1.34e154), naming t, or for which some r > 0 has r/sqrt(s)
+    underflow to 0, naming t and the least such r."""
+    t_arr = np.asarray(t, dtype=float)
     r_arr = np.asarray(r, dtype=float)
-    x = r_arr / math.sqrt(s)
+    with np.errstate(over="ignore"):
+        s = 1.0 + t_arr * t_arr
+    per_time = s.shape + (1,) * r_arr.ndim
+    x = r_arr / np.sqrt(s).reshape(per_time)
     lost = (x == 0) & (r_arr > 0)
-    if lost.any():
+    failed = ~np.isfinite(s) | lost.any(axis=tuple(range(s.ndim, x.ndim)))
+    if failed.any():
+        at = np.unravel_index(np.flatnonzero(failed)[0], s.shape)
+        t_at = float(t_arr[at])
+        if not math.isfinite(s[at]):
+            raise ValueError(f"the closed form's scale 1 + t^2 is not finite at t = {t_at!r}")
         raise ValueError(f"r / sqrt(1 + t^2) underflows to 0 at r = "
-                         f"{float(r_arr[lost].min())!r}, t = {t!r}")
-    return s ** (-mode.N / 4.0) * mode.radial(x)
+                         f"{float(r_arr[lost[at]].min())!r}, t = {t_at!r}")
+    return _scalar_pow(s, -mode.N / 4.0).reshape(per_time) * mode.radial(x)
+
+
+def _scalar_pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """base ** exponent element by element in Python floats: the bits of a
+    scalar call, which numpy's vectorised power does not always give."""
+    return np.reshape([b ** exponent for b in base.ravel().tolist()], base.shape)
 
 
 def evolve_mode_closed_form(mode: NormalizedMode, r, t: float):
@@ -526,19 +540,24 @@ def _lagrange4(x: np.ndarray, x0: float, h: float, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def heat_self_similar(N: int, alpha_k: float, r, t: float):
+def heat_self_similar(N: int, alpha_k: float, r, t):
     """Radial part of the exact self-similar solution of the heat flow with
     inverse-square potential and constant angular coefficient:
 
-        v(x, t) = t^{-N/2 + alpha_k} r^{-alpha_k} e^{-r^2/(4t)} psi_k(theta).
+        v(x, t) = t^{-N/2 + alpha_k} r^{-alpha_k} e^{-r^2/(4t)} psi_k(theta),
+
+    at radii r and times t > 0, of shape t.shape + r.shape; each time's row
+    is bitwise its own call's.
     """
-    if t <= 0:
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr <= 0):
         raise ValueError("heat_self_similar requires t > 0")
     r_arr = np.asarray(r, dtype=float)
-    out = t ** (-N / 2.0 + alpha_k) * r_arr ** (-alpha_k) * np.exp(
-        -r_arr * r_arr / (4.0 * t)
+    col = t_arr.reshape(t_arr.shape + (1,) * r_arr.ndim)
+    out = _scalar_pow(col, -N / 2.0 + alpha_k) * r_arr ** (-alpha_k) * np.exp(
+        -r_arr * r_arr / (4.0 * col)
     )
-    return float(out) if np.ndim(r) == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def heat_residual(N: int, mu_k: float, alpha_k: float) -> float:
@@ -546,29 +565,27 @@ def heat_residual(N: int, mu_k: float, alpha_k: float) -> float:
 
     Checks v_t = v_rr + ((N-1)/r) v_r - (mu_k/r^2) v on the window
     r in [0.5, 5], t in [1, 2], with steps dr = 1/200 and dt = 1e-4, and
-    returns max |residual| / max |v| over the window.
+    returns max |residual| / max |v| over the window, whose 9 times are the
+    rows of one (times, radii) array.
     """
     dr, dt = 1.0 / 200.0, 1e-4
     r = np.arange(0.5, 5.0 + dr / 2.0, dr)
     ts = np.linspace(1.0, 2.0, 9)
-    worst = 0.0
-    vmax = 0.0
-    for t in ts:
-        v = heat_self_similar(N, alpha_k, r, t)
-        v_p = heat_self_similar(N, alpha_k, r + dr, t)
-        v_m = heat_self_similar(N, alpha_k, r - dr, t)
-        v_t = (heat_self_similar(N, alpha_k, r, t + dt)
-               - heat_self_similar(N, alpha_k, r, t - dt)) / (2.0 * dt)
-        v_rr = (v_p - 2.0 * v + v_m) / (dr * dr)
-        v_r = (v_p - v_m) / (2.0 * dr)
-        resid = v_t - (v_rr + (N - 1) / r * v_r - mu_k / (r * r) * v)
-        worst = max(worst, float(np.max(np.abs(resid))))
-        vmax = max(vmax, float(np.max(np.abs(v))))
-    return worst / vmax
+    v = heat_self_similar(N, alpha_k, r, ts)
+    v_p = heat_self_similar(N, alpha_k, r + dr, ts)
+    v_m = heat_self_similar(N, alpha_k, r - dr, ts)
+    v_t = (heat_self_similar(N, alpha_k, r, ts + dt)
+           - heat_self_similar(N, alpha_k, r, ts - dt)) / (2.0 * dt)
+    v_rr = (v_p - 2.0 * v + v_m) / (dr * dr)
+    v_r = (v_p - v_m) / (2.0 * dr)
+    resid = v_t - (v_rr + (N - 1) / r * v_r - mu_k / (r * r) * v)
+    return float(np.max(np.abs(resid))) / float(np.max(np.abs(v)))
 
 
 def weighted_modulus(r: np.ndarray, modulus: np.ndarray, weight_exponent: float) -> np.ndarray:
-    """r^w |u| per sample, from the radii r and the moduli |u| >= 0.
+    """r^w |u| per sample, from the radii r and the moduli |u| >= 0; r
+    broadcasts against the moduli, so one row of radii serves a (times,
+    radii) array and r^w is formed once.
 
     A sample with |u| = 0 reads 0: r^w may overflow there, and inf * 0 is
     NaN.  Where r^w alone overflows on a nonzero sample the product is
@@ -582,16 +599,19 @@ def weighted_modulus(r: np.ndarray, modulus: np.ndarray, weight_exponent: float)
     weighted = np.where(live, power, 0.0) * modulus
     past = live & np.isinf(power)
     if past.any():
+        r_past = np.broadcast_to(r, past.shape)[past]
         with np.errstate(over="ignore", divide="ignore"):
-            weighted[past] = np.exp(weight_exponent * np.log(r[past]) + np.log(modulus[past]))
+            weighted[past] = np.exp(weight_exponent * np.log(r_past) + np.log(modulus[past]))
     return weighted
 
 
-def weighted_sup_norm(r: np.ndarray, u: np.ndarray, weight_exponent: float) -> float:
-    """max of r^w |u| over the samples (r, u), by ``weighted_modulus`` (0 if
-    every u is 0): inf only if a product overflows, and a NaN sample makes
-    it NaN."""
-    return float(np.max(weighted_modulus(r, np.abs(u), weight_exponent), initial=0.0))
+def weighted_sup_norm(r: np.ndarray, u: np.ndarray, weight_exponent: float):
+    """max of r^w |u| over the last axis of the samples (r, u), by
+    ``weighted_modulus`` (0 if every u is 0): a float for 1-d u, one sup
+    per row for a (times, radii) u.  A sup is inf only if a product
+    overflows, and a NaN sample makes it NaN."""
+    sup = np.max(weighted_modulus(r, np.abs(u), weight_exponent), axis=-1, initial=0.0)
+    return float(sup) if sup.ndim == 0 else sup
 
 
 MIN_FIT_SAMPLES = 4

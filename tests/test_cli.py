@@ -302,6 +302,22 @@ class TestDecay:
             amp = flow.closed_form_amplitude(mode, r, float(t))
             assert float(sup) == flow.weighted_sup_norm(r, amp, 0.25) * ang_sup
 
+    def test_samples_keep_the_given_order_in_any_block(self, tmp_path, monkeypatch):
+        # one closed-form call per block of times; a block of one time is
+        # the per-time loop, and the rows keep the given order either way
+        times = [64, 2, 1024, 16, 8]
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": {
+            "mode": [1, 1], "weight": 0.25, "times": times, "samples": 300}})
+        csv = []
+        for block in (cli._DECAY_BLOCK, 300, 600):
+            monkeypatch.setattr(cli, "_DECAY_BLOCK", block)
+            out = tmp_path / f"out{block}"
+            assert main(["decay", "--config", cfg, "--out", str(out)]) == 0
+            csv.append((out / "samples.csv").read_bytes())
+        assert csv[1] == csv[0] and csv[2] == csv[0]
+        _, _, rows = read_csv(tmp_path / "out300" / "samples.csv")
+        assert [float(t) for t, _ in rows] == times
+
     def test_window_past_the_gaussian_underflow(self, tmp_path):
         # the closed form of an n = 20 mode on r up to 1e20 was NaN, and so
         # was the slope, with exit 0
@@ -501,6 +517,29 @@ def test_hardy_violation_exits_3(tmp_path, capsys, command, experiment):
     assert main([command, "--config", cfg, "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("Hardy condition violated:")
     assert not any(out.iterdir())
+
+
+def test_calls_in_one_process_share_no_arguments(tmp_path, capsys):
+    # the parser is built once per process: a run, an argparse error, then a
+    # run that would miss the first run's --expect and write to its --out
+    first = write_config(tmp_path, "first.json", {"problem": LOSS, "experiment": {"K": 4}})
+    out1 = tmp_path / "out1"
+    assert main(["spectrum", "--config", first, "--out", str(out1),
+                 "--expect", '{"alpha_1": 0.25, "alpha_1_tol": 1e-12}']) == 0
+    written = (out1 / "spectrum.csv").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--out", str(out1)])
+    assert exc.value.code == 2
+    out3 = tmp_path / "out3"
+    last = write_config(tmp_path, "last.json", {"problem": {"N": 3, "a": 0.5},
+                                                "experiment": {"K": 4},
+                                                "output": {"dir": str(out3)}})
+    capsys.readouterr()
+    assert main(["spectrum", "--config", last]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out1 / "spectrum.csv").read_bytes() == written
+    _, _, rows = read_csv(out3 / "spectrum.csv")
+    assert rows[0][1] == "0.5"
 
 
 class TestUnderflowedReference:

@@ -98,6 +98,37 @@ class TestClosedFormAmplitude:
             assert sup > 0
             assert abs(sup - ref) <= 1e-15 * ref
 
+    @pytest.mark.parametrize("n, j", MODES)
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_array_of_times_is_bitwise_its_scalar_calls(self, table_loss, n, j, window):
+        mode = make_mode(ModeIndex(n, j), table_loss)
+        r = np.geomspace(*window, 4000)
+        rows = flow.closed_form_amplitude(mode, r, self.TIMES)
+        assert rows.shape == (len(self.TIMES), len(r))
+        for t, row in zip(self.TIMES, rows):
+            assert row.tobytes() == flow.closed_form_amplitude(mode, r, t).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("times, named", [
+        pytest.param([1.0, 10.0, 1e160, 1e200], "t = 1e+160", id="overflow"),
+        pytest.param([1.0, math.inf, 1e100], "t = inf", id="infinite t"),
+        pytest.param([1.0, 10.0, 1e10, 1e100], "r = 1e-300, t = 1e+100", id="underflow"),
+        pytest.param([1.0, 1e100, 1e200], "r = 1e-300, t = 1e+100",
+                     id="underflow then overflow"),
+        pytest.param([1.0, 1e200, 1e100], "t = 1e+200", id="overflow then underflow"),
+    ])
+    def test_array_of_times_fails_where_the_loop_does(self, mode01_loss, times, named):
+        # the first failing time in the given order, with the loop's text;
+        # the array's 1 + t^2 overflows without a RuntimeWarning
+        r = np.array([1.0, 2e-300, 1e-3, 1e-300])
+        with pytest.raises(ValueError) as loop:
+            for t in times:
+                flow.closed_form_amplitude(mode01_loss, r, t)
+        assert str(loop.value).endswith(named)
+        with pytest.raises(ValueError) as batch:
+            flow.closed_form_amplitude(mode01_loss, r, np.array(times))
+        assert str(batch.value) == str(loop.value)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_weight_fails_the_fit(self, mode01_loss):
         # decay's pipeline at weight 400 on [1e-3, 1e10]: r^400 overflows on
@@ -512,6 +543,40 @@ class TestHeat:
         mu, alpha, _ = table_loss.row(1)
         assert flow.heat_residual(3, mu, alpha) < 1e-4
 
+    def test_array_of_times_is_bitwise_its_scalar_calls(self, table_loss):
+        N, alpha = 3, table_loss.row(1)[1]
+        r = np.arange(0.5, 5.0025, 0.005)
+        ts = np.linspace(1.0, 2.0, 9)
+        rows = flow.heat_self_similar(N, alpha, r, ts)
+        assert rows.shape == (len(ts), len(r))
+        for t, row in zip(ts, rows):
+            assert row.tobytes() == flow.heat_self_similar(N, alpha, r, t).tobytes()
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, [1.0, 0.0, 2.0]])
+    def test_requires_positive_times(self, t):
+        with pytest.raises(ValueError, match="t > 0"):
+            flow.heat_self_similar(3, 0.1, np.array([1.0, 2.0]), t)
+
+    @pytest.mark.parametrize("a", [-3.0 / 16.0, -0.1, 0.0, 0.5, 0.9])
+    def test_residual_is_bitwise_the_per_time_loop(self, a):
+        N, mu = 3, a
+        alpha = 0.5 - math.sqrt(0.25 + mu)
+        dr, dt = 1.0 / 200.0, 1e-4
+        r = np.arange(0.5, 5.0 + dr / 2.0, dr)
+        worst = vmax = 0.0
+        for t in np.linspace(1.0, 2.0, 9):
+            v = flow.heat_self_similar(N, alpha, r, t)
+            v_p = flow.heat_self_similar(N, alpha, r + dr, t)
+            v_m = flow.heat_self_similar(N, alpha, r - dr, t)
+            v_t = (flow.heat_self_similar(N, alpha, r, t + dt)
+                   - flow.heat_self_similar(N, alpha, r, t - dt)) / (2.0 * dt)
+            v_rr = (v_p - 2.0 * v + v_m) / (dr * dr)
+            v_r = (v_p - v_m) / (2.0 * dr)
+            resid = v_t - (v_rr + (N - 1) / r * v_r - mu / (r * r) * v)
+            worst = max(worst, float(np.max(np.abs(resid))))
+            vmax = max(vmax, float(np.max(np.abs(v))))
+        assert flow.heat_residual(N, mu, alpha) == worst / vmax
+
     def test_self_similarity_scaling(self, table_loss):
         # parabolic scaling: v(lam r, lam^2 t) = lam^{-(N - alpha)} v(r, t)
         N, alpha = 3, table_loss.row(1)[1]
@@ -554,6 +619,23 @@ class TestNormsAndFits:
         out = flow.weighted_sup_norm(r, u, w)
         assert isinstance(out, float)
         assert out == pytest.approx(expect, rel=1e-12, nan_ok=True)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weighted_sup_norm_of_rows_is_its_row_calls(self, mode01_loss):
+        # rows that take the exp(w log r + log|u|) fallback, finite and inf,
+        # an all-zero row and a NaN row
+        r = np.array([1e-200, 1e-3, 1.0, 1e10])
+        u = np.array([[1.6e-202, 0.5, 1.0, 0.0], [1.0, 0.5, 0.0, 3.0], [0.0, 0.0, 0.0, 0.0],
+                      [0.0, math.nan, 1.0, 0.0], [0.0, 2.0, 1j, 1e-300]])
+        # the closed form's rows at w = 150: r^w overflows past r ~ 112
+        r_far = np.geomspace(1e-3, 1e4, 4000)
+        u_far = flow.closed_form_amplitude(mode01_loss, r_far, flow.dyadic_times(0, 14))
+        for radii, rows, w in ((r, u, -2.0), (r_far, u_far, 150.0)):
+            sups = flow.weighted_sup_norm(radii, rows, w)
+            assert sups.shape == (len(rows),)
+            for row, sup in zip(rows, sups):
+                assert sup.tobytes() == np.float64(flow.weighted_sup_norm(radii, row, w)).tobytes()
+        assert np.isinf(sups).any() and np.isfinite(sups).any()
 
     def test_decay_fit_exact_power_law(self):
         times = flow.dyadic_times(0, 10)
