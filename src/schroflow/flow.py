@@ -605,7 +605,7 @@ def weighted_modulus(r: np.ndarray, modulus: np.ndarray, weight_exponent: float)
     return weighted
 
 
-def weighted_sup_norm(r: np.ndarray, u: np.ndarray, weight_exponent: float):
+def weighted_sup_norm(r: np.ndarray, u: np.ndarray, weight_exponent: float) -> float | np.ndarray:
     """max of r^w |u| over the last axis of the samples (r, u), by
     ``weighted_modulus`` (0 if every u is 0): a float for 1-d u, one sup
     per row for a (times, radii) u.  A sup is inf only if a product
