@@ -508,8 +508,7 @@ def cmd_decay(config: dict, out_dir: str, expect: dict,
     ang_sup = table.eigsys.sup_abs(mode_idx.j)
     r = np.geomspace(*window, experiment["samples"])
 
-    # every time at once, as rows of one (times, samples) array, in blocks of
-    # rows that keep the array small when times * samples is large
+    # the times as the rows of (times, samples) arrays of _DECAY_BLOCK samples at most
     rows = max(1, _DECAY_BLOCK // len(r))
     sups = []
     for start in range(0, len(times), rows):
