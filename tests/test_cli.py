@@ -12,6 +12,7 @@ from schroflow import cli, flow
 from schroflow.cli import main
 from schroflow.oscillator import ModeIndex, build_table, make_mode
 from schroflow.angular import constant_a_spectrum
+from schroflow.radialfd import RadialSchema, evolve_heat
 
 
 # one small valid run per command: a few hundred grid points, seconds in total
@@ -431,15 +432,45 @@ class TestHeat:
         assert main(["heat", "--config", cfg, "--out", str(tmp_path)]) == 3
 
     def test_defaults_recorded(self, tmp_path):
-        # heat marches on the evolve and compare default grid
+        # heat marches on the evolve and compare default grid and step
         cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": {}})
         out = tmp_path / "out"
         assert main(["heat", "--config", cfg, "--out", str(out)]) == 0
         parameters = json.loads((out / "residual.json").read_text())["provenance"]["parameters"]
         assert {key: parameters[key] for key in ("k", "t0", "t1", "r_max", "fd_points", "dt")} \
-            == {"k": 1, "t0": 1.0, "t1": 2.0, "r_max": 30.0, "fd_points": 1500, "dt": 1e-3}
+            == {"k": 1, "t0": 1.0, "t1": 2.0, "r_max": 30.0, "fd_points": 1500, "dt": 1e-2}
         _, _, rows = read_csv(out / "heat.csv")
         assert len(rows) == 1500
+
+    # backward Euler alone at dt 1e-3 read 2.0e-4 and 4.95e-4 here
+    @pytest.mark.parametrize("a, k, bound", [
+        pytest.param(-0.1875, 1, 2e-5, id="loss a-0.1875 k1"),
+        pytest.param(0.5, 2, 3e-5, id="classical a0.5 k2"),
+    ])
+    def test_default_stepper_error(self, tmp_path, a, k, bound):
+        cfg = write_config(tmp_path, "c.json", {"problem": {"N": 3, "a": a},
+                                                "experiment": {"k": k}})
+        out = tmp_path / "out"
+        assert main(["heat", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "residual.json").read_text())["stepper_rel_l2"] <= bound
+
+    @pytest.mark.parametrize("a, k", [(-0.1875, 1), (0.5, 2)])
+    def test_profile_is_extrapolated_from_dt_and_half_dt(self, tmp_path, a, k):
+        # Richardson's extrapolation in time, 2 v_{dt/2} - v_dt, of the
+        # unchanged backward Euler march; it is not positive by construction,
+        # so its negative part is bounded by roundoff instead
+        cfg = write_config(tmp_path, "c.json", {"problem": {"N": 3, "a": a},
+                                                "experiment": {"k": k}})
+        out = tmp_path / "out"
+        assert main(["heat", "--config", cfg, "--out", str(out)]) == 0
+        _, cols, rows = read_csv(out / "heat.csv")
+        v_fd = np.array([float(row[cols.index("v_fd")]) for row in rows])
+        mu, alpha, _ = build_table(constant_a_spectrum(3, a, k), 3, k).row(k)
+        full, half = (RadialSchema(N=3, mu=mu, R=30.0, M=1500, dt=dt) for dt in (1e-2, 5e-3))
+        v0 = flow.heat_self_similar(3, alpha, full.grid, 1.0)
+        ref = 2.0 * evolve_heat(half, v0, 1.0) - evolve_heat(full, v0, 1.0)
+        assert v_fd.tobytes() == ref.tobytes()
+        assert np.min(v_fd) >= -1e-15 * np.max(v_fd)
 
 
 class TestCompare:
@@ -585,6 +616,21 @@ class TestNonFiniteNorms:
         assert main([command, "--config", cfg, "--out", str(out)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and "t = 1e+160" in err
+        assert list(out.iterdir()) == []
+
+    # t^{-N/2 + alpha_k} overflows at t = 1e-300: heat exited 5 with
+    # "(34, 'Numerical result out of range')", which names no input
+    @pytest.mark.parametrize("experiment", [
+        pytest.param({"fit_times": [1e-300, 1, 2, 3]}, id="fit_times"),
+        pytest.param({"t0": 1e-300}, id="t0"),
+    ])
+    def test_overflowing_heat_time_is_named(self, tmp_path, capsys, experiment):
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": experiment})
+        out = tmp_path / "out"
+        assert main(["heat", "--config", cfg, "--out", str(out)]) == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("numeric failure:") and "t = 1e-300" in line
+                   for line in lines)
         assert list(out.iterdir()) == []
 
     # r / sqrt(1 + t^2) underflows to 0 at r = 1e-300, t = 1e100: decay

@@ -557,6 +557,12 @@ class TestHeat:
         with pytest.raises(ValueError, match="t > 0"):
             flow.heat_self_similar(3, 0.1, np.array([1.0, 2.0]), t)
 
+    # t^{-N/2 + alpha} overflows: an OverflowError that named nothing before
+    @pytest.mark.parametrize("t", [1e-300, [1.0, 1e-300, 1e-310]])
+    def test_overflowing_scale_names_t(self, t):
+        with pytest.raises(ValueError, match=r"t = 1e-300$"):
+            flow.heat_self_similar(3, 0.1, np.array([1.0, 2.0]), t)
+
     @pytest.mark.parametrize("a", [-3.0 / 16.0, -0.1, 0.0, 0.5, 0.9])
     def test_residual_is_bitwise_the_per_time_loop(self, a):
         N, mu = 3, a

@@ -80,6 +80,17 @@ class TestPolySpec:
         p = PolySpec(0, 1.5)
         assert p(0.3) == 1.0
 
+    @pytest.mark.parametrize("b", [1e-3, 0.5, 1.0, 1.5, 2.7, 40.0])
+    def test_degree_zero_is_bitwise_the_laguerre_call(self, b):
+        # the degree-0 polynomial is 1 everywhere but at NaN
+        t = np.array([0.0, 1e-300, 0.5, 1e300, np.inf, np.nan])
+        ref = sp.eval_genlaguerre(0, b - 1.0, t) / sp.binom(b - 1.0, 0)
+        assert PolySpec(0, b)(t).tobytes() == ref.tobytes()
+        for t_i, ref_i in zip(t.tolist(), ref.tolist()):
+            value = PolySpec(0, b)(t_i)
+            assert type(value) is float
+            assert np.array(value).tobytes() == np.array(ref_i).tobytes()
+
     def test_matches_confluent_hypergeometric(self):
         for n in range(0, 9):
             for b in (0.5, 1.25, 2.0, 3.75):
