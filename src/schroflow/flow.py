@@ -123,13 +123,21 @@ def closed_form_amplitude(mode: NormalizedMode, r, t) -> np.ndarray:
             raise ValueError(f"the closed form's scale 1 + t^2 is not finite at t = {t_at!r}")
         raise ValueError(f"r / sqrt(1 + t^2) underflows to 0 at r = "
                          f"{float(r_arr[lost[at]].min())!r}, t = {t_at!r}")
-    return _scalar_pow(s, -mode.N / 4.0).reshape(per_time) * mode.radial(x)
+    return _scalar_pow(s, -mode.N / 4.0, "1 + t^2").reshape(per_time) * mode.radial(x)
 
 
-def _scalar_pow(base: np.ndarray, exponent: float) -> np.ndarray:
+def _scalar_pow(base: np.ndarray, exponent: float, name: str) -> np.ndarray:
     """base ** exponent element by element in Python floats: the bits of a
-    scalar call, which numpy's vectorised power does not always give."""
-    return np.reshape([b ** exponent for b in base.ravel().tolist()], base.shape)
+    scalar call, which numpy's vectorised power does not always give.  The
+    first power, in order, that overflows raises ValueError naming its base,
+    called ``name``."""
+    out = []
+    for b in base.ravel().tolist():
+        try:
+            out.append(b ** exponent)
+        except OverflowError:
+            raise ValueError(f"{name}^{exponent!r} overflows at {name} = {b!r}") from None
+    return np.reshape(out, base.shape)
 
 
 def evolve_mode_closed_form(mode: NormalizedMode, r, t: float):
@@ -547,14 +555,15 @@ def heat_self_similar(N: int, alpha_k: float, r, t):
         v(x, t) = t^{-N/2 + alpha_k} r^{-alpha_k} e^{-r^2/(4t)} psi_k(theta),
 
     at radii r and times t > 0, of shape t.shape + r.shape; each time's row
-    is bitwise its own call's.
+    is bitwise its own call's.  Raises ValueError at the first time, in
+    order, whose t^{-N/2 + alpha_k} overflows, naming t.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise ValueError("heat_self_similar requires t > 0")
     r_arr = np.asarray(r, dtype=float)
     col = t_arr.reshape(t_arr.shape + (1,) * r_arr.ndim)
-    out = _scalar_pow(col, -N / 2.0 + alpha_k) * r_arr ** (-alpha_k) * np.exp(
+    out = _scalar_pow(col, -N / 2.0 + alpha_k, "t") * r_arr ** (-alpha_k) * np.exp(
         -r_arr * r_arr / (4.0 * col)
     )
     return float(out) if out.ndim == 0 else out

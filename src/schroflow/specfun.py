@@ -79,8 +79,13 @@ class PolySpec:
             raise ValueError(f"PolySpec requires b > 0, got {self.b}")
 
     def __call__(self, t):
-        out = (sp.eval_genlaguerre(self.n, self.b - 1.0, np.asarray(t, dtype=float))
-               / sp.binom(self.n + self.b - 1.0, self.n))
+        t_arr = np.asarray(t, dtype=float)
+        if self.n == 0:
+            # the recurrence's bits at degree 0: 1, and NaN at NaN
+            out = np.where(np.isnan(t_arr), np.nan, 1.0)
+        else:
+            out = (sp.eval_genlaguerre(self.n, self.b - 1.0, t_arr)
+                   / sp.binom(self.n + self.b - 1.0, self.n))
         return float(out) if np.ndim(t) == 0 else out
 
 
