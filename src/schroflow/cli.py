@@ -584,12 +584,12 @@ def cmd_heat(config: dict, out_dir: str, expect: dict,
 
     # backward Euler's error is a series in dt: Richardson's extrapolation
     # 2 v_{dt/2} - v_dt of marches with steps dt and dt/2 cancels its leading term
-    full, half = (RadialSchema(N=N, mu=mu_k, R=experiment["r_max"],
-                               M=experiment["fd_points"], dt=dt)
-                  for dt in (experiment["dt"], experiment["dt"] / 2.0))
-    grid = full.grid
+    coarse, fine = (RadialSchema(N=N, mu=mu_k, R=experiment["r_max"],
+                                 M=experiment["fd_points"], dt=dt)
+                    for dt in (experiment["dt"], experiment["dt"] / 2.0))
+    grid = coarse.grid
     v0 = flow.heat_self_similar(N, alpha_k, grid, t0)
-    v_fd = 2.0 * evolve_heat(half, v0, t1 - t0) - evolve_heat(full, v0, t1 - t0)
+    v_fd = 2.0 * evolve_heat(fine, v0, t1 - t0) - evolve_heat(coarse, v0, t1 - t0)
     v_exact = flow.heat_self_similar(N, alpha_k, grid, t1)
     half = (N - 1) / 2.0
     rel_l2 = flow.relative_error(np.linalg.norm(grid ** half * (v_fd - v_exact)),
