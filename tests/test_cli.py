@@ -422,8 +422,16 @@ class TestHeat:
                      "--expect", '{"residual_max": 1e-4}'])
         assert code == 0
         report = json.loads((out / "residual.json").read_text())
-        assert report["free_profile_dev"] <= 1e-10
         assert abs(report["fitted_exponent"] + 1.5) < 1e-10
+
+    def test_free_heat_writes_no_free_profile_deviation(self, tmp_path):
+        # free_profile_dev compared mode k's profile with mode 1's, so it read
+        # 0.348 at k = 2, and 0.0 by construction at k = 1
+        cfg = write_config(tmp_path, "c.json", {"problem": FREE, "experiment": {
+            "k": 2, "fd_points": 500, "fit_times": [1, 4, 16, 64, 256]}})
+        out = tmp_path / "out"
+        assert main(["heat", "--config", cfg, "--out", str(out)]) == 0
+        assert "free_profile_dev" not in json.loads((out / "residual.json").read_text())
 
     def test_hardy_violation(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
@@ -505,8 +513,9 @@ class TestCompare:
             "mode": [20, 1], "T": 0.01, "fd_points": 2000, "dt": 1e-3}})
         out = tmp_path / "out"
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 5
-        assert capsys.readouterr().err.startswith(
-            "route representation failed: ResolutionError")
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("route representation failed: ResolutionError")
+        assert lines[-1].startswith("numeric failure: ")
         comparison = json.loads((out / "compare.json").read_text())["comparison"]
         assert list(comparison["failures"]) == ["representation"]
         assert list(comparison["l2_rel"]) == ["closed_vs_fd"]
@@ -539,15 +548,32 @@ class TestCompare:
     ("kernel", {"K": 4, "rho": [0.5], "x_dir": [0.1, 0.2], "y_dir": [0.3, 0.4]}),
     # exit 2 before, citing the rho = 0 rule against the clamped alpha_k = 0.5
     ("kernel", {"K": 4, "rho": [0.0, 0.5], "x_dir": [0.1, 0.2], "y_dir": [0.3, 0.4]}),
+    # exit 2 before, on the alignment of K to the degree blocks
+    ("kernel", {"K": 5, "path": "legendre_collapsed", "rho": [0.5], "x_dir": [0.1, 0.2],
+                "y_dir": [0.3, 0.4]}),
+    ("heat", {}),
 ])
 def test_hardy_violation_exits_3(tmp_path, capsys, command, experiment):
-    # a = -0.3 < -1/4 violates the Hardy condition at N=3
+    # a = -0.3 < -1/4 violates the Hardy condition at N=3; evolve, decay and
+    # compare printed make_mode's own message before
     cfg = write_config(tmp_path, "c.json", {"problem": {"N": 3, "a": -0.3},
                                             "experiment": experiment})
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("Hardy condition violated:")
+    assert capsys.readouterr().err == "Hardy condition violated: mu_1 <= -((N-2)/2)^2\n"
     assert not any(out.iterdir())
+
+
+def test_hardy_violation_outranks_an_expectation_miss(tmp_path, capsys):
+    # spectrum judged --expect against the clamped alpha_1 = 0.5 first, and exited 4
+    cfg = write_config(tmp_path, "c.json", {"problem": {"N": 3, "a": -0.3},
+                                            "experiment": {"K": 4}})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out),
+                 "--expect", '{"alpha_1_max": 0.1}']) == 3
+    assert capsys.readouterr().err == "Hardy condition violated: mu_1 <= -((N-2)/2)^2\n"
+    _, _, rows = read_csv(out / "spectrum.csv")
+    assert len(rows) == 4
 
 
 def test_calls_in_one_process_share_no_arguments(tmp_path, capsys):

@@ -348,6 +348,24 @@ class TestKernel:
             with pytest.raises(ValueError, match="nonzero"):
                 flow.kernel_eval(spec, x, y, 1.0)
 
+    # the norm of the first overflows, of the second underflows to 0, and of
+    # the third is the root of a subnormal sum of squares: they read the
+    # kernel of another direction, "must be nonzero" and 4e-6 off before
+    @pytest.mark.parametrize("x", [[4e199, 3e199, 2e199], [4e-199, 3e-199, 2e-199],
+                                   [4e-160, 3e-160, 2e-160]])
+    @pytest.mark.parametrize("path", ["mode_sum", "legendre_collapsed"])
+    def test_far_scaled_direction_is_its_direction(self, path, x):
+        table = build_table(constant_a_spectrum(3, 0.0, 4), 3, 4)
+        spec = flow.KernelSpec(table=table, path=path)
+        rho = np.array([0.5, 2.0])
+        ref, _ = flow.kernel_eval(spec, [0.4, 0.3, 0.2], (1.2, 2.1), rho)
+        values, _ = flow.kernel_eval(spec, x, (1.2, 2.1), rho)
+        assert np.all(np.abs(values - ref) <= 1e-13)
+
+    def test_direction_of_a_plain_vector_is_its_quotient_by_the_norm(self):
+        d = np.array([0.4, 0.3, 0.2])
+        assert flow._to_unit_vector(d).tobytes() == (d / np.linalg.norm(d)).tobytes()
+
     def test_circle_direction_is_an_angle(self):
         prob = AngularProblem(scalar_coeff=0.1, truncation=16)
         table = build_table(eigensolve(assemble_circle(prob)), 2, 5)

@@ -237,13 +237,16 @@ class TestDuration:
             evolve_heat(s, u, T)
 
 
-def _heat_error(a, k, M):
-    """Relative L^2(r^2 dr) error of evolve_heat on N=3 from t0 = 1 to t1 = 2,
-    dt 1e-3, r_max 30, against the self-similar solution, as heat reports it."""
+def _heat_error(a, k, M, dt=1e-3, extrapolated=False):
+    """Relative L^2(r^2 dr) error on N=3 from t0 = 1 to t1 = 2, r_max 30,
+    against the self-similar solution, of one evolve_heat march with step
+    dt, or of the march heat runs, 2 v_{dt/2} - v_dt."""
     mu, alpha, _ = build_table(constant_a_spectrum(3, a, k), 3, k).row(k)
-    s = _schema(mu=mu, M=M, dt=1e-3)
-    g = s.grid
-    u = evolve_heat(s, flow.heat_self_similar(3, alpha, g, 1.0), 1.0)
+    coarse, fine = (_schema(mu=mu, M=M, dt=step) for step in (dt, dt / 2.0))
+    g = coarse.grid
+    v0 = flow.heat_self_similar(3, alpha, g, 1.0)
+    u = (2.0 * evolve_heat(fine, v0, 1.0) - evolve_heat(coarse, v0, 1.0) if extrapolated
+         else evolve_heat(coarse, v0, 1.0))
     ref = flow.heat_self_similar(3, alpha, g, 2.0)
     return np.linalg.norm(g * (u - ref)) / np.linalg.norm(g * ref)
 
@@ -271,14 +274,28 @@ class TestHeatStepper:
     def test_tracks_self_similar_solution(self):
         assert _heat_error(-0.1875, 1, 6000) < 1e-3
 
-    # at dt 1e-3 backward Euler's time error dominates: 1500 cells cost
-    # little against 6000 (1.998e-4 against 1.950e-4 on the loss mode)
+    # the stepper alone: one backward Euler march at dt 1e-3, whose time
+    # error dominates, so 1500 cells cost little against 6000 (1.998e-4
+    # against 1.950e-4 on the loss mode, 4.951e-4 against 4.998e-4 on the
+    # classical one)
     @pytest.mark.parametrize("a, k", [
         pytest.param(-0.1875, 1, id="loss a-0.1875 k1"),
         pytest.param(0.5, 2, id="classical a0.5 l1"),
     ])
     def test_1500_cells_within_5_percent_of_6000(self, a, k):
         assert _heat_error(a, k, 1500) <= 1.05 * _heat_error(a, k, 6000)
+
+    # heat's march, 2 v_{dt/2} - v_dt at dt 1e-2, cancels most of the time
+    # error, so space error is a real share of what is left: 9.95e-6 against
+    # 4.12e-6 (2.42x) on the loss mode, 1.51e-5 against 9.89e-6 (1.53x) on
+    # the classical one
+    @pytest.mark.parametrize("a, k", [
+        pytest.param(-0.1875, 1, id="loss a-0.1875 k1"),
+        pytest.param(0.5, 2, id="classical a0.5 l1"),
+    ])
+    def test_extrapolated_1500_cells_within_2_5x_of_6000(self, a, k):
+        assert (_heat_error(a, k, 1500, 1e-2, extrapolated=True)
+                <= 2.5 * _heat_error(a, k, 6000, 1e-2, extrapolated=True))
 
 
 def _compare_free_mode(N, r_max=30.0, fd_points=12000, dt=1e-3):
