@@ -4,14 +4,16 @@ JSON-configured batch runs of spectrum computation, mode evolution, kernel
 evaluation, decay-exponent fitting, self-similar heat checks, and
 cross-route comparison, emitting CSV/JSON artifacts for offline plotting.
 
-Exit codes: 0 success, 2 config error, 3 Hardy condition violated,
-4 expectation miss (--expect), 5 numeric failure.
+Each command writes its artifacts and returns the headline values that
+--expect can name.  ``main`` alone checks --expect and turns each outcome
+into an exit code by the type of exception raised: 0 success, 2 config
+error, 3 Hardy condition violated, 4 expectation miss (--expect), 5 numeric
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import hashlib
 import json
@@ -37,6 +39,10 @@ EXIT_CONFIG = 2
 EXIT_HARDY = 3
 EXIT_EXPECT = 4
 EXIT_NUMERIC = 5
+
+# every command refuses a Hardy-violating problem: its table's alpha_k are
+# clamped, not those of a basis
+_HARDY = "mu_1 <= -((N-2)/2)^2"
 
 
 class ConfigError(ValueError):
@@ -313,12 +319,16 @@ def build_eigensystem(problem: dict, count: int):
 
 
 def _spectral_table(problem: dict, K: int):
-    """Index table of the first K angular modes of the problem block."""
+    """Index table of the first K angular modes of the problem block;
+    HardyViolation if the problem violates the Hardy condition."""
     eigsys = build_eigensystem(problem, K)
     if K > len(eigsys):
         raise ConfigError(f"mode {K} is past the {len(eigsys)} modes of the "
                           "angular truncation")
-    return build_table(eigsys, problem["N"], K)
+    table = build_table(eigsys, problem["N"], K)
+    if not table.hardy_ok:
+        raise HardyViolation(_HARDY)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -422,22 +432,11 @@ def _check_expect(expect: dict, measured: dict) -> None:
                     f"{key} = {measured[key]:.6g} outside {bound:.6g} +- {tol:.6g}")
 
 
-@contextlib.contextmanager
-def _window_of(where: str):
-    """Report a flow.WindowError raised in the block as a config error of ``where``."""
-    try:
-        yield
-    except flow.WindowError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_spectrum(config: dict, out_dir: str, expect: dict,
-                 provenance: dict) -> int:
-    problem = config["problem"]
-    K = config["experiment"]["K"]
+def cmd_spectrum(problem: dict, experiment: dict, out_dir: str, provenance: dict) -> dict:
+    K = experiment["K"]
     eigsys = build_eigensystem(problem, K)
     K = min(K, len(eigsys))
     table = build_table(eigsys, problem["N"], K)
@@ -447,18 +446,12 @@ def cmd_spectrum(config: dict, out_dir: str, expect: dict,
                [f"classification: {table.decay_class}"],
                dict(zip(["k", "mu", "alpha", "beta"], zip(*rows))))
     print(f"classification: {table.decay_class}")
-    measured = {"mu_1": table.row(1)[0], "alpha_1": table.row(1)[1],
-                "beta_1": table.row(1)[2]}
-    _check_expect(expect, measured)
     if not table.hardy_ok:
-        print("Hardy condition violated: mu_1 <= -((N-2)/2)^2", file=sys.stderr)
-        return EXIT_HARDY
-    return EXIT_OK
+        raise HardyViolation(_HARDY)
+    return dict(zip(["mu_1", "alpha_1", "beta_1"], table.row(1)))
 
 
-def cmd_evolve(config: dict, out_dir: str, expect: dict,
-               provenance: dict) -> int:
-    problem, experiment = config["problem"], config["experiment"]
+def cmd_evolve(problem: dict, experiment: dict, out_dir: str, provenance: dict) -> dict:
     mode_idx, t, route = (experiment[key] for key in ("mode", "t", "route"))
     grid_keys = tuple(key for key in _EVOLVE_ROUTE_KEYS[route] if key != "window")
     provenance["parameters"].update({"mode": [mode_idx.n, mode_idx.j], "t": t,
@@ -474,17 +467,15 @@ def cmd_evolve(config: dict, out_dir: str, expect: dict,
     measured = {}
     if "window" in _EVOLVE_ROUTE_KEYS[route]:
         window = experiment["window"]
-        with _window_of("experiment.window"):
-            rel, _ = flow.window_errors(u, flow.evolve_mode_closed_form(mode, grid, t),
-                                        grid, weights, problem["N"], window)
+        rel, _ = flow.window_errors(u, flow.evolve_mode_closed_form(mode, grid, t),
+                                    grid, weights, problem["N"], window)
         summary.update({"rel_l2_vs_closed": rel, "window": window})
         measured["rel_l2"] = rel
 
     _write_csv(os.path.join(out_dir, "profiles.csv"), provenance, [],
                {"t": t, "r": grid, "re_u": u.real, "im_u": u.imag})
     _write_json(os.path.join(out_dir, "summary.json"), provenance, summary)
-    _check_expect(expect, measured)
-    return EXIT_OK
+    return measured
 
 
 # samples per closed-form call of decay: the default 11 times of 4000
@@ -493,9 +484,7 @@ def cmd_evolve(config: dict, out_dir: str, expect: dict,
 _DECAY_BLOCK = 2 ** 16
 
 
-def cmd_decay(config: dict, out_dir: str, expect: dict,
-              provenance: dict) -> int:
-    problem, experiment = config["problem"], config["experiment"]
+def cmd_decay(problem: dict, experiment: dict, out_dir: str, provenance: dict) -> dict:
     mode_idx, weight = experiment["mode"], experiment["weight"]
     window, times = experiment["window"], experiment["times"]
     provenance["parameters"].update({
@@ -522,13 +511,10 @@ def cmd_decay(config: dict, out_dir: str, expect: dict,
     payload = {"decay": {**fit, "weight_exponent": weight},
                "reference_slope": -problem["N"] / 2.0 + mode.alpha}
     _write_json(os.path.join(out_dir, "decay.json"), provenance, payload)
-    _check_expect(expect, {"slope": fit["fitted_slope"], "r_squared": fit["r_squared"]})
-    return EXIT_OK
+    return {"slope": fit["fitted_slope"], "r_squared": fit["r_squared"]}
 
 
-def cmd_kernel(config: dict, out_dir: str, expect: dict,
-               provenance: dict) -> int:
-    problem, experiment = config["problem"], config["experiment"]
+def cmd_kernel(problem: dict, experiment: dict, out_dir: str, provenance: dict) -> dict:
     w_exp = experiment["weight_exponent"]
     table = _spectral_table(problem, experiment["K"])
     try:
@@ -538,12 +524,6 @@ def cmd_kernel(config: dict, out_dir: str, expect: dict,
         raise ConfigError(str(exc)) from exc
     provenance["parameters"].update({"k_start": spec.k_start, "K": experiment["K"],
                                      "path": spec.path, "weight_exponent": w_exp})
-
-    # a Hardy-violating table's alpha_k are clamped, not a basis's, so the
-    # rho = 0 rule below would cite an alpha_k that does not exist
-    if not table.hardy_ok:
-        print("Hardy condition violated: mu_1 <= -((N-2)/2)^2", file=sys.stderr)
-        return EXIT_HARDY
     rho = np.asarray(experiment["rho"], dtype=float)
     # j_{-alpha}(rho) is unbounded at rho = 0 for alpha > 0
     alpha_max = float(np.max(table.alpha[spec.k_start - 1:]))
@@ -562,23 +542,16 @@ def cmd_kernel(config: dict, out_dir: str, expect: dict,
         "weighted_modulus": weighted,
         "scaled_modulus": (2.0 * math.pi) ** (problem["N"] / 2.0) * modulus,
         "truncation_warning": (tail > flow.TAIL_THRESHOLD).astype(int)})
-    _check_expect(expect, {"weighted_modulus": float(np.max(weighted))})
-    return EXIT_OK
+    return {"weighted_modulus": float(np.max(weighted))}
 
 
-def cmd_heat(config: dict, out_dir: str, expect: dict,
-             provenance: dict) -> int:
-    problem, experiment = config["problem"], config["experiment"]
-    N, a, k = problem["N"], problem["a"], experiment["k"]
+def cmd_heat(problem: dict, experiment: dict, out_dir: str, provenance: dict) -> dict:
+    N, k = problem["N"], experiment["k"]
     t0, t1 = experiment["t0"], experiment["t1"]
     provenance["parameters"].update(
         {key: experiment[key] for key in ("k", "t0", "t1", "r_max", "fd_points", "dt")})
 
-    table = _spectral_table(problem, k)
-    if not table.hardy_ok:
-        print("Hardy condition violated: mu_1 <= -((N-2)/2)^2", file=sys.stderr)
-        return EXIT_HARDY
-    mu_k, alpha_k, _ = table.row(k)
+    mu_k, alpha_k, _ = _spectral_table(problem, k).row(k)
 
     residual = flow.heat_residual(N, mu_k, alpha_k)
 
@@ -611,18 +584,11 @@ def cmd_heat(config: dict, out_dir: str, expect: dict,
         "reference_exponent": -N / 2.0 + alpha_k,
         "fit": {**fit, "weight_exponent": alpha_k},
     }
-    if a == 0.0:
-        free = t1 ** (-N / 2.0) * np.exp(-grid ** 2 / (4.0 * t1))
-        payload["free_profile_dev"] = float(np.max(np.abs(v_exact - free)))
     _write_json(os.path.join(out_dir, "residual.json"), provenance, payload)
-    _check_expect(expect, {"residual": residual, "rel_l2": rel_l2,
-                           "exponent": fit["fitted_slope"]})
-    return EXIT_OK
+    return {"residual": residual, "rel_l2": rel_l2, "exponent": fit["fitted_slope"]}
 
 
-def cmd_compare(config: dict, out_dir: str, expect: dict,
-                provenance: dict) -> int:
-    problem, experiment = config["problem"], config["experiment"]
+def cmd_compare(problem: dict, experiment: dict, out_dir: str, provenance: dict) -> dict:
     mode_idx = experiment["mode"]
     route_keys = ("T", "r_max", "fd_points", "dt", "window")
     provenance["parameters"].update({"mode": [mode_idx.n, mode_idx.j],
@@ -630,19 +596,14 @@ def cmd_compare(config: dict, out_dir: str, expect: dict,
 
     table = _spectral_table(problem, mode_idx.j)
     mode = make_mode(mode_idx, table)
-    with _window_of("experiment.window"):
-        report = flow.compare_routes(mode, table, *(experiment[key] for key in route_keys))
+    report = flow.compare_routes(mode, table, *(experiment[key] for key in route_keys))
     _write_json(os.path.join(out_dir, "compare.json"), provenance, {"comparison": report})
     if report["failures"]:
         for route, failure in sorted(report["failures"].items()):
             print(f"route {route} failed: {failure}", file=sys.stderr)
-        return EXIT_NUMERIC
-    measured = {"l2_worst": max(report["l2_rel"].values()),
-                "sup_worst": max(report["sup_rel"].values())}
-    _check_expect(expect, measured)
-    return EXIT_OK
-
-
+        raise ArithmeticError(f"failed routes: {', '.join(sorted(report['failures']))}")
+    return {"l2_worst": max(report["l2_rel"].values()),
+            "sup_worst": max(report["sup_rel"].values())}
 
 
 # the cells and the time step every finite-difference march defaults to:
@@ -715,9 +676,14 @@ def main(argv=None) -> int:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from exc
-        return _COMMANDS[args.command][0](config, out_dir, expect, provenance)
+        _check_expect(expect, _COMMANDS[args.command][0](
+            config["problem"], config["experiment"], out_dir, provenance))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except flow.WindowError as exc:
+        print(f"config error: experiment.window: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HardyViolation as exc:
         print(f"Hardy condition violated: {exc}", file=sys.stderr)
@@ -725,8 +691,7 @@ def main(argv=None) -> int:
     except ExpectationMiss as exc:
         print(f"expectation miss: {exc}", file=sys.stderr)
         return EXIT_EXPECT
-    except (EigensolveError, flow.ResolutionError, ArithmeticError,
-            np.linalg.LinAlgError, ValueError) as exc:
+    except (EigensolveError, ArithmeticError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

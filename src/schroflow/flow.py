@@ -316,10 +316,14 @@ def _to_unit_vector(direction) -> np.ndarray:
                          math.sin(theta) * math.sin(phi), math.cos(theta)])
     if d.shape != (3,):
         raise ValueError("sphere direction must be (theta, phi) or a 3-vector")
-    n = np.linalg.norm(d)
-    if not n > 0:
+    scale = np.max(np.abs(d))
+    if not scale > 0:
         raise ValueError(f"a direction 3-vector must be nonzero, got {d.tolist()!r}")
-    return d / n
+    # past 1e150 the sum of squares overflows, and below 1e-150 it underflows
+    # to a subnormal or 0: such a vector is scaled by its largest entry first
+    if not 1e-150 < scale < 1e150:
+        d = d / scale
+    return d / np.linalg.norm(d)
 
 
 def log_grid() -> tuple[np.ndarray, np.ndarray]:
