@@ -319,8 +319,9 @@ def _to_unit_vector(direction) -> np.ndarray:
     scale = np.max(np.abs(d))
     if not scale > 0:
         raise ValueError(f"a direction 3-vector must be nonzero, got {d.tolist()!r}")
-    # past 1e150 the sum of squares overflows, and below 1e-150 it underflows
-    # to a subnormal or 0: such a vector is scaled by its largest entry first
+    # the sum of squares overflows past about 1e154 and loses digits to
+    # underflow below about 1e-154, so a vector whose largest entry is not
+    # within (1e-150, 1e150) is scaled by that entry first
     if not 1e-150 < scale < 1e150:
         d = d / scale
     return d / np.linalg.norm(d)
