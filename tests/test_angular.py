@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -434,3 +435,34 @@ class TestAngularValueArray:
         k = len(eig) + 1 if bad == "past" else bad
         with pytest.raises(IndexError, match=f"k={k} "):
             eig.angular_value(np.array([1, k, 2]), *directions[0])
+
+
+class TestSphericalHarmonics:
+    """The N = 3 angular functions: Y_l^m, orthonormal with the
+    Condon-Shortley phase, as mode k = l^2 + l + m + 1."""
+
+    # Y_1^1 at theta = 1e-8 read 0 through cos(theta), and every case was
+    # off by up to 4e-4 relative at pi - 1e-7
+    @pytest.mark.parametrize("theta", [1e-8, 1e-5, 1e-3, math.pi - 1e-7])
+    @pytest.mark.parametrize("l, m", [(1, 1), (2, 1), (3, 2)])
+    def test_matches_mpmath_near_the_poles(self, l, m, theta):
+        phi = 0.3
+        ref = complex(mpmath.spherharm(l, m, theta, phi))
+        assert abs(_sphere_value(l, m, theta, phi) - ref) <= 1e-14 * abs(ref)
+
+    # the associated Legendre function overflowed at degree 86 for |m| >= 85
+    @pytest.mark.parametrize("l", [86, 100])
+    def test_high_degrees_are_finite_and_normalised(self, l):
+        eig = constant_a_spectrum(3, 0.0, (l + 1) ** 2)
+        ks = np.arange(l * l + 1, (l + 1) ** 2 + 1)
+        x, w = np.polynomial.legendre.leggauss(l + 20)
+        # |Y_l^m| does not depend on the longitude
+        values = eig.angular_value(ks, np.arccos(x))
+        assert np.all(np.isfinite(values))
+        norms = 2 * math.pi * (np.abs(values) ** 2 @ w)
+        assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
+def _sphere_value(l, m, theta, phi=0.0):
+    """Y_l^m(theta, phi) as the N = 3 angular function of mode l^2 + l + m + 1."""
+    return constant_a_spectrum(3, 0.0, (l + 1) ** 2).angular_value(l * l + l + m + 1, theta, phi)

@@ -319,6 +319,12 @@ class TestDecay:
         _, _, rows = read_csv(tmp_path / "out300" / "samples.csv")
         assert [float(t) for t, _ in rows] == times
 
+    def test_mode_of_degree_86(self, tmp_path):
+        # mode 7397 is Y_86^-86, whose sup over the sphere overflowed
+        cfg = write_config(tmp_path, "c.json",
+                           {"problem": FREE, "experiment": {"mode": [0, 7397]}})
+        assert main(["decay", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
     def test_window_past_the_gaussian_underflow(self, tmp_path):
         # the closed form of an n = 20 mode on r up to 1e20 was NaN, and so
         # was the slope, with exit 0
@@ -401,6 +407,23 @@ class TestKernel:
                            for row in rows])
         ref = aharonov_bohm_series(0.3, 0.2, 9, 0.7, 2.9, np.array([0.3, 2.0, 7.5]))
         assert np.all(np.abs(values - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+    def test_mode_sum_past_degree_85(self, tmp_path):
+        # K = 87^2: the associated Legendre function of degree 86 overflowed,
+        # and mode_sum exited 5 on a weighted modulus that was not finite
+        values = {}
+        for path in ("mode_sum", "legendre_collapsed"):
+            cfg = write_config(tmp_path, f"{path}.json",
+                               {"problem": FREE,
+                                "experiment": {"K": 7569, "path": path, "rho": [0.5, 20.0],
+                                               "x_dir": [0.4, 0.3], "y_dir": [1.2, 2.1]}})
+            out = tmp_path / path
+            assert main(["kernel", "--config", cfg, "--out", str(out)]) == 0
+            _, cols, rows = read_csv(out / "kernel.csv")
+            values[path] = np.array([complex(float(row[cols.index("re_K")]),
+                                             float(row[cols.index("im_K")])) for row in rows])
+        ref = values["legendre_collapsed"]
+        assert np.all(np.abs(values["mode_sum"] - ref) <= 1e-13 * np.abs(ref))
 
     def test_empty_grid_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",

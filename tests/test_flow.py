@@ -362,6 +362,17 @@ class TestKernel:
         values, _ = flow.kernel_eval(spec, x, (1.2, 2.1), rho)
         assert np.all(np.abs(values - ref) <= 1e-13)
 
+    # near a pole: theta = acos(u_z) snapped [1e-9, 0, 1] onto the pole, and
+    # cos(theta) lost Y_l^m's digits within 1e-7 of either pole
+    @pytest.mark.parametrize("x", [(1e-8, 0.3), (math.pi - 1e-7, 0.3), [1e-9, 0.0, 1.0],
+                                   [1e-7, 2e-7, -1.0]])
+    def test_mode_sum_matches_collapsed_near_a_pole(self, x):
+        table = build_table(constant_a_spectrum(3, 0.3, 169), 3, 169)
+        rho = np.array([0.5, 2.0, 7.5])
+        v1, v2 = (flow.kernel_eval(flow.KernelSpec(table=table, path=path), x, (0.4, 1.2), rho)[0]
+                  for path in ("mode_sum", "legendre_collapsed"))
+        assert np.all(np.abs(v1 - v2) <= 1e-13 * np.abs(v2))
+
     def test_direction_of_a_plain_vector_is_its_quotient_by_the_norm(self):
         d = np.array([0.4, 0.3, 0.2])
         assert flow._to_unit_vector(d).tobytes() == (d / np.linalg.norm(d)).tobytes()
