@@ -12,7 +12,7 @@ from .oscillator import (ModeIndex, NormalizedMode, SpectralTable, build_table,
                          gamma_of, make_mode, project)
 from .quadrature import RadialQuadrature
 from .radialfd import RadialSchema, evolve_heat, evolve_schrodinger
-from .specfun import PolySpec, bessel_j, j_scaled, legendre_p, sph_harm
+from .specfun import PolySpec, bessel_j, j_scaled, legendre_p
 
 __version__ = "0.1.0"
 
@@ -26,5 +26,5 @@ __all__ = [
     "gamma_of", "heat_residual", "heat_self_similar", "j_scaled",
     "kernel_eval", "legendre_p", "make_mode", "project",
     "propagate_representation", "pseudoconformal",
-    "sph_harm", "weighted_sup_norm", "__version__",
+    "weighted_sup_norm", "__version__",
 ]

@@ -9,7 +9,8 @@ Two regimes are covered:
   harmonics of alpha only multiply each eigenfunction by e^{-i Lambda(theta)},
   Lambda' = alpha - phi;
 * ``constant_a_spectrum`` -- closed-form spectrum l(l+N-2) + a for constant a
-  (N >= 3).
+  (N >= 3); on S^2 its eigenfunctions are the spherical harmonics Y_l^m of
+  ``scipy.special.sph_harm_y``.
 
 ``eigensolve`` turns an assembled Hermitian matrix into a deterministic,
 ascending, orthonormal eigensystem of its lowest ``count`` eigenpairs.  A
@@ -26,8 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .specfun import sph_harm
+from scipy import special as sp
 
 HERMITICITY_TOL = 1e-12
 # eigensolve's residual bound, relative to max(|M|, 1)
@@ -76,7 +76,7 @@ class AngularEigensystem:
     the e^{im theta} modes, m = -K..K) or ``analytic_constant`` (N >= 3,
     ``constant_a_spectrum``: exact degree-l harmonics, row k-1 of the
     (count, 2) integer array ``mode_labels`` carries mode k's (l, m); their
-    values are provided for N=3).  ``gauge`` holds the Fourier coefficients
+    values are provided for N=3, as Y_l^m).  ``gauge`` holds the Fourier coefficients
     {q: Lambda_hat_q} of the real phase Lambda(theta) by which a circle
     eigenfunction is e^{-i Lambda} times its vector's Fourier series.
     """
@@ -95,7 +95,9 @@ class AngularEigensystem:
     def angular_value(self, k, theta, phi=None):
         """Value of the k-th (1-based) normalized eigenfunction; an integer
         array of k gives shape k.shape + theta.shape, each value the bits of
-        its own scalar call."""
+        its own scalar call.  On S^2 it is scipy.special.sph_harm_y's
+        orthonormal Y_l^m with the Condon-Shortley phase, of the colatitude
+        theta and the longitude phi."""
         idx = np.asarray(k) - 1
         bad = np.flatnonzero((idx < 0) | (idx >= len(self.eigenvalues)))
         if bad.size:
@@ -103,8 +105,12 @@ class AngularEigensystem:
         if self.basis_tag == "analytic_constant":
             if self.N != 3:
                 raise NotImplementedError("analytic eigenfunction evaluation is provided for N=3")
-            l, m = self.mode_labels[idx, 0], self.mode_labels[idx, 1]
-            return sph_harm(l, m, theta, 0.0 if phi is None else phi)
+            phi = 0.0 if phi is None else phi
+            # the k axes lead, the angle axes follow
+            angle_axes = (1,) * np.broadcast(theta, phi).ndim
+            l, m = (self.mode_labels[idx, i].reshape(idx.shape + angle_axes) for i in (0, 1))
+            values = sp.sph_harm_y(l, m, theta, phi)
+            return complex(values) if values.ndim == 0 else values
         theta = np.asarray(theta, dtype=float)
         K = (len(self.eigenvectors) - 1) // 2
         phase = np.multiply.outer(np.arange(-K, K + 1), theta)

@@ -441,6 +441,32 @@ class TestSphericalHarmonics:
     """The N = 3 angular functions: Y_l^m, orthonormal with the
     Condon-Shortley phase, as mode k = l^2 + l + m + 1."""
 
+    def test_low_order_values(self):
+        assert _sphere_value(0, 0, 0.3, 1.1) == pytest.approx(1.0 / math.sqrt(4 * math.pi))
+        theta = 0.8
+        assert _sphere_value(1, 0, theta) == pytest.approx(
+            math.sqrt(3.0 / (4 * math.pi)) * math.cos(theta))
+        # Condon-Shortley: Y_1^1 at the equator is negative real
+        assert _sphere_value(1, 1, math.pi / 2).real == pytest.approx(
+            -math.sqrt(3.0 / (8 * math.pi)))
+
+    def test_conjugation_symmetry(self):
+        for l in range(1, 5):
+            for m in range(1, l + 1):
+                y, y_neg = (_sphere_value(l, s * m, 0.7, 1.3) for s in (1, -1))
+                assert y_neg == pytest.approx((-1) ** m * np.conj(y), rel=1e-12)
+
+    def test_orthonormality_by_quadrature(self):
+        eig = constant_a_spectrum(3, 0.0, 25)
+        x, w = np.polynomial.legendre.leggauss(24)
+        nphi = 48
+        phi = 2 * math.pi * np.arange(nphi) / nphi
+        tt, pp = np.meshgrid(np.arccos(x), phi, indexing="ij")
+        ww = np.repeat(w * 2 * math.pi / nphi, nphi)
+        Y = eig.angular_value(np.arange(1, 26), tt, pp).reshape(25, -1)
+        gram = (Y * ww) @ Y.conj().T
+        assert np.max(np.abs(gram - np.eye(25))) < 1e-12
+
     # Y_1^1 at theta = 1e-8 read 0 through cos(theta), and every case was
     # off by up to 4e-4 relative at pi - 1e-7
     @pytest.mark.parametrize("theta", [1e-8, 1e-5, 1e-3, math.pi - 1e-7])

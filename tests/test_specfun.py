@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from schroflow.specfun import (PolySpec, bessel_j, j_scaled, legendre_p,
-                               sph_harm)
+from schroflow.specfun import PolySpec, bessel_j, j_scaled, legendre_p
 
 
 class TestBesselJ:
@@ -146,67 +145,3 @@ class TestLegendre:
         with pytest.raises(ValueError):
             legendre_p(3, 1.5)
 
-
-class TestSphHarm:
-    def test_low_order_values(self):
-        assert sph_harm(0, 0, 0.3, 1.1) == pytest.approx(
-            1.0 / math.sqrt(4 * math.pi))
-        theta = 0.8
-        assert sph_harm(1, 0, theta, 0.0) == pytest.approx(
-            math.sqrt(3.0 / (4 * math.pi)) * math.cos(theta))
-        # Condon-Shortley: Y_1^1 at the equator is negative real
-        assert sph_harm(1, 1, math.pi / 2, 0.0).real == pytest.approx(
-            -math.sqrt(3.0 / (8 * math.pi)))
-
-    def test_conjugation_symmetry(self):
-        for l in range(1, 5):
-            for m in range(1, l + 1):
-                y = sph_harm(l, m, 0.7, 1.3)
-                y_neg = sph_harm(l, -m, 0.7, 1.3)
-                assert y_neg == pytest.approx((-1) ** m * np.conj(y), rel=1e-12)
-
-    def test_orthonormality_by_quadrature(self):
-        x, w = np.polynomial.legendre.leggauss(24)
-        theta = np.arccos(x)
-        nphi = 48
-        phi = 2 * math.pi * np.arange(nphi) / nphi
-        tt, pp = np.meshgrid(theta, phi, indexing="ij")
-        ww = np.repeat(w * 2 * math.pi / nphi, nphi)
-        pairs = [(l, m) for l in range(5) for m in range(-l, l + 1)]
-        Y = np.array([sph_harm(l, m, tt, pp).ravel() for l, m in pairs])
-        gram = (Y * ww) @ Y.conj().T
-        assert np.max(np.abs(gram - np.eye(len(pairs)))) < 1e-12
-
-    def test_invalid_m(self):
-        with pytest.raises(ValueError):
-            sph_harm(1, 2, 0.0, 0.0)
-
-    # both poles, a pole at nonzero longitude, and generic directions
-    @pytest.mark.parametrize("theta, phi", [(0.0, 0.0), (math.pi, 0.0), (0.0, 1.3),
-                                            (math.pi, -2.0), (0.7, 1.3), (2.1, -0.4)])
-    def test_array_of_degrees_bitwise_equals_scalar_calls(self, theta, phi):
-        l, m = np.array([(l, m) for l in range(61) for m in range(-l, l + 1)]).T
-        values = sph_harm(l, m, theta, phi)
-        ref = np.array([sph_harm(int(li), int(mi), theta, phi) for li, mi in zip(l, m)])
-        assert values.shape == l.shape
-        _assert_same_bits(values, ref)
-
-    def test_degrees_and_angles_broadcast(self):
-        l, m = np.array([[3], [4]]), np.array([-2, 0, 1])
-        theta, phi = np.array([0.0, 0.4, 1.9]), np.array([[0.2], [-1.1]])
-        values = sph_harm(l, m, theta, phi)
-        assert values.shape == (2, 3, 2, 3)
-        for i, j in np.ndindex(2, 3):
-            _assert_same_bits(values[i, j], sph_harm(int(l[i, 0]), int(m[j]), theta, phi))
-
-    def test_invalid_m_in_array(self):
-        with pytest.raises(ValueError, match="l=2, m=3"):
-            sph_harm(np.array([1, 2, 3]), np.array([0, 3, 1]), 0.4, 0.2)
-
-
-def _assert_same_bits(a, b):
-    """Equal values, and equal signs of every zero real and imaginary part."""
-    a, b = np.asarray(a), np.asarray(b)
-    assert np.array_equal(a, b)
-    for part in (np.real, np.imag):
-        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
