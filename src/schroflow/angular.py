@@ -76,9 +76,9 @@ class AngularEigensystem:
     the e^{im theta} modes, m = -K..K) or ``analytic_constant`` (N >= 3,
     ``constant_a_spectrum``: exact degree-l harmonics, row k-1 of the
     (count, 2) integer array ``mode_labels`` carries mode k's (l, m); their
-    values are provided for N=3, as Y_l^m).  ``gauge`` holds the Fourier coefficients
-    {q: Lambda_hat_q} of the real phase Lambda(theta) by which a circle
-    eigenfunction is e^{-i Lambda} times its vector's Fourier series.
+    values are provided for N=3, as Y_l^m).  ``gauge`` holds the Fourier
+    coefficients {q: Lambda_hat_q} of the real phase Lambda(theta) by which a
+    circle eigenfunction is e^{-i Lambda} times its vector's Fourier series.
     """
 
     basis_tag: str

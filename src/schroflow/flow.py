@@ -287,7 +287,7 @@ def _direction_angles(N: int, direction) -> tuple:
     if d.shape == (2,):            # (theta, phi)
         return float(d[0]), float(d[1])
     u = _to_unit_vector(d)
-    # acos(u_z) puts a vector within about 1e-8 of a pole on the pole
+    # acos(u_z) would put a vector within about 1e-8 of a pole on the pole
     return math.atan2(math.hypot(u[0], u[1]), u[2]), math.atan2(u[1], u[0])
 
 

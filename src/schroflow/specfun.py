@@ -106,4 +106,3 @@ def legendre_p(l, x):
         p[k + 1] = ((2 * k + 1) * x_arr * p[k] - k * p[k - 1]) / (k + 1.0)
     out = p[l_arr]
     return float(out) if out.ndim == 0 else out
-
