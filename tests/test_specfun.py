@@ -144,4 +144,3 @@ class TestLegendre:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             legendre_p(3, 1.5)
-
