@@ -19,9 +19,11 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
+import orjson
 
 from . import __version__, flow
 from .angular import (AngularProblem, AngularProblemError, EigensolveError,
@@ -344,14 +346,37 @@ def _fmt(value) -> str:
 
 _CSV_BLOCK = 2048
 
+# orjson writes an exponent with no plus sign and no leading zero (e16, e-7)
+_EXP_UNSIGNED = re.compile(rb"e(?=\d)")
+_EXP_ONE_DIGIT = re.compile(rb"e-(?=\d(?!\d))")
+
 
 def _cells(column) -> list[str]:
-    """``_fmt`` of every value of a column: float and integer arrays in bulk
-    (repr of a Python float or int is what ``_fmt`` writes), anything else
-    value by value."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+    """``_fmt`` of every value of a column: float and integer arrays in bulk,
+    anything else value by value.
+
+    ``_fmt`` writes a float as ``repr``, Python's shortest round-trip
+    digits.  A float array is printed by one ``orjson.dumps`` call, whose
+    digits are the same, and its exponents are then spelt as ``repr`` spells
+    them (``e16`` as ``e+16``, ``e-7`` as ``e-07``).  The cells orjson spells
+    otherwise are taken from ``repr``: |x| in [1e-5, 1e-4), which orjson
+    writes in fixed notation, and nan and +-inf, which it writes as null.
+    An integer array is ``repr`` of its Python ints.
+    """
+    if not (isinstance(column, np.ndarray) and column.dtype.kind in "fiu"):
+        return [_fmt(v) for v in column]
+    if column.dtype.kind != "f":
         return list(map(repr, column.tolist()))
-    return [_fmt(v) for v in column]
+    x = np.ascontiguousarray(column, dtype=np.float64)
+    if not x.size:
+        return []
+    text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    text = _EXP_ONE_DIGIT.sub(b"e-0", _EXP_UNSIGNED.sub(b"e+", text))
+    cells = text.decode().split(",")
+    size = np.abs(x)
+    for i in np.flatnonzero(((size >= 1e-5) & (size < 1e-4)) | ~np.isfinite(x)).tolist():
+        cells[i] = repr(float(x[i]))
+    return cells
 
 
 def _write_csv(path: str, provenance: dict, extra_lines: list, columns: dict) -> None:
@@ -411,7 +436,8 @@ def _check_expect(expect: dict, measured: dict) -> None:
     """Compare measured headline values against --expect tolerances.
 
     Each expectation is either {"name": value, "name_tol": tol} (|measured -
-    value| <= tol) or {"name_max": bound} (measured <= bound).
+    value| <= tol) or {"name_max": bound} (measured <= bound).  A miss
+    prints every number by repr, then the size of the miss.
     """
     for key, bound in expect.items():
         if key.endswith("_tol"):
@@ -420,16 +446,18 @@ def _check_expect(expect: dict, measured: dict) -> None:
             name = key[:-4]
             if name not in measured:
                 raise ConfigError(f"--expect names unknown quantity {name!r}")
-            if not measured[name] <= bound:
+            value = float(measured[name])
+            if not value <= bound:
                 raise ExpectationMiss(
-                    f"{name} = {measured[name]:.6g} exceeds bound {bound:.6g}")
+                    f"{name} = {value!r} exceeds bound {bound!r} by {value - bound!r}")
         else:
             if key not in measured:
                 raise ConfigError(f"--expect names unknown quantity {key!r}")
+            value = float(measured[key])
             tol = expect.get(key + "_tol", 0.0)
-            if not abs(measured[key] - bound) <= tol:
-                raise ExpectationMiss(
-                    f"{key} = {measured[key]:.6g} outside {bound:.6g} +- {tol:.6g}")
+            if not abs(value - bound) <= tol:
+                raise ExpectationMiss(f"{key} = {value!r} outside {bound!r} +- {tol!r}"
+                                      f" by {abs(value - bound)!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from schroflow import cli, flow
 from schroflow.cli import main
@@ -93,7 +94,19 @@ class TestSpectrum:
         code = main(["spectrum", "--config", cfg, "--out", str(tmp_path),
                      "--expect", '{"alpha_1_max": 0.1}'])
         assert code == 4
-        assert capsys.readouterr().err == "expectation miss: alpha_1 = 0.25 exceeds bound 0.1\n"
+        assert capsys.readouterr().err == ("expectation miss: alpha_1 = 0.25 exceeds bound 0.1"
+                                           " by 0.15\n")
+
+    def test_tolerance_miss_prints_exact_numbers(self, tmp_path, capsys):
+        # a miss against a tolerance finer than 6 digits still shows the
+        # numbers that differ, and by how much
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": {"K": 1}})
+        code = main(["spectrum", "--config", cfg, "--out", str(tmp_path),
+                     "--expect", '{"alpha_1": 0.2500000000001, "alpha_1_tol": 1e-14}'])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "expectation miss: alpha_1 = 0.25 outside 0.2500000000001 +- 1e-14"
+            f" by {0.2500000000001 - 0.25!r}\n")
 
     def test_magnetic_circle_spectrum(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
@@ -774,6 +787,47 @@ class TestCsv:
         for path, t in zip(paths, [value, np.full(len(r), value)]):
             cli._write_csv(str(path), provenance, [], {"t": t, "r": r})
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @staticmethod
+    def edge_values():
+        # every power of two and of ten, both float neighbours of each power
+        # of ten, and the non-finite values and zeros, with both signs
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = np.concatenate([twos, tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+                                 [np.nan, np.inf, 0.0, 5e-324]])
+        return np.concatenate([values, -values])
+
+    def test_edge_values_are_repr(self):
+        x = self.edge_values()
+        assert cli._cells(x) == list(map(repr, x.tolist()))
+
+    def test_edge_values_written_as_repr(self, tmp_path):
+        # more than one block of rows
+        x = self.edge_values()
+        assert len(x) > cli._CSV_BLOCK
+        provenance = {"tool": "schroflow", "version": "0.1.0", "command": "evolve",
+                      "config_sha256": "0" * 64, "parameters": {}}
+        path = tmp_path / "edges.csv"
+        cli._write_csv(str(path), provenance, [], {"x": x, "minus_x": -x})
+        lines = ["# schroflow 0.1.0", "# command: evolve", "# config_sha256: " + "0" * 64,
+                 "x,minus_x"] + [f"{v!r},{-v!r}" for v in x.tolist()]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @settings(deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 40),
+                      elements=st.floats(width=64, allow_nan=True, allow_infinity=True)))
+    def test_any_float64_array_is_repr(self, x):
+        assert cli._cells(x) == list(map(repr, x.tolist()))
+
+    def test_strided_and_float32_arrays_are_repr(self):
+        rng = np.random.default_rng(3)
+        z = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) * 10.0 ** rng.integers(-9, 20, 64)
+        assert not z.real.flags.c_contiguous
+        assert cli._cells(z.real) == list(map(repr, z.real.tolist()))
+        f32 = (rng.standard_normal(64) * 10.0 ** rng.integers(-40, 38, 64)).astype(np.float32)
+        f32[:3] = [np.nan, -np.inf, 3e-5]
+        assert cli._cells(f32) == [repr(float(v)) for v in f32]
 
 
 FREE = {"N": 3, "a": 0.0}
