@@ -488,6 +488,26 @@ class TestSphericalHarmonics:
         norms = 2 * math.pi * (np.abs(values) ** 2 @ w)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
+    # on 256 colatitudes sup_abs read max |Y_86^1| 2.9e-2 low; over all 87
+    # orders of degree 86 it now reads at most 9.6e-14 from mpmath's maximum
+    @pytest.mark.parametrize("m", [0, 1, 43, 86])
+    def test_sup_abs_at_degree_86_matches_mpmath(self, m):
+        l = 86
+        eig = constant_a_spectrum(3, 0.0, (l + 1) ** 2)
+        k = l * l + l + m + 1
+        # mpmath's maximum: the stationary point of |Y|^2 in the bracket
+        # around the largest of 20001 samples, a few hundred per lobe
+        theta = np.linspace(0.0, math.pi, 20001)
+        best = float(theta[np.argmax(np.abs(eig.angular_value(k, theta)))])
+        step = theta[1]
+        with mpmath.workdps(30):
+            def square(t):
+                return abs(mpmath.spherharm(l, m, t, 0)) ** 2
+            peak = mpmath.findroot(lambda t: mpmath.diff(square, t),
+                                   (best - step, best + step), solver="anderson")
+            ref = float(mpmath.sqrt(square(peak)))
+        assert abs(eig.sup_abs(k) - ref) <= 1e-12 * ref
+
 
 def _sphere_value(l, m, theta, phi=0.0):
     """Y_l^m(theta, phi) as the N = 3 angular function of mode l^2 + l + m + 1."""

@@ -4,10 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from schroflow import flow
-from schroflow.angular import constant_a_spectrum
+from schroflow import flow, oscillator
+from schroflow.angular import AngularProblem, circle_eigensystem, constant_a_spectrum
 from schroflow.oscillator import (AccuracyWarning, HardyViolation, ModeIndex,
                                   build_table, gamma_of, make_mode, project)
+
+HARDY = "mu_1 <= -((N-2)/2)^2"
 from schroflow.quadrature import RadialQuadrature
 
 
@@ -26,9 +28,41 @@ class TestBuildTable:
         assert table.hardy_ok
 
     def test_hardy_boundary_invalid(self):
-        table = build_table(constant_a_spectrum(3, -0.25, 1), 3, 1)
-        assert not table.hardy_ok
-        assert table.decay_class == "invalid"
+        # mu_1 = -1/4 = -((N-2)/2)^2 at N = 3: no oscillator basis, so no table
+        with pytest.raises(HardyViolation) as info:
+            build_table(constant_a_spectrum(3, -0.25, 1), 1)
+        assert str(info.value) == HARDY
+
+    def test_circle_hardy_violation(self):
+        # N = 2: the bound is mu_1 > 0, and a constant a = -0.1 gives mu_1 = -0.1
+        eigsys = circle_eigensystem(AngularProblem(scalar_coeff=-0.1), count=3)
+        with pytest.raises(HardyViolation) as info:
+            build_table(eigsys, 3)
+        assert str(info.value) == HARDY
+
+    def test_direct_construction_refused(self):
+        eigsys = constant_a_spectrum(3, -0.25, 1)
+        with pytest.raises(HardyViolation) as info:
+            oscillator.SpectralTable(mu=np.array([-0.25]), eigsys=eigsys)
+        assert str(info.value) == HARDY
+
+
+class TestAngularIndices:
+    def test_hardy_boundary_invalid(self):
+        # spectrum reports a violating problem: beta_k is clamped at 0
+        alpha, beta, decay_class = oscillator.angular_indices(np.array([-0.25, 1.75]), 3)
+        assert decay_class == "invalid"
+        assert beta[0] == 0.0 and alpha[0] == 0.5
+        assert beta[1] == pytest.approx(1.5, abs=1e-15)
+
+    def test_circle_below_the_bound_is_invalid(self):
+        alpha, beta, decay_class = oscillator.angular_indices(np.array([-0.1, 0.9]), 2)
+        assert decay_class == "invalid"
+        assert beta[0] == 0.0 and alpha[0] == 0.0
+
+    @pytest.mark.parametrize("mu1, cls", [(-0.1875, "loss_of_decay"), (0.0, "classical_candidate")])
+    def test_valid_classes(self, mu1, cls):
+        assert oscillator.angular_indices(np.array([mu1, 2.0]), 3)[2] == cls
 
     def test_alpha_beta_identity(self):
         # alpha_k + beta_k = (N-2)/2 and beta^2 - ((N-2)/2)^2 = mu
