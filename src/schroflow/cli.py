@@ -28,7 +28,8 @@ import orjson
 from . import __version__, flow
 from .angular import (AngularProblem, AngularProblemError, EigensolveError,
                       circle_eigensystem, constant_a_spectrum)
-from .oscillator import HardyViolation, ModeIndex, build_table, make_mode
+from .oscillator import (DECAY_INVALID, HardyViolation, ModeIndex, angular_indices,
+                         build_table, make_mode)
 # evolve_schrodinger is not called here; the perfbench self-tests check that
 # its tracer rebinds cli.evolve_schrodinger
 from .radialfd import (RadialSchema, evolve_heat, evolve_schrodinger,  # noqa: F401
@@ -41,10 +42,6 @@ EXIT_CONFIG = 2
 EXIT_HARDY = 3
 EXIT_EXPECT = 4
 EXIT_NUMERIC = 5
-
-# every command refuses a Hardy-violating problem: its table's alpha_k are
-# clamped, not those of a basis
-_HARDY = "mu_1 <= -((N-2)/2)^2"
 
 
 class ConfigError(ValueError):
@@ -327,10 +324,7 @@ def _spectral_table(problem: dict, K: int):
     if K > len(eigsys):
         raise ConfigError(f"mode {K} is past the {len(eigsys)} modes of the "
                           "angular truncation")
-    table = build_table(eigsys, problem["N"], K)
-    if not table.hardy_ok:
-        raise HardyViolation(_HARDY)
-    return table
+    return build_table(eigsys, K)
 
 
 # ---------------------------------------------------------------------------
@@ -467,16 +461,18 @@ def cmd_spectrum(problem: dict, experiment: dict, out_dir: str, provenance: dict
     K = experiment["K"]
     eigsys = build_eigensystem(problem, K)
     K = min(K, len(eigsys))
-    table = build_table(eigsys, problem["N"], K)
+    mu = np.asarray(eigsys.eigenvalues[:K], dtype=float)
+    alpha, beta, decay_class = angular_indices(mu, problem["N"])
     provenance["parameters"].update({"K": K})
-    rows = [(k,) + table.row(k) for k in range(1, K + 1)]
     _write_csv(os.path.join(out_dir, "spectrum.csv"), provenance,
-               [f"classification: {table.decay_class}"],
-               dict(zip(["k", "mu", "alpha", "beta"], zip(*rows))))
-    print(f"classification: {table.decay_class}")
-    if not table.hardy_ok:
-        raise HardyViolation(_HARDY)
-    return dict(zip(["mu_1", "alpha_1", "beta_1"], table.row(1)))
+               [f"classification: {decay_class}"],
+               {"k": np.arange(1, K + 1), "mu": mu, "alpha": alpha, "beta": beta})
+    print(f"classification: {decay_class}")
+    # the one command that reports a problem with no spectral table: its
+    # rows, beta_k clamped at 0, are written before the refusal
+    if decay_class == DECAY_INVALID:
+        raise HardyViolation()
+    return {"mu_1": float(mu[0]), "alpha_1": float(alpha[0]), "beta_1": float(beta[0])}
 
 
 def cmd_evolve(problem: dict, experiment: dict, out_dir: str, provenance: dict) -> dict:

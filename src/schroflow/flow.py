@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator import AccuracyWarning, HardyViolation, NormalizedMode, SpectralTable
+from .oscillator import AccuracyWarning, NormalizedMode, SpectralTable
 from .quadrature import RadialQuadrature
 from .radialfd import RadialSchema, evolve_schrodinger
 from .specfun import j_scaled, legendre_p
@@ -243,11 +243,8 @@ def kernel_eval(spec: KernelSpec, x_dir, y_dir, rho) -> tuple[np.ndarray, np.nda
     block's angular sum times its factor phase j.  The tail bound is the
     Cauchy-Schwarz bound of the last block, |phase j| sqrt(sum |psi_k(x)|^2
     sum |psi_k(y)|^2).  At rho = 0 only alpha_k = 0 contributes, and a mode
-    with alpha_k > 0 raises ValueError.  A table that violates the Hardy
-    condition raises HardyViolation: its alpha_k are not those of a basis.
+    with alpha_k > 0 raises ValueError.
     """
-    if not spec.table.hardy_ok:
-        raise HardyViolation("the kernel series requires the Hardy condition")
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ValueError("kernel_eval requires rho >= 0")
@@ -388,8 +385,6 @@ def propagate_representation(state: SeparatedState, t: float,
     if t <= 0:
         raise ValueError("propagate_representation requires t > 0")
     table = state.table
-    if not table.hardy_ok:
-        raise HardyViolation("representation propagation requires the Hardy condition")
     for j in state.profiles:
         if j > table.K_max:
             raise ValueError(f"state mode j={j} exceeds the spectral table (K_max={table.K_max})")

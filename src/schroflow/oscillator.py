@@ -5,9 +5,10 @@ From the angular eigenvalues mu_k this module derives the indices
     alpha_k = (N-2)/2 - sqrt(((N-2)/2)^2 + mu_k),
     beta_k  = sqrt(((N-2)/2)^2 + mu_k),
 
-classifies the problem (Hardy validity, loss-of-decay range), gives the
-oscillator levels gamma_{n,j} = 2n - alpha_j + N/2, and builds/normalizes/
-projects the separable eigenfunctions
+classifies the problem (Hardy validity, loss-of-decay range), tabulates a
+Hardy-valid problem, gives the oscillator levels
+gamma_{n,j} = 2n - alpha_j + N/2, and builds/normalizes/projects the
+separable eigenfunctions
 
     V_{n,j}(x) = r^{-alpha_j} e^{-r^2/4} P_{n}(r^2/2) psi_j(theta).
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,19 +33,48 @@ class HardyViolation(ValueError):
     """The lowest angular eigenvalue violates the strict Hardy bound, so the
     oscillator basis does not exist."""
 
+    def __init__(self):
+        super().__init__("mu_1 <= -((N-2)/2)^2")
+
+
+def angular_indices(mu: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """(alpha_k, beta_k, decay class) of the ascending angular eigenvalues
+    mu_k in dimension N.  A Hardy-violating mu_1 <= -((N-2)/2)^2 is class
+    ``invalid``, and its beta_k below the bound are clamped at 0."""
+    half = (N - 2) / 2.0
+    beta = np.sqrt(np.maximum(half * half + mu, 0.0))
+    if not mu[0] > -half * half:
+        decay = DECAY_INVALID
+    elif mu[0] < 0:
+        decay = DECAY_LOSS
+    else:
+        decay = DECAY_CLASSICAL
+    return half - beta, beta, decay
+
 
 @dataclass(frozen=True)
 class SpectralTable:
-    """Rows (k, mu_k, alpha_k, beta_k) for k = 1..K_max plus classification,
-    and the angular eigensystem the rows come from (``build_table``)."""
+    """Rows (k, mu_k, alpha_k, beta_k) for k = 1..K_max of a Hardy-valid
+    problem, its decay class, and the angular eigensystem the rows come from
+    (``build_table``).  A table exists only where the oscillator basis does:
+    constructing one whose mu_1 <= -((N-2)/2)^2 raises HardyViolation."""
 
-    N: int
     mu: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    hardy_ok: bool
-    decay_class: str
     eigsys: AngularEigensystem
+    alpha: np.ndarray = field(init=False)
+    beta: np.ndarray = field(init=False)
+    decay_class: str = field(init=False)
+
+    def __post_init__(self):
+        alpha, beta, decay = angular_indices(self.mu, self.N)
+        if decay == DECAY_INVALID:
+            raise HardyViolation()
+        for name, value in (("alpha", alpha), ("beta", beta), ("decay_class", decay)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def N(self) -> int:
+        return self.eigsys.N
 
     @property
     def K_max(self) -> int:
@@ -57,37 +87,14 @@ class SpectralTable:
         return float(self.mu[k - 1]), float(self.alpha[k - 1]), float(self.beta[k - 1])
 
 
-def build_table(eigsys: AngularEigensystem, N: int, K_max: int) -> SpectralTable:
-    """Derive the index table from an angular eigensystem.
-
-    Classification is always produced, including the invalid (Hardy-violated)
-    case; only downstream basis construction refuses to run then.
-    """
-    if eigsys.N != N:
-        raise ValueError(f"dimension mismatch: eigensystem N={eigsys.N}, requested N={N}")
+def build_table(eigsys: AngularEigensystem, K_max: int) -> SpectralTable:
+    """The index table of the first K_max angular modes; HardyViolation if
+    the problem violates the Hardy condition."""
     if K_max < 1 or K_max > len(eigsys.eigenvalues):
         raise IndexError(
             f"K_max={K_max} outside the {len(eigsys.eigenvalues)} available modes"
         )
-    mu = np.asarray(eigsys.eigenvalues[:K_max], dtype=float)
-    half = (N - 2) / 2.0
-    hardy_ok = bool(mu[0] > -half * half)
-    disc = half * half + mu
-    if hardy_ok:
-        beta = np.sqrt(disc)
-    else:
-        beta = np.sqrt(np.maximum(disc, 0.0))
-    alpha = half - beta
-    if not hardy_ok:
-        decay = DECAY_INVALID
-    elif mu[0] < 0:
-        decay = DECAY_LOSS
-    else:
-        decay = DECAY_CLASSICAL
-    return SpectralTable(
-        N=N, mu=mu, alpha=alpha, beta=beta, hardy_ok=hardy_ok,
-        decay_class=decay, eigsys=eigsys,
-    )
+    return SpectralTable(np.asarray(eigsys.eigenvalues[:K_max], dtype=float), eigsys)
 
 
 @dataclass(frozen=True)
@@ -154,10 +161,6 @@ def make_mode(index: ModeIndex, table: SpectralTable) -> NormalizedMode:
     evaluated in log space.  The angular factor is already unit-normalized
     on the sphere.
     """
-    if not table.hardy_ok:
-        raise HardyViolation(
-            "the oscillator eigenbasis requires mu_1 > -((N-2)/2)^2"
-        )
     _, alpha_j, _ = table.row(index.j)
     n, b = index.n, table.N / 2.0 - alpha_j
     log_norm_sq = ((b - 1.0) * math.log(2.0) + 2.0 * math.lgamma(b)

@@ -17,13 +17,13 @@ def quad_default():
 def table_loss():
     """N=3, constant a=-0.1875: the loss-of-decay witness problem."""
     eigsys = constant_a_spectrum(3, -0.1875, 12)
-    return build_table(eigsys, 3, len(eigsys))
+    return build_table(eigsys, len(eigsys))
 
 
 @pytest.fixture(scope="session")
 def table_free():
     eigsys = constant_a_spectrum(3, 0.0, 12)
-    return build_table(eigsys, 3, len(eigsys))
+    return build_table(eigsys, len(eigsys))
 
 
 @pytest.fixture(scope="session")

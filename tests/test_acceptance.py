@@ -30,7 +30,7 @@ from scipy import special as sp
 
 
 def _loss_mode(n=0, j=1, K=1):
-    table = build_table(constant_a_spectrum(3, -0.1875, max(j, K)), 3, max(j, K))
+    table = build_table(constant_a_spectrum(3, -0.1875, max(j, K)), max(j, K))
     return make_mode(ModeIndex(n, j), table), table
 
 
@@ -40,7 +40,7 @@ def test_criterion_1_spectral_indices():
              (2.0, -1.0, 1.5, "classical_candidate")]
     worst = 0.0
     for a, alpha, beta, cls in cases:
-        table = build_table(constant_a_spectrum(3, a, 1), 3, 1)
+        table = build_table(constant_a_spectrum(3, a, 1), 1)
         _, a1, b1 = table.row(1)
         worst = max(worst, abs(a1 - alpha), abs(b1 - beta))
         assert abs(a1 - alpha) <= 1e-12 and abs(b1 - beta) <= 1e-12
@@ -64,7 +64,7 @@ def test_criterion_3_free_kernel_identity():
     start = time.perf_counter()
     L_cut = 60
     K = (L_cut + 1) ** 2
-    table = build_table(constant_a_spectrum(3, 0.0, K), 3, K)
+    table = build_table(constant_a_spectrum(3, 0.0, K), K)
     spec = flow.KernelSpec(table=table, path="legendre_collapsed")
     rng = np.random.default_rng(2024)
     scale = (2.0 * math.pi) ** 1.5
@@ -86,7 +86,7 @@ def test_criterion_3_free_kernel_identity():
 
 def test_criterion_4_basis_orthonormality():
     K = 12
-    table = build_table(constant_a_spectrum(3, -0.1875, K), 3, K)
+    table = build_table(constant_a_spectrum(3, -0.1875, K), K)
     # first 12 oscillator modes ordered by level gamma_{n,j}
     candidates = [ModeIndex(n, j) for n in range(3) for j in range(1, K + 1)]
     candidates.sort(key=lambda idx: (gamma_of(idx, table), idx.j, idx.n))
@@ -122,7 +122,7 @@ def test_criterion_5_three_route_agreement():
 def _weighted_norm_samples(a, weight, lo_exp, hi_exp):
     mode, table = _loss_mode() if a == -0.1875 else (None, None)
     if mode is None:
-        tbl = build_table(constant_a_spectrum(3, a, 1), 3, 1)
+        tbl = build_table(constant_a_spectrum(3, a, 1), 1)
         mode = make_mode(ModeIndex(0, 1), tbl)
     r = np.geomspace(1e-6, 2.0, 400)
     pairs = []
@@ -191,7 +191,7 @@ def test_criterion_7_tail_kernel_bounded():
     # weighted modulus (|x||y|)^{alpha_2} |K_2| stays finite with no blow-up
     # at either end of the sampled range
     K = 169  # degrees 0..12
-    table = build_table(constant_a_spectrum(3, 2.0, K), 3, K)
+    table = build_table(constant_a_spectrum(3, 2.0, K), K)
     alpha2 = table.row(2)[1]
     spec = flow.KernelSpec(table=table, k_start=2, path="legendre_collapsed")
     x, y = (0.3, 0.2), (1.1, 2.0)
@@ -228,7 +228,7 @@ def test_criterion_8_pseudoconformal_phase_law():
 
 def test_criterion_9_heat_appendix():
     N, a = 3, -0.1875
-    table = build_table(constant_a_spectrum(N, a, 3), 3, 3)
+    table = build_table(constant_a_spectrum(N, a, 3), 3)
     mu1, alpha1, _ = table.row(1)
     residual = flow.heat_residual(N, mu1, alpha1)
     assert residual <= 1e-4
@@ -293,7 +293,7 @@ def test_criterion_10_numerics_hygiene():
     assert norm_dev <= 1e-12
 
     # convergence order: error reduction per mesh halving in [3.4, 4.6]
-    table = build_table(constant_a_spectrum(3, 0.0, 1), 3, 1)
+    table = build_table(constant_a_spectrum(3, 0.0, 1), 1)
     mode = make_mode(ModeIndex(0, 1), table)
     errs = []
     for M, dt in [(1500, 8e-3), (3000, 4e-3)]:

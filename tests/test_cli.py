@@ -151,7 +151,7 @@ class TestEvolve:
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
         _, cols, rows = read_csv(out / "profiles.csv")
         assert cols == ["t", "r", "re_u", "im_u"]
-        table = build_table(constant_a_spectrum(3, -0.1875, 1), 3, 1)
+        table = build_table(constant_a_spectrum(3, -0.1875, 1), 1)
         mode = make_mode(ModeIndex(0, 1), table)
         r = np.array([float(row[1]) for row in rows])
         u = np.array([complex(float(row[2]), float(row[3])) for row in rows])
@@ -308,7 +308,7 @@ class TestDecay:
         assert main(["decay", "--config", cfg, "--out", str(out)]) == 0
         _, cols, rows = read_csv(out / "samples.csv")
         assert cols == ["t", "weighted_sup"] and len(rows) == 11
-        table = build_table(constant_a_spectrum(3, -0.1875, 1), 3, 1)
+        table = build_table(constant_a_spectrum(3, -0.1875, 1), 1)
         mode = make_mode(ModeIndex(0, 1), table)
         r = np.geomspace(1e-3, 60.0, 4000)
         ang_sup = table.eigsys.sup_abs(1)
@@ -509,7 +509,7 @@ class TestHeat:
         assert main(["heat", "--config", cfg, "--out", str(out)]) == 0
         _, cols, rows = read_csv(out / "heat.csv")
         v_fd = np.array([float(row[cols.index("v_fd")]) for row in rows])
-        mu, alpha, _ = build_table(constant_a_spectrum(3, a, k), 3, k).row(k)
+        mu, alpha, _ = build_table(constant_a_spectrum(3, a, k), k).row(k)
         full, half = (RadialSchema(N=3, mu=mu, R=30.0, M=1500, dt=dt) for dt in (1e-2, 5e-3))
         v0 = flow.heat_self_similar(3, alpha, full.grid, 1.0)
         ref = 2.0 * evolve_heat(half, v0, 1.0) - evolve_heat(full, v0, 1.0)

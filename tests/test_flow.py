@@ -7,8 +7,7 @@ import pytest
 from schroflow import flow
 from schroflow.angular import (AngularProblem, assemble_circle, circle_eigensystem,
                                constant_a_spectrum, eigensolve)
-from schroflow.oscillator import (AccuracyWarning, HardyViolation, ModeIndex,
-                                  build_table, make_mode, project)
+from schroflow.oscillator import AccuracyWarning, ModeIndex, build_table, make_mode, project
 from schroflow.quadrature import RadialQuadrature
 from schroflow.specfun import j_scaled
 
@@ -184,8 +183,8 @@ class TestKernel:
     def test_free_identity_spot_checks(self, table_free):
         # (2 pi)^{3/2} K(X, Y) = exp(-i X.Y) for N=3, a=0
         eigsys = constant_a_spectrum(3, 0.0, 1)
-        table = build_table(eigsys, 3, len(eigsys.eigenvalues))
-        big = build_table(constant_a_spectrum(3, 0.0, 41 ** 2), 3, 41 ** 2)
+        table = build_table(eigsys, len(eigsys.eigenvalues))
+        big = build_table(constant_a_spectrum(3, 0.0, 41 ** 2), 41 ** 2)
         spec = flow.KernelSpec(table=big, path="legendre_collapsed")
         rng = np.random.default_rng(11)
         scale = (2.0 * math.pi) ** 1.5
@@ -198,7 +197,7 @@ class TestKernel:
             assert abs(scale * val - np.exp(-1j * np.dot(x, y))) < 1e-10
 
     def test_mode_sum_matches_collapsed(self):
-        table = build_table(constant_a_spectrum(3, -0.1875, 16), 3, 16)
+        table = build_table(constant_a_spectrum(3, -0.1875, 16), 16)
         s1 = flow.KernelSpec(table=table, path="mode_sum")
         s2 = flow.KernelSpec(table=table, path="legendre_collapsed")
         x, y = (0.4, 0.3), (1.2, 2.1)
@@ -220,7 +219,7 @@ class TestKernel:
     @pytest.mark.parametrize("path, K", [("mode_sum", 12), ("legendre_collapsed", 169)])
     def test_vector_of_rho_bitwise_equals_each_alone(self, path, K):
         # 4 and 13 blocks of equal alpha; at rho = 0 only alpha = 0 counts
-        table = build_table(constant_a_spectrum(3, 0.0, K), 3, K)
+        table = build_table(constant_a_spectrum(3, 0.0, K), K)
         spec = flow.KernelSpec(table=table, path=path)
         x, y = (0.4, 0.3), (1.2, 2.1)
         rho = np.array([0.0, 1e-3, 0.3, 2.0, 6.0, 17.5, 40.0])
@@ -242,13 +241,6 @@ class TestKernel:
         with pytest.raises(ValueError):
             flow.kernel_eval(spec, (0.1, 0.0), (2.0, 1.0), np.array([1.0, 0.0]))
 
-    def test_requires_hardy(self):
-        # a = -0.3 at N=3: build_table clamps beta_1 to 0, so the series
-        # would be summed with alpha_1 = 0.5 of a basis that does not exist
-        table = build_table(constant_a_spectrum(3, -0.3, 4), 3, 4)
-        with pytest.raises(HardyViolation):
-            flow.kernel_eval(flow.KernelSpec(table=table), (0.1, 0.2), (0.3, 0.4), 0.5)
-
     def test_negative_rho_rejected(self, table_free):
         with pytest.raises(ValueError):
             flow.kernel_eval(flow.KernelSpec(table=table_free), (0.1, 0.0), (2.0, 1.0),
@@ -256,7 +248,7 @@ class TestKernel:
 
     def test_truncation_warning(self, table_free):
         # the tail bound that sets kernel.csv's truncation_warning
-        spec = flow.KernelSpec(table=build_table(table_free.eigsys, 3, 4))
+        spec = flow.KernelSpec(table=build_table(table_free.eigsys, 4))
         _, tail = flow.kernel_eval(spec, (0.4, 0.3), (1.2, 2.1), 8.0)
         assert tail > flow.TAIL_THRESHOLD
 
@@ -264,7 +256,7 @@ class TestKernel:
         # N=2 with flux phi and constant a: psi_k are plane waves e^{im theta}
         phi, a, K, x, y = 0.3, 0.2, 9, 0.7, 2.9
         prob = AngularProblem(scalar_coeff=a, magnetic_coeff={0: phi}, truncation=16)
-        table = build_table(eigensolve(assemble_circle(prob)), 2, K)
+        table = build_table(eigensolve(assemble_circle(prob)), K)
         spec = flow.KernelSpec(table=table)
         rho = np.array([0.3, 2.0, 7.5])
         ref = aharonov_bohm_series(phi, a, K, x, y, rho)
@@ -274,10 +266,10 @@ class TestKernel:
     @pytest.mark.parametrize("system", ["circle", "sphere", "sphere tail"])
     def test_mode_blocks_equal_a_per_mode_loop(self, system, magnetic_circle):
         if system == "circle":
-            spec = flow.KernelSpec(table=build_table(magnetic_circle, 2, 24))
+            spec = flow.KernelSpec(table=build_table(magnetic_circle, 24))
             x, y, angles = 0.7, 2.9, lambda d: (d,)
         else:
-            table = build_table(constant_a_spectrum(3, -0.1875, 169), 3, 169)
+            table = build_table(constant_a_spectrum(3, -0.1875, 169), 169)
             spec = flow.KernelSpec(table=table, k_start=1 if system == "sphere" else 7)
             x, y, angles = (0.4, 0.3), (1.2, 2.1), lambda d: d
         alphas, sums, bound = flow._mode_blocks(spec, x, y)
@@ -297,14 +289,14 @@ class TestKernel:
     def test_tail_bound_at_a_nodal_direction(self):
         # psi_9 = Y_2^2 vanishes at the pole, so the last term is zero, but
         # the degree-2 block's Cauchy-Schwarz bound is 1.2e-2 at rho=6
-        table = build_table(constant_a_spectrum(3, 0.0, 9), 3, 9)
+        table = build_table(constant_a_spectrum(3, 0.0, 9), 9)
         _, tail = flow.kernel_eval(flow.KernelSpec(table=table), (0.0, 0.0), (1.1, 0.7), 6.0)
         assert tail == pytest.approx(1.18e-2, abs=5e-5)
         assert tail > flow.TAIL_THRESHOLD
 
     def test_tail_bound_at_a_legendre_node(self):
         # P_2(1/sqrt 3) = 0; the bound is (2l+1)/(4 pi) |j_{-alpha_2}(rho)|
-        table = build_table(constant_a_spectrum(3, 0.0, 9), 3, 9)
+        table = build_table(constant_a_spectrum(3, 0.0, 9), 9)
         spec = flow.KernelSpec(table=table, path="legendre_collapsed")
         _, tail = flow.kernel_eval(spec, (0.0, 0.0, 1.0), (1.0, 1.0, 1.0), 6.0)
         assert tail == pytest.approx(1.18e-2, abs=5e-5)
@@ -327,7 +319,7 @@ class TestKernel:
     def test_legendre_path_needs_whole_degree_blocks(self, table_free):
         # table_free's eigensystem holds the degrees 0..3, modes 1, 2-4, 5-9
         # and 10-16
-        table_12, table_9 = (build_table(table_free.eigsys, 3, K) for K in (12, 9))
+        table_12, table_9 = (build_table(table_free.eigsys, K) for K in (12, 9))
         with pytest.raises(ValueError, match="whole degree blocks"):
             flow.KernelSpec(table=table_12, path="legendre_collapsed")
         with pytest.raises(ValueError, match="whole degree blocks"):
@@ -336,13 +328,13 @@ class TestKernel:
 
     def test_legendre_path_needs_n_3(self):
         prob = AngularProblem(scalar_coeff=0.1, truncation=16)
-        table = build_table(eigensolve(assemble_circle(prob)), 2, 5)
+        table = build_table(eigensolve(assemble_circle(prob)), 5)
         with pytest.raises(ValueError, match="N=3"):
             flow.KernelSpec(table=table, path="legendre_collapsed")
 
     @pytest.mark.parametrize("path", ["mode_sum", "legendre_collapsed"])
     def test_zero_direction_rejected(self, path):
-        table = build_table(constant_a_spectrum(3, 0.0, 9), 3, 9)
+        table = build_table(constant_a_spectrum(3, 0.0, 9), 9)
         spec = flow.KernelSpec(table=table, path=path)
         for x, y in (((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0))):
             with pytest.raises(ValueError, match="nonzero"):
@@ -355,7 +347,7 @@ class TestKernel:
                                    [4e-160, 3e-160, 2e-160]])
     @pytest.mark.parametrize("path", ["mode_sum", "legendre_collapsed"])
     def test_far_scaled_direction_is_its_direction(self, path, x):
-        table = build_table(constant_a_spectrum(3, 0.0, 4), 3, 4)
+        table = build_table(constant_a_spectrum(3, 0.0, 4), 4)
         spec = flow.KernelSpec(table=table, path=path)
         rho = np.array([0.5, 2.0])
         ref, _ = flow.kernel_eval(spec, [0.4, 0.3, 0.2], (1.2, 2.1), rho)
@@ -367,7 +359,7 @@ class TestKernel:
     @pytest.mark.parametrize("x", [(1e-8, 0.3), (math.pi - 1e-7, 0.3), [1e-9, 0.0, 1.0],
                                    [1e-7, 2e-7, -1.0]])
     def test_mode_sum_matches_collapsed_near_a_pole(self, x):
-        table = build_table(constant_a_spectrum(3, 0.3, 169), 3, 169)
+        table = build_table(constant_a_spectrum(3, 0.3, 169), 169)
         rho = np.array([0.5, 2.0, 7.5])
         v1, v2 = (flow.kernel_eval(flow.KernelSpec(table=table, path=path), x, (0.4, 1.2), rho)[0]
                   for path in ("mode_sum", "legendre_collapsed"))
@@ -379,7 +371,7 @@ class TestKernel:
 
     def test_circle_direction_is_an_angle(self):
         prob = AngularProblem(scalar_coeff=0.1, truncation=16)
-        table = build_table(eigensolve(assemble_circle(prob)), 2, 5)
+        table = build_table(eigensolve(assemble_circle(prob)), 5)
         spec = flow.KernelSpec(table=table)
         with pytest.raises(ValueError, match="angle"):
             flow.kernel_eval(spec, (1.0, 0.0), 0.3, 1.0)
@@ -420,7 +412,7 @@ class TestRepresentation:
     def test_bias_reaches_small_r_at_large_t(self, a, nu):
         # the bias -(nu+1)/2 sets the output's accuracy at r << t; with no
         # bias (q = 0) the sup error here is 8e1 at nu = 1/4 and 3e3 at nu = 3/2
-        table = build_table(constant_a_spectrum(3, a, 1), 3, 1)
+        table = build_table(constant_a_spectrum(3, a, 1), 1)
         mode = make_mode(ModeIndex(0, 1), table)
         assert -mode.alpha + 0.5 == pytest.approx(nu)
         t = 2.0 ** 14
@@ -463,14 +455,6 @@ class TestRepresentation:
         with pytest.raises(ValueError, match="log-uniform"):
             flow.propagate_representation(state, 1.0)
 
-    def test_requires_hardy(self, quad_default):
-        table = build_table(constant_a_spectrum(3, -0.25, 1), 3, 1)
-        state = flow.SeparatedState(
-            grid=quad_default.nodes, weights=quad_default.weights,
-            profiles={1: np.exp(-quad_default.nodes ** 2)}, table=table)
-        with pytest.raises(HardyViolation):
-            flow.propagate_representation(state, 1.0)
-
 
 def _range_state(case):
     """A state on the log grid: the N=3 mode (0,1) at a = -3/16 or (2,3) at
@@ -479,12 +463,12 @@ def _range_state(case):
     past rho = 5, where it is still about 1e-3."""
     if case == "aharonov_bohm_12":
         prob = AngularProblem(scalar_coeff=0.2, magnetic_coeff={0: 0.3}, truncation=16)
-        table, modes = build_table(circle_eigensystem(prob, count=2), 2, 2), [(1, 2)]
+        table, modes = build_table(circle_eigensystem(prob, count=2), 2), [(1, 2)]
     else:
         a, modes = {"loss_01": (-0.1875, [(0, 1)]), "classical_23": (0.5, [(2, 3)]),
                     "two_modes": (-0.1875, [(0, 1), (20, 2)]),
                     "cut_01": (-0.1875, [(0, 1)])}[case]
-        table = build_table(constant_a_spectrum(3, a, 3), 3, 3)
+        table = build_table(constant_a_spectrum(3, a, 3), 3)
     grid, weights = flow.log_grid()
     cut = grid <= 5.0 if case == "cut_01" else 1.0
     return flow.SeparatedState(grid, weights, {

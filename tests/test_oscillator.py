@@ -20,12 +20,11 @@ class TestBuildTable:
         (2.0, -1.0, 1.5, "classical_candidate"),
     ])
     def test_first_row_indices(self, a, alpha, beta, cls):
-        table = build_table(constant_a_spectrum(3, a, 1), 3, 1)
+        table = build_table(constant_a_spectrum(3, a, 1), 1)
         mu1, a1, b1 = table.row(1)
         assert abs(a1 - alpha) <= 1e-12
         assert abs(b1 - beta) <= 1e-12
         assert table.decay_class == cls
-        assert table.hardy_ok
 
     def test_hardy_boundary_invalid(self):
         # mu_1 = -1/4 = -((N-2)/2)^2 at N = 3: no oscillator basis, so no table
@@ -50,10 +49,11 @@ class TestBuildTable:
 class TestAngularIndices:
     def test_hardy_boundary_invalid(self):
         # spectrum reports a violating problem: beta_k is clamped at 0
-        alpha, beta, decay_class = oscillator.angular_indices(np.array([-0.25, 1.75]), 3)
+        mu = constant_a_spectrum(3, -0.25, 4).eigenvalues
+        alpha, beta, decay_class = oscillator.angular_indices(mu, 3)
         assert decay_class == "invalid"
         assert beta[0] == 0.0 and alpha[0] == 0.5
-        assert beta[1] == pytest.approx(1.5, abs=1e-15)
+        assert np.allclose(beta[1:], math.sqrt(2.0), rtol=0, atol=1e-15)
 
     def test_circle_below_the_bound_is_invalid(self):
         alpha, beta, decay_class = oscillator.angular_indices(np.array([-0.1, 0.9]), 2)
@@ -66,14 +66,14 @@ class TestAngularIndices:
 
     def test_alpha_beta_identity(self):
         # alpha_k + beta_k = (N-2)/2 and beta^2 - ((N-2)/2)^2 = mu
-        table = build_table(constant_a_spectrum(4, 0.7, 8), 4, 8)
+        table = build_table(constant_a_spectrum(4, 0.7, 8), 8)
         for k in range(1, 9):
             mu, alpha, beta = table.row(k)
             assert alpha + beta == pytest.approx(1.0, abs=1e-12)
             assert beta ** 2 - 1.0 == pytest.approx(mu, abs=1e-11)
 
     def test_row_bounds(self):
-        table = build_table(constant_a_spectrum(3, 0.0, 4), 3, 4)
+        table = build_table(constant_a_spectrum(3, 0.0, 4), 4)
         with pytest.raises(IndexError):
             table.row(0)
         with pytest.raises(IndexError):
@@ -129,11 +129,6 @@ class TestNormalizedMode:
     def test_radial_refuses_zero(self, mode01_loss):
         with pytest.raises(ValueError):
             mode01_loss.radial(0.0)
-
-    def test_hardy_violation_blocks_basis(self):
-        table = build_table(constant_a_spectrum(3, -0.25, 1), 3, 1)
-        with pytest.raises(HardyViolation):
-            make_mode(ModeIndex(0, 1), table)
 
 
 def _mode_state(mode, quad, table):

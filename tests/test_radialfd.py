@@ -241,7 +241,7 @@ def _heat_error(a, k, M, dt=1e-3, extrapolated=False):
     """Relative L^2(r^2 dr) error on N=3 from t0 = 1 to t1 = 2, r_max 30,
     against the self-similar solution, of one evolve_heat march with step
     dt, or of the march heat runs, 2 v_{dt/2} - v_dt."""
-    mu, alpha, _ = build_table(constant_a_spectrum(3, a, k), 3, k).row(k)
+    mu, alpha, _ = build_table(constant_a_spectrum(3, a, k), k).row(k)
     coarse, fine = (_schema(mu=mu, M=M, dt=step) for step in (dt, dt / 2.0))
     g = coarse.grid
     v0 = flow.heat_self_similar(3, alpha, g, 1.0)
@@ -300,7 +300,7 @@ class TestHeatStepper:
 
 def _compare_free_mode(N, r_max=30.0, fd_points=12000, dt=1e-3):
     """compare_routes on mode (0, 1) of the free problem, T = 1, window [0.1, 8]."""
-    table = build_table(constant_a_spectrum(N, 0.0, 1), N, 1)
+    table = build_table(constant_a_spectrum(N, 0.0, 1), 1)
     return compare_routes(make_mode(ModeIndex(0, 1), table), table, 1.0, r_max,
                           fd_points, dt, (0.1, 8.0))
 
@@ -316,7 +316,7 @@ class TestCompareRoutes:
     def test_l2_error_weighted_by_r_to_the_n_minus_1(self):
         # N=4: the window error is the relative error in L^2(r^3 dr)
         report = _compare_free_mode(4, r_max=10.0, fd_points=1000, dt=1e-2)
-        table = build_table(constant_a_spectrum(4, 0.0, 1), 4, 1)
+        table = build_table(constant_a_spectrum(4, 0.0, 1), 1)
         mode = make_mode(ModeIndex(0, 1), table)
         g, w, u = flow.evolve_route("fd", mode, table, 1.0, 10.0, 1000, 1e-2)
         ref = flow.evolve_mode_closed_form(mode, g, 1.0)
@@ -345,14 +345,14 @@ def _fd_route_error(mode, table, t, fd_points):
 
 def _magnetic_table(a, flux, K):
     prob = AngularProblem(scalar_coeff=a, magnetic_coeff={0: flux}, truncation=16)
-    return build_table(eigensolve(assemble_circle(prob), count=K), 2, K)
+    return build_table(eigensolve(assemble_circle(prob), count=K), K)
 
 
 class TestExtrapolatedFdRoute:
     @pytest.mark.parametrize("table, index, t", [
-        pytest.param(build_table(constant_a_spectrum(3, -0.186, 1), 3, 1), ModeIndex(2, 1),
+        pytest.param(build_table(constant_a_spectrum(3, -0.186, 1), 1), ModeIndex(2, 1),
                      1.0, id="N3 a-0.186 mode21 t1"),
-        pytest.param(build_table(constant_a_spectrum(3, -0.1875, 1), 3, 1), ModeIndex(2, 1),
+        pytest.param(build_table(constant_a_spectrum(3, -0.1875, 1), 1), ModeIndex(2, 1),
                      4.0, id="N3 a-0.1875 mode21 t4"),
         pytest.param(_magnetic_table(0.2, 0.3, 2), ModeIndex(1, 2), 1.0,
                      id="N2 a0.2 flux0.3 mode12 t1"),
@@ -368,7 +368,7 @@ class TestExtrapolatedFdRoute:
 
     def test_error_falls_at_least_8x_per_halving_of_h(self):
         # a plain second-order march falls 4x here, 1.9e-3 -> 4.6e-4
-        table = build_table(constant_a_spectrum(3, 0.5, 2), 3, 2)
+        table = build_table(constant_a_spectrum(3, 0.5, 2), 2)
         mode = make_mode(ModeIndex(1, 2), table)
         coarse, fine = (_fd_route_error(mode, table, 1.0, M) for M in (500, 1000))
         assert fine * 8.0 <= coarse
