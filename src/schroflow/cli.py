@@ -343,25 +343,25 @@ _CSV_BLOCK = 2048
 # orjson writes an exponent with no plus sign and no leading zero (e16, e-7)
 _EXP_UNSIGNED = re.compile(rb"e(?=\d)")
 _EXP_ONE_DIGIT = re.compile(rb"e-(?=\d(?!\d))")
+# the dtype in which orjson prints an array of each kind
+_BULK = {"f": np.float64, "i": np.int64, "u": np.uint64}
 
 
 def _cells(column) -> list[str]:
     """``_fmt`` of every value of a column: float and integer arrays in bulk,
     anything else value by value.
 
-    ``_fmt`` writes a float as ``repr``, Python's shortest round-trip
-    digits.  A float array is printed by one ``orjson.dumps`` call, whose
-    digits are the same, and its exponents are then spelt as ``repr`` spells
-    them (``e16`` as ``e+16``, ``e-7`` as ``e-07``).  The cells orjson spells
-    otherwise are taken from ``repr``: |x| in [1e-5, 1e-4), which orjson
-    writes in fixed notation, and nan and +-inf, which it writes as null.
-    An integer array is ``repr`` of its Python ints.
+    ``_fmt`` writes a number as ``repr``, Python's shortest round-trip
+    digits for a float.  An array is printed by one ``orjson.dumps`` call,
+    whose digits are the same, and its exponents are then spelt as ``repr``
+    spells them (``e16`` as ``e+16``, ``e-7`` as ``e-07``).  The cells
+    orjson spells otherwise are taken from ``repr``: |x| in [1e-5, 1e-4),
+    which orjson writes in fixed notation, and nan and +-inf, which it
+    writes as null.
     """
-    if not (isinstance(column, np.ndarray) and column.dtype.kind in "fiu"):
+    if not (isinstance(column, np.ndarray) and column.dtype.kind in _BULK):
         return [_fmt(v) for v in column]
-    if column.dtype.kind != "f":
-        return list(map(repr, column.tolist()))
-    x = np.ascontiguousarray(column, dtype=np.float64)
+    x = np.ascontiguousarray(column, dtype=_BULK[column.dtype.kind])
     if not x.size:
         return []
     text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
@@ -526,12 +526,12 @@ def cmd_decay(problem: dict, experiment: dict, out_dir: str, provenance: dict) -
     sups = []
     for start in range(0, len(times), rows):
         amp = flow.closed_form_amplitude(mode, r, times[start:start + rows])
-        sups.extend(flow.weighted_sup_norm(r, amp, weight).tolist())
-    pairs = [(float(t), sup * ang_sup) for t, sup in zip(times, sups)]
-    fit = flow.decay_fit(pairs)
+        sups.append(flow.weighted_sup_norm(r, amp, weight))
+    t, weighted_sup = np.asarray(times, dtype=float), np.concatenate(sups) * ang_sup
+    fit = flow.decay_fit(zip(t, weighted_sup))
 
     _write_csv(os.path.join(out_dir, "samples.csv"), provenance, [],
-               dict(zip(["t", "weighted_sup"], zip(*pairs))))
+               {"t": t, "weighted_sup": weighted_sup})
     payload = {"decay": {**fit, "weight_exponent": weight},
                "reference_slope": -problem["N"] / 2.0 + mode.alpha}
     _write_json(os.path.join(out_dir, "decay.json"), provenance, payload)
