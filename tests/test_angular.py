@@ -146,6 +146,26 @@ class TestEigensolve:
         assert abs(eig.angular_value(1, 0.3)) == pytest.approx(1.0 / math.sqrt(2 * math.pi))
         assert eig.sup_abs(1) == pytest.approx(1.0 / math.sqrt(2 * math.pi))
 
+    # 256 angles read max |psi_8| 1.1e-3 low and max |psi_6| 8.4e-5 low; on
+    # modes 1-12 of this problem sup_abs now reads within 4e-16 of mpmath
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_circle_sup_abs_matches_mpmath(self, k):
+        eig = circle_eigensystem(AngularProblem(
+            scalar_coeff={0: 0.1, 1: 0.3, -1: 0.3, 2: 0.2j, -2: -0.2j}, truncation=24), count=k)
+        # mpmath's maximum of the Fourier series |sum_m c_m e^{im theta}|/sqrt(2 pi):
+        # the stationary point of its square around the largest of 20001 samples
+        theta = np.linspace(0.0, 2 * math.pi, 20001)
+        best = float(theta[np.argmax(np.abs(eig.angular_value(k, theta)))])
+        step = theta[1]
+        terms = list(zip(range(-24, 25), eig.eigenvectors[:, k - 1].tolist()))
+        with mpmath.workdps(30):
+            def square(t):
+                return abs(sum(c * mpmath.expj(m * t) for m, c in terms)) ** 2 / (2 * mpmath.pi)
+            peak = mpmath.findroot(lambda t: mpmath.diff(square, t),
+                                   (best - step, best + step), solver="anderson")
+            ref = float(mpmath.sqrt(square(peak)))
+        assert abs(eig.sup_abs(k) - ref) <= 1e-12 * ref
+
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(3)
         A = rng.normal(size=(12, 12))
@@ -489,7 +509,7 @@ class TestSphericalHarmonics:
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
     # on 256 colatitudes sup_abs read max |Y_86^1| 2.9e-2 low; over all 87
-    # orders of degree 86 it now reads at most 9.6e-14 from mpmath's maximum
+    # orders of degree 86 it now reads at most 7.5e-14 from mpmath's maximum
     @pytest.mark.parametrize("m", [0, 1, 43, 86])
     def test_sup_abs_at_degree_86_matches_mpmath(self, m):
         l = 86
