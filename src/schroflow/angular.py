@@ -124,12 +124,29 @@ class AngularEigensystem:
         return np.reshape(values, idx.shape + theta.shape) / math.sqrt(2 * math.pi)
 
     def sup_abs(self, k: int) -> float:
-        """Estimate of max |psi_k| over the sphere on 256 angles."""
+        """max |psi_k| over the sphere.  |psi_k| is a function of one angle
+        of degree d: on the circle the Fourier cutoff K, and on S^2, where
+        |Y_l^m| does not depend on the longitude, l.  Samples 8 to a lobe
+        of width pi/d locate every local maximum, and each is then refined
+        by sampling between its two neighbours."""
         if self.basis_tag == "circle_fourier":
-            theta = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
-        else:   # |Y_l^m| does not depend on the longitude
-            theta = np.linspace(0.0, math.pi, 256)
-        return float(np.max(np.abs(self.angular_value(k, theta))))
+            theta = np.linspace(0.0, 2 * math.pi, 16 * ((len(self.eigenvectors) - 1) // 2 + 1))
+        else:
+            theta = np.linspace(0.0, math.pi, 8 * (int(self.mode_labels[k - 1, 0]) + 1))
+        values = np.abs(self.angular_value(k, theta))
+        padded = np.pad(values, 1, constant_values=-1.0)
+        peaks = np.flatnonzero((values > padded[:-2]) & (values >= padded[2:]))
+        lo, hi = theta[np.maximum(peaks - 1, 0)], theta[np.minimum(peaks + 1, len(theta) - 1)]
+        best, rows, fine = float(np.max(values)), np.arange(len(peaks)), np.linspace(0.0, 1.0, 65)
+        # each pass shrinks every bracket 32-fold; after 4 a bracket is 1e-6
+        # of a sample step, across which |psi_k| is flat to about 1e-13
+        for _ in range(4):
+            theta = lo[:, None] + (hi - lo)[:, None] * fine
+            values = np.abs(self.angular_value(k, theta))
+            best = max(best, float(np.max(values)))
+            i = np.argmax(values, axis=1)
+            lo, hi = theta[rows, np.maximum(i - 1, 0)], theta[rows, np.minimum(i + 1, 64)]
+        return best
 
 
 def assemble_circle(problem: AngularProblem) -> np.ndarray:
