@@ -45,25 +45,6 @@ class TestBuildTable:
             oscillator.SpectralTable(mu=np.array([-0.25]), eigsys=eigsys)
         assert str(info.value) == HARDY
 
-
-class TestAngularIndices:
-    def test_hardy_boundary_invalid(self):
-        # spectrum reports a violating problem: beta_k is clamped at 0
-        mu = constant_a_spectrum(3, -0.25, 4).eigenvalues
-        alpha, beta, decay_class = oscillator.angular_indices(mu, 3)
-        assert decay_class == "invalid"
-        assert beta[0] == 0.0 and alpha[0] == 0.5
-        assert np.allclose(beta[1:], math.sqrt(2.0), rtol=0, atol=1e-15)
-
-    def test_circle_below_the_bound_is_invalid(self):
-        alpha, beta, decay_class = oscillator.angular_indices(np.array([-0.1, 0.9]), 2)
-        assert decay_class == "invalid"
-        assert beta[0] == 0.0 and alpha[0] == 0.0
-
-    @pytest.mark.parametrize("mu1, cls", [(-0.1875, "loss_of_decay"), (0.0, "classical_candidate")])
-    def test_valid_classes(self, mu1, cls):
-        assert oscillator.angular_indices(np.array([mu1, 2.0]), 3)[2] == cls
-
     def test_alpha_beta_identity(self):
         # alpha_k + beta_k = (N-2)/2 and beta^2 - ((N-2)/2)^2 = mu
         table = build_table(constant_a_spectrum(4, 0.7, 8), 8)
@@ -78,6 +59,21 @@ class TestAngularIndices:
             table.row(0)
         with pytest.raises(IndexError):
             table.row(5)
+
+
+class TestAngularIndices:
+    def test_hardy_boundary_invalid(self):
+        # spectrum reports a violating problem: beta_k is clamped at 0
+        mu = constant_a_spectrum(3, -0.25, 4).eigenvalues
+        alpha, beta, decay_class = oscillator.angular_indices(mu, 3)
+        assert decay_class == "invalid"
+        assert beta[0] == 0.0 and alpha[0] == 0.5
+        assert np.allclose(beta[1:], math.sqrt(2.0), rtol=0, atol=1e-15)
+
+    def test_circle_below_the_bound_is_invalid(self):
+        alpha, beta, decay_class = oscillator.angular_indices(np.array([-0.1, 0.9]), 2)
+        assert decay_class == "invalid"
+        assert beta[0] == 0.0 and alpha[0] == 0.0
 
 
 class TestLevels:
