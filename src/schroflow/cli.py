@@ -581,7 +581,7 @@ def cmd_heat(problem: dict, experiment: dict, out_dir: str, provenance: dict) ->
 
     # backward Euler's error is a series in dt: Richardson's extrapolation
     # 2 v_{dt/2} - v_dt of marches with steps dt and dt/2 cancels its leading term
-    coarse, fine = (RadialSchema(N=N, mu=mu_k, R=experiment["r_max"],
+    coarse, fine = (RadialSchema(N=N, alpha=alpha_k, R=experiment["r_max"],
                                  M=experiment["fd_points"], dt=dt)
                     for dt in (experiment["dt"], experiment["dt"] / 2.0))
     grid = coarse.grid

@@ -441,8 +441,8 @@ def evolve_route(route: str, mode: NormalizedMode, table: SpectralTable, t: floa
       time is kept, not cancelled.
     """
     if route == "fd":
-        coarse, fine = (RadialSchema(N=mode.N, mu=table.row(mode.index.j)[0], R=r_max,
-                                     M=cells, dt=dt) for cells in (fd_points, 3 * fd_points))
+        coarse, fine = (RadialSchema(N=mode.N, alpha=mode.alpha, R=r_max, M=cells, dt=dt)
+                        for cells in (fd_points, 3 * fd_points))
         grid = coarse.grid
         u_coarse = evolve_schrodinger(coarse, mode.radial(grid), t)
         u_fine = evolve_schrodinger(fine, mode.radial(fine.grid), t)[1::3]

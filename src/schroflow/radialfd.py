@@ -6,11 +6,10 @@ i u_t = H_k u (Schrodinger) or u_t = -H_k u (heat) on (0, R), with
 
     H_k u = -u'' - ((N-1)/r) u' + (mu_k / r^2) u.
 
-The mode must satisfy the Hardy bound mu_k >= -((N-2)/2)^2; RadialSchema
-refuses one below it (ValueError).  The scheme works in the ground-state
-form: with alpha_k = (N-2)/2 - sqrt(((N-2)/2)^2 + mu_k), which solves
-alpha^2 - (N-2) alpha = mu, the substitution v = r^{alpha_k} u cancels the
-inverse-square term exactly,
+The scheme works in the ground-state form.  RadialSchema takes the mode's
+index alpha_k, the root of alpha^2 - (N-2) alpha = mu_k that
+oscillator.SpectralTable tabulates for a Hardy-valid problem, and the
+substitution v = r^{alpha_k} u cancels the inverse-square term exactly,
 
     H_k u = r^{-alpha_k} (-v'' - ((d-1)/r) v'),     d = N - 2 alpha_k,
 
@@ -77,14 +76,14 @@ def step_count(T: float, dt: float) -> int:
 class RadialSchema:
     """Grid and operator for one radial mode equation.
 
-    ``mu`` is the mode's angular eigenvalue; it must satisfy the Hardy bound
-    mu >= -((N-2)/2)^2, else ValueError.  The ground-state exponent ``alpha``
-    follows from it and N; the operator is the lumped finite-volume radial
-    Laplacian in v = r^alpha u, symmetrised to act on w = r^{(N-1)/2} u.
+    ``alpha`` is the mode's ground-state exponent alpha_k, a row of a
+    SpectralTable (u ~ r^{-alpha} at 0); the operator is the lumped
+    finite-volume radial Laplacian in v = r^alpha u, symmetrised to act on
+    w = r^{(N-1)/2} u.
     """
 
     N: int
-    mu: float
+    alpha: float
     R: float
     M: int
     dt: float
@@ -93,17 +92,6 @@ class RadialSchema:
         # scipy's ?gttrf wrapper rejects a 2 x 2 tridiagonal system
         if self.M < 3 or self.R <= 0 or self.dt <= 0:
             raise ValueError("RadialSchema requires M >= 3, R > 0, dt > 0")
-        # a nan or +inf mu passes here and is refused by _march's finite check
-        bound = -((self.N - 2) / 2.0) ** 2
-        if self.mu < bound:
-            raise ValueError(f"mode below the Hardy bound: mu = {self.mu!r} < "
-                             f"-((N-2)/2)^2 = {bound!r}")
-
-    @property
-    def alpha(self) -> float:
-        """Ground-state exponent: alpha^2 - (N-2) alpha = mu, u ~ r^{-alpha} at 0."""
-        half = (self.N - 2) / 2.0
-        return half - math.sqrt(half * half + self.mu)
 
     @property
     def h(self) -> float:
@@ -123,7 +111,7 @@ class RadialSchema:
             A_{i,i+1} = A_{i+1,i} = -F_{i+1} / (h^2 (r_i r_{i+1})^{p/2}).
 
         A r^{p/2} vanishes in every row but the last, and A is positive
-        definite for every mu on or above the Hardy bound.  Each entry
+        definite for every alpha <= (N-2)/2.  Each entry
         is formed from ratios of radii, so large p does not overflow early.
         """
         h2 = self.h * self.h

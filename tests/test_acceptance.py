@@ -233,7 +233,7 @@ def test_criterion_9_heat_appendix():
     residual = flow.heat_residual(N, mu1, alpha1)
     assert residual <= 1e-4
 
-    schema = RadialSchema(N=N, mu=mu1, R=30.0, M=6000, dt=1e-3)
+    schema = RadialSchema(N=N, alpha=alpha1, R=30.0, M=6000, dt=1e-3)
     g = schema.grid
     u = evolve_heat(schema, flow.heat_self_similar(N, alpha1, g, 1.0), 1.0)
     ref = flow.heat_self_similar(N, alpha1, g, 2.0)
@@ -280,7 +280,7 @@ def test_criterion_10_numerics_hygiene():
     assert poly_dev <= 1e-10
 
     # Pade (2,2) Schrodinger step: norm conservation per step
-    schema = RadialSchema(N=3, mu=-0.1875, R=30.0, M=2000, dt=1e-3)
+    schema = RadialSchema(N=3, alpha=0.25, R=30.0, M=2000, dt=1e-3)
     g = schema.grid
     u = (g ** -0.25 * np.exp(-g * g / 4.0)).astype(complex)
     norm_dev = 0.0
@@ -297,7 +297,7 @@ def test_criterion_10_numerics_hygiene():
     mode = make_mode(ModeIndex(0, 1), table)
     errs = []
     for M, dt in [(1500, 8e-3), (3000, 4e-3)]:
-        s = RadialSchema(N=3, mu=0.0, R=30.0, M=M, dt=dt)
+        s = RadialSchema(N=3, alpha=0.0, R=30.0, M=M, dt=dt)
         gg = s.grid
         uu = evolve_schrodinger(s, mode.radial(gg), 1.0)
         ref = flow.evolve_mode_closed_form(mode, gg, 1.0)

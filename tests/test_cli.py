@@ -509,8 +509,9 @@ class TestHeat:
         assert main(["heat", "--config", cfg, "--out", str(out)]) == 0
         _, cols, rows = read_csv(out / "heat.csv")
         v_fd = np.array([float(row[cols.index("v_fd")]) for row in rows])
-        mu, alpha, _ = build_table(constant_a_spectrum(3, a, k), k).row(k)
-        full, half = (RadialSchema(N=3, mu=mu, R=30.0, M=1500, dt=dt) for dt in (1e-2, 5e-3))
+        _, alpha, _ = build_table(constant_a_spectrum(3, a, k), k).row(k)
+        full, half = (RadialSchema(N=3, alpha=alpha, R=30.0, M=1500, dt=dt)
+                      for dt in (1e-2, 5e-3))
         v0 = flow.heat_self_similar(3, alpha, full.grid, 1.0)
         ref = 2.0 * evolve_heat(half, v0, 1.0) - evolve_heat(full, v0, 1.0)
         assert v_fd.tobytes() == ref.tobytes()

@@ -39,6 +39,15 @@ class TestBuildTable:
             build_table(eigsys, 3)
         assert str(info.value) == HARDY
 
+    @pytest.mark.parametrize("N, a", [(3, -1.0), (3, -0.2501), (2, -1e-3), (4, -1.01)])
+    def test_below_the_bound_refused(self, N, a):
+        # a constant a is mu_1: below -((N-2)/2)^2 no table exists
+        eigsys = (circle_eigensystem(AngularProblem(scalar_coeff=a), count=3) if N == 2
+                  else constant_a_spectrum(N, a, 3))
+        with pytest.raises(HardyViolation) as info:
+            build_table(eigsys, 3)
+        assert str(info.value) == HARDY
+
     def test_direct_construction_refused(self):
         eigsys = constant_a_spectrum(3, -0.25, 1)
         with pytest.raises(HardyViolation) as info:
@@ -74,6 +83,15 @@ class TestAngularIndices:
         alpha, beta, decay_class = oscillator.angular_indices(np.array([-0.1, 0.9]), 2)
         assert decay_class == "invalid"
         assert beta[0] == 0.0 and alpha[0] == 0.0
+
+    def test_mode_coefficient(self):
+        # alpha solves alpha^2 - (N-2) alpha = mu on the branch u ~ r^{-alpha}
+        # regular at the origin: alpha <= (N-2)/2
+        for N, mu, alpha in [(3, -0.1875, 0.25), (3, -0.25, 0.5), (3, 2.0, -1.0),
+                             (2, 0.09, -0.3), (4, -1.0, 1.0), (5, 0.0, 0.0)]:
+            a, = oscillator.angular_indices(np.array([mu]), N)[0]
+            assert a == pytest.approx(alpha, abs=1e-15)
+            assert a ** 2 - (N - 2) * a == pytest.approx(mu, abs=1e-14)
 
 
 class TestLevels:

@@ -4,14 +4,19 @@ from scipy.linalg import eigh_tridiagonal, solve_banded, solveh_banded
 
 from schroflow import flow
 from schroflow.angular import AngularProblem, assemble_circle, constant_a_spectrum, eigensolve
-from schroflow.oscillator import ModeIndex, build_table, make_mode
+from schroflow.oscillator import ModeIndex, angular_indices, build_table, make_mode
 from schroflow.flow import compare_routes
 from schroflow.radialfd import (RadialSchema, evolve_heat, evolve_schrodinger,
                                 step_count)
 
 
-def _schema(mu=0.0, M=600, dt=1e-2, R=30.0):
-    return RadialSchema(N=3, mu=mu, R=R, M=M, dt=dt)
+def _schema(alpha=0.0, M=600, dt=1e-2, R=30.0):
+    return RadialSchema(N=3, alpha=alpha, R=R, M=M, dt=dt)
+
+
+def _alpha(mu, N=3):
+    """The table's alpha_k of the angular eigenvalue mu in dimension N."""
+    return float(angular_indices(np.array([mu]), N)[0][0])
 
 
 class TestSchema:
@@ -21,7 +26,7 @@ class TestSchema:
         assert np.allclose(s.grid, 0.25 + 0.5 * np.arange(10))
 
     def test_operator_symmetric(self):
-        s = _schema(mu=-0.1875, M=50)
+        s = _schema(alpha=0.25, M=50)
         b = s.operator_bands()
         assert np.allclose(b[0, 1:], b[2, :-1])
 
@@ -31,7 +36,7 @@ class TestSchema:
         for N in (2, 3, 4):
             edge = -((N - 2) / 2.0) ** 2
             for mu in (edge + 0.05 if N == 2 else -0.1875, edge, 0.0, 2.0, 12.0):
-                s = RadialSchema(N=N, mu=mu, R=30.0, M=400, dt=1e-3)
+                s = RadialSchema(N=N, alpha=_alpha(mu, N), R=30.0, M=400, dt=1e-3)
                 ground = s.grid ** ((N - 1 - 2.0 * s.alpha) / 2.0)
                 b = s.operator_bands()
                 residual = _banded_matvec(b, ground)
@@ -39,31 +44,22 @@ class TestSchema:
                 assert np.max(np.abs(residual[:-1]) / scale[:-1]) <= 1e-12, (N, mu)
                 assert residual[-1] > 0.5 * scale[-1]
 
-    def test_mode_coefficient(self):
-        # alpha solves alpha^2 - (N-2) alpha = mu on the branch u ~ r^{-alpha}
-        # regular at the origin: alpha <= (N-2)/2
-        for N, mu, alpha in [(3, -0.1875, 0.25), (3, -0.25, 0.5), (3, 2.0, -1.0),
-                             (2, 0.09, -0.3), (4, -1.0, 1.0), (5, 0.0, 0.0)]:
-            s = RadialSchema(N=N, mu=mu, R=30.0, M=10, dt=1e-3)
-            assert s.alpha == pytest.approx(alpha, abs=1e-15)
-            assert s.alpha ** 2 - (N - 2) * s.alpha == pytest.approx(mu, abs=1e-14)
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            RadialSchema(N=3, mu=0.0, R=30.0, M=1, dt=1e-3)
+            RadialSchema(N=3, alpha=0.0, R=30.0, M=1, dt=1e-3)
         with pytest.raises(ValueError):
-            RadialSchema(N=3, mu=0.0, R=30.0, M=10, dt=0.0)
+            RadialSchema(N=3, alpha=0.0, R=30.0, M=10, dt=0.0)
 
     def test_two_cells_rejected(self):
         # LAPACK ?gttrf as scipy wraps it takes no 2 x 2 system
         with pytest.raises(ValueError):
-            RadialSchema(N=3, mu=0.0, R=30.0, M=2, dt=1e-3)
-        RadialSchema(N=3, mu=0.0, R=30.0, M=3, dt=1e-3)
+            RadialSchema(N=3, alpha=0.0, R=30.0, M=2, dt=1e-3)
+        RadialSchema(N=3, alpha=0.0, R=30.0, M=3, dt=1e-3)
 
 
 class TestSchrodingerStepper:
     def test_norm_conserved_per_step(self):
-        s = _schema(mu=-0.1875, M=2000, dt=1e-3)
+        s = _schema(alpha=0.25, M=2000, dt=1e-3)
         r = s.grid
         u = (np.exp(-r * r / 4.0) * r ** -0.25).astype(complex)
         n_prev = np.linalg.norm(r * u)
@@ -80,22 +76,22 @@ class TestSchrodingerStepper:
 
     def test_convergence_order(self, mode01_free, mode01_loss):
         # mode (0,1) free and at a = -3/16 (alpha = 1/4): second order on both
-        for mu, mode in [(0.0, mode01_free), (-0.1875, mode01_loss)]:
+        for alpha, mode in [(0.0, mode01_free), (0.25, mode01_loss)]:
             errs = []
             for M, dt in [(1500, 8e-3), (3000, 4e-3)]:
-                s = _schema(mu=mu, M=M, dt=dt)
+                s = _schema(alpha=alpha, M=M, dt=dt)
                 g = s.grid
                 u = evolve_schrodinger(s, mode.radial(g), 1.0)
                 ref = flow.evolve_mode_closed_form(mode, g, 1.0)
                 errs.append(np.linalg.norm(g * (u - ref)) / np.linalg.norm(g * ref))
-            assert 3.4 <= errs[0] / errs[1] <= 4.6, mu
+            assert 3.4 <= errs[0] / errs[1] <= 4.6, alpha
 
     @pytest.mark.parametrize("mu", [-0.1875, 2.0])
     def test_fourth_order_in_time(self, mu):
         # against the exact discrete propagator: the datum sums the 20 lowest
         # eigenvectors V of A, so w(T) = V e^{-i lambda T} on the same grid and
         # only the time error is left; it falls 16x per halving of dt
-        base = _schema(mu=mu, M=400)
+        base = _schema(alpha=_alpha(mu), M=400)
         bands = base.operator_bands()
         lam, vecs = eigh_tridiagonal(bands[1], bands[0, 1:], select="i",
                                      select_range=(0, 19))
@@ -103,7 +99,7 @@ class TestSchrodingerStepper:
         exact = vecs @ np.exp(-1j * lam)
         errs = []
         for dt in (0.1, 0.05, 0.025):
-            u = evolve_schrodinger(_schema(mu=mu, M=400, dt=dt),
+            u = evolve_schrodinger(_schema(alpha=base.alpha, M=400, dt=dt),
                                    (vecs.sum(axis=1) / r_half).astype(complex), 1.0)
             errs.append(np.linalg.norm(r_half * u - exact) / np.linalg.norm(exact))
         for coarse, fine in zip(errs, errs[1:]):
@@ -111,7 +107,7 @@ class TestSchrodingerStepper:
 
     def test_singular_mode_accuracy(self, mode01_loss):
         # moderate resolution: guard the inner discretization quality
-        s = _schema(mu=-0.1875, M=6000, dt=2e-3)
+        s = _schema(alpha=0.25, M=6000, dt=2e-3)
         g = s.grid
         u = evolve_schrodinger(s, mode01_loss.radial(g), 1.0)
         ref = flow.evolve_mode_closed_form(mode01_loss, g, 1.0)
@@ -149,7 +145,7 @@ class TestFactorOnce:
     def test_schrodinger_equals_solve_banded_bitwise(self, mu):
         # the Pade (2,2) step as its two Cayley factors 2 (I + c_k A)^{-1} w - w,
         # each solved by LAPACK ?gtsv
-        s = _schema(mu=mu, M=400, dt=1e-3)
+        s = _schema(alpha=_alpha(mu), M=400, dt=1e-3)
         u0 = (np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.25).astype(complex)
         lhs = [s.shifted_bands(c) for c in _pade_shifts(s.dt)]
 
@@ -165,7 +161,7 @@ class TestFactorOnce:
     def test_schrodinger_matches_the_product_form(self, mu):
         # (I + c_2 A)^{-1} (I - c_2 A) (I + c_1 A)^{-1} (I - c_1 A) w, the
         # Pade (2,2) step as matvecs and solves
-        s = _schema(mu=mu, M=400, dt=1e-3)
+        s = _schema(alpha=_alpha(mu), M=400, dt=1e-3)
         u0 = (np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.25).astype(complex)
         pairs = [(s.shifted_bands(c), s.shifted_bands(-c)) for c in _pade_shifts(s.dt)]
 
@@ -181,26 +177,17 @@ class TestFactorOnce:
     @pytest.mark.parametrize("mu", [-0.1875, 2.0])
     def test_heat_equals_solve_banded_bitwise(self, mu):
         # LDL^T solve of the positive definite I + dt A, by LAPACK ?ptsv
-        s = _schema(mu=mu, M=400, dt=1e-3)
+        s = _schema(alpha=_alpha(mu), M=400, dt=1e-3)
         u0 = np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.25
         upper = s.shifted_bands(s.dt)[:2]
         ref = _per_step_march(s, u0, 0.2, lambda w: solveh_banded(upper, w))
         assert np.array_equal(evolve_heat(s, u0, 0.2), ref)
 
-    def test_indefinite_heat_system_rejected(self):
-        # mu below the Hardy bound -((N-2)/2)^2: no ground state, so neither
-        # flow marches
-        for evolve in (evolve_schrodinger, evolve_heat):
-            for N, mu in [(3, -1.0), (3, -0.2501), (2, -1e-3), (4, -1.01)]:
-                with pytest.raises(ValueError, match="Hardy bound"):
-                    s = RadialSchema(N=N, mu=mu, R=30.0, M=600, dt=1e-3)
-                    evolve(s, np.exp(-s.grid ** 2).astype(complex), s.dt)
-
     def test_heat_at_the_hardy_edge_marches(self):
-        # mu >= -1/4, the bound itself included: I + dt A is positive
-        # definite, an M-matrix
-        for mu in (-0.2499, -0.25):
-            s = RadialSchema(N=3, mu=mu, R=30.0, M=6000, dt=1e-3)
+        # alpha <= 1/2 (mu >= -1/4), the bound itself included: I + dt A is
+        # positive definite, an M-matrix
+        for alpha in (0.49, 0.5):
+            s = RadialSchema(N=3, alpha=alpha, R=30.0, M=6000, dt=1e-3)
             u = evolve_heat(s, np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.5, 0.01)
             assert np.all(u > 0)
 
@@ -216,9 +203,11 @@ class TestFactorOnce:
             evolve_heat(s, u0, 0.01)
 
     def test_non_finite_matrix_rejected(self):
-        s = _schema(mu=np.inf, M=50, dt=1e-3)
-        with pytest.raises(ValueError):
-            evolve_heat(s, np.exp(-s.grid ** 2), 0.01)
+        # a nan alpha, or the -inf of mu = +inf, leaves I + dt A non-finite
+        for alpha in (np.nan, -np.inf):
+            s = _schema(alpha=alpha, M=50, dt=1e-3)
+            with pytest.raises(ValueError, match="finite"):
+                evolve_heat(s, np.exp(-s.grid ** 2), 0.01)
 
 
 class TestDuration:
@@ -241,8 +230,8 @@ def _heat_error(a, k, M, dt=1e-3, extrapolated=False):
     """Relative L^2(r^2 dr) error on N=3 from t0 = 1 to t1 = 2, r_max 30,
     against the self-similar solution, of one evolve_heat march with step
     dt, or of the march heat runs, 2 v_{dt/2} - v_dt."""
-    mu, alpha, _ = build_table(constant_a_spectrum(3, a, k), k).row(k)
-    coarse, fine = (_schema(mu=mu, M=M, dt=step) for step in (dt, dt / 2.0))
+    _, alpha, _ = build_table(constant_a_spectrum(3, a, k), k).row(k)
+    coarse, fine = (_schema(alpha=alpha, M=M, dt=step) for step in (dt, dt / 2.0))
     g = coarse.grid
     v0 = flow.heat_self_similar(3, alpha, g, 1.0)
     u = (2.0 * evolve_heat(fine, v0, 1.0) - evolve_heat(coarse, v0, 1.0) if extrapolated
@@ -253,7 +242,7 @@ def _heat_error(a, k, M, dt=1e-3, extrapolated=False):
 
 class TestHeatStepper:
     def test_positivity_preserved(self):
-        s = _schema(mu=2.0, M=500, dt=5e-3)
+        s = _schema(alpha=-1.0, M=500, dt=5e-3)
         r = s.grid
         u = np.exp(-r * r / 4.0)
         for _ in range(20):
@@ -261,7 +250,7 @@ class TestHeatStepper:
             assert np.all(r * u > -1e-15)
 
     def test_norm_nonincreasing(self):
-        s = _schema(mu=0.5, M=500, dt=5e-3)
+        s = _schema(alpha=_alpha(0.5), M=500, dt=5e-3)
         r = s.grid
         u = np.exp(-r * r / 4.0)
         prev = np.linalg.norm(r * u)
@@ -359,7 +348,7 @@ class TestExtrapolatedFdRoute:
     ])
     def test_default_no_worse_than_plain_march_on_12000_cells(self, table, index, t):
         mode = make_mode(index, table)
-        plain = RadialSchema(N=mode.N, mu=table.row(index.j)[0], R=30.0, M=12000, dt=1e-2)
+        plain = RadialSchema(N=mode.N, alpha=mode.alpha, R=30.0, M=12000, dt=1e-2)
         g = plain.grid
         plain_err = flow.window_errors(
             evolve_schrodinger(plain, mode.radial(g), t), flow.evolve_mode_closed_form(mode, g, t),
