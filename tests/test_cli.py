@@ -194,6 +194,16 @@ class TestEvolve:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 5
         assert "past r_max" in capsys.readouterr().err
 
+    def test_fd_route_default_error_at_n5(self, tmp_path):
+        # (N-2)/2 = 3/2 and a = -2 give mu_1 = -2, alpha_1 = 1: the schema
+        # takes the table's alpha_1, and the route read 4.56e-8 here
+        cfg = write_config(tmp_path, "c.json",
+                           {"problem": {"N": 5, "a": -2.0},
+                            "experiment": {"mode": [0, 1], "t": 1.0, "route": "fd"}})
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["rel_l2_vs_closed"] <= 1e-7
+
     def test_bad_route(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
                            {"problem": {"N": 3, "a": 0.0},
@@ -486,13 +496,15 @@ class TestHeat:
         _, _, rows = read_csv(out / "heat.csv")
         assert len(rows) == 1500
 
-    # backward Euler alone at dt 1e-3 read 2.0e-4 and 4.95e-4 here
-    @pytest.mark.parametrize("a, k, bound", [
-        pytest.param(-0.1875, 1, 2e-5, id="loss a-0.1875 k1"),
-        pytest.param(0.5, 2, 3e-5, id="classical a0.5 k2"),
+    # backward Euler alone at dt 1e-3 read 2.0e-4 and 4.95e-4 here; at N = 4,
+    # a = -0.9 (alpha_1 = 1 - sqrt(0.1), about 0.684) the default read 1.00e-5
+    @pytest.mark.parametrize("N, a, k, bound", [
+        pytest.param(3, -0.1875, 1, 2e-5, id="loss a-0.1875 k1"),
+        pytest.param(3, 0.5, 2, 3e-5, id="classical a0.5 k2"),
+        pytest.param(4, -0.9, 1, 2e-5, id="loss N4 a-0.9 k1"),
     ])
-    def test_default_stepper_error(self, tmp_path, a, k, bound):
-        cfg = write_config(tmp_path, "c.json", {"problem": {"N": 3, "a": a},
+    def test_default_stepper_error(self, tmp_path, N, a, k, bound):
+        cfg = write_config(tmp_path, "c.json", {"problem": {"N": N, "a": a},
                                                 "experiment": {"k": k}})
         out = tmp_path / "out"
         assert main(["heat", "--config", cfg, "--out", str(out)]) == 0
