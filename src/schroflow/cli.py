@@ -627,11 +627,12 @@ def cmd_compare(problem: dict, experiment: dict, out_dir: str, provenance: dict)
             "sup_worst": max(report["sup_rel"].values())}
 
 
-# the cells and the time step every finite-difference march defaults to:
-# the fd route extrapolates in space from these cells and 3x as many, heat
-# in time from dt and dt/2.  Heat's error is then partly space error: 1.0e-5
-# on the loss mode, where 6000 cells read 4.1e-6
-_FD_POINTS, _FD_DT = 1500, 1e-2
+# the cells every finite-difference march defaults to, and the time steps:
+# the fd route extrapolates in space from these cells and 3x as many and
+# steps with the twelfth-order Pade (6,6) at _FD_DT; heat extrapolates its
+# backward Euler in time from _HEAT_DT and _HEAT_DT/2.  Heat's error is then
+# partly space error: 1.0e-5 on the loss mode, where 6000 cells read 4.1e-6
+_FD_POINTS, _FD_DT, _HEAT_DT = 1500, 5e-2, 1e-2
 
 # each command with the reader table of its experiment block
 _COMMANDS = {
@@ -655,7 +656,7 @@ _COMMANDS = {
     "heat": (cmd_heat, {
         "k": (_count, 1), "t0": (_number, 1.0), "t1": (_number, 2.0),
         "r_max": (_positive, 30.0), "fd_points": (_grid_points, _FD_POINTS),
-        "dt": (_positive, _FD_DT), "fit_times": (_time_list, _CALLEE)}),
+        "dt": (_positive, _HEAT_DT), "fit_times": (_time_list, _CALLEE)}),
     "compare": (cmd_compare, {
         "mode": (_mode, _REQUIRED), "T": (_positive, 1.0),
         "r_max": (_positive, 30.0), "fd_points": (_grid_points, _FD_POINTS),

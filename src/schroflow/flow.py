@@ -10,7 +10,7 @@ the scaling-invariant Schrodinger flow:
   its radial integral is a Hankel transform, computed by FFTLog (one
   ``scipy.fft.fht`` call per mode on Re h and Im h stacked, O(n log n)) on a
   log-uniform grid;
-* finite differences stepped by the fourth-order Pade (2,2) scheme of
+* finite differences stepped by the twelfth-order Pade (6,6) scheme of
   :mod:`schroflow.radialfd`, Richardson-extrapolated in space from nested
   grids h and h/3;
 ``evolve_route`` runs each route on its own grid, ``compare_routes`` checks
@@ -437,8 +437,8 @@ def evolve_route(route: str, mode: NormalizedMode, table: SpectralTable, t: floa
       3 ``fd_points`` cells, whose cell 3i+1 has the centre of cell i; the
       scheme's error in space is a series in h^2, so Richardson's
       extrapolation (9 u_{h/3} - u_h) / 8 cancels its leading term.  The
-      time step dt is the same on both grids, so the Pade step's error in
-      time is kept, not cancelled.
+      time step dt is the same on both grids, so the Pade (6,6) step's
+      error in time, O(dt^12), is kept, not cancelled.
     """
     if route == "fd":
         coarse, fine = (RadialSchema(N=mode.N, alpha=mode.alpha, R=r_max, M=cells, dt=dt)

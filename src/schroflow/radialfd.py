@@ -33,14 +33,17 @@ product:
   i.e. an M-matrix.  It is LDL^T-factored by ``?pttrf`` and a step is one
   ``?pttrs`` solve; a non-positive pivot reported by LAPACK raises
   LinAlgError.
-* Schrodinger (diagonal Pade (2,2), the stability function of the 2-stage
-  Gauss method): with x = -i dt A the step is
-  (1 + x/2 + x^2/12) / (1 - x/2 + x^2/12), unitary and fourth order in dt.
-  The denominator's roots are x_k = 3 +- i sqrt(3), so the step is the
-  product of two Cayley factors (I + c_k A)^{-1} (I - c_k A),
-  c_k = i dt / x_k.  Each I + c_k A is LU-factored by ``?gttrf``, and since
-  I - c_k A = 2I - (I + c_k A) a step is w <- 2 (I + c_k A)^{-1} w - w for
-  k = 1, 2: two ``?gttrs`` solves and two in-place updates.
+* Schrodinger (diagonal Pade (6,6), A-stable and of order 12): with
+  x = -i dt A the step is P_6(x) / Q_6(x), P_6(x) = Q_6(-x),
+
+      Q_6(x) = sum_{j=0..6} (12-j)! 6! / (12! j! (6-j)!) (-x)^j,
+
+  unitary since A is real symmetric.  Q_6 has three pairs of complex
+  conjugate roots x_k, so the step is the product of six Cayley factors
+  (I + c_k A)^{-1} (I - c_k A), c_k = i dt / x_k.  Each I + c_k A is
+  LU-factored by ``?gttrf``, and since I - c_k A = 2I - (I + c_k A) a step
+  is w <- 2 (I + c_k A)^{-1} w - w for k = 1..6: six ``?gttrs`` solves and
+  six in-place updates.
 
 A duration T must be a whole number of steps dt (to 1e-9 relative, see
 ``step_count``).
@@ -57,9 +60,13 @@ from scipy.linalg import get_lapack_funcs
 # how far T/dt may sit from a whole number of steps, relative to T/dt
 STEP_TOLERANCE = 1e-9
 
-# the roots x_k of the Pade (2,2) denominator 1 - x/2 + x^2/12, in the
-# order evolve_schrodinger applies their Cayley factors
-_PADE_ROOTS = (complex(3.0, math.sqrt(3.0)), complex(3.0, -math.sqrt(3.0)))
+# the roots x_k of the Pade (6,6) denominator Q_6 (module docstring), to
+# double precision, conjugate pairs adjacent, in the order
+# evolve_schrodinger applies their Cayley factors
+_PADE_ROOTS = tuple(x for root in (complex(8.496718791726728, 1.7350193464627313),
+                                   complex(7.47141671265163, 5.252544622894251),
+                                   complex(5.031864495621643, 8.985345907307885))
+                    for x in (root, root.conjugate()))
 
 
 def step_count(T: float, dt: float) -> int:
@@ -92,6 +99,13 @@ class RadialSchema:
         # scipy's ?gttrf wrapper rejects a 2 x 2 tridiagonal system
         if self.M < 3 or self.R <= 0 or self.dt <= 0:
             raise ValueError("RadialSchema requires M >= 3, R > 0, dt > 0")
+        # alpha <= (N-2)/2 is p = N - 1 - 2 alpha >= 1 in operator_bands;
+        # at p <= 0 its origin face 0**p would be 1 or inf, not 0.  NaN
+        # passes here, and _factored refuses the matrix it makes
+        half = (self.N - 2) / 2.0
+        if self.alpha > half:
+            raise ValueError(f"RadialSchema requires alpha <= (N-2)/2 = {half!r}, "
+                             f"got alpha = {self.alpha!r}")
 
     @property
     def h(self) -> float:
@@ -111,8 +125,9 @@ class RadialSchema:
             A_{i,i+1} = A_{i+1,i} = -F_{i+1} / (h^2 (r_i r_{i+1})^{p/2}).
 
         A r^{p/2} vanishes in every row but the last, and A is positive
-        definite for every alpha <= (N-2)/2.  Each entry
-        is formed from ratios of radii, so large p does not overflow early.
+        definite for every alpha <= (N-2)/2, the bound the schema holds to
+        (p >= 1, so F_0 = 0**p = 0).  Each entry is formed from ratios of
+        radii, so large p does not overflow early.
         """
         h2 = self.h * self.h
         p = self.N - 1 - 2.0 * self.alpha
@@ -130,9 +145,14 @@ class RadialSchema:
 
     def shifted_bands(self, z) -> np.ndarray:
         """Banded storage of I + z A, with A the operator above."""
-        eye = np.zeros((3, self.M))
-        eye[1] = 1.0
-        return eye + z * self.operator_bands()
+        return _shifted(self.operator_bands(), z)
+
+
+def _shifted(bands: np.ndarray, z) -> np.ndarray:
+    """Banded storage of I + z A from the banded A."""
+    eye = np.zeros(bands.shape)
+    eye[1] = 1.0
+    return eye + z * bands
 
 
 def _factored(lhs: np.ndarray, cayley: bool) -> list:
@@ -170,8 +190,10 @@ def _march(schema: RadialSchema, u0, T: float, shifts: list,
     w = (r_half * u0).astype(np.result_type(float, *shifts))
     if not np.isfinite(w).all():
         raise ValueError("profile must be finite")
-    # each banded I + zA is dropped once factored: the march holds factors only
-    factors = [_factored(schema.shifted_bands(z), cayley) for z in shifts]
+    # A is built once; each banded I + zA is dropped once factored: the
+    # march holds factors only
+    bands = schema.operator_bands()
+    factors = [_factored(_shifted(bands, z), cayley) for z in shifts]
     if cayley:
         gttrs, = get_lapack_funcs(("gttrs",), (w,))
         for _ in range(steps):
@@ -192,12 +214,12 @@ def _march(schema: RadialSchema, u0, T: float, shifts: list,
 
 
 def evolve_schrodinger(schema: RadialSchema, u0: np.ndarray, T: float) -> np.ndarray:
-    """Pade (2,2) evolution of the radial profile u over a duration T.
+    """Pade (6,6) evolution of the radial profile u over a duration T.
 
     The step e^{x}, x = -i dt A, of i w_t = A w is replaced by its diagonal
-    Pade (2,2) approximant, the product of the Cayley factors
-    (I + c_k A)^{-1} (I - c_k A), c_k = i dt / x_k over the roots
-    x_k = 3 +- i sqrt(3) of 1 - x/2 + x^2/12.  It is fourth order in dt and,
+    Pade (6,6) approximant, the product of the six Cayley factors
+    (I + c_k A)^{-1} (I - c_k A), c_k = i dt / x_k over the roots x_k of its
+    denominator Q_6 (module docstring).  It is twelfth order in dt and,
     A being real symmetric, unitary, so the discrete L^2 norm of w is
     preserved to roundoff.  Each factor is applied as 2 (I + c_k A)^{-1} w - w:
     one solve with the LU factor of I + c_k A, no product with I - c_k A.

@@ -204,6 +204,22 @@ class TestEvolve:
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["rel_l2_vs_closed"] <= 1e-7
 
+    def test_fd_route_default_step_leaves_no_time_error_on_mode_10_1(self, tmp_path):
+        # mode (10,1) oscillates fast enough that a fourth-order step's time
+        # error shows: Pade (2,2) at dt 1e-2 read 1.98e-5 here, 4.0x its run
+        # at dt/2.  Pade (6,6) at the default dt 5e-2 reads 5.55e-6, within
+        # 1% of its run at dt/2, so what is left is space error
+        def rel_l2(name, **step):
+            cfg = write_config(tmp_path, f"{name}.json", {"problem": LOSS, "experiment": {
+                "mode": [10, 1], "t": 1.0, "route": "fd", **step}})
+            out = tmp_path / name
+            assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+            return json.loads((out / "summary.json").read_text())["rel_l2_vs_closed"]
+
+        default = rel_l2("default")
+        assert default <= 8e-6
+        assert default == pytest.approx(rel_l2("half", dt=cli._FD_DT / 2.0), rel=0.1)
+
     def test_bad_route(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
                            {"problem": {"N": 3, "a": 0.0},
@@ -486,7 +502,9 @@ class TestHeat:
         assert main(["heat", "--config", cfg, "--out", str(tmp_path)]) == 3
 
     def test_defaults_recorded(self, tmp_path):
-        # heat marches on the evolve and compare default grid and step
+        # heat marches on the evolve and compare default grid, but keeps its
+        # own step: backward Euler is first order, where the fd route's
+        # Pade (6,6) takes dt 5e-2
         cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": {}})
         out = tmp_path / "out"
         assert main(["heat", "--config", cfg, "--out", str(out)]) == 0
@@ -586,7 +604,7 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         parameters = json.loads((out / "compare.json").read_text())["provenance"]["parameters"]
         assert {key: parameters[key] for key in ("T", "r_max", "fd_points", "dt", "window")} \
-            == {"T": 1.0, "r_max": 30.0, "fd_points": 1500, "dt": 1e-2, "window": [0.1, 8.0]}
+            == {"T": 1.0, "r_max": 30.0, "fd_points": 1500, "dt": 5e-2, "window": [0.1, 8.0]}
 
 
 @pytest.mark.parametrize("command, experiment", [
@@ -1045,7 +1063,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("route", ["closed", "kernel"])
     def test_duration_rule_only_on_the_fd_route(self, tmp_path, route):
-        # t is not a whole number of steps of the fd route's default dt 1e-2
+        # t is not a whole number of steps of the fd route's default dt 5e-2
         cfg = write_config(tmp_path, "c.json", {"problem": FREE, "experiment": {
             "mode": [0, 1], "t": 1.0004, "route": route}})
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
