@@ -629,10 +629,10 @@ def cmd_compare(problem: dict, experiment: dict, out_dir: str, provenance: dict)
 
 # the cells every finite-difference march defaults to, and the time steps:
 # the fd route extrapolates in space from these cells and 3x as many and
-# steps with the twelfth-order Pade (6,6) at _FD_DT; heat extrapolates its
+# steps with the order-24 Pade (12,12) at _FD_DT; heat extrapolates its
 # backward Euler in time from _HEAT_DT and _HEAT_DT/2.  Heat's error is then
 # partly space error: 1.0e-5 on the loss mode, where 6000 cells read 4.1e-6
-_FD_POINTS, _FD_DT, _HEAT_DT = 1500, 5e-2, 1e-2
+_FD_POINTS, _FD_DT, _HEAT_DT = 1500, 0.25, 1e-2
 
 # each command with the reader table of its experiment block
 _COMMANDS = {

@@ -10,7 +10,7 @@ the scaling-invariant Schrodinger flow:
   its radial integral is a Hankel transform, computed by FFTLog (one
   ``scipy.fft.fht`` call per mode on Re h and Im h stacked, O(n log n)) on a
   log-uniform grid;
-* finite differences stepped by the twelfth-order Pade (6,6) scheme of
+* finite differences stepped by the order-24 Pade (12,12) scheme of
   :mod:`schroflow.radialfd`, Richardson-extrapolated in space from nested
   grids h and h/3;
 ``evolve_route`` runs each route on its own grid, ``compare_routes`` checks
@@ -437,8 +437,16 @@ def evolve_route(route: str, mode: NormalizedMode, table: SpectralTable, t: floa
       3 ``fd_points`` cells, whose cell 3i+1 has the centre of cell i; the
       scheme's error in space is a series in h^2, so Richardson's
       extrapolation (9 u_{h/3} - u_h) / 8 cancels its leading term.  The
-      time step dt is the same on both grids, so the Pade (6,6) step's
-      error in time, O(dt^12), is kept, not cancelled.
+      time step dt is the same on both grids and is not extrapolated.
+      The output still moves with dt, but not by time error on the modes
+      the grids resolve: the cell datum holds an O(h^2) share on
+      eigenvalues lambda of the operator far above the closed form's
+      content (3e-6 of mode (1,2) at a = 0.5 on 1500 cells), where the
+      Pade factor's phase is O(1) off e^{-i dt lambda} for dt lambda >> 1,
+      and where the exact discrete flow's phase is itself space error.  So
+      no dt gives a converged limit at that level: the Pade (6,6) route at
+      dt 1.25e-2 and 6.25e-3 differs by 1.5e-8 relative on that mode and by
+      1.7e-6 on mode (10,1) at a = -3/16.
     """
     if route == "fd":
         coarse, fine = (RadialSchema(N=mode.N, alpha=mode.alpha, R=r_max, M=cells, dt=dt)

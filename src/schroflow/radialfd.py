@@ -33,17 +33,17 @@ product:
   i.e. an M-matrix.  It is LDL^T-factored by ``?pttrf`` and a step is one
   ``?pttrs`` solve; a non-positive pivot reported by LAPACK raises
   LinAlgError.
-* Schrodinger (diagonal Pade (6,6), A-stable and of order 12): with
-  x = -i dt A the step is P_6(x) / Q_6(x), P_6(x) = Q_6(-x),
+* Schrodinger (diagonal Pade (12,12), A-stable and of order 24): with
+  x = -i dt A the step is P_12(x) / Q_12(x), P_12(x) = Q_12(-x),
 
-      Q_6(x) = sum_{j=0..6} (12-j)! 6! / (12! j! (6-j)!) (-x)^j,
+      Q_12(x) = sum_{j=0..12} (24-j)! 12! / (24! j! (12-j)!) (-x)^j,
 
-  unitary since A is real symmetric.  Q_6 has three pairs of complex
-  conjugate roots x_k, so the step is the product of six Cayley factors
+  unitary since A is real symmetric.  Q_12 has six pairs of complex
+  conjugate roots x_k, so the step is the product of twelve Cayley factors
   (I + c_k A)^{-1} (I - c_k A), c_k = i dt / x_k.  Each I + c_k A is
   LU-factored by ``?gttrf``, and since I - c_k A = 2I - (I + c_k A) a step
-  is w <- 2 (I + c_k A)^{-1} w - w for k = 1..6: six ``?gttrs`` solves and
-  six in-place updates.
+  is w <- 2 (I + c_k A)^{-1} w - w for k = 1..12: twelve ``?gttrs`` solves
+  and twelve in-place updates.
 
 A duration T must be a whole number of steps dt (to 1e-9 relative, see
 ``step_count``).
@@ -60,12 +60,15 @@ from scipy.linalg import get_lapack_funcs
 # how far T/dt may sit from a whole number of steps, relative to T/dt
 STEP_TOLERANCE = 1e-9
 
-# the roots x_k of the Pade (6,6) denominator Q_6 (module docstring), to
+# the roots x_k of the Pade (12,12) denominator Q_12 (module docstring), to
 # double precision, conjugate pairs adjacent, in the order
 # evolve_schrodinger applies their Cayley factors
-_PADE_ROOTS = tuple(x for root in (complex(8.496718791726728, 1.7350193464627313),
-                                   complex(7.47141671265163, 5.252544622894251),
-                                   complex(5.031864495621643, 8.985345907307885))
+_PADE_ROOTS = tuple(x for root in (complex(16.50684402282416, 1.7353871440195376),
+                                   complex(15.99454119920287, 5.218133073891597),
+                                   complex(14.93114248070354, 8.74033918670913),
+                                   complex(13.222008499912704, 12.34306998607446),
+                                   complex(10.659417181751659, 16.105813728514065),
+                                   complex(6.686046615605067, 20.24859361448164))
                     for x in (root, root.conjugate()))
 
 
@@ -150,9 +153,12 @@ class RadialSchema:
 
 def _shifted(bands: np.ndarray, z) -> np.ndarray:
     """Banded storage of I + z A from the banded A."""
-    eye = np.zeros(bands.shape)
-    eye[1] = 1.0
-    return eye + z * bands
+    lhs = z * bands
+    lhs[1] += 1.0
+    # the corners lie outside the matrix; keep them +0.0, which z * 0.0 is
+    # not where Re z < 0
+    lhs[0, 0] = lhs[2, -1] = 0.0
+    return lhs
 
 
 def _factored(lhs: np.ndarray, cayley: bool) -> list:
@@ -214,12 +220,12 @@ def _march(schema: RadialSchema, u0, T: float, shifts: list,
 
 
 def evolve_schrodinger(schema: RadialSchema, u0: np.ndarray, T: float) -> np.ndarray:
-    """Pade (6,6) evolution of the radial profile u over a duration T.
+    """Pade (12,12) evolution of the radial profile u over a duration T.
 
     The step e^{x}, x = -i dt A, of i w_t = A w is replaced by its diagonal
-    Pade (6,6) approximant, the product of the six Cayley factors
+    Pade (12,12) approximant, the product of the twelve Cayley factors
     (I + c_k A)^{-1} (I - c_k A), c_k = i dt / x_k over the roots x_k of its
-    denominator Q_6 (module docstring).  It is twelfth order in dt and,
+    denominator Q_12 (module docstring).  It is of order 24 in dt and,
     A being real symmetric, unitary, so the discrete L^2 norm of w is
     preserved to roundoff.  Each factor is applied as 2 (I + c_k A)^{-1} w - w:
     one solve with the LU factor of I + c_k A, no product with I - c_k A.

@@ -196,7 +196,7 @@ class TestEvolve:
 
     def test_fd_route_default_error_at_n5(self, tmp_path):
         # (N-2)/2 = 3/2 and a = -2 give mu_1 = -2, alpha_1 = 1: the schema
-        # takes the table's alpha_1, and the route read 4.56e-8 here
+        # takes the table's alpha_1, and the route reads 1.58e-8 here
         cfg = write_config(tmp_path, "c.json",
                            {"problem": {"N": 5, "a": -2.0},
                             "experiment": {"mode": [0, 1], "t": 1.0, "route": "fd"}})
@@ -207,8 +207,8 @@ class TestEvolve:
     def test_fd_route_default_step_leaves_no_time_error_on_mode_10_1(self, tmp_path):
         # mode (10,1) oscillates fast enough that a fourth-order step's time
         # error shows: Pade (2,2) at dt 1e-2 read 1.98e-5 here, 4.0x its run
-        # at dt/2.  Pade (6,6) at the default dt 5e-2 reads 5.55e-6, within
-        # 1% of its run at dt/2, so what is left is space error
+        # at dt/2.  Pade (12,12) at the default dt 0.25 reads 5.31e-6, and
+        # Pade (6,6) read 5.55e-6 at dt 5e-2 and 5.30e-6 at dt 1.25e-2
         def rel_l2(name, **step):
             cfg = write_config(tmp_path, f"{name}.json", {"problem": LOSS, "experiment": {
                 "mode": [10, 1], "t": 1.0, "route": "fd", **step}})
@@ -504,7 +504,7 @@ class TestHeat:
     def test_defaults_recorded(self, tmp_path):
         # heat marches on the evolve and compare default grid, but keeps its
         # own step: backward Euler is first order, where the fd route's
-        # Pade (6,6) takes dt 5e-2
+        # Pade (12,12) takes dt 0.25
         cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": {}})
         out = tmp_path / "out"
         assert main(["heat", "--config", cfg, "--out", str(out)]) == 0
@@ -552,8 +552,7 @@ class TestCompare:
     def test_free_quick(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
                            {"problem": {"N": 3, "a": 0.0},
-                            "experiment": {"mode": [0, 1], "fd_points": 3000,
-                                           "dt": 2e-3}})
+                            "experiment": {"mode": [0, 1], "fd_points": 3000}})
         out = tmp_path / "out"
         code = main(["compare", "--config", cfg, "--out", str(out),
                      "--expect", '{"l2_worst_max": 1e-3}'])
@@ -604,7 +603,7 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         parameters = json.loads((out / "compare.json").read_text())["provenance"]["parameters"]
         assert {key: parameters[key] for key in ("T", "r_max", "fd_points", "dt", "window")} \
-            == {"T": 1.0, "r_max": 30.0, "fd_points": 1500, "dt": 5e-2, "window": [0.1, 8.0]}
+            == {"T": 1.0, "r_max": 30.0, "fd_points": 1500, "dt": 0.25, "window": [0.1, 8.0]}
 
 
 @pytest.mark.parametrize("command, experiment", [
@@ -1063,10 +1062,21 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("route", ["closed", "kernel"])
     def test_duration_rule_only_on_the_fd_route(self, tmp_path, route):
-        # t is not a whole number of steps of the fd route's default dt 5e-2
+        # t is not a whole number of steps of the fd route's default dt 0.25
         cfg = write_config(tmp_path, "c.json", {"problem": FREE, "experiment": {
             "mode": [0, 1], "t": 1.0004, "route": route}})
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command, key", [("evolve", "t"), ("compare", "T")])
+    def test_fd_duration_off_the_default_step_names_dt(self, tmp_path, capsys, command, key):
+        # at the default dt 0.25 an fd-route duration is a multiple of 0.25
+        cfg = write_config(tmp_path, "c.json", {"problem": FREE, "experiment": {
+            "mode": [0, 1], key: 0.33, **({"route": "fd"} if command == "evolve" else {})}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: experiment.{key}: duration 0.33 is not a whole number >= 0 "
+            "of steps dt = 0.25\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, experiment", [
         pytest.param("evolve", {**FD, "window": [100, 200]}, id="evolve fd"),

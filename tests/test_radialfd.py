@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, solve_banded, solveh_banded
 
-from schroflow import flow
+from schroflow import cli, flow
 from schroflow.angular import AngularProblem, assemble_circle, constant_a_spectrum, eigensolve
 from schroflow.oscillator import ModeIndex, angular_indices, build_table, make_mode
 from schroflow.flow import compare_routes
-from schroflow.radialfd import (_PADE_ROOTS, RadialSchema, evolve_heat,
+from schroflow.radialfd import (_PADE_ROOTS, RadialSchema, _shifted, evolve_heat,
                                 evolve_schrodinger, step_count)
 
 
@@ -20,6 +20,15 @@ def _schema(alpha=0.0, M=600, dt=1e-2, R=30.0):
 def _alpha(mu, N=3):
     """The table's alpha_k of the angular eigenvalue mu in dimension N."""
     return float(angular_indices(np.array([mu]), N)[0][0])
+
+
+def _q12_coeffs():
+    """The coefficients of the Pade (12,12) denominator
+    Q_12(x) = sum_j (24-j)! 12! / (24! j! (12-j)!) (-x)^j, highest power
+    first, at mpmath's working precision."""
+    return [mpmath.mpf(factorial(24 - j) * factorial(12))
+            / (factorial(24) * factorial(j) * factorial(12 - j)) * (-1) ** j
+            for j in range(12, -1, -1)]
 
 
 class TestSchema:
@@ -106,36 +115,39 @@ class TestSchrodingerStepper:
             assert 3.4 <= errs[0] / errs[1] <= 4.6, alpha
 
     @pytest.mark.parametrize("mu", [-0.1875, 2.0])
-    def test_twelfth_order_in_time(self, mu):
-        # against the exact discrete propagator: the datum sums the 20 lowest
-        # eigenvectors V of A, so w(T) = V e^{-i lambda T} on the same grid and
-        # only the time error is left.  Over T = 2 at dt 1, 1/2, 1/4 it fell
-        # 3100x and 3826x per halving (mu = -3/16), 2987x and 3915x (mu = 2),
-        # on the way to 2^12 = 4096; 2^11 and 2^13 lie outside the band.
-        # At dt 1/4 the error, 8.7e-13 and 1.9e-12, is near roundoff
+    def test_order_24_in_time(self, mu):
+        # the datum sums the 20 lowest eigenvectors V of A, so after n steps
+        # dt the march holds V R(-i dt lambda)^n, R(x) = Q_12(-x) / Q_12(x),
+        # against the exact discrete propagator's V e^{-i lambda T}.  Over
+        # T = 8 each coefficient V^T w was within 4.8e-13 (mu = -3/16) and
+        # 2.1e-12 (mu = 2) of R^n by mpmath at dt 4, 2 and 1.  From dt 4 to 2
+        # the error fell 2^20.4 (3.7e-3 -> 2.6e-9) and 2^19.9 (1.1e-2 ->
+        # 1.1e-8), where Pade (11,11) falls 2^18.0 and 2^17.4; at dt 1 it is
+        # at roundoff, 2.9e-13 and 1.4e-12
         base = _schema(alpha=_alpha(mu), M=400)
         bands = base.operator_bands()
         lam, vecs = eigh_tridiagonal(bands[1], bands[0, 1:], select="i",
                                      select_range=(0, 19))
         r_half = base.grid  # r^{(N-1)/2} for N = 3
-        exact = vecs @ np.exp(-2j * lam)
+        exact = vecs @ np.exp(-8j * lam)
         errs = []
-        for dt in (1.0, 0.5, 0.25):
-            u = evolve_schrodinger(_schema(alpha=base.alpha, M=400, dt=dt),
-                                   (vecs.sum(axis=1) / r_half).astype(complex), 2.0)
-            errs.append(np.linalg.norm(r_half * u - exact) / np.linalg.norm(exact))
-        for coarse, fine in zip(errs, errs[1:]):
-            assert 2600.0 <= coarse / fine <= 4600.0, errs
+        for dt in (4.0, 2.0, 1.0):
+            w = r_half * evolve_schrodinger(_schema(alpha=base.alpha, M=400, dt=dt),
+                                            (vecs.sum(axis=1) / r_half).astype(complex), 8.0)
+            with mpmath.workdps(50):
+                q12 = _q12_coeffs()
+                multipliers = [complex((mpmath.polyval(q12, 1j * dt * x)
+                                        / mpmath.polyval(q12, -1j * dt * x)) ** round(8.0 / dt))
+                               for x in map(mpmath.mpf, lam)]
+            assert np.max(np.abs(vecs.T @ w - multipliers)) <= 1e-11, dt
+            errs.append(np.linalg.norm(w - exact) / np.linalg.norm(exact))
+        assert errs[0] >= 2.0 ** 19 * errs[1], errs
 
     def test_pade_roots_are_those_of_the_denominator(self):
-        # Q_6(x) = sum_j (12-j)! 6! / (12! j! (6-j)!) (-x)^j, rooted at 50
-        # digits: each root once, conjugate pairs adjacent
+        # Q_12, rooted at 50 digits: each root once, conjugate pairs adjacent
         with mpmath.workdps(50):
-            coeffs = [mpmath.mpf(factorial(12 - j) * factorial(6))
-                      / (factorial(12) * factorial(j) * factorial(6 - j)) * (-1) ** j
-                      for j in range(7)]
-            roots = [complex(x) for x in mpmath.polyroots(coeffs[::-1], maxsteps=200,
-                                                          extraprec=200)]
+            roots = [complex(x) for x in mpmath.polyroots(_q12_coeffs(), maxsteps=400,
+                                                          extraprec=400)]
         # the imaginary parts are distinct
         for x, root in zip(sorted(_PADE_ROOTS, key=lambda x: x.imag),
                            sorted(roots, key=lambda x: x.imag), strict=True):
@@ -162,8 +174,8 @@ def _banded_matvec(bands, w):
 
 
 def _pade_shifts(dt):
-    """c_k = i dt / x_k over the six roots x_k of the Pade (6,6) denominator
-    Q_6(x), x = -i dt A, in the order evolve_schrodinger applies them
+    """c_k = i dt / x_k over the twelve roots x_k of the Pade (12,12)
+    denominator Q_12(x), x = -i dt A, in the order evolve_schrodinger applies them
     (test_pade_roots_are_those_of_the_denominator checks the roots)."""
     return [1j * dt / x for x in _PADE_ROOTS]
 
@@ -181,7 +193,7 @@ class TestFactorOnce:
     # one mode with alpha > 0 and one with alpha < 0; 200 steps at M=400
     @pytest.mark.parametrize("mu", [-0.1875, 2.0])
     def test_schrodinger_equals_solve_banded_bitwise(self, mu):
-        # the Pade (6,6) step as its six Cayley factors 2 (I + c_k A)^{-1} w - w,
+        # the Pade (12,12) step as its twelve Cayley factors 2 (I + c_k A)^{-1} w - w,
         # each solved by LAPACK ?gtsv on a freshly built I + c_k A
         s = _schema(alpha=_alpha(mu), M=400, dt=1e-3)
         u0 = (np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.25).astype(complex)
@@ -197,8 +209,8 @@ class TestFactorOnce:
 
     @pytest.mark.parametrize("mu", [-0.1875, 2.0])
     def test_schrodinger_matches_the_product_form(self, mu):
-        # (I + c_6 A)^{-1} (I - c_6 A) ... (I + c_1 A)^{-1} (I - c_1 A) w, the
-        # Pade (6,6) step as matvecs and solves
+        # (I + c_12 A)^{-1} (I - c_12 A) ... (I + c_1 A)^{-1} (I - c_1 A) w, the
+        # Pade (12,12) step as matvecs and solves
         s = _schema(alpha=_alpha(mu), M=400, dt=1e-3)
         u0 = (np.exp(-s.grid ** 2 / 4.0) * s.grid ** -0.25).astype(complex)
         pairs = [(s.shifted_bands(c), s.shifted_bands(-c)) for c in _pade_shifts(s.dt)]
@@ -211,6 +223,17 @@ class TestFactorOnce:
         ref = _per_step_march(s, u0, 0.2, step)
         u = evolve_schrodinger(s, u0, 0.2)
         assert np.linalg.norm(s.grid * (u - ref)) <= 1e-12 * np.linalg.norm(s.grid * ref)
+
+    def test_shifted_keeps_the_bits_of_identity_plus_z_a(self):
+        # I + zA formed as z A with 1 added to the diagonal and the unused
+        # corners set to 0 is bitwise the sum of a dense identity and z A,
+        # signed zeros included, on the twelve Schrodinger factors of the
+        # default route's 4500-cell grid and on the heat factors of dt and dt/2
+        bands = RadialSchema(N=3, alpha=0.25, R=30.0, M=4500, dt=cli._FD_DT).operator_bands()
+        eye = np.zeros(bands.shape)
+        eye[1] = 1.0
+        for z in _pade_shifts(cli._FD_DT) + [cli._HEAT_DT, cli._HEAT_DT / 2.0]:
+            assert _shifted(bands, z).tobytes() == (eye + z * bands).tobytes(), z
 
     @pytest.mark.parametrize("mu", [-0.1875, 2.0])
     def test_heat_equals_solve_banded_bitwise(self, mu):
@@ -325,7 +348,7 @@ class TestHeatStepper:
                 <= 2.5 * _heat_error(a, k, 6000, 1e-2, extrapolated=True))
 
 
-def _compare_free_mode(N, r_max=30.0, fd_points=12000, dt=1e-3):
+def _compare_free_mode(N, r_max=30.0, fd_points=12000, dt=cli._FD_DT):
     """compare_routes on mode (0, 1) of the free problem, T = 1, window [0.1, 8]."""
     table = build_table(constant_a_spectrum(N, 0.0, 1), 1)
     return compare_routes(make_mode(ModeIndex(0, 1), table), table, 1.0, r_max,
@@ -334,7 +357,7 @@ def _compare_free_mode(N, r_max=30.0, fd_points=12000, dt=1e-3):
 
 class TestCompareRoutes:
     def test_free_mode_quick(self):
-        report = _compare_free_mode(3, fd_points=3000, dt=2e-3)
+        report = _compare_free_mode(3, fd_points=3000)
         assert not report["failures"]
         assert report["l2_rel"]["closed_vs_representation"] < 1e-6
         assert report["l2_rel"]["closed_vs_fd"] < 1e-3
@@ -353,19 +376,15 @@ class TestCompareRoutes:
         assert report["l2_rel"]["closed_vs_fd"] == pytest.approx(err, rel=1e-10)
 
     def test_report_serializable(self):
-        report = _compare_free_mode(3, fd_points=2000, dt=4e-3)
+        report = _compare_free_mode(3, fd_points=2000)
         assert report["mode"] == (0, 1)
         assert set(report) == {"mode", "l2_rel", "sup_rel", "failures"}
 
 
-# the default fd_points of every command
-DEFAULT_FD_POINTS = 1500
-
-
 def _fd_route_error(mode, table, t, fd_points):
     """Relative L^2(r^{N-1} dr) error of the fd route on [0.1, 8], r_max 30,
-    dt 1e-2, against the closed form."""
-    grid, weights, u = flow.evolve_route("fd", mode, table, t, 30.0, fd_points, 1e-2)
+    at the default dt, against the closed form."""
+    grid, weights, u = flow.evolve_route("fd", mode, table, t, 30.0, fd_points, cli._FD_DT)
     return flow.window_errors(u, flow.evolve_mode_closed_form(mode, grid, t), grid,
                               weights, mode.N, (0.1, 8.0))[0]
 
@@ -386,12 +405,14 @@ class TestExtrapolatedFdRoute:
     ])
     def test_default_no_worse_than_plain_march_on_12000_cells(self, table, index, t):
         mode = make_mode(index, table)
-        plain = RadialSchema(N=mode.N, alpha=mode.alpha, R=30.0, M=12000, dt=1e-2)
+        # at the default dt the route reads 4.17e-7, 9.66e-7 and 3.63e-8, and
+        # the plain march 6.41e-6, 2.27e-6 and 2.79e-6
+        plain = RadialSchema(N=mode.N, alpha=mode.alpha, R=30.0, M=12000, dt=cli._FD_DT)
         g = plain.grid
         plain_err = flow.window_errors(
             evolve_schrodinger(plain, mode.radial(g), t), flow.evolve_mode_closed_form(mode, g, t),
             g, np.full(len(g), plain.h), mode.N, (0.1, 8.0))[0]
-        assert _fd_route_error(mode, table, t, DEFAULT_FD_POINTS) <= plain_err
+        assert _fd_route_error(mode, table, t, cli._FD_POINTS) <= plain_err
 
     def test_error_falls_at_least_8x_per_halving_of_h(self):
         # a plain second-order march falls 4x here, 1.9e-3 -> 4.6e-4
