@@ -32,8 +32,8 @@ from .oscillator import (DECAY_INVALID, HardyViolation, ModeIndex, angular_indic
                          build_table, make_mode)
 # evolve_schrodinger is not called here; the perfbench self-tests check that
 # its tracer rebinds cli.evolve_schrodinger
-from .radialfd import (RadialSchema, evolve_heat, evolve_schrodinger,  # noqa: F401
-                       step_count)
+from .radialfd import (STEP_TOLERANCE, RadialSchema, evolve_heat,  # noqa: F401
+                       evolve_schrodinger)
 
 SCHEMA_VERSION = 1
 
@@ -220,12 +220,13 @@ _OUTPUT = {"dir": (_string(), ".")}
 # closed route has nothing to measure, so it takes no window
 _EVOLVE_ROUTE_KEYS = {"closed": ("r_max",),
                       "kernel": ("r_max", "window"),
-                      "fd": ("r_max", "fd_points", "dt", "window")}
+                      "fd": ("r_max", "fd_points", "window")}
 
 
 def _check_rules(command: str, problem: dict, experiment: dict, given: set) -> None:
-    """Rules that tie keys together, checked once every key has been read;
-    ``given`` holds the keys that the experiment block gives."""
+    """Rules that tie keys together, checked once every key has been read,
+    and the step dt of each finite-difference march, derived from its
+    duration; ``given`` holds the keys that the experiment block gives."""
     N = problem["N"]
     if N > 2 and ("magnetic" in problem or "truncation" in problem
                   or isinstance(problem["a"], dict)):
@@ -251,21 +252,27 @@ def _check_rules(command: str, problem: dict, experiment: dict, given: set) -> N
                               f"{', '.join(unread)}")
     if command == "evolve" and experiment["route"] == "kernel" and not experiment["t"] > 0:
         raise ConfigError("the kernel route needs t > 0")
-    # finite differences march a whole number of steps dt
     if command == "evolve" and experiment["route"] == "fd":
-        _whole_steps(experiment["t"], experiment["dt"], "experiment.t")
+        experiment["dt"] = _step(experiment["t"], _FD_DT, "experiment.t")
     if command == "heat":
-        _whole_steps(experiment["t1"] - experiment["t0"], experiment["dt"],
-                     "experiment.t1 - experiment.t0")
+        experiment["dt"] = _step(experiment["t1"] - experiment["t0"], experiment["dt"],
+                                 "experiment.t1 - experiment.t0")
     if command == "compare":
-        _whole_steps(experiment["T"], experiment["dt"], "experiment.T")
+        experiment["dt"] = _step(experiment["T"], _FD_DT, "experiment.T")
 
 
-def _whole_steps(T: float, dt: float, where: str) -> None:
-    try:
-        step_count(T, dt)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _step(T: float, bound: float, where: str) -> float:
+    """T/n, the step of a march of duration T in n = ceil(T / bound) steps; a
+    T/bound within STEP_TOLERANCE above a whole number is that number."""
+    ratio = T / bound
+    if not ratio >= 0:
+        raise ConfigError(f"{where} must be >= 0, got {T!r}")
+    n = ratio * (1.0 - STEP_TOLERANCE)
+    if n > _MAX_STEPS:
+        raise ConfigError(f"{where}: {T!r} is {ratio:.10g} steps of {bound!r}, more than "
+                          f"the {_MAX_STEPS} a march may take")
+    n = math.ceil(n)
+    return T / n if n else bound
 
 
 def _object(pairs: list) -> dict:
@@ -474,15 +481,17 @@ def cmd_spectrum(problem: dict, experiment: dict, out_dir: str, provenance: dict
 
 def cmd_evolve(problem: dict, experiment: dict, out_dir: str, provenance: dict) -> dict:
     mode_idx, t, route = (experiment[key] for key in ("mode", "t", "route"))
-    grid_keys = tuple(key for key in _EVOLVE_ROUTE_KEYS[route] if key != "window")
+    # the fd route records, beside its keys, the step derived from t
+    grid_keys = [key for key in _EVOLVE_ROUTE_KEYS[route] if key != "window"] + (
+        ["dt"] if route == "fd" else [])
     provenance["parameters"].update({"mode": [mode_idx.n, mode_idx.j], "t": t,
                                      "route": route,
                                      **{key: experiment[key] for key in grid_keys}})
 
     table = _spectral_table(problem, mode_idx.j)
     mode = make_mode(mode_idx, table)
-    grid, weights, u = flow.evolve_route(route, mode, table, t, **{
-        key: experiment[key] for key in ("r_max", "fd_points", "dt")})
+    grid, weights, u = flow.evolve_route(route, mode, table, t, experiment["r_max"],
+                                         experiment["fd_points"], experiment.get("dt"))
 
     summary = {"route": route, "t": t, "mode": [mode_idx.n, mode_idx.j]}
     measured = {}
@@ -576,8 +585,8 @@ def cmd_heat(problem: dict, experiment: dict, out_dir: str, provenance: dict) ->
 
     residual = flow.heat_residual(N, mu_k, alpha_k)
 
-    # backward Euler's error is a series in dt: Richardson's extrapolation
-    # 2 v_{dt/2} - v_dt of marches with steps dt and dt/2 cancels its leading term
+    # backward Euler's error is a series in dt: Richardson's extrapolation 2 v_{dt/2}
+    # - v_dt of marches of n steps dt = T/n and 2n of dt/2 cancels its leading term
     coarse, fine = (RadialSchema(N=N, alpha=alpha_k, R=experiment["r_max"],
                                  M=experiment["fd_points"], dt=dt)
                     for dt in (experiment["dt"], experiment["dt"] / 2.0))
@@ -627,12 +636,13 @@ def cmd_compare(problem: dict, experiment: dict, out_dir: str, provenance: dict)
             "sup_worst": max(report["sup_rel"].values())}
 
 
-# the cells every finite-difference march defaults to, and the time steps:
-# the fd route extrapolates in space from these cells and 3x as many and
-# steps with the order-24 Pade (12,12) at _FD_DT; heat extrapolates its
-# backward Euler in time from _HEAT_DT and _HEAT_DT/2.  Heat's error is then
-# partly space error: 1.0e-5 on the loss mode, where 6000 cells read 4.1e-6
-_FD_POINTS, _FD_DT, _HEAT_DT = 1500, 0.25, 1e-2
+# the cells every finite-difference march defaults to, its largest steps, and
+# the most steps it takes (t = 2^18 on the fd route, 10485.76 at heat's dt):
+# the fd route extrapolates in space from these cells and 3x as many, stepping
+# with the order-24 Pade (12,12); heat extrapolates its backward Euler in time
+# from dt and dt/2, so its error is partly space error: 1.0e-5 on the loss
+# mode, where 6000 cells read 4.1e-6
+_FD_POINTS, _FD_DT, _HEAT_DT, _MAX_STEPS = 1500, 0.25, 1e-2, 2 ** 20
 
 # each command with the reader table of its experiment block
 _COMMANDS = {
@@ -641,7 +651,7 @@ _COMMANDS = {
         "mode": (_mode, _REQUIRED), "t": (_number, _REQUIRED),
         "route": (_string(*flow.ROUTES), "closed"),
         "r_max": (_positive, 30.0), "fd_points": (_grid_points, _FD_POINTS),
-        "dt": (_positive, _FD_DT), "window": (_window(_number), [0.1, 8.0])}),
+        "window": (_window(_number), [0.1, 8.0])}),
     "decay": (cmd_decay, {
         "mode": (_mode, _REQUIRED), "weight": (_number, 0.0),
         "times": (_either(dict, _dyadic_times, _time_list), {}),
@@ -660,7 +670,7 @@ _COMMANDS = {
     "compare": (cmd_compare, {
         "mode": (_mode, _REQUIRED), "T": (_positive, 1.0),
         "r_max": (_positive, 30.0), "fd_points": (_grid_points, _FD_POINTS),
-        "dt": (_positive, _FD_DT), "window": (_window(_number), [0.1, 8.0])}),
+        "window": (_window(_number), [0.1, 8.0])}),
 }
 
 

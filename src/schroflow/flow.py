@@ -332,16 +332,23 @@ def log_grid() -> tuple[np.ndarray, np.ndarray]:
     return grid, grid * (math.log(LOG_GRID_HI / LOG_GRID_LO) / (LOG_GRID_POINTS - 1))
 
 
+def _fftlog_bias(nu: float) -> float:
+    """The FFTLog bias q of order nu: h vanishes like rho^{nu+1} at rho = 0,
+    and q = -(nu+1)/2 keeps the output accurate at r << t: on r in
+    [1e-6, 2] at t = 2^14 its sup error is about 1e-9 where q = 0 gives 8e1."""
+    return -(nu + 1.0) / 2.0
+
+
 def _hankel_grid(grid: np.ndarray, nu: float) -> tuple[float, float, np.ndarray]:
     """(dln, offset, k) of an FFTLog Hankel transform of order nu on a
     log-uniform grid: the log step, the low-ringing offset for the bias
-    -(nu+1)/2, and the output grid, k_i grid_{n-1-i} = e^offset."""
+    ``_fftlog_bias(nu)``, and the output grid, k_i grid_{n-1-i} = e^offset."""
     from scipy import fft
 
     dln = math.log(grid[-1] / grid[0]) / (len(grid) - 1)
     if not np.allclose(np.diff(np.log(grid)), dln, rtol=1e-6, atol=0.0):
         raise ValueError("the representation route needs a log-uniform grid")
-    offset = fft.fhtoffset(dln, nu, bias=-(nu + 1.0) / 2.0)
+    offset = fft.fhtoffset(dln, nu, bias=_fftlog_bias(nu))
     return dln, offset, math.exp(offset) / grid[::-1]
 
 
@@ -364,10 +371,7 @@ def propagate_representation(state: SeparatedState, t: float,
     The state's grid must be log-uniform (``log_grid``); its spectral table
     gives each mode's alpha_j.  The output grid is r = 2t k, log-uniform with
     the same step and weights r dln; its offset is the low-ringing one of the
-    state's first mode, which the other modes share.  h vanishes like
-    rho^{nu+1} at rho = 0; the bias q = -(nu+1)/2 keeps the output accurate
-    at r << t: on r in [1e-6, 2] at t = 2^14 its sup error is about 1e-9
-    where q = 0 gives 8e1.
+    state's first mode, which the other modes share.
 
     Only the live prefix of the grid, up to the last node where some profile
     is nonzero, is chirped: past it h is exactly 0.  ``r_range=(lo, hi)``
@@ -378,7 +382,9 @@ def propagate_representation(state: SeparatedState, t: float,
 
     Raises ResolutionError when the log step moves the phase rho^2/4t by more
     than 1/8 of a period, rho^2 dln/2t > pi/4, at the last rho where some
-    profile is at least 1e-16 of its maximum.
+    profile is at least 1e-16 of its maximum.  Raises FloatingPointError,
+    naming j and t, where a transform is not finite: on ``log_grid`` fht's
+    bias factors overflow from nu > 60.6 (degree 61 at N=3, a = 0).
     """
     from scipy import fft
 
@@ -415,7 +421,11 @@ def propagate_representation(state: SeparatedState, t: float,
     for j, f in state.profiles.items():
         hj, nu = chirp * f[:live], order[j]
         h[0, :live], h[1, :live] = hj.real, hj.imag
-        re, im = fft.fht(h, dln, nu, offset=offset, bias=-(nu + 1.0) / 2.0)[:, first:stop]
+        with np.errstate(over="ignore", invalid="ignore"):
+            re, im = fft.fht(h, dln, nu, offset=offset, bias=_fftlog_bias(nu))[:, first:stop]
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise FloatingPointError(f"the Hankel transform of mode j = {j} (order nu = "
+                                     f"{nu!r}) is not finite at t = {t!r}")
         out_profiles[j] = pref_common * _unit_phase(table.row(j)[1]) * (re + 1j * im)
     return SeparatedState(grid=r, weights=r * dln, profiles=out_profiles, table=table)
 
@@ -437,16 +447,10 @@ def evolve_route(route: str, mode: NormalizedMode, table: SpectralTable, t: floa
       3 ``fd_points`` cells, whose cell 3i+1 has the centre of cell i; the
       scheme's error in space is a series in h^2, so Richardson's
       extrapolation (9 u_{h/3} - u_h) / 8 cancels its leading term.  The
-      time step dt is the same on both grids and is not extrapolated.
-      The output still moves with dt, but not by time error on the modes
-      the grids resolve: the cell datum holds an O(h^2) share on
-      eigenvalues lambda of the operator far above the closed form's
-      content (3e-6 of mode (1,2) at a = 0.5 on 1500 cells), where the
-      Pade factor's phase is O(1) off e^{-i dt lambda} for dt lambda >> 1,
-      and where the exact discrete flow's phase is itself space error.  So
-      no dt gives a converged limit at that level: the Pade (6,6) route at
-      dt 1.25e-2 and 6.25e-3 differs by 1.5e-8 relative on that mode and by
-      1.7e-6 on mode (10,1) at a = -3/16.
+      time step dt is the same on both grids and is not extrapolated: the
+      output moves with dt through the datum's share on eigenvalues far
+      above the closed form's content, which is space error, so no dt
+      converges it further (README's design notes).
     """
     if route == "fd":
         coarse, fine = (RadialSchema(N=mode.N, alpha=mode.alpha, R=r_max, M=cells, dt=dt)

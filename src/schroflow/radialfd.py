@@ -46,7 +46,7 @@ product:
   and twelve in-place updates.
 
 A duration T must be a whole number of steps dt (to 1e-9 relative, see
-``step_count``).
+``step_count``); the CLI derives such a dt from the duration.
 """
 
 from __future__ import annotations

@@ -20,11 +20,11 @@ from schroflow.radialfd import RadialSchema, evolve_heat
 LOSS = {"N": 3, "a": -0.1875}
 SMALL_RUNS = {
     "spectrum": {"K": 6},
-    "evolve": {"mode": [0, 1], "t": 1.0, "route": "fd", "fd_points": 500, "dt": 1e-2},
+    "evolve": {"mode": [0, 1], "t": 1.0, "route": "fd", "fd_points": 500},
     "decay": {"mode": [0, 1], "times": {"lo_exp": 0, "hi_exp": 7}, "samples": 50},
     "kernel": {"K": 4, "rho": [0.5, 2.0], "x_dir": [0.4, 0.3], "y_dir": [1.2, 2.1]},
     "heat": {"fd_points": 500, "dt": 1e-2, "fit_times": [1, 4, 16, 64, 256]},
-    "compare": {"mode": [0, 1], "fd_points": 500, "dt": 1e-2, "r_max": 10.0},
+    "compare": {"mode": [0, 1], "fd_points": 500, "r_max": 10.0},
 }
 
 
@@ -194,6 +194,26 @@ class TestEvolve:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 5
         assert "past r_max" in capsys.readouterr().err
 
+    # fht's bias factors e^{-+q (j - j_c) dln} overflow on the log grid once
+    # |q| = (nu + 1)/2 > 30.8: from degree 61 at N=3, a = 0 (nu = l + 1/2).
+    # Degree 61 printed three RuntimeWarnings and wrote nan with exit 0
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("degree, code", [(60, 0), (61, 5)])
+    def test_kernel_route_non_finite_transform_exits_5(self, tmp_path, capsys, degree, code):
+        j = degree * degree + 1
+        cfg = write_config(tmp_path, "c.json", {"problem": FREE, "experiment": {
+            "mode": [0, j], "t": 1.0, "route": "kernel"}})
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--out", str(out),
+                     "--expect", '{"rel_l2_max": 1e-8}']) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("numeric failure:")
+            assert f"mode j = {j}" in err and "t = 1.0" in err
+            assert list(out.iterdir()) == []
+        else:
+            assert err == ""
+
     def test_fd_route_default_error_at_n5(self, tmp_path):
         # (N-2)/2 = 3/2 and a = -2 give mu_1 = -2, alpha_1 = 1: the schema
         # takes the table's alpha_1, and the route reads 1.58e-8 here
@@ -209,16 +229,20 @@ class TestEvolve:
         # error shows: Pade (2,2) at dt 1e-2 read 1.98e-5 here, 4.0x its run
         # at dt/2.  Pade (12,12) at the default dt 0.25 reads 5.31e-6, and
         # Pade (6,6) read 5.55e-6 at dt 5e-2 and 5.30e-6 at dt 1.25e-2
-        def rel_l2(name, **step):
-            cfg = write_config(tmp_path, f"{name}.json", {"problem": LOSS, "experiment": {
-                "mode": [10, 1], "t": 1.0, "route": "fd", **step}})
-            out = tmp_path / name
-            assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
-            return json.loads((out / "summary.json").read_text())["rel_l2_vs_closed"]
-
-        default = rel_l2("default")
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": {
+            "mode": [10, 1], "t": 1.0, "route": "fd"}})
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        default = json.loads((out / "summary.json").read_text())["rel_l2_vs_closed"]
         assert default <= 8e-6
-        assert default == pytest.approx(rel_l2("half", dt=cli._FD_DT / 2.0), rel=0.1)
+        # the step is no config key: the half step runs through the library
+        table = build_table(constant_a_spectrum(3, LOSS["a"], 1), 1)
+        mode = make_mode(ModeIndex(10, 1), table)
+        grid, weights, u = flow.evolve_route("fd", mode, table, 1.0, 30.0, cli._FD_POINTS,
+                                             cli._FD_DT / 2.0)
+        half, _ = flow.window_errors(u, flow.evolve_mode_closed_form(mode, grid, 1.0),
+                                     grid, weights, 3, [0.1, 8.0])
+        assert default == pytest.approx(half, rel=0.1)
 
     def test_bad_route(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
@@ -562,7 +586,7 @@ class TestCompare:
 
     def test_fd_error_equals_evolve_fd_error(self, tmp_path):
         # one route runner and one windowed error behind both commands
-        grid = {"r_max": 10.0, "fd_points": 500, "dt": 1e-2, "window": [0.2, 6.0]}
+        grid = {"r_max": 10.0, "fd_points": 500, "window": [0.2, 6.0]}
         cfg = write_config(tmp_path, "e.json", {"problem": LOSS, "experiment": {
             "mode": [0, 1], "t": 1.0, "route": "fd", **grid}})
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
@@ -576,7 +600,7 @@ class TestCompare:
     def test_failed_route_writes_a_partial_report(self, tmp_path, capsys):
         # at T = 0.01 the log grid cannot resolve an n = 20 mode's phase
         cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": {
-            "mode": [20, 1], "T": 0.01, "fd_points": 2000, "dt": 1e-3}})
+            "mode": [20, 1], "T": 0.01, "fd_points": 2000}})
         out = tmp_path / "out"
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 5
         lines = capsys.readouterr().err.splitlines()
@@ -669,8 +693,6 @@ class TestUnderflowedReference:
     # the closed-form reference underflows to 0 on the whole grid: Infinity
     # and NaN relative errors were written with exit 0 before
     @pytest.mark.parametrize("command, experiment", [
-        pytest.param("evolve", {"mode": [0, 1], "t": 1e160, "route": "fd", "dt": 1e160,
-                                "fd_points": 100}, id="evolve fd"),
         pytest.param("heat", {"t0": 1, "t1": 1e300, "dt": 1e297, "fd_points": 100},
                      id="heat"),
     ])
@@ -858,7 +880,7 @@ class TestCsv:
 
 FREE = {"N": 3, "a": 0.0}
 KERNEL = {"K": 4, "rho": [0.5, 2.0], "x_dir": [0.4, 0.3], "y_dir": [1.2, 2.1]}
-FD = {"mode": [0, 1], "t": 1.0, "route": "fd", "fd_points": 500, "dt": 1e-2}
+FD = {"mode": [0, 1], "t": 1.0, "route": "fd", "fd_points": 500}
 
 
 class TestConfigErrors:
@@ -923,7 +945,7 @@ class TestConfigErrors:
                      id="x_dir angle N=3"),
         # numeric failures (exit 5) or silently accepted before: values of
         # the right type out of their range
-        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "dt": 0}}, id="dt 0"),
+        pytest.param("heat", {"problem": FREE, "experiment": {"dt": 0}}, id="dt 0"),
         pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "r_max": -1}},
                      id="r_max -1"),
         pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "fd_points": 1}},
@@ -978,16 +1000,6 @@ class TestConfigErrors:
         pytest.param("compare", {"problem": FREE, "experiment": {
             **SMALL_RUNS["compare"], "window": [0.395, 0.405]}},
                      id="compare window between fd cells"),
-        # silently marched round(T/dt) steps before: durations that are not
-        # a whole number of fd steps
-        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "t": 1.0004, "dt": 1e-3}},
-                     id="fd route t 1.0004"),
-        pytest.param("evolve", {"problem": FREE, "experiment": {**FD, "t": 0.0004, "dt": 1e-3}},
-                     id="fd route t 0.0004"),
-        pytest.param("heat", {"problem": FREE, "experiment": {**SMALL_RUNS["heat"], "t1": 2.005}},
-                     id="heat t1 - t0 2.005"),
-        pytest.param("compare", {"problem": FREE, "experiment": {
-            **SMALL_RUNS["compare"], "T": 1.005}}, id="compare T 1.005"),
         # numeric failures (exit 5) before: kernel series the Legendre path
         # cannot collapse, and a zero radius under a negative weight
         pytest.param("kernel", {"problem": FREE, "experiment": {
@@ -1038,6 +1050,10 @@ class TestConfigErrors:
                      id="heat fit_ratio"),
         pytest.param("heat", {"residual": {"dr": 0.005}}, "experiment", "residual",
                      id="heat residual"),
+        # the fd step is derived from the duration
+        pytest.param("evolve", {**FD, "dt": 0.25}, "experiment", "dt", id="fd route dt"),
+        pytest.param("compare", {**SMALL_RUNS["compare"], "dt": 0.25}, "experiment", "dt",
+                     id="compare dt"),
         pytest.param("kernel", {**KERNEL, "rho": {"lo": 0.5, "hi": 2.0, "n": 4,
                                                   "spacing": "log"}},
                      "experiment.rho", "spacing", id="kernel rho.spacing"),
@@ -1062,21 +1078,64 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("route", ["closed", "kernel"])
     def test_duration_rule_only_on_the_fd_route(self, tmp_path, route):
-        # t is not a whole number of steps of the fd route's default dt 0.25
+        # these routes take no steps, so no step is derived from their t,
+        # which the fd route would march in 5 steps of 0.20008
         cfg = write_config(tmp_path, "c.json", {"problem": FREE, "experiment": {
             "mode": [0, 1], "t": 1.0004, "route": route}})
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
 
-    @pytest.mark.parametrize("command, key", [("evolve", "t"), ("compare", "T")])
-    def test_fd_duration_off_the_default_step_names_dt(self, tmp_path, capsys, command, key):
-        # at the default dt 0.25 an fd-route duration is a multiple of 0.25
-        cfg = write_config(tmp_path, "c.json", {"problem": FREE, "experiment": {
-            "mode": [0, 1], key: 0.33, **({"route": "fd"} if command == "evolve" else {})}})
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            f"config error: experiment.{key}: duration 0.33 is not a whole number >= 0 "
-            "of steps dt = 0.25\n")
-        assert not (tmp_path / "out").exists()
+    # refused before, when a duration had to be a whole number of steps dt:
+    # a march of duration T takes n = ceil(T / bound) equal steps T/n, the
+    # bound 0.25 on the fd route and heat's dt, and provenance records T/n
+    @pytest.mark.parametrize("command, experiment, dt", [
+        pytest.param("evolve", {"mode": [0, 1], "t": 0.33, "route": "fd"}, 0.33 / 2,
+                     id="evolve-t"),
+        pytest.param("compare", {"mode": [0, 1], "T": 1.005}, 1.005 / 5, id="compare-T"),
+        pytest.param("evolve", {**FD, "t": 1.0004}, 1.0004 / 5, id="fd route t 1.0004"),
+        pytest.param("evolve", {**FD, "t": 0.0004}, 0.0004, id="fd route t 0.0004"),
+        # t / 0.25 = 4 + 1e-12 is within 1e-9 of 4: still 4 steps
+        pytest.param("evolve", {**FD, "t": 1 + 2.5e-13}, (1 + 2.5e-13) / 4,
+                     id="fd route t 1 + 2.5e-13"),
+        pytest.param("heat", {**SMALL_RUNS["heat"], "t1": 2.005}, (2.005 - 1.0) / 101,
+                     id="heat t1 - t0 2.005"),
+        # no step at all: the route returns the datum, and records the bound
+        pytest.param("evolve", {**FD, "t": 0}, 0.25, id="fd route t 0"),
+    ])
+    def test_duration_takes_equal_steps_up_to_the_bound(self, tmp_path, command, experiment,
+                                                        dt):
+        cfg = write_config(tmp_path, "c.json", {"problem": LOSS, "experiment": experiment})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        name = {"evolve": "summary.json", "compare": "compare.json", "heat": "residual.json"}
+        document = json.loads((out / name[command]).read_text())
+        assert document["provenance"]["parameters"]["dt"] == dt
+        if experiment.get("t") == 0:
+            assert document["rel_l2_vs_closed"] <= 1e-15
+
+    # a march of more than 2^20 steps is refused before it starts: evolve's
+    # fd route at t = 1e160 took 4e160 steps, and heat to t1 = 1e300 1e302
+    @pytest.mark.parametrize("command, experiment, refused", [
+        pytest.param("evolve", {**FD, "t": 1e160}, "experiment.t: 1e+160 is 4e+160 steps",
+                     id="evolve fd"),
+        pytest.param("heat", {"t0": 1, "t1": 1e300},
+                     "experiment.t1 - experiment.t0: 1e+300 is 1e+302 steps", id="heat"),
+        pytest.param("evolve", {**FD, "t": 2.0 ** 18 + 0.25},
+                     "experiment.t: 262144.25 is 1048577 steps", id="evolve fd edge"),
+        pytest.param("evolve", {**FD, "t": 2.0 ** 18}, None, id="evolve fd at the bound"),
+    ])
+    def test_march_past_the_step_bound_exits_2(self, tmp_path, capsys, command, experiment,
+                                               refused):
+        cfg = write_config(tmp_path, "c.json", {"problem": FREE, "experiment": experiment})
+        if refused is None:
+            config, _ = cli.load_config(cfg, command)
+            assert config["experiment"]["dt"] == cli._FD_DT
+            return
+        with pytest.raises(cli.ConfigError, match="steps"):
+            cli.load_config(cfg, command)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {refused} ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, experiment", [
         pytest.param("evolve", {**FD, "window": [100, 200]}, id="evolve fd"),

@@ -491,7 +491,7 @@ def _whole_chirp(state, t):
     for j, f in state.profiles.items():
         h = chirp * f
         re, im = fft.fht(np.stack((h.real, h.imag)), dln, nus[j], offset=offset,
-                         bias=-(nus[j] + 1.0) / 2.0)
+                         bias=flow._fftlog_bias(nus[j]))
         out[j] = pref * flow._unit_phase(state.table.row(j)[1]) * (re + 1j * im)
     return out
 

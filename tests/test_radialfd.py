@@ -103,11 +103,12 @@ class TestSchrodingerStepper:
             evolve_schrodinger(s, np.zeros(99, dtype=complex), s.dt)
 
     def test_convergence_order(self, mode01_free, mode01_loss):
-        # mode (0,1) free and at a = -3/16 (alpha = 1/4): second order on both
+        # mode (0,1) free and at a = -3/16 (alpha = 1/4): second order in
+        # space on both, at the fd route's default step
         for alpha, mode in [(0.0, mode01_free), (0.25, mode01_loss)]:
             errs = []
-            for M, dt in [(1500, 8e-3), (3000, 4e-3)]:
-                s = _schema(alpha=alpha, M=M, dt=dt)
+            for M in (1500, 3000):
+                s = _schema(alpha=alpha, M=M, dt=cli._FD_DT)
                 g = s.grid
                 u = evolve_schrodinger(s, mode.radial(g), 1.0)
                 ref = flow.evolve_mode_closed_form(mode, g, 1.0)
@@ -156,7 +157,7 @@ class TestSchrodingerStepper:
 
     def test_singular_mode_accuracy(self, mode01_loss):
         # moderate resolution: guard the inner discretization quality
-        s = _schema(alpha=0.25, M=6000, dt=2e-3)
+        s = _schema(alpha=0.25, M=6000, dt=cli._FD_DT)
         g = s.grid
         u = evolve_schrodinger(s, mode01_loss.radial(g), 1.0)
         ref = flow.evolve_mode_closed_form(mode01_loss, g, 1.0)
