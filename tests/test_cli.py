@@ -1084,13 +1084,28 @@ class TestConfigErrors:
             "mode": [0, 1], "t": 1.0004, "route": route}})
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
 
+    # refused before, naming dt: an fd-route duration off the default step
+    # 0.25 now runs in 2 equal steps of 0.165, the dt its record names
+    @pytest.mark.parametrize("command, key", [
+        pytest.param("evolve", "t", id="evolve-t"),
+        pytest.param("compare", "T", id="compare-T"),
+    ])
+    def test_fd_duration_off_the_default_step_names_dt(self, tmp_path, capsys, command, key):
+        cfg = write_config(tmp_path, "c.json", {"problem": FREE, "experiment": {
+            "mode": [0, 1], key: 0.33, **({"route": "fd"} if command == "evolve" else {})}})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        name = {"evolve": "summary.json", "compare": "compare.json"}[command]
+        document = json.loads((out / name).read_text())
+        assert document["provenance"]["parameters"]["dt"] == 0.33 / 2
+
     # refused before, when a duration had to be a whole number of steps dt:
     # a march of duration T takes n = ceil(T / bound) equal steps T/n, the
     # bound 0.25 on the fd route and heat's dt, and provenance records T/n
     @pytest.mark.parametrize("command, experiment, dt", [
-        pytest.param("evolve", {"mode": [0, 1], "t": 0.33, "route": "fd"}, 0.33 / 2,
-                     id="evolve-t"),
-        pytest.param("compare", {"mode": [0, 1], "T": 1.005}, 1.005 / 5, id="compare-T"),
+        pytest.param("compare", {**SMALL_RUNS["compare"], "T": 1.005}, 1.005 / 5,
+                     id="compare T 1.005"),
         pytest.param("evolve", {**FD, "t": 1.0004}, 1.0004 / 5, id="fd route t 1.0004"),
         pytest.param("evolve", {**FD, "t": 0.0004}, 0.0004, id="fd route t 0.0004"),
         # t / 0.25 = 4 + 1e-12 is within 1e-9 of 4: still 4 steps
